@@ -4,9 +4,8 @@ A run repeats one unit (see workloads) for the run length, at least twice.
 
 Timed run (tracing off): only the function that marks a request is
 wrapped.  On shared virtual machines CPU speed swings by tens of percent
-over seconds, so each
-request is timed by its fastest repeat, and wall_s is the sum of those plus
-the fastest repeat of the unit's remaining work.  Traced run: each repeat
+over seconds, so each request is timed by its fastest repeat, and wall_s is
+the sum of those plus the fastest repeat of the unit's remaining work.  Traced run: each repeat
 runs once untraced and once with every layer wrapped; per-layer figures are
 per repeat, and the ratio of the two times gives the tracing overhead.
 Both runs then check every repeat's rows (untimed) and that output bytes
