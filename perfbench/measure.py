@@ -1,42 +1,39 @@
 """Timed and traced runs of one workload, and the metrics they yield.
 
 A run repeats one unit (see workloads) for the run length, at least twice.
+Each repeat runs in a fresh interpreter (see unit), so every repeat pays
+what a single CLI call pays: no module-level cache or memo of the program
+carries over from one repeat to the next.
 
 Timed run (tracing off): only the function that marks a request is
 wrapped.  On shared virtual machines CPU speed swings by tens of percent
 over seconds, so each request is timed by its fastest repeat, and wall_s is
-the sum of those plus the fastest repeat of the unit's remaining work.  Traced run: each repeat
-runs once untraced and once with every layer wrapped; per-layer figures are
-per repeat, and the ratio of the two times gives the tracing overhead.
-Both runs then check every repeat's rows (untimed) and that output bytes
-are identical across repeats.
+the sum of those plus the fastest repeat of the unit's remaining work.
+Traced run: untraced and traced repeats alternate; each per-layer figure is
+the median over the traced repeats, and the ratio of the two kinds' times
+gives the tracing overhead.  Both runs then check every repeat's rows
+(untimed), that output bytes are identical across repeats, and that the
+decided count has not dropped below the one recorded for a seed.
 """
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
+import math
 import os
-import resource
 import statistics
 import subprocess
 import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 
+import run
 import workloads as wl
-from probes import LAYERS, RequestClock, Tracer
+from probes import LAYERS
 
-
-@dataclass
-class Unit:
-    config: object
-    seconds: float
-    rows: list | None
-    text: str | None
-    error: str | None
+UNIT = os.path.join(run.HERE, "unit.py")
+UNIT_TIMEOUT = 150
+SETUP_RUNS = 15
+SETUP_PER_REPEAT = 2
 
 
 @dataclass
@@ -45,41 +42,40 @@ class Outcome:
     failed: int = 0
     metrics: dict = field(default_factory=dict)
     info: list = field(default_factory=list)
+    setup: list = field(default_factory=list)  # (set-up s, registry s) samples
 
     @property
     def correct(self) -> bool:
         return self.failed == 0
 
 
-def run_unit(w: wl.Workload, config, entry_done=None):
-    """One public entry point call plus rendering, as the CLI does it."""
-    from galwalk import experiment, output
+def execute(w: wl.Workload, seed: int, mode: str, src: str = run.SRC,
+            spans_path: str | None = None) -> dict:
+    """Run one unit in a fresh interpreter; returns its reply (see unit).
 
-    try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            rows, fields, metadata = getattr(experiment, wl.ENTRY[w.verb])(config)
-    finally:
-        if entry_done is not None:
-            entry_done()
-    return rows, output.render_csv(rows, fields, metadata)
-
-
-def execute(w: wl.Workload, seed: int, entry_done=None) -> Unit:
-    config = wl.unit_config(w, seed)
+    A unit whose process fails comes back with `error` set, never raises.
+    """
+    req = {"workload": w.__dict__, "seed": seed, "mode": mode, "src": src,
+           "spans_path": spans_path}
     t0 = time.perf_counter()
     try:
-        rows, text = run_unit(w, config, entry_done)
-        error = None
-    except Exception:  # a failed operation is counted, never fatal
-        rows = text = None
-        error = traceback.format_exc(limit=4).strip().splitlines()[-1]
-    return Unit(config, time.perf_counter() - t0, rows, text, error)
+        proc = subprocess.run([sys.executable, UNIT, json.dumps(req)], cwd=run.ROOT,
+                              capture_output=True, text=True, timeout=UNIT_TIMEOUT)
+        lines = proc.stdout.strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            err = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+            raise RuntimeError(f"unit process exit {proc.returncode}: {err}")
+        reply = json.loads(lines[-1])
+    except (OSError, ValueError, RuntimeError, subprocess.SubprocessError) as exc:
+        reply = {"error": str(exc), "rows": None, "sha256": None}
+    reply["elapsed"] = time.perf_counter() - t0
+    reply.setdefault("seconds", reply["elapsed"])
+    return reply
 
 
-def setup_probe(root: str, runs: int) -> tuple[float, float]:
-    """Median import + registry time, and registry time alone, over fresh
-    interpreters (the interpreter's own start-up is not counted)."""
-    src = os.path.join(root, "src")
+def setup_sample(src: str) -> tuple[float, float]:
+    """Import + registry time, and registry time alone, in one fresh
+    interpreter (the interpreter's own start-up is not counted)."""
     code = (
         "import json, time\n"
         "t0 = time.perf_counter()\n"
@@ -90,170 +86,175 @@ def setup_probe(root: str, runs: int) -> tuple[float, float]:
         "print(json.dumps([t2 - t0, t2 - t1, galwalk.__file__]))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    totals, registry = [], []
-    for _ in range(runs):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=root, env=env,
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        total, reg, path = json.loads(proc.stdout.strip().splitlines()[-1])
-        if not os.path.abspath(path).startswith(os.path.abspath(src) + os.sep):
-            raise RuntimeError(f"set-up imported galwalk from {path}, not {src}")
-        totals.append(total)
-        registry.append(reg)
-    return statistics.median(totals), statistics.median(registry)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=os.path.dirname(src), env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    total, registry, path = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not os.path.abspath(path).startswith(os.path.abspath(src) + os.sep):
+        raise RuntimeError(f"set-up imported galwalk from {path}, not {src}")
+    return total, registry
 
 
-def _gens_size(w: wl.Workload) -> int:
-    from galwalk.scenarios import builtin_scenarios
+def setup_times(samples: list, src: str) -> tuple[float, float]:
+    """Fastest set-up and registry times, after topping `samples` (taken
+    between repeats, so they span the run) up to SETUP_RUNS."""
+    while len(samples) < SETUP_RUNS:
+        samples.append(setup_sample(src))
+    return min(t for t, _ in samples), min(r for _, r in samples)
 
-    return builtin_scenarios()[w.scenario].admissible().size
 
-
-def verify(w: wl.Workload, seed: int, units: list[Unit], pairs, out: Outcome,
-           golden: dict) -> None:
-    """Untimed correctness pass: invariants per unit, then byte repeats.
+def verify(w: wl.Workload, seed: int, units: list[dict], pairs, out: Outcome,
+           golden: dict, src: str) -> None:
+    """Untimed correctness pass: invariants per unit, byte repeats, and the
+    decided count against the recorded one.
 
     `pairs` lists (unit, unit) whose rendered bytes must be identical.
     """
-    gens = _gens_size(w)
     for i, u in enumerate(units):
         out.attempted += 1
-        errors = [u.error] if u.error else wl.check(w, u.config, u.rows, gens)
+        errors = [u["error"]] if u["error"] else wl.check(w, u["rows"], u["gens"])
         if errors:
             out.failed += 1
             out.info.append(f"FAIL repeat {i}: " + "; ".join(errors[:3]))
     for a, b in pairs:
         out.attempted += 1
-        if a.text is None or a.text != b.text:
+        if a["sha256"] is None or a["sha256"] != b["sha256"]:
             out.failed += 1
             out.info.append("FAIL: output bytes differ between repeats")
-    first = units[0]
-    if first.text is not None:
-        digest = hashlib.sha256(first.text.encode("utf-8")).hexdigest()
-        ref = golden.get(w.name, {}).get(str(seed))
-        drift = "no reference" if ref is None else ("same" if ref == digest else "CHANGED")
-        out.info.append(f"output sha256 {digest}  drift vs recorded: {drift}")
+
+    recorded = golden.get(w.name, {})
+    first = next((u for u in units if u["error"] is None), None)
+    if first is not None:
+        ref = recorded.get(str(seed), {}).get("sha256")
+        drift = ("no reference" if ref is None
+                 else "same" if ref == first["sha256"] else "CHANGED")
+        out.info.append(f"output sha256 {first['sha256']}  drift vs recorded: {drift}")
+    decided_guard(w, seed, first, recorded, out, src)
 
 
-def _another(units: list[Unit], start: float, seconds: float, per_repeat: float) -> bool:
+def decided_guard(w: wl.Workload, seed: int, first: dict | None, recorded: dict,
+                  out: Outcome, src: str) -> None:
+    """Fail when fewer samples are decided than recorded for the same seed.
+
+    decided_fraction varies between seeds, so its bound cannot catch a
+    change that decides less; for one seed it is exact.  Where every
+    recorded seed decides the same count (the exhaustive workloads), any
+    seed is checked against it; otherwise a run whose seed has no record
+    checks one untimed unit at the lowest recorded seed.
+    """
+    counts = {r["decided"] for r in recorded.values()}
+    if not counts:
+        return
+    if len(counts) == 1 and first is not None:
+        want = counts.pop()
+    else:
+        if str(seed) not in recorded or first is None:
+            seed = min(int(s) for s in recorded)
+            first = execute(w, seed, "plain", src)
+        want = recorded[str(seed)]["decided"]
+    out.attempted += 1
+    got = wl.decided(w, first["rows"])[0] if first["error"] is None else None
+    if got is None or got < want:
+        out.failed += 1
+        out.info.append(f"FAIL: seed {seed} decided {got}, recorded {want}")
+    else:
+        out.info.append(f"seed {seed} decided {got}, recorded {want}")
+
+
+def _another(units: list[dict], start: float, seconds: float, per_repeat: float) -> bool:
     """Whether to start another repeat: always until there are two (so every
     run checks that bytes repeat), then while one more is expected to end
     within the run length."""
     if len(units) < 2:
         return True
-    return time.perf_counter() - start + per_repeat * min(u.seconds for u in units) <= seconds
+    return time.perf_counter() - start + per_repeat * min(u["elapsed"] for u in units) <= seconds
 
 
-def timed_run(w: wl.Workload, seed: int, seconds: float, golden: dict) -> Outcome:
-    layer, name, until_next = wl.REQUEST[w.verb]
-    clock = RequestClock(layer, name, until_next)
-    units: list[Unit] = []
-    rest: list[float] = []  # per repeat: unit time not inside any request
-    start = time.perf_counter()
-    with clock:
-        while _another(units, start, seconds, 1):
-            before = len(clock.latencies)
-            units.append(execute(w, seed, clock.close))
-            if units[-1].rows is not None:
-                rest.append(units[-1].seconds - sum(dt for _, dt in clock.latencies[before:]))
+def tail(lat: list[float]) -> tuple[float, str]:
+    """The highest whole percentile with at least 10 requests beyond it, or
+    the slowest request when there are fewer than 20."""
+    n = len(lat)
+    if n >= 20:
+        pct = math.floor(100 * (1 - 10 / n))
+        return (statistics.quantiles(lat, n=100)[pct - 1],
+                f"p{pct} of {n} requests ({n * (100 - pct) / 100:.1f} beyond it)")
+    return max(lat), f"slowest of {n} requests (too few for a percentile with 10 beyond it)"
+
+
+def timed_run(w: wl.Workload, seed: int, seconds: float, golden: dict,
+              src: str = run.SRC) -> Outcome:
     out = Outcome()
-    out.info += [f"missing probe target {m}" for m in clock.missing]
-    verify(w, seed, units, [(units[0], u) for u in units[1:]], out, golden)
+    units: list[dict] = []
+    start = time.perf_counter()
+    while _another(units, start, seconds, 1):
+        units.append(execute(w, seed, "clock", src))
+        out.setup += [setup_sample(src) for _ in range(SETUP_PER_REPEAT)]
+    out.info += sorted({f"missing probe target {m}" for u in units for m in u.get("missing", ())})
+    verify(w, seed, units, [(units[0], u) for u in units[1:]], out, golden, src)
 
-    ok = [u for u in units if u.rows is not None]
+    ok = [u for u in units if u["error"] is None]
     per_request: dict[str, list[float]] = {}
-    for key, dt in clock.latencies:
-        per_request.setdefault(key, []).append(dt)
+    rest = []  # per repeat: unit time not inside any request
+    for u in ok:
+        for key, dt in u["latencies"]:
+            per_request.setdefault(key, []).append(dt)
+        rest.append(u["seconds"] - sum(dt for _, dt in u["latencies"]))
     lat = sorted(min(v) for v in per_request.values())
     m = out.metrics
     m["wall_s"] = sum(lat) + min(rest) if ok else 0.0
     if not ok:
         n_items = 0
     elif w.verb == "oracle":
-        n_items = clock.result_sizes / len(units)
+        n_items = ok[0]["result_sizes"]
     else:
-        n_items = wl.items(w, ok[0].rows)
+        n_items = wl.items(w, ok[0]["rows"])
     m["items_per_s"] = n_items / m["wall_s"] if ok else 0.0
     m["sample_ms_p50"] = 1e3 * statistics.median(lat) if lat else 0.0
-    if w.tail_pct is not None and len(lat) >= 2:
-        m["sample_ms_tail"] = 1e3 * statistics.quantiles(lat, n=100)[int(w.tail_pct) - 1]
-        beyond = len(lat) * (100 - w.tail_pct) / 100
-        tail = f"p{w.tail_pct:g} of {len(lat)} requests ({beyond:.0f} beyond it)"
-    else:
-        m["sample_ms_tail"] = 1e3 * max(lat) if lat else 0.0
-        tail = f"slowest of {len(lat)} requests (too few for a percentile with 10 beyond it)"
-    yes, eligible = wl.decided(w, ok[0].rows) if ok else (0, 0)
+    tail_s, tail_note = tail(lat) if lat else (0.0, "no requests")
+    m["sample_ms_tail"] = 1e3 * tail_s
+    yes, eligible = wl.decided(w, ok[0]["rows"]) if ok else (0, 0)
     m["decided_fraction"] = yes / eligible if eligible else 0.0
     m["success_rate"] = (out.attempted - out.failed) / out.attempted
-    m["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    m["peak_rss_mb"] = max(u.get("rss_mb", 0.0) for u in units)
     out.info.append(
-        f"{len(units)} repeats of a unit of {n_items:.0f} items, {len(lat)} requests; "
-        f"each request timed by its fastest repeat; sample_ms_tail = {tail}; "
-        f"decided_fraction = {yes}/{eligible}; slowest/fastest repeat = "
-        f"{max(u.seconds for u in units):.3f}/{min(u.seconds for u in units):.3f} s"
+        f"{len(units)} repeats (fresh interpreters) of a unit of {n_items:.0f} items, "
+        f"{len(lat)} requests; each request timed by its fastest repeat; "
+        f"sample_ms_tail = {tail_note}; decided_fraction = {yes}/{eligible}; "
+        f"slowest/fastest repeat = {max(u['seconds'] for u in units):.3f}/"
+        f"{min(u['seconds'] for u in units):.3f} s"
     )
     return out
 
 
 def traced_run(w: wl.Workload, seed: int, seconds: float, golden: dict,
-               spans_path: str | None) -> Outcome:
-    _, name, until_next = wl.REQUEST[w.verb]
-    tracer = Tracer(name, until_next)
-    plain: list[Unit] = []
-    traced: list[Unit] = []
+               spans_path: str | None, src: str = run.SRC) -> Outcome:
+    out = Outcome()
+    plain: list[dict] = []
+    traced: list[dict] = []
     start = time.perf_counter()
     while _another(traced, start, seconds, 2):
-        plain.append(execute(w, seed))
-        with tracer:
-            traced.append(execute(w, seed))
-        if len(traced) == 1:
-            first_spans = len(tracer.spans)
-    out = Outcome()
-    out.info += [f"missing probe target {m}" for m in tracer.missing]
-    verify(w, seed, traced, list(zip(traced, plain)), out, golden)
-    if spans_path:
-        tracer.write_jsonl(spans_path, first_spans)
+        plain.append(execute(w, seed, "plain", src))
+        traced.append(execute(w, seed, "trace", src, None if traced else spans_path))
+        out.setup += [setup_sample(src) for _ in range(SETUP_PER_REPEAT)]
+    out.info += sorted({f"missing probe target {m}" for u in traced for m in u.get("missing", ())})
+    verify(w, seed, traced, list(zip(traced, plain)), out, golden, src)
+    if spans_path and os.path.exists(spans_path):
         out.info.append(f"spans of the first traced repeat written to {spans_path}")
 
-    calls, busy, self_time, under = tracer.aggregate()
-    n = len(traced)
-
-    def ratio(a, b):
-        return a / b if b else 0.0
-
+    ok = [u for u in traced if u["error"] is None]
     m = out.metrics
-    frob = "frobenius_cycle_type"
-    m["modpoly.frobenius_calls"] = calls[frob] / n
-    m["modpoly.frobenius_busy_s"] = busy[frob] / n
-    m["modpoly.frobenius_us_per_call"] = 1e6 * ratio(busy[frob], calls[frob])
-    m["modpoly.good_prime_ratio"] = ratio(tracer.good_primes, calls[frob])
-    m["galois_id.primes_per_sample"] = ratio(calls[frob], calls["collect_samples"])
-    m["galois_id.collect_busy_s"] = busy["collect_samples"] / n
-    m["galois_id.verdict_busy_s"] = busy["match_verdict"] / n
-    m["exactmat.charpoly_calls"] = calls["char_poly"] / n
-    m["exactmat.charpoly_busy_s"] = busy["char_poly"] / n
-    m["exactmat.matmul_calls"] = calls["mat_mul"] / n
-    m["exactmat.matmul_busy_s"] = busy["mat_mul"] / n
-    m["walker.sample_busy_s"] = busy["batch_sample"] / n
-    m["finfield.closure_elements"] = tracer.closure_elements / n
-    m["finfield.closure_busy_s"] = busy["enumerate_mod_p"] / n
-    m["finfield.charpoly_busy_s"] = busy["charpoly_mod_p"] / n
-    m["finfield.pattern_busy_s"] = (busy["census"] - busy["charpoly_mod_p"]) / n
-    m["finfield.distinct_chi_ratio"] = ratio(len(tracer.chis), calls["charpoly_mod_p"])
-    m["experiment.oracle_dp_busy_s"] = busy["exact_word_census"] / n
-    states = under[("exact_word_census", "mat_mul")] / _gens_size(w) if w.verb == "oracle" else 0
-    m["experiment.oracle_states"] = states / n
-    m["output.emit_s"] = busy["render_csv"] / n
-    m["output.bytes"] = tracer.rendered_bytes / n
-    for layer in LAYERS:
-        m[f"{layer}.self_s"] = self_time[layer] / n
-    m["trace.spans"] = len(tracer.spans) / n
-    m["trace.overhead_ratio"] = ratio(sum(u.seconds for u in traced),
-                                      sum(u.seconds for u in plain)) - 1
-    total_self = sum(self_time.values())
+    for name in ok[0]["metrics"] if ok else ():
+        m[name] = statistics.median(u["metrics"][name] for u in ok)
+    both = [(p, t) for p, t in zip(plain, traced) if p["error"] is None and t["error"] is None]
+    untraced = sum(p["seconds"] for p, _ in both)
+    m["trace.overhead_ratio"] = (sum(t["seconds"] for _, t in both) / untraced - 1
+                                 if untraced else 0.0)
+    self_time = {layer: m.get(f"{layer}.self_s", 0.0) for layer in LAYERS}
+    total_self = sum(self_time.values()) or 1.0
     ranking = sorted(self_time.items(), key=lambda kv: -kv[1])
-    out.info.append("self time per unit by layer: " + ", ".join(
-        f"{layer} {t / n:.3f} s ({100 * ratio(t, total_self):.1f}%)" for layer, t in ranking))
-    out.info.append(f"{n} traced units, {len(tracer.spans)} spans")
+    out.info.append("median self time per unit by layer: " + ", ".join(
+        f"{layer} {t:.3f} s ({100 * t / total_self:.1f}%)" for layer, t in ranking))
+    out.info.append(f"{len(traced)} traced units (fresh interpreters), "
+                    f"{m.get('trace.spans', 0):.0f} spans each")
     return out

@@ -227,13 +227,13 @@ class Tracer(Probe):
                 under[(spans[parent][0], name)] += 1
         return calls, busy, self_time, under
 
-    def write_jsonl(self, path: str, limit: int) -> None:
-        """Write the first `limit` spans, times relative to the first start."""
+    def write_jsonl(self, path: str) -> None:
+        """Write every span, times relative to the first start."""
         if not self.spans:
             return
         base = self.spans[0][2]
         with open(path, "w", encoding="utf-8") as fh:
-            for i, (name, layer, t0, t1, parent, req, arg) in enumerate(self.spans[:limit]):
+            for i, (name, layer, t0, t1, parent, req, arg) in enumerate(self.spans):
                 fh.write(json.dumps({
                     "id": i, "name": f"{layer}.{name}", "start_us": round((t0 - base) * 1e6, 1),
                     "end_us": round((t1 - base) * 1e6, 1), "parent": parent,

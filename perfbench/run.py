@@ -22,7 +22,6 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-SETUP_RUNS = 9
 SPANS_DIR = os.path.join(ROOT, ".bench_out")
 
 
@@ -31,17 +30,17 @@ def _load_spec() -> dict:
         return json.load(fh)
 
 
-def _import_galwalk() -> None:
-    """Import galwalk from this checkout's src/, never from anywhere else."""
-    if not os.path.isdir(os.path.join(SRC, "galwalk")):
-        raise RuntimeError(f"no galwalk sources under {SRC}")
-    if SRC not in sys.path:
-        sys.path.insert(0, SRC)
+def _import_galwalk(src: str = SRC) -> None:
+    """Import galwalk from `src` (this checkout's src/), never from anywhere else."""
+    if not os.path.isdir(os.path.join(src, "galwalk")):
+        raise RuntimeError(f"no galwalk sources under {src}")
+    if src not in sys.path:
+        sys.path.insert(0, src)
     import galwalk.cli  # noqa: F401  (the whole package, as the CLI loads it)
 
     found = os.path.abspath(sys.modules["galwalk"].__file__)
-    if not found.startswith(SRC + os.sep):
-        raise RuntimeError(f"galwalk imported from {found}, not {SRC}")
+    if not found.startswith(src + os.sep):
+        raise RuntimeError(f"galwalk imported from {found}, not {src}")
 
 
 def environment() -> str:
@@ -76,20 +75,22 @@ def measure_one(workload, seed: int, seconds: float, trace: bool, spec: dict) ->
     golden_path = os.path.join(HERE, "golden_sha256.json")
     with open(golden_path, encoding="utf-8") as fh:
         golden = json.load(fh)
-    setup_s, registry_s = measure.setup_probe(ROOT, SETUP_RUNS)
     if trace:
         os.makedirs(SPANS_DIR, exist_ok=True)
         spans = os.path.join(SPANS_DIR, f"spans_{workload.name}_seed{seed}.jsonl")
         out = measure.traced_run(workload, seed, seconds, golden, spans)
-        out.metrics["scenarios.registry_s"] = registry_s
+        out.metrics["scenarios.registry_s"] = measure.setup_times(out.setup, SRC)[1]
         wanted = spec["per_layer"]
     else:
         out = measure.timed_run(workload, seed, seconds, golden)
-        out.metrics["setup_s"] = setup_s
+        out.metrics["setup_s"] = measure.setup_times(out.setup, SRC)[0]
         wanted = spec["end_to_end"]
     for line in out.info:
         print(f"# {workload.name}: {line}")
     names = [m["name"] for m in wanted]
+    if not out.correct:  # a run with no successful unit has no figures
+        for name in names:
+            out.metrics.setdefault(name, 0.0)
     if set(names) != set(out.metrics):
         raise RuntimeError(f"metrics {sorted(out.metrics)} do not match BENCHMARK.json {sorted(names)}")
     return {

@@ -22,7 +22,6 @@ class Workload:
     prime_min: int = 1_000
     prime_max: int = 100_000
     budget: int = 300
-    tail_pct: float | None = None  # fixed tail percentile; None: slowest request
 
 
 # Why each workload is there is recorded in BENCHMARK.json.  Walk units are
@@ -31,7 +30,7 @@ class Workload:
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("walk_sl4", "run", "sl4", (20, 30), samples=30, tail_pct=80),
+        Workload("walk_sl4", "run", "sl4", (20, 30), samples=30),
         Workload("census_sltau2", "finfield", "sltau2", prime_min=5, prime_max=17),
         Workload("oracle_diag_antidiag", "oracle", "diag_antidiag", (10, 16, 22)),
     )
@@ -87,7 +86,7 @@ def decided(w: Workload, rows) -> tuple[int, int]:
     return sum(r["parity_exact"] for r in rows), len(rows)
 
 
-def check(w: Workload, config, rows, gens_size: int) -> list[str]:
+def check(w: Workload, rows, gens_size: int) -> list[str]:
     """Invariants of one unit's rows; returns a list of violations."""
     errors = []
     if w.verb == "run":
@@ -99,8 +98,8 @@ def check(w: Workload, config, rows, gens_size: int) -> list[str]:
             if not 0 <= r["n_rs"] <= r["samples"]:
                 errors.append(f"k={r['k']} coset={r['coset']}: n_rs {r['n_rs']} > samples {r['samples']}")
             per_k[r["k"]] = per_k.get(r["k"], 0) + r["samples"]
-        if per_k != {k: config.samples for k in config.k_values}:
-            errors.append(f"samples per k {per_k} != {config.samples}")
+        if per_k != {k: w.samples for k in w.k_values}:
+            errors.append(f"samples per k {per_k} != {w.samples}")
     elif w.verb == "finfield":
         per: dict[tuple, list] = {}
         for r in rows:
@@ -122,7 +121,7 @@ def check(w: Workload, config, rows, gens_size: int) -> list[str]:
         if not totals:
             errors.append("no census rows")
     else:
-        if [r["k"] for r in rows] != list(config.k_values):
+        if [r["k"] for r in rows] != list(w.k_values):
             errors.append(f"rows for k {[r['k'] for r in rows]}")
         for r in rows:
             if r["words"] != gens_size ** r["k"]:
