@@ -6,9 +6,10 @@ what a single CLI call pays: no module-level cache or memo of the program
 carries over from one repeat to the next.
 
 Timed run (tracing off): only the function that marks a request is
-wrapped.  On shared virtual machines CPU speed swings by tens of percent
-over seconds, so each request is timed by its fastest repeat, and wall_s is
-the sum of those plus the fastest repeat of the unit's remaining work.
+wrapped, and the host's speed is sampled while the unit runs (see calib),
+so that every time can be given at one nominal speed.  Each request's time
+is the median over the repeats of its nominal time, and wall_s is the sum
+of those plus the median nominal time of the unit's remaining work.
 Traced run: untraced and traced repeats alternate; each per-layer figure is
 the median over the traced repeats, and the ratio of the two kinds' times
 gives the tracing overhead.  Both runs then check every repeat's rows
@@ -26,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import calib
 import run
 import workloads as wl
 from probes import LAYERS
@@ -42,7 +44,7 @@ class Outcome:
     failed: int = 0
     metrics: dict = field(default_factory=dict)
     info: list = field(default_factory=list)
-    setup: list = field(default_factory=list)  # (set-up s, registry s) samples
+    setup: list = field(default_factory=list)  # (set-up s, registry s, speed) samples
 
     @property
     def correct(self) -> bool:
@@ -73,9 +75,11 @@ def execute(w: wl.Workload, seed: int, mode: str, src: str = run.SRC,
     return reply
 
 
-def setup_sample(src: str) -> tuple[float, float]:
-    """Import + registry time, and registry time alone, in one fresh
-    interpreter (the interpreter's own start-up is not counted)."""
+def setup_sample(src: str) -> tuple[float, float, float]:
+    """Import + registry time, registry time alone, and the host speed just
+    after them (see calib), in one fresh interpreter (the interpreter's own
+    start-up is not counted; calib is imported after the timed part, so the
+    modules it loads are not preloaded for galwalk)."""
     code = (
         "import json, time\n"
         "t0 = time.perf_counter()\n"
@@ -83,25 +87,32 @@ def setup_sample(src: str) -> tuple[float, float]:
         "t1 = time.perf_counter()\n"
         "galwalk.scenarios.builtin_scenarios()\n"
         "t2 = time.perf_counter()\n"
-        "print(json.dumps([t2 - t0, t2 - t1, galwalk.__file__]))\n"
+        "import calib\n"
+        "speed = calib.mean_speed('finfield', 5)\n"
+        "print(json.dumps([t2 - t0, t2 - t1, speed, galwalk.__file__]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, run.HERE)))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=os.path.dirname(src), env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
-    total, registry, path = json.loads(proc.stdout.strip().splitlines()[-1])
+    total, registry, speed, path = json.loads(proc.stdout.strip().splitlines()[-1])
     if not os.path.abspath(path).startswith(os.path.abspath(src) + os.sep):
         raise RuntimeError(f"set-up imported galwalk from {path}, not {src}")
-    return total, registry
+    return total, registry, speed
 
 
-def setup_times(samples: list, src: str) -> tuple[float, float]:
-    """Fastest set-up and registry times, after topping `samples` (taken
-    between repeats, so they span the run) up to SETUP_RUNS."""
+def setup_times(samples: list, src: str, info: list) -> tuple[float, float]:
+    """Median set-up and registry times at the nominal host speed, after
+    topping `samples` (taken between repeats, so they span the run) up to
+    SETUP_RUNS."""
     while len(samples) < SETUP_RUNS:
         samples.append(setup_sample(src))
-    return min(t for t, _ in samples), min(r for _, r in samples)
+    info.append(f"set-up: median of {len(samples)} fresh interpreters at the nominal speed; "
+                f"as measured: median {statistics.median(t for t, _, _ in samples):.4f} s, "
+                f"fastest {min(t for t, _, _ in samples):.4f} s")
+    return (statistics.median(t * v for t, _, v in samples),
+            statistics.median(r * v for _, r, v in samples))
 
 
 def verify(w: wl.Workload, seed: int, units: list[dict], pairs, out: Outcome,
@@ -182,6 +193,23 @@ def tail(lat: list[float]) -> tuple[float, str]:
     return max(lat), f"slowest of {n} requests (too few for a percentile with 10 beyond it)"
 
 
+def per_request(units: list[dict], nominal: bool = True) -> tuple[list[float], float]:
+    """Sorted request latencies, each the median over the repeats, and the
+    unit time they make up (plus the median remainder of the unit outside
+    any request).  `nominal` chooses times at the nominal host speed (see
+    calib) over times as measured."""
+    i = 1 if nominal else 2
+    times: dict[str, list[float]] = {}
+    rest = []  # per repeat: unit time not inside any request
+    for u in units:
+        for lat in u["latencies"]:
+            times.setdefault(lat[0], []).append(lat[i])
+        total = u["nominal"] if nominal else u["seconds"]
+        rest.append(total - sum(lat[i] for lat in u["latencies"]))
+    lat = sorted(statistics.median(v) for v in times.values())
+    return lat, (sum(lat) + statistics.median(rest) if units else 0.0)
+
+
 def timed_run(w: wl.Workload, seed: int, seconds: float, golden: dict,
               src: str = run.SRC) -> Outcome:
     out = Outcome()
@@ -194,15 +222,9 @@ def timed_run(w: wl.Workload, seed: int, seconds: float, golden: dict,
     verify(w, seed, units, [(units[0], u) for u in units[1:]], out, golden, src)
 
     ok = [u for u in units if u["error"] is None]
-    per_request: dict[str, list[float]] = {}
-    rest = []  # per repeat: unit time not inside any request
-    for u in ok:
-        for key, dt in u["latencies"]:
-            per_request.setdefault(key, []).append(dt)
-        rest.append(u["seconds"] - sum(dt for _, dt in u["latencies"]))
-    lat = sorted(min(v) for v in per_request.values())
+    lat, wall = per_request(ok)
     m = out.metrics
-    m["wall_s"] = sum(lat) + min(rest) if ok else 0.0
+    m["wall_s"] = wall
     if not ok:
         n_items = 0
     elif w.verb == "oracle":
@@ -219,11 +241,19 @@ def timed_run(w: wl.Workload, seed: int, seconds: float, golden: dict,
     m["peak_rss_mb"] = max(u.get("rss_mb", 0.0) for u in units)
     out.info.append(
         f"{len(units)} repeats (fresh interpreters) of a unit of {n_items:.0f} items, "
-        f"{len(lat)} requests; each request timed by its fastest repeat; "
+        f"{len(lat)} requests; each request timed by its median repeat at the nominal speed; "
         f"sample_ms_tail = {tail_note}; decided_fraction = {yes}/{eligible}; "
         f"slowest/fastest repeat = {max(u['seconds'] for u in units):.3f}/"
         f"{min(u['seconds'] for u in units):.3f} s"
     )
+    if ok:
+        speeds = [v for u in ok for v in u["speed"]]
+        deciles = statistics.quantiles(speeds, n=10)
+        out.info.append(
+            f"host speed while the units ran, as a share of nominal: median "
+            f"{statistics.median(speeds):.3f}, p10 {deciles[0]:.3f}, p90 {deciles[-1]:.3f} "
+            f"({len(speeds)} samples); as measured, wall_s would read {per_request(ok, False)[1]:.3f} s"
+        )
     return out
 
 

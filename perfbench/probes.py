@@ -6,8 +6,9 @@ and calls inside the defining module are both seen) and restores them on
 exit.  Two kinds of probe exist:
 
 * `RequestClock` wraps only the one function that marks a user-visible
-  request (a walk sample, a prime, a word length).  It is what the untraced
-  run uses, at a cost of one `perf_counter` pair per request.
+  request (a walk sample, a prime, a word length) and records when each
+  request starts and ends.  It is what the untraced run uses, at a cost of
+  one `perf_counter` pair per request.
 * `Tracer` wraps every function in `TARGETS` and keeps one span per call:
   name, start, end, parent span, request id and, where the function takes
   a prime or a walk length, that argument.  Spans stay in memory; self time
@@ -98,7 +99,7 @@ class Probe:
 
 
 class RequestClock(Probe):
-    """Latency of each request, keyed by request id.
+    """Start and end of each request, keyed by request id.
 
     With `until_next` a request runs from one call of the marking function
     to the next call (or to `close()`), which covers the work a public entry
@@ -109,14 +110,14 @@ class RequestClock(Probe):
     def __init__(self, layer: str, name: str, until_next: bool):
         super().__init__({layer: (name,)})
         self.until_next = until_next
-        self.latencies: list[tuple[str, float]] = []
+        self.spans: list[tuple[str, float, float]] = []  # (request id, start, end)
         self.result_sizes = 0  # until_next only: DP states or cosets returned
         self._open: tuple[str, float] | None = None
 
     def close(self) -> None:
         if self._open is not None:
             key, t0 = self._open
-            self.latencies.append((key, time.perf_counter() - t0))
+            self.spans.append((key, t0, time.perf_counter()))
             self._open = None
 
     def wrap(self, layer, name, fn):
@@ -136,7 +137,7 @@ class RequestClock(Probe):
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.latencies.append((request_key(name, args), clock() - t0))
+                self.spans.append((request_key(name, args), t0, clock()))
 
         return timed
 

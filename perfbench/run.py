@@ -79,11 +79,11 @@ def measure_one(workload, seed: int, seconds: float, trace: bool, spec: dict) ->
         os.makedirs(SPANS_DIR, exist_ok=True)
         spans = os.path.join(SPANS_DIR, f"spans_{workload.name}_seed{seed}.jsonl")
         out = measure.traced_run(workload, seed, seconds, golden, spans)
-        out.metrics["scenarios.registry_s"] = measure.setup_times(out.setup, SRC)[1]
+        out.metrics["scenarios.registry_s"] = measure.setup_times(out.setup, SRC, out.info)[1]
         wanted = spec["per_layer"]
     else:
         out = measure.timed_run(workload, seed, seconds, golden)
-        out.metrics["setup_s"] = measure.setup_times(out.setup, SRC)[0]
+        out.metrics["setup_s"] = measure.setup_times(out.setup, SRC, out.info)[0]
         wanted = spec["end_to_end"]
     for line in out.info:
         print(f"# {workload.name}: {line}")

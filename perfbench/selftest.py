@@ -7,7 +7,8 @@ BENCHMARK.json names, each with its unit; that a forced invariant violation,
 an exception inside the program and a drop in the decided count below the
 recorded one are each reported as a failed operation with exit code 1; that
 a memo kept at module level in the program does not make repeats faster
-(each repeat starts cold); and that a directory without the program's
+(each repeat starts cold); that nominal times take out the host's speed
+and the speed sampler's own time; and that a directory without the program's
 sources exits nonzero without printing a result.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ import shutil
 import subprocess
 import sys
 
+import calib
 import measure
 import run
 import workloads
@@ -160,6 +162,16 @@ def main() -> int:
     expect(wall[True] >= 0.8 * wall[False],
            f"a module-level memo does not speed up repeats (wall_s {wall[True]:.3f} s "
            f"with it, {wall[False]:.3f} s without)")
+
+    # Two kernel runs inside [0, 1] at half the nominal speed and one at the
+    # nominal speed just after it: (1 - their time inside) * mean(0.5, 0.5, 1).
+    k = calib.NOMINAL["run"]
+    fake = calib.SpeedSampler("run")
+    fake.starts = [0.2, 0.6, 1.02]
+    fake.ends = [0.2 + 2 * k, 0.6 + 2 * k, 1.02 + k]
+    got = fake.nominal_time(0.0, 1.0)
+    want = (1.0 - 4 * k) * (0.5 + 0.5 + 1.0) / 3
+    expect(abs(got - want) < 1e-9, f"nominal time of a sampled interval ({got:.6f} s, want {want:.6f} s)")
 
     bare = os.path.join(run.ROOT, ".bench_out", "bare")
     shutil.rmtree(bare, ignore_errors=True)

@@ -9,7 +9,9 @@ of one repeat cannot speed up the next.  The request names the workload
 mode (`plain`, `clock` or `trace`) and, for `trace`, an optional path for
 the spans.  Importing galwalk is not timed; the unit is.  The reply holds
 the unit's time, its rows, the sha256 of the rendered output, peak RSS, and
-the request latencies (`clock`) or the per-layer metrics (`trace`).
+the per-layer metrics (`trace`) or, for `clock`, the host speed samples
+taken while the unit ran (see calib) and the unit's and each request's
+time, both as measured and at the nominal speed.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import sys
 import time
 import traceback
 
+import calib
 import run
 import workloads as wl
 from probes import LAYERS, RequestClock, Tracer
@@ -99,15 +102,19 @@ def main(argv) -> int:
     else:
         probe = contextlib.nullcontext()
 
+    sampler = calib.SpeedSampler(w.verb) if mode == "clock" else contextlib.nullcontext()
+
     reply = {"error": None, "rows": None, "sha256": None}
     done = probe.close if mode == "clock" else None
-    t0 = time.perf_counter()
-    with probe:
-        try:
-            rows, text = run_unit(w, config, done)
-        except Exception:  # a failed operation is counted, never fatal
-            reply["error"] = traceback.format_exc(limit=4).strip().splitlines()[-1]
-    reply["seconds"] = time.perf_counter() - t0
+    with sampler:
+        t0 = time.perf_counter()
+        with probe:
+            try:
+                rows, text = run_unit(w, config, done)
+            except Exception:  # a failed operation is counted, never fatal
+                reply["error"] = traceback.format_exc(limit=4).strip().splitlines()[-1]
+        t1 = time.perf_counter()
+    reply["seconds"] = t1 - t0
     if reply["error"] is None:
         reply["rows"] = rows
         reply["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -115,7 +122,9 @@ def main(argv) -> int:
     if mode != "plain":
         reply["missing"] = probe.missing
     if mode == "clock":
-        reply["latencies"] = probe.latencies
+        reply["nominal"] = sampler.nominal_time(t0, t1)
+        reply["latencies"] = [(key, sampler.nominal_time(a, b), b - a) for key, a, b in probe.spans]
+        reply["speed"] = sampler.speeds()
         reply["result_sizes"] = probe.result_sizes
     if mode == "trace" and reply["error"] is None:
         reply["metrics"] = layer_metrics(w, probe, reply["gens"])
