@@ -29,22 +29,21 @@ from .output import emit
 from .scenarios import builtin_scenarios
 
 _CONFIG_KEYS = {
-    "scenario": str,
-    "k": str,
-    "samples": int,
-    "primes_min": int,
-    "primes_max": int,
-    "budget": int,
-    "seed": int,
-    "tv_max": str,
-    "coverage_min": str,
-    "bound": int,
-    "out": str,
-    "format": str,
+    "scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed",
+    "tv_max", "coverage_min", "bound", "out", "format",
 }
 
+# where a verb's default differs from the ExperimentConfig field default
+_VERB_DEFAULTS = {
+    "finfield": {"primes_min": 5, "primes_max": 17},
+    "oracle": {"k": "1,2,3,4,5,6,7,8,9,10"},
+}
 
-def _add_common(sub, finfield_defaults: bool = False):
+# flag names that differ from the ExperimentConfig field names
+_FIELD_NAMES = {"k": "k_values", "primes_min": "prime_min", "primes_max": "prime_max"}
+
+
+def _add_common(sub):
     sub.add_argument("--scenario", help="scenario name (see `scenarios`)")
     sub.add_argument("--k", help="comma-separated walk lengths", default=None)
     sub.add_argument("--samples", type=int, default=None)
@@ -78,34 +77,25 @@ def _merged_settings(args) -> dict:
     return settings
 
 
+def _field_value(key: str, value):
+    if key == "k":
+        return tuple(int(x) for x in str(value).split(",") if x != "")
+    if key in ("tv_max", "coverage_min"):
+        return Fraction(str(value))
+    if key == "scenario":
+        return str(value)
+    return int(value)
+
+
 def _build_config(settings: dict, verb: str) -> ExperimentConfig:
     if "scenario" not in settings:
         raise ValueError("--scenario is required")
-    if verb == "finfield":
-        prime_min = int(settings.get("primes_min", 5))
-        prime_max = int(settings.get("primes_max", 17))
-    else:
-        prime_min = int(settings.get("primes_min", 1_000))
-        prime_max = int(settings.get("primes_max", 100_000))
-    if verb == "oracle":
-        default_k = "1,2,3,4,5,6,7,8,9,10"
-    else:
-        default_k = "10,20,30"
-    k_values = tuple(
-        int(x) for x in str(settings.get("k", default_k)).split(",") if x != ""
-    )
-    return ExperimentConfig(
-        scenario=str(settings["scenario"]),
-        k_values=k_values,
-        samples=int(settings.get("samples", 100)),
-        prime_min=prime_min,
-        prime_max=prime_max,
-        budget=int(settings.get("budget", 300)),
-        tv_max=Fraction(str(settings.get("tv_max", "1/10"))),
-        coverage_min=Fraction(str(settings.get("coverage_min", "1"))),
-        seed=int(settings.get("seed", 1)),
-        bound=int(settings.get("bound", 2_000_000)),
-    )
+    merged = {**_VERB_DEFAULTS.get(verb, {}), **settings}
+    return ExperimentConfig(**{
+        _FIELD_NAMES.get(key, key): _field_value(key, value)
+        for key, value in merged.items()
+        if key not in ("out", "format")
+    })
 
 
 def main(argv=None) -> int:
@@ -133,6 +123,10 @@ def main(argv=None) -> int:
             print(f"    {scenario.description}")
         return 0
 
+    if args.out is None:
+        print("error: --out is required (data goes to files)", file=sys.stderr)
+        return 2
+
     try:
         if args.verb == "catalog":
             rows, fields, metadata = catalog_rows()
@@ -154,17 +148,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", None) or "csv"
-    if out is None:
-        print("error: --out is required (data goes to files)", file=sys.stderr)
-        return 2
     try:
-        emit(rows, fields, metadata, out, fmt)
+        emit(rows, fields, metadata, args.out, args.format or "csv")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

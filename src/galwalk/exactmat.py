@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 class DimensionMismatch(ValueError):
@@ -78,12 +77,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.rows)))
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return self.integral
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -359,58 +352,44 @@ def is_rational_square(x: Fraction) -> bool:
     return rn * rn == x.numerator and rd * rd == x.denominator
 
 
+def int_char_poly(rows) -> list[int]:
+    """Coefficients of det(T*I - a) for a square integer matrix, degree-indexed.
+
+    Faddeev-LeVerrier recurrence over Z: every intermediate matrix is
+    integral and the division by the step index is exact (Cohen, GTM 138,
+    section 2.2).  Reducing the result mod p gives the characteristic
+    polynomial over F_p at every prime.  Validated against cofactor
+    expansion in the test suite.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = rows
+    for k in range(1, n + 1):
+        if k > 1:
+            # m <- a (m + c I) = a m + c a
+            c = coeffs[n - k + 1]
+            cols = list(zip(*m))
+            m = [
+                [sum(map(mul, row, col)) + c * e for col, e in zip(cols, row)]
+                for row in rows
+            ]
+        coeffs[n - k] = -(sum(m[i][i] for i in range(n)) // k)
+    return coeffs
+
+
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(T*I - a), monic of degree n.
 
-    Faddeev-LeVerrier recurrence: exact over Q, no pivoting, division only by
-    the step index.  Validated against cofactor expansion for n <= 4 in the
-    test suite.
+    With d the common denominator of the entries, the integer kernel gives
+    det(T*I - d*a) = d^n * det((T/d)*I - a), so the coefficient of T^i over Q
+    is the integer one divided by d^(n-i).
     """
+    d = lcm(*(e.denominator for row in a.rows for e in row))
+    coeffs = int_char_poly([[(e * d).numerator for e in row] for row in a.rows])
     n = a.n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = RationalMatrix.identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        if k > 1:
-            m = mat_mul(a, RationalMatrix(
-                tuple(
-                    tuple(m.rows[i][j] + (c if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-            ))
-        else:
-            m = a
-        c = -m.trace() / k
-        coeffs[n - k] = c
-    return RationalPolynomial(coeffs)
-
-
-def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
-    """Slow oracle: expand det(T*I - a) by cofactors over Q[T].  Test use only."""
-    n = a.n
-
-    def minor_det(rows_idx, cols_idx):
-        if not rows_idx:
-            return RationalPolynomial((1,))
-        i = rows_idx[0]
-        total = RationalPolynomial(())
-        for pos, j in enumerate(cols_idx):
-            if i == j:
-                entry = RationalPolynomial((-a.rows[i][j], Fraction(1)))
-            else:
-                entry = RationalPolynomial((-a.rows[i][j],))
-            if entry.is_zero():
-                continue
-            sub = minor_det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:])
-            term = entry * sub
-            if pos % 2:
-                term = term.scale(-1)
-            total = total + term
-        return total
-
-    idx = tuple(range(n))
-    return minor_det(idx, idx)
+    return RationalPolynomial(
+        Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)
+    )
 
 
 @dataclass(frozen=True)

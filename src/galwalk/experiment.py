@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,6 +181,34 @@ def identify_sample(sample, spec, config: ExperimentConfig):
     return out
 
 
+def _tally_batches(scenario: Scenario, config: ExperimentConfig, classify, make_row):
+    """Sample each k's batch and count per coset; one row per (k, coset).
+
+    classify(sample) names the counter a regular semisimple sample adds to,
+    or returns None for a sample that is not; make_row(counts) turns one
+    coset's counts into the row's verb-specific fields.
+    """
+    gens = scenario.admissible()
+    rows = []
+    for k in config.k_values:
+        samples = batch_sample(gens, k, config.samples, batch_seed(config.seed, k))
+        tallies: dict[int, Counter] = {}
+        for sample in samples:
+            t = tallies.setdefault(sample.label, Counter())
+            t["samples"] += 1
+            kind = classify(sample)
+            if kind is not None:
+                t["n_rs"] += 1
+                t[kind] += 1
+        for label in sorted(tallies):
+            t = tallies[label]
+            rows.append({
+                "k": k, "coset": label, "samples": t["samples"], "n_rs": t["n_rs"],
+                **make_row(t),
+            })
+    return rows
+
+
 def run_convergence(config: ExperimentConfig):
     """Sample, identify, and tabulate per (k, coset).
 
@@ -189,40 +218,24 @@ def run_convergence(config: ExperimentConfig):
     scenario = builtin_scenarios()[config.scenario]
     if not scenario.has_predictions:
         return _run_quadratic_outcomes(scenario, config)
-    gens = scenario.admissible()
-    rows = []
-    for k in config.k_values:
-        samples = batch_sample(gens, k, config.samples, batch_seed(config.seed, k))
-        tallies: dict[int, dict[str, int]] = {}
-        for sample in samples:
-            spec = scenario.coset(sample.label)
-            t = tallies.setdefault(
-                sample.label,
-                {"samples": 0, "n_rs": 0, KIND_CERTIFIED_SN: 0,
-                 KIND_CERTIFIED_EXACT: 0, KIND_CONSISTENT: 0,
-                 KIND_REJECTED: 0, KIND_INCONCLUSIVE: 0},
-            )
-            t["samples"] += 1
-            outcome = identify_sample(sample, spec, config)
-            if outcome.rs:
-                t["n_rs"] += 1
-                t[outcome.kind] += 1
-        for label in sorted(tallies):
-            t = tallies[label]
-            matched = t[KIND_CERTIFIED_SN] + t[KIND_CERTIFIED_EXACT] + t[KIND_CONSISTENT]
-            rows.append(
-                {
-                    "k": k,
-                    "coset": label,
-                    "samples": t["samples"],
-                    "n_rs": t["n_rs"],
-                    "n_certified": t[KIND_CERTIFIED_SN] + t[KIND_CERTIFIED_EXACT],
-                    "n_consistent": t[KIND_CONSISTENT],
-                    "n_rejected": t[KIND_REJECTED],
-                    "n_inconclusive": t[KIND_INCONCLUSIVE],
-                    "mismatch_fraction": Fraction(t["samples"] - matched, t["samples"]),
-                }
-            )
+
+    def classify(sample):
+        outcome = identify_sample(sample, scenario.coset(sample.label), config)
+        return outcome.kind if outcome.rs else None
+
+    def make_row(t):
+        certified = t[KIND_CERTIFIED_SN] + t[KIND_CERTIFIED_EXACT]
+        return {
+            "n_certified": certified,
+            "n_consistent": t[KIND_CONSISTENT],
+            "n_rejected": t[KIND_REJECTED],
+            "n_inconclusive": t[KIND_INCONCLUSIVE],
+            "mismatch_fraction": Fraction(
+                t["samples"] - certified - t[KIND_CONSISTENT], t["samples"]
+            ),
+        }
+
+    rows = _tally_batches(scenario, config, classify, make_row)
     _report_decay_fit(rows)
     return rows, CONVERGENCE_FIELDS, config.metadata("run")
 
@@ -230,39 +243,22 @@ def run_convergence(config: ExperimentConfig):
 def _run_quadratic_outcomes(scenario: Scenario, config: ExperimentConfig):
     if scenario.dimension != 2:
         raise ValueError("quadratic outcome mode needs dimension 2")
-    gens = scenario.admissible()
-    rows = []
-    for k in config.k_values:
-        samples = batch_sample(gens, k, config.samples, batch_seed(config.seed, k))
-        tallies: dict[int, dict[str, int]] = {}
-        for sample in samples:
-            t = tallies.setdefault(
-                sample.label,
-                {"samples": 0, "n_rs": 0, "n_trivial": 0, "n_order2": 0},
-            )
-            t["samples"] += 1
-            chi = char_poly(sample.element)
-            if not squarefree_over_q(chi):
-                continue
-            t["n_rs"] += 1
-            if quadratic_galois(chi) == "trivial":
-                t["n_trivial"] += 1
-            else:
-                t["n_order2"] += 1
-        for label in sorted(tallies):
-            t = tallies[label]
-            frac = Fraction(t["n_trivial"], t["n_rs"]) if t["n_rs"] else Fraction(0)
-            rows.append(
-                {
-                    "k": k,
-                    "coset": label,
-                    "samples": t["samples"],
-                    "n_rs": t["n_rs"],
-                    "n_trivial": t["n_trivial"],
-                    "n_order2": t["n_order2"],
-                    "trivial_fraction": frac,
-                }
-            )
+
+    def classify(sample):
+        chi = char_poly(sample.element)
+        if not squarefree_over_q(chi):
+            return None
+        return "n_trivial" if quadratic_galois(chi) == "trivial" else "n_order2"
+
+    def make_row(t):
+        trivial = Fraction(t["n_trivial"], t["n_rs"]) if t["n_rs"] else Fraction(0)
+        return {
+            "n_trivial": t["n_trivial"],
+            "n_order2": t["n_order2"],
+            "trivial_fraction": trivial,
+        }
+
+    rows = _tally_batches(scenario, config, classify, make_row)
     return rows, QUADRATIC_FIELDS, config.metadata("run")
 
 
@@ -299,7 +295,9 @@ def run_finite_field(config: ExperimentConfig):
     for p in primes_in_window(config.prime_min, config.prime_max):
         try:
             if p <= scenario.dimension:
-                raise BadPrimeError("p must exceed the matrix dimension")
+                raise BadPrimeError(
+                    "a full split into n distinct nonzero roots needs p - 1 >= n"
+                )
             cosets = enumerate_mod_p(scenario, p, bound=config.bound)
         except BadPrimeError:
             rows.append(

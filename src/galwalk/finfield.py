@@ -11,13 +11,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .exactmat import det, int_char_poly
 from .modpoly import (
     CycleType,
     NOT_SQUAREFREE,
     NotSquarefree,
     PrimeFieldPolynomial,
-    _pf_gcd,
     _pf_deriv,
+    _pf_fulldiv,
+    _pf_gcd,
     _pf_monic,
     _pf_mul,
     distinct_degree_pattern,
@@ -59,46 +61,9 @@ def _mat_mul_mod(a: PFMatrix, b: PFMatrix, p: int) -> PFMatrix:
     )
 
 
-def _det_mod(a: PFMatrix, p: int) -> int:
-    n = len(a)
-    work = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        inv = pow(work[col][col], -1, p)
-        det = det * work[col][col] % p
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv % p
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
-    return det % p
-
-
 def charpoly_mod_p(a: PFMatrix, p: int) -> PrimeFieldPolynomial:
-    """Characteristic polynomial over F_p (requires p > n for the recurrence)."""
-    n = len(a)
-    if p <= n:
-        raise ValueError("charpoly recurrence needs p > matrix dimension")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = a
-    c = 0
-    for k in range(1, n + 1):
-        if k > 1:
-            shifted = tuple(
-                tuple((m[i][j] + (c if i == j else 0)) % p for j in range(n))
-                for i in range(n)
-            )
-            m = _mat_mul_mod(a, shifted, p)
-        trace = sum(m[i][i] for i in range(n)) % p
-        c = (-trace * pow(k, -1, p)) % p
-        coeffs[n - k] = c
-    return PrimeFieldPolynomial(p, tuple(coeffs))
+    """Characteristic polynomial over F_p: the integer one, reduced."""
+    return PrimeFieldPolynomial(p, tuple(c % p for c in int_char_poly(a)))
 
 
 def enumerate_mod_p(scenario, p: int, bound: int = 2_000_000) -> dict[int, list[PFMatrix]]:
@@ -113,7 +78,7 @@ def enumerate_mod_p(scenario, p: int, bound: int = 2_000_000) -> dict[int, list[
     gens = []
     for mat, label in scenario.admissible().generators:
         reduced = reduce_matrix(mat, p)
-        if _det_mod(reduced, p) == 0:
+        if det(mat).numerator % p == 0:
             raise BadPrimeError(f"generator degenerates mod {p}")
         gens.append((reduced, label))
     n = scenario.dimension
@@ -175,7 +140,7 @@ def _profile_pattern(
     g = _pf_gcd(f, _pf_deriv(f, p), p)
     if len(g) - 1 <= 0:
         return NOT_SQUAREFREE  # squarefree, but we expected multiplicity > 1
-    rad = _pf_exact_div(f, g, p)
+    rad = _pf_fulldiv(f, g, p)
     if (len(rad) - 1) * multiplicity != len(f) - 1:
         return NOT_SQUAREFREE
     power = [1]
@@ -187,12 +152,6 @@ def _profile_pattern(
     if isinstance(base, NotSquarefree):
         return NOT_SQUAREFREE
     return repeat_parts(base, multiplicity)
-
-
-def _pf_exact_div(a: list[int], b: list[int], p: int) -> list[int]:
-    from .modpoly import _pf_fulldiv
-
-    return _pf_fulldiv(a, b, p)
 
 
 def census(elements, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
@@ -219,9 +178,13 @@ def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]):
     """Per-(p, coset, type) densities plus zero-density flags.
 
     target_types maps coset label -> the cycle types its predicted group
-    attains; a target type with zero census density is flagged.
-    Returns (rows, flagged) where each row is a dict and flagged collects
-    (p, coset, type) triples that violate positivity.
+    attains; a target type with zero census count is flagged.  That
+    includes zeros the theory explains, such as a type that needs a
+    constant-field extension (Q(i) on the sltau2 swap coset) to be split by
+    Frobenius at p, so a flag alone does not mean the census is wrong; the
+    acceptance test of the finite-field density law is what tells the two
+    apart.  Returns (rows, flagged) where each row is a dict and flagged
+    collects the flagged (p, coset, type) triples.
     """
     if not censuses:
         raise ValueError("no censuses supplied")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .exactmat import (
     RationalPolynomial,
@@ -161,18 +161,9 @@ def certify_sn(summary: SampleSummary, n: int) -> bool:
         return False
     for ct in types:
         for part in ct:
-            if part > n / 2 and _is_prime(part):
+            if part > n / 2 and primes_in_window(part, part):
                 return True
     return False
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def match_verdict(
@@ -303,13 +294,9 @@ def quadratic_galois(f: RationalPolynomial) -> str:
 
 def _rational_roots(f: RationalPolynomial) -> list[Fraction]:
     """All rational roots, found exactly via the integer root bound."""
-    scale = 1
-    for c in f.coeffs:
-        scale = scale * c.denominator // _gcd_int(scale, c.denominator)
+    scale = lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * scale) for c in f.coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd_int(g, abs(v))
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead = ints[-1]
@@ -339,12 +326,6 @@ def _divisors(n: int) -> list[int]:
             if d != n // d:
                 out.append(n // d)
     return sorted(out)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _classify_two_quadratics(q1: RationalPolynomial, q2: RationalPolynomial) -> str:

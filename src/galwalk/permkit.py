@@ -146,42 +146,32 @@ def trivial_group(n: int) -> EnumeratedGroup:
     return enumerate_group([], degree=n)
 
 
-def relabel(group: EnumeratedGroup, perm: Permutation) -> EnumeratedGroup:
-    """Conjugate the whole group by a fixed relabeling of the points."""
-    inv = inverse_perm(perm)
-    elements = tuple(sorted(compose(perm, compose(g, inv)) for g in group.elements))
-    return EnumeratedGroup(group.degree, elements, _distribution(group.degree, elements))
-
-
 def wreath_product(
-    base_order: int, top: EnumeratedGroup, bound: int = 2_000_000
+    base: EnumeratedGroup, top: EnumeratedGroup, bound: int = 2_000_000
 ) -> EnumeratedGroup:
-    """Imprimitive wreath: m blocks of size d = base_order on d*m points.
+    """base wr top: one base copy per top point, top permuting blocks rigidly.
 
-    The base factor at block j is the d-cycle on that block; the top group
-    permutes blocks rigidly.  Point (block j, slot i) is j*d + i.
+    Point (block b, slot i) has index b*base.degree + i.
     """
-    d, m = base_order, top.degree
-    if d < 1:
-        raise ValueError("base_order must be >= 1")
-    n = d * m
-    expected = (d ** m) * top.order
+    n, d = base.degree, top.degree
+    expected = base.order ** d * top.order
     if expected > bound:
         raise GroupTooLarge(f"wreath order {expected} exceeds bound {bound}")
+    size = n * d
     gens = []
-    if d > 1:
-        for j in range(m):
-            g = list(range(n))
-            for i in range(d):
-                g[j * d + i] = j * d + (i + 1) % d
-            gens.append(tuple(g))
+    for b in range(d):
+        for g in _generating_subset(base):
+            lift = list(range(size))
+            for i in range(n):
+                lift[b * n + i] = b * n + g[i]
+            gens.append(tuple(lift))
     for t in _generating_subset(top):
-        g = list(range(n))
-        for j in range(m):
-            for i in range(d):
-                g[j * d + i] = t[j] * d + i
-        gens.append(tuple(g))
-    result = enumerate_group(gens, degree=n, bound=bound)
+        lift = list(range(size))
+        for b in range(d):
+            for i in range(n):
+                lift[b * n + i] = t[b] * n + i
+        gens.append(tuple(lift))
+    result = enumerate_group(gens, degree=size, bound=bound)
     assert result.order == expected, "wreath closure has unexpected order"
     return result
 
@@ -207,22 +197,6 @@ def semidirect_by_action(
     return enumerate_group(gens, degree=normal.degree, bound=bound)
 
 
-def _closure(gens, degree: int) -> set[Permutation]:
-    # Closure under composition alone suffices: a finite set of bijections
-    # closed under products is a group.
-    ident = identity_perm(degree)
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        cur = queue.popleft()
-        for g in gens:
-            nxt = compose(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def _generating_subset(group: EnumeratedGroup) -> tuple[Permutation, ...]:
     """A small generating set extracted greedily from the element list.
 
@@ -236,7 +210,7 @@ def _generating_subset(group: EnumeratedGroup) -> tuple[Permutation, ...]:
         if g in have:
             continue
         gens.append(g)
-        have = _closure(gens, group.degree)
+        have = set(enumerate_group(gens, degree=group.degree).elements)
         if len(have) == group.order:
             break
     return tuple(gens) if gens else (ident,)

@@ -10,16 +10,18 @@ above), not derived symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import factorial, gcd, prod
+from operator import mul
 
+from .exactmat import RationalMatrix, det, mat_inverse, mat_mul
 from .permkit import (
     EnumeratedGroup,
-    GroupTooLarge,
     _generating_subset,
+    cyclic_group,
     enumerate_group,
     symmetric_group,
+    trivial_group,
     wreath_product,
 )
 
@@ -45,35 +47,6 @@ class PredictedGroup:
 # permutation-group constructors
 # ---------------------------------------------------------------------------
 
-def _imprimitive_wreath(
-    base: EnumeratedGroup, top: EnumeratedGroup, bound: int
-) -> EnumeratedGroup:
-    """base wr top: one base copy per top point, top permuting blocks rigidly.
-
-    Point (block b, slot i) has index b*base.degree + i.
-    """
-    n, d = base.degree, top.degree
-    expected = base.order ** d * top.order
-    if expected > bound:
-        raise GroupTooLarge(f"wreath order {expected} exceeds bound {bound}")
-    size = n * d
-    gens = []
-    for b in range(d):
-        for g in _generating_subset(base):
-            lift = list(range(size))
-            for i in range(n):
-                lift[b * n + i] = b * n + g[i]
-            gens.append(tuple(lift))
-    for t in _generating_subset(top):
-        lift = list(range(size))
-        for b in range(d):
-            for i in range(n):
-                lift[b * n + i] = t[b] * n + i
-        gens.append(tuple(lift))
-    result = enumerate_group(gens, degree=size, bound=bound)
-    assert result.order == expected
-    return result
-
 def pi_sl_n(n: int) -> PredictedGroup:
     """Full symmetric group on the n eigenvalues (the split connected case)."""
     if n < 2:
@@ -95,42 +68,21 @@ def pi_sl_n_doubled(n: int) -> PredictedGroup:
     assert group.order == sym.order
     return PredictedGroup(f"sym{n}_doubled", group, 2 * n)
 
-def _signed_pair_group(r: int) -> EnumeratedGroup:
-    """Signed permutations of r letter pairs (a_j, b_j) on 2r points.
-
-    Generated by the within-pair swaps (a_j b_j) and rigid pair
-    permutations; order 2^r * r!.
-    """
-    size = 2 * r
-    gens = []
-    for j in range(r):
-        g = list(range(size))
-        g[2 * j], g[2 * j + 1] = g[2 * j + 1], g[2 * j]
-        gens.append(tuple(g))
-    for j in range(r - 1):
-        g = list(range(size))
-        g[2 * j], g[2 * j + 2] = g[2 * j + 2], g[2 * j]
-        g[2 * j + 1], g[2 * j + 3] = g[2 * j + 3], g[2 * j + 1]
-        gens.append(tuple(g))
-    group = enumerate_group(gens, degree=size)
-    assert group.order == 2 ** r * _factorial(r)
-    return group
-
 def pi_sl_n_tau(n: int, bound: int = 2_000_000) -> PredictedGroup:
     """Sign-flip wreath over r = n/2 letter pairs, acting on 4r points.
 
     Point (pair j, letter in {a, b}, sign in {+, -}) has index
     4j + 2*letter + sign.  The base flips the sign inside each of the 2r
-    letters independently; the top is the signed pair group.  Only even n is
-    supported: for odd n the action on the two leftover eigenvalue slots is
-    not determined, so we refuse rather than guess.
+    letters independently; the top is the signed pair group C2 wr S_r, which
+    swaps the letters within each pair and permutes the pairs rigidly.  Only
+    even n is supported: for odd n the action on the two leftover eigenvalue
+    slots is not determined, so we refuse rather than guess.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("only even n is supported")
     r = n // 2
-    group = wreath_product(2, _signed_pair_group(r), bound=bound)
-    expected = 2 ** (2 * r) * 2 ** r * _factorial(r)
-    assert group.order == expected
+    signed_pairs = wreath_product(cyclic_group(2), symmetric_group(r))
+    group = wreath_product(cyclic_group(2), signed_pairs, bound=bound)
     return PredictedGroup(f"signflip_wreath_{n}", group, 4 * r)
 
 def pi_sl_n_tau_reciprocal(n: int, bound: int = 2_000_000) -> PredictedGroup:
@@ -176,7 +128,7 @@ def pi_sl_n_tau_reciprocal(n: int, bound: int = 2_000_000) -> PredictedGroup:
             )
         gens.append(tuple(g))
     group = enumerate_group(gens, degree=size, bound=bound)
-    assert group.order == 2 ** (r + 1) * _factorial(r)
+    assert group.order == 2 ** (r + 1) * factorial(r)
     return PredictedGroup(f"reciprocal_wreath_{n}", group, size)
 
 def pi_sl_power_identity(n: int, d: int) -> PredictedGroup:
@@ -185,19 +137,8 @@ def pi_sl_power_identity(n: int, d: int) -> PredictedGroup:
     Point (block b, slot i) has index n*b + i; block b holds the
     eigenvalues of the b-th factor.
     """
-    size = n * d
-    gens = []
-
-    sym = symmetric_group(n)
-    for b in range(d):
-        for g in _generating_subset(sym):
-            lift = list(range(size))
-            for i in range(n):
-                lift[b * n + i] = b * n + g[i]
-            gens.append(tuple(lift))
-    group = enumerate_group(gens, degree=size)
-    assert group.order == _factorial(n) ** d
-    return PredictedGroup(f"sym{n}_power{d}", group, size)
+    group = wreath_product(symmetric_group(n), trivial_group(d))
+    return PredictedGroup(f"sym{n}_power{d}", group, n * d)
 
 def pi_sl_power_cyclic(n: int, d: int, bound: int = 2_000_000) -> PredictedGroup:
     """Coset group for d cyclically permuted factors: rotations with trivial
@@ -224,7 +165,7 @@ def pi_sl_power_cyclic(n: int, d: int, bound: int = 2_000_000) -> PredictedGroup
         for i in range(d):
             g[d * j + i], g[d * (j + 1) + i] = g[d * (j + 1) + i], g[d * j + i]
         gens.append(tuple(g))
-    units = [a for a in range(2, d) if _gcd(a, d) == 1]
+    units = [a for a in range(2, d) if gcd(a, d) == 1]
     for a in units:
         g = list(range(size))  # unit action on every block simultaneously
         for j in range(n):
@@ -233,7 +174,7 @@ def pi_sl_power_cyclic(n: int, d: int, bound: int = 2_000_000) -> PredictedGroup
         gens.append(tuple(g))
     group = enumerate_group(gens, degree=size, bound=bound)
     phi = 1 + len(units)
-    assert group.order == d ** (n - 1) * _factorial(n) * phi
+    assert group.order == d ** (n - 1) * factorial(n) * phi
     return PredictedGroup(f"cycshift_{n}x{d}", group, size)
 
 def pi_restriction_of_scalars(
@@ -245,7 +186,7 @@ def pi_restriction_of_scalars(
     """
     if not _is_transitive(gal):
         raise ValueError("gal must act transitively")
-    group = _imprimitive_wreath(symmetric_group(n), gal, bound)
+    group = wreath_product(symmetric_group(n), gal, bound)
     return PredictedGroup(
         f"sym{n}_wr_{gal.order}on{gal.degree}", group, n * gal.degree
     )
@@ -261,17 +202,6 @@ def _is_transitive(group: EnumeratedGroup) -> bool:
                 orbit.add(y)
                 frontier.append(y)
     return len(orbit) == group.degree
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 # ---------------------------------------------------------------------------
 # integer lattices: Smith normal form and coset Weyl structure
@@ -290,8 +220,7 @@ class LatticeAutomorphism:
         r = len(self.matrix)
         if r == 0 or any(len(row) != r for row in self.matrix):
             raise ValueError("matrix must be square and nonempty")
-        d = _int_det(self.matrix)
-        if d not in (1, -1):
+        if det(RationalMatrix(self.matrix)) not in (1, -1):
             raise ValueError("matrix must be unimodular")
 
     @property
@@ -318,28 +247,6 @@ def _int_mat_mul(a, b):
 
 def _int_mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-def _int_det(a) -> int:
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
-        out *= p
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / p
-                work[r] = [e - f * g for e, g in zip(work[r], work[col])]
-    val = out * sign
-    assert val.denominator == 1
-    return val.numerator
 
 def smith_normal_form(mat) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Return (diagonal, U, V) with U*mat*V diagonal, U and V unimodular.
@@ -458,40 +365,6 @@ def integer_kernel(mat) -> list[tuple[int, ...]]:
             basis.append(tuple(v[i][j] for i in range(cols)))
     return basis
 
-def _left_kernel_rows(mat) -> list[list[int]]:
-    """Integer rows spanning {y : y @ mat = 0} over Q."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    # solve mat^T y = 0 by Gaussian elimination over Q
-    work = [[Fraction(mat[i][j]) for i in range(rows)] for j in range(cols)]
-    pivots = []
-    r = 0
-    for c in range(rows):
-        pivot = next((i for i in range(r, cols) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(cols):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(rows) if c not in pivots]
-    out = []
-    for f in free:
-        y = [Fraction(0)] * rows
-        y[f] = Fraction(1)
-        for idx, c in enumerate(pivots):
-            y[c] = -work[idx][f]
-        lcm = 1
-        for x in y:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in y])
-    return out
-
 @dataclass(frozen=True)
 class CosetWeylReport:
     """Structure of the coset Weyl group computed from lattice data."""
@@ -567,7 +440,7 @@ def coset_weyl_structure(n: int, tau: LatticeAutomorphism) -> CosetWeylReport:
     a = tuple(
         tuple(m[i][j] - int(i == j) for j in range(r)) for i in range(r)
     )
-    lk = _left_kernel_rows(a)
+    lk = integer_kernel(tuple(zip(*a)))  # rows y with y @ a = 0
     basis = integer_kernel(lk) if lk else [
         tuple(int(i == j) for i in range(r)) for j in range(r)
     ]
@@ -592,36 +465,22 @@ def coset_weyl_structure(n: int, tau: LatticeAutomorphism) -> CosetWeylReport:
 def _solve_in_basis(basis, images) -> list[list[int]]:
     """Coordinates of each image vector in the given lattice basis.
 
-    basis: list of s column vectors in Z^r; images: list of s vectors lying
-    in their span.  Returns the s x s integer coordinate matrix, column j
-    holding the coordinates of images[j].
+    basis: list of s independent column vectors in Z^r; images: list of s
+    vectors lying in their span.  With B the r x s basis matrix the
+    coordinates are (B^T B)^-1 B^T y.  Returns the s x s integer coordinate
+    matrix, column j holding the coordinates of images[j].
     """
-    r = len(basis[0])
-    s = len(basis)
-    out = [[0] * s for _ in range(s)]
-    for j, img in enumerate(images):
-        work = [[Fraction(basis[i][row]) for i in range(s)] + [Fraction(img[row])]
-                for row in range(r)]
-        # Gaussian elimination on the r x (s+1) augmented system
-        piv_rows = []
-        rr = 0
-        for c in range(s):
-            pivot = next((i for i in range(rr, r) if work[i][c] != 0), None)
-            if pivot is None:
-                continue
-            work[rr], work[pivot] = work[pivot], work[rr]
-            pv = work[rr][c]
-            work[rr] = [x / pv for x in work[rr]]
-            for i in range(r):
-                if i != rr and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[rr])]
-            piv_rows.append(c)
-            rr += 1
-        for i in range(rr, r):
-            assert work[i][s] == 0, "image not in basis span"
-        for idx, c in enumerate(piv_rows):
-            val = work[idx][s]
-            assert val.denominator == 1, "non-integral coordinate"
-            out[c][j] = val.numerator
+    def dots(us, vs):
+        vs = list(vs)
+        return [[sum(map(mul, u, v)) for v in vs] for u in us]
+
+    coords = mat_mul(
+        mat_inverse(RationalMatrix(dots(basis, basis))),
+        RationalMatrix(dots(basis, images)),
+    )
+    assert coords.integral, "non-integral coordinate"
+    out = [[e.numerator for e in row] for row in coords.rows]
+    assert dots(zip(*basis), zip(*out)) == [list(y) for y in zip(*images)], (
+        "image not in basis span"
+    )
     return out

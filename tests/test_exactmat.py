@@ -11,7 +11,6 @@ from galwalk.exactmat import (
     RationalPolynomial,
     SingularMatrix,
     char_poly,
-    char_poly_cofactor,
     det,
     discriminant,
     exact_poly_root,
@@ -30,6 +29,39 @@ I2 = RationalMatrix.identity(2)
 
 def rand_matrix(rng, n, lo=-5, hi=5):
     return RationalMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+def rand_rational_matrix(rng, n, lo=-5, hi=5, max_den=6):
+    return RationalMatrix(
+        [[F(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
+    """Slow oracle: expand det(T*I - a) by cofactors over Q[T]."""
+    n = a.n
+
+    def minor_det(rows_idx, cols_idx):
+        if not rows_idx:
+            return RationalPolynomial((1,))
+        i = rows_idx[0]
+        total = RationalPolynomial(())
+        for pos, j in enumerate(cols_idx):
+            if i == j:
+                entry = RationalPolynomial((-a.rows[i][j], F(1)))
+            else:
+                entry = RationalPolynomial((-a.rows[i][j],))
+            if entry.is_zero():
+                continue
+            sub = minor_det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:])
+            term = entry * sub
+            if pos % 2:
+                term = term.scale(-1)
+            total = total + term
+        return total
+
+    idx = tuple(range(n))
+    return minor_det(idx, idx)
 
 
 def test_mat_mul_identity():
@@ -101,6 +133,11 @@ def test_char_poly_against_cofactor_expansion():
     for _ in range(60):
         n = rng.choice([2, 3, 4])
         m = rand_matrix(rng, n)
+        assert char_poly(m) == char_poly_cofactor(m)
+    # denominators 1..6 take the common-denominator path into the integer kernel
+    for _ in range(60):
+        n = rng.choice([2, 3, 4])
+        m = rand_rational_matrix(rng, n)
         assert char_poly(m) == char_poly_cofactor(m)
 
 
@@ -195,7 +232,7 @@ def test_commutation_with_mod_p_reduction():
     for _ in range(50):
         n = rng.choice([2, 3, 4])
         m = rand_matrix(rng, n)
-        for p in (5, 13, 97):
+        for p in (2, 3, 5, 13, 97):
             assert reduce_poly_mod_p(char_poly(m), p) == charpoly_mod_p(
                 reduce_matrix(m, p), p
             )

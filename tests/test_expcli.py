@@ -212,6 +212,9 @@ def test_cli_scenarios_and_errors(tmp_path):
     assert bad.returncode == 2
     missing_out = run_cli("run", "--scenario", "sl2")
     assert missing_out.returncode == 2
+    # the decay fit is printed only after the experiment ran
+    assert "--out is required" in missing_out.stderr
+    assert "mismatch decay fit" not in missing_out.stderr
 
 
 def test_cli_run_reproducible_and_config_precedence(tmp_path):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from galwalk.exactmat import char_poly, exact_poly_root
+from galwalk.exactmat import RationalMatrix, char_poly, exact_poly_root, reduce_poly_mod_p
 from galwalk.finfield import (
     BadPrimeError,
     GroupTooLargeError,
@@ -111,10 +112,15 @@ def test_cross_check_with_global_reduction():
                         assert c.type_counts == {expanded: 1}
 
 
-def test_charpoly_mod_p_requires_large_p():
+def test_charpoly_mod_p_at_small_primes():
+    # the integer recurrence reduces correctly even when p <= n
     m = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    with pytest.raises(ValueError):
-        charpoly_mod_p(m, 3)
+    assert charpoly_mod_p(m, 3).coeffs == (1, 2, 0, 2, 1)  # (T - 1)^4 mod 3
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.choice([2, 3, 4, 5])
+        a = RationalMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        assert charpoly_mod_p(reduce_matrix(a, 3), 3) == reduce_poly_mod_p(char_poly(a), 3)
 
 
 def test_density_report_rows_and_flags():

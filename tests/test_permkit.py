@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from galwalk.permkit import (
+    EnumeratedGroup,
     GroupTooLarge,
     compose,
     cycle_type,
@@ -11,7 +12,6 @@ from galwalk.permkit import (
     enumerate_group,
     identity_perm,
     inverse_perm,
-    relabel,
     semidirect_by_action,
     symmetric_group,
     trivial_group,
@@ -66,7 +66,8 @@ def test_enumerate_rejects_junk():
 
 
 def test_distribution_sums_to_one():
-    for g in (symmetric_group(4), cyclic_group(6), wreath_product(2, symmetric_group(2))):
+    b2 = wreath_product(cyclic_group(2), symmetric_group(2))
+    for g in (symmetric_group(4), cyclic_group(6), b2):
         assert sum(g.type_distribution.values()) == 1
         counts = {}
         for e in g.elements:
@@ -75,24 +76,24 @@ def test_distribution_sums_to_one():
 
 
 def test_wreath_examples():
-    w = wreath_product(2, trivial_group(1))
+    w = wreath_product(cyclic_group(2), trivial_group(1))
     assert w.order == 2 and w.degree == 2
-    b2 = wreath_product(2, symmetric_group(2))
+    b2 = wreath_product(cyclic_group(2), symmetric_group(2))
     assert b2.order == 8 and b2.degree == 4
     top = symmetric_group(3)
-    assert wreath_product(1, top).order == top.order
-    assert wreath_product(3, symmetric_group(2)).order == 3**2 * 2
+    assert wreath_product(cyclic_group(1), top).order == top.order
+    assert wreath_product(cyclic_group(3), symmetric_group(2)).order == 3**2 * 2
 
 
 def test_wreath_order_formula():
     for d, top in [(2, symmetric_group(2)), (2, symmetric_group(3)), (3, cyclic_group(2))]:
-        w = wreath_product(d, top)
+        w = wreath_product(cyclic_group(d), top)
         assert w.order == d ** top.degree * top.order
 
 
 def test_wreath_bound():
     with pytest.raises(GroupTooLarge):
-        wreath_product(10, symmetric_group(5), bound=1000)
+        wreath_product(cyclic_group(10), symmetric_group(5), bound=1000)
 
 
 def test_semidirect_examples():
@@ -111,9 +112,16 @@ def test_semidirect_rejects_non_normalizing():
         )
 
 
+def relabel(group: EnumeratedGroup, perm) -> EnumeratedGroup:
+    """Conjugate the whole group by a fixed relabeling of the points."""
+    inv = inverse_perm(perm)
+    elements = tuple(sorted(compose(perm, compose(g, inv)) for g in group.elements))
+    return enumerate_group(elements, degree=group.degree)
+
+
 def test_conjugation_invariance_of_distribution():
     rng = random.Random(7)
-    g = wreath_product(2, symmetric_group(2))
+    g = wreath_product(cyclic_group(2), symmetric_group(2))
     for _ in range(5):
         perm = list(range(g.degree))
         rng.shuffle(perm)
