@@ -101,7 +101,8 @@ def test_criterion_2_catalog_orders():
     acting = enumerate_group([(2, 3, 0, 1)])
     assert semidirect_by_action(normal, acting).order == 8
     for n in (2, 3, 4):
-        assert coset_weyl_structure(n, identity_lattice_map(n)).total_order == factorial(n)
+        weyl = coset_weyl_structure(n, identity_lattice_map(n))
+        assert weyl.total_order == factorial(n)
     elapsed = time.perf_counter() - start
     report(2, elapsed < 30, f"all catalog orders exact in {elapsed:.1f}s (< 30s)")
     assert elapsed < 30

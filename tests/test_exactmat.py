@@ -33,7 +33,8 @@ def rand_matrix(rng, n, lo=-5, hi=5):
 
 def rand_rational_matrix(rng, n, lo=-5, hi=5, max_den=6):
     return RationalMatrix(
-        [[F(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)] for _ in range(n)]
+        [[F(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)]
+         for _ in range(n)]
     )
 
 

@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from galwalk.exactmat import RationalMatrix, char_poly, exact_poly_root, reduce_poly_mod_p
+from galwalk.exactmat import (
+    RationalMatrix,
+    char_poly,
+    exact_poly_root,
+    reduce_poly_mod_p,
+)
 from galwalk.finfield import (
     BadPrimeError,
     GroupTooLargeError,
@@ -120,7 +125,8 @@ def test_charpoly_mod_p_at_small_primes():
     for _ in range(40):
         n = rng.choice([2, 3, 4, 5])
         a = RationalMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        assert charpoly_mod_p(reduce_matrix(a, 3), 3) == reduce_poly_mod_p(char_poly(a), 3)
+        expected = reduce_poly_mod_p(char_poly(a), 3)
+        assert charpoly_mod_p(reduce_matrix(a, 3), 3) == expected
 
 
 def test_density_report_rows_and_flags():

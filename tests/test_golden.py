@@ -35,7 +35,8 @@ CASES = {
     "oracle_diag_antidiag": ("oracle", "--scenario", "diag_antidiag"),
     **{
         f"run_{name}": (
-            "run", "--scenario", name, "--k", "5,10", "--samples", "4", "--budget", "40",
+            "run", "--scenario", name,
+            "--k", "5,10", "--samples", "4", "--budget", "40",
         )
         for name in SCENARIOS
     },
