@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -24,14 +25,16 @@ from .experiment import (
     run_finite_field,
     run_oracle,
 )
-from .finfield import GroupTooLargeError
 from .output import emit
+from .permkit import GroupTooLarge
 from .scenarios import builtin_scenarios
 
 _CONFIG_KEYS = {
     "scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed",
     "tv_max", "coverage_min", "bound", "out", "format",
 }
+
+_FORMATS = ("csv", "json")
 
 # where a verb's default differs from the ExperimentConfig field default
 _VERB_DEFAULTS = {
@@ -55,7 +58,7 @@ def _add_common(sub):
     sub.add_argument("--coverage-min", default=None, dest="coverage_min")
     sub.add_argument("--bound", type=int, default=None)
     sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", default=None, choices=("csv", "json"))
+    sub.add_argument("--format", default=None, choices=_FORMATS)
     sub.add_argument("--config", default=None, help="flat JSON config file")
 
 
@@ -108,7 +111,7 @@ def main(argv=None) -> int:
             _add_common(sub)
         else:
             sub.add_argument("--out", default=None)
-            sub.add_argument("--format", default=None, choices=("csv", "json"))
+            sub.add_argument("--format", default=None, choices=_FORMATS)
 
     args = parser.parse_args(argv)
 
@@ -123,15 +126,21 @@ def main(argv=None) -> int:
             print(f"    {scenario.description}")
         return 0
 
-    if args.out is None:
-        print("error: --out is required (data goes to files)", file=sys.stderr)
-        return 2
-
     try:
+        settings = _merged_settings(args)
+        if "out" not in settings:
+            raise ValueError("--out is required (data goes to files)")
+        out = str(settings["out"])
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"output directory of {out!r} does not exist")
+        if os.path.isdir(out):
+            raise ValueError(f"--out {out!r} is a directory")
+        fmt = settings.get("format", "csv")
+        if fmt not in _FORMATS:
+            raise ValueError(f"unknown format {fmt!r}")
         if args.verb == "catalog":
             rows, fields, metadata = catalog_rows()
         else:
-            settings = _merged_settings(args)
             config = _build_config(settings, args.verb)
             if config.scenario not in builtin_scenarios():
                 raise ValueError(f"unknown scenario {config.scenario!r}")
@@ -144,16 +153,16 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GroupTooLargeError as exc:
+    except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        emit(rows, fields, metadata, args.out, args.format or "csv")
+        emit(rows, fields, metadata, out, fmt)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
     return 0
 
 

@@ -102,51 +102,6 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     )
 
 
-def mat_inverse(a: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises SingularMatrix."""
-    n = a.n
-    work = [list(row) for row in a.rows]
-    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = work[col][col]
-        work[col] = [e / p for e in work[col]]
-        inv[col] = [e / p for e in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [e - f * g for e, g in zip(work[r], work[col])]
-                inv[r] = [e - f * g for e, g in zip(inv[r], inv[col])]
-    return RationalMatrix(inv)
-
-
-def det(a: RationalMatrix) -> Fraction:
-    """Exact determinant by fraction elimination."""
-    n = a.n
-    work = [list(row) for row in a.rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] / p
-                work[r] = [e - f * g for e, g in zip(work[r], work[col])]
-    return result * sign
-
-
 class RationalPolynomial:
     """Univariate polynomial over Q.
 
@@ -377,6 +332,12 @@ def int_char_poly(rows) -> list[int]:
     return coeffs
 
 
+def _cleared(a: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(d, d*a as integer rows), d the common denominator of a's entries."""
+    d = lcm(*(e.denominator for row in a.rows for e in row))
+    return d, [[(e * d).numerator for e in row] for row in a.rows]
+
+
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(T*I - a), monic of degree n.
 
@@ -384,12 +345,37 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
     det(T*I - d*a) = d^n * det((T/d)*I - a), so the coefficient of T^i over Q
     is the integer one divided by d^(n-i).
     """
-    d = lcm(*(e.denominator for row in a.rows for e in row))
-    coeffs = int_char_poly([[(e * d).numerator for e in row] for row in a.rows])
-    n = a.n
+    d, rows = _cleared(a)
     return RationalPolynomial(
-        Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)
+        Fraction(c, d ** (a.n - i)) for i, c in enumerate(int_char_poly(rows))
     )
+
+
+def det(a: RationalMatrix) -> Fraction:
+    """Exact determinant (-1)^n * chi_a(0), from the integer kernel."""
+    d, rows = _cleared(a)
+    return Fraction((-1) ** a.n * int_char_poly(rows)[0], d ** a.n)
+
+
+def mat_inverse(a: RationalMatrix) -> RationalMatrix:
+    """Exact inverse by Cayley-Hamilton; raises SingularMatrix.
+
+    With b = d*a integral and c = int_char_poly(b), b^n + c_(n-1) b^(n-1) +
+    ... + c_0 I = 0, so b^-1 = -(b^(n-1) + c_(n-1) b^(n-2) + ... + c_1 I) / c_0
+    (evaluated by Horner) and a^-1 = d * b^-1.  c_0 = 0 iff a is singular.
+    """
+    d, b = _cleared(a)
+    c = int_char_poly(b)
+    if c[0] == 0:
+        raise SingularMatrix("matrix is singular")
+    cols = list(zip(*b))
+    acc = [[int(i == j) for j in range(a.n)] for i in range(a.n)]
+    for ci in reversed(c[1:a.n]):
+        acc = [
+            [sum(map(mul, row, col)) + ci * (i == j) for j, col in enumerate(cols)]
+            for i, row in enumerate(acc)
+        ]
+    return RationalMatrix([[Fraction(-d * e, c[0]) for e in row] for row in acc])
 
 
 @dataclass(frozen=True)
@@ -410,28 +396,20 @@ class PrimeFieldPolynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class BadPrime:
-    """Reduction failed at p: a denominator vanishes or the degree drops.
+def reduce_poly_mod_p(f: RationalPolynomial, p: int) -> PrimeFieldPolynomial | None:
+    """Coefficientwise reduction of f mod p.
 
-    This is a value, not an error; Frobenius sampling skips such primes.
+    None marks a bad prime (zero polynomial, a denominator divisible by p,
+    or a leading coefficient that vanishes mod p); Frobenius sampling skips
+    such primes.
     """
-
-    p: int
-    reason: str
-
-
-def reduce_poly_mod_p(
-    f: RationalPolynomial, p: int
-) -> PrimeFieldPolynomial | BadPrime:
-    """Coefficientwise reduction of f mod p."""
     if f.is_zero():
-        return BadPrime(p, "zero polynomial")
+        return None
     out = []
     for c in f.coeffs:
         if c.denominator % p == 0:
-            return BadPrime(p, "denominator divisible by p")
+            return None
         out.append(c.numerator * pow(c.denominator, -1, p) % p)
     if out[-1] % p == 0:
-        return BadPrime(p, "leading coefficient vanishes mod p")
+        return None
     return PrimeFieldPolynomial(p, tuple(out))

@@ -22,18 +22,22 @@ from .exactmat import (
     mat_mul,
 )
 from .finfield import (
+    MAX_CLOSURE,
     BadPrimeError,
     census,
     density_report,
     enumerate_mod_p,
 )
 from .galois_id import (
+    BUDGET,
+    COVERAGE_MIN,
     KIND_CERTIFIED_EXACT,
     KIND_CERTIFIED_SN,
     KIND_CONSISTENT,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
-    Thresholds,
+    PRIME_WINDOW,
+    TV_MAX,
     collect_samples,
     expand_summary,
     match_verdict,
@@ -104,13 +108,13 @@ class ExperimentConfig:
     scenario: str
     k_values: tuple[int, ...] = (10, 20, 30)
     samples: int = 100
-    prime_min: int = 1_000
-    prime_max: int = 100_000
-    budget: int = 300
-    tv_max: Fraction = Fraction(1, 10)
-    coverage_min: Fraction = Fraction(1)
+    prime_min: int = PRIME_WINDOW[0]
+    prime_max: int = PRIME_WINDOW[1]
+    budget: int = BUDGET
+    tv_max: Fraction = TV_MAX
+    coverage_min: Fraction = COVERAGE_MIN
     seed: int = 1
-    bound: int = 2_000_000
+    bound: int = MAX_CLOSURE
 
     def __post_init__(self):
         if not self.k_values or any(k < 0 for k in self.k_values):
@@ -124,9 +128,6 @@ class ExperimentConfig:
             raise ValueError("empty prime window")
         if not (0 <= self.tv_max <= 1 and 0 <= self.coverage_min <= 1):
             raise ValueError("thresholds must lie in [0, 1]")
-
-    def thresholds(self) -> Thresholds:
-        return Thresholds(self.tv_max, self.coverage_min, self.budget)
 
     def metadata(self, command: str) -> dict:
         return {
@@ -174,7 +175,9 @@ def identify_sample(sample, spec, config: ExperimentConfig):
     if summary.good_count == 0:
         return SampleOutcome(sample.label, rs=True, kind=KIND_INCONCLUSIVE)
     expanded = expand_summary(summary, spec.multiplicity)
-    verdict = match_verdict(expanded, spec.predicted, config.thresholds())
+    verdict = match_verdict(
+        expanded, spec.predicted, config.tv_max, config.coverage_min
+    )
     out = SampleOutcome(sample.label, rs=True, kind=verdict.kind)
     out.summary = expanded
     out.verdict = verdict

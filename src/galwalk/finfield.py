@@ -14,8 +14,6 @@ from fractions import Fraction
 from .exactmat import det, int_char_poly
 from .modpoly import (
     CycleType,
-    NOT_SQUAREFREE,
-    NotSquarefree,
     PrimeFieldPolynomial,
     _pf_deriv,
     _pf_fulldiv,
@@ -25,19 +23,16 @@ from .modpoly import (
     distinct_degree_pattern,
     repeat_parts,
 )
+from .permkit import GroupTooLarge
+
+# element bound of the mod-p closure (the default of ExperimentConfig.bound)
+MAX_CLOSURE = 2_000_000
 
 PFMatrix = tuple[tuple[int, ...], ...]
 
 
 class BadPrimeError(ValueError):
     """The scenario does not reduce cleanly at this prime; skip it."""
-
-
-class GroupTooLargeError(RuntimeError):
-    def __init__(self, p: int, bound: int):
-        super().__init__(f"closure at p={p} exceeds bound {bound}")
-        self.p = p
-        self.bound = bound
 
 
 def reduce_matrix(mat, p: int) -> PFMatrix:
@@ -66,12 +61,12 @@ def charpoly_mod_p(a: PFMatrix, p: int) -> PrimeFieldPolynomial:
     return PrimeFieldPolynomial(p, tuple(c % p for c in int_char_poly(a)))
 
 
-def enumerate_mod_p(scenario, p: int, bound: int = 2_000_000) -> dict[int, list[PFMatrix]]:
+def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, list[PFMatrix]]:
     """Closure of the scenario's reduced admissible generators, split by coset.
 
     Raises BadPrimeError when p is unusable for the scenario (p = 2,
     denominator collisions, a generator that degenerates, or an element
-    reached with two different labels) and GroupTooLargeError past bound.
+    reached with two different labels) and GroupTooLarge past bound.
     """
     if p == 2:
         raise BadPrimeError("p = 2 is excluded")
@@ -95,7 +90,7 @@ def enumerate_mod_p(scenario, p: int, bound: int = 2_000_000) -> dict[int, list[
             known = labels.get(nxt)
             if known is None:
                 if len(labels) >= bound:
-                    raise GroupTooLargeError(p, bound)
+                    raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}")
                 labels[nxt] = nxt_label
                 queue.append(nxt)
             elif known != nxt_label:
@@ -127,11 +122,11 @@ class CosetCensus:
 
 def _profile_pattern(
     chi: PrimeFieldPolynomial, multiplicity: int
-) -> CycleType | NotSquarefree:
+) -> CycleType | None:
     """Pattern of chi viewed as q**multiplicity with q squarefree.
 
-    Returns NOT_SQUAREFREE unless chi has exactly that shape; the element is
-    then not (operationally) regular semisimple.
+    Returns None unless chi has exactly that shape; the element is then not
+    (operationally) regular semisimple.
     """
     p = chi.p
     if multiplicity == 1:
@@ -139,18 +134,18 @@ def _profile_pattern(
     f = _pf_monic(list(chi.coeffs), p)
     g = _pf_gcd(f, _pf_deriv(f, p), p)
     if len(g) - 1 <= 0:
-        return NOT_SQUAREFREE  # squarefree, but we expected multiplicity > 1
+        return None  # squarefree, but we expected multiplicity > 1
     rad = _pf_fulldiv(f, g, p)
     if (len(rad) - 1) * multiplicity != len(f) - 1:
-        return NOT_SQUAREFREE
+        return None
     power = [1]
     for _ in range(multiplicity):
         power = _pf_mul(power, rad, p)
     if power != f:
-        return NOT_SQUAREFREE
+        return None
     base = distinct_degree_pattern(PrimeFieldPolynomial(p, tuple(rad)))
-    if isinstance(base, NotSquarefree):
-        return NOT_SQUAREFREE
+    if base is None:
+        return None
     return repeat_parts(base, multiplicity)
 
 
@@ -166,7 +161,7 @@ def census(elements, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     for m in elements:
         chi = charpoly_mod_p(m, p)
         pattern = _profile_pattern(chi, multiplicity)
-        if isinstance(pattern, NotSquarefree):
+        if pattern is None:
             continue
         rs += 1
         counts[pattern] = counts.get(pattern, 0) + 1

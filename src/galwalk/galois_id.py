@@ -32,24 +32,16 @@ from .modpoly import (
 )
 from .picatalog import PredictedGroup
 
-DEFAULT_PRIME_WINDOW = (1_000, 100_000)
-DEFAULT_BUDGET = 300
+# walk defaults; ExperimentConfig's field defaults name these
+PRIME_WINDOW = (1_000, 100_000)
+BUDGET = 300
+TV_MAX = Fraction(1, 10)
+COVERAGE_MIN = Fraction(1)
 
 
 class NotSquarefreeInput(ValueError):
     """The polynomial has repeated roots; the sample is not usable."""
 
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision thresholds for statistical verdicts (config-exposed)."""
-
-    tv_max: Fraction = Fraction(1, 10)
-    coverage_min: Fraction = Fraction(1)
-    budget: int = DEFAULT_BUDGET
-
-
-DEFAULT_THRESHOLDS = Thresholds()
 
 KIND_CERTIFIED_SN = "certified_sn"
 KIND_CERTIFIED_EXACT = "certified_exact"
@@ -86,8 +78,8 @@ class Verdict:
 
 def collect_samples(
     f: RationalPolynomial,
-    prime_window: tuple[int, int] = DEFAULT_PRIME_WINDOW,
-    budget: int = DEFAULT_BUDGET,
+    prime_window: tuple[int, int] = PRIME_WINDOW,
+    budget: int = BUDGET,
 ) -> SampleSummary:
     """Cycle types of f at ascending primes in the window, up to budget good ones.
 
@@ -169,7 +161,8 @@ def certify_sn(summary: SampleSummary, n: int) -> bool:
 def match_verdict(
     summary: SampleSummary,
     target: PredictedGroup,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    tv_max: Fraction = TV_MAX,
+    coverage_min: Fraction = COVERAGE_MIN,
 ) -> Verdict:
     """Decide how the sampled distribution relates to the predicted group.
 
@@ -198,12 +191,12 @@ def match_verdict(
         summary, target.natural_symmetric
     ):
         return Verdict(KIND_CERTIFIED_SN, target.name, tv, coverage)
-    if coverage == 1 and tv > thresholds.tv_max:
+    if coverage == 1 and tv > tv_max:
         return Verdict(
             KIND_REJECTED, target.name, tv, coverage,
             detail="distribution mismatch at complete coverage",
         )
-    if coverage >= thresholds.coverage_min and tv <= thresholds.tv_max:
+    if coverage >= coverage_min and tv <= tv_max:
         return Verdict(KIND_CONSISTENT, target.name, tv, coverage)
     return Verdict(KIND_INCONCLUSIVE, target.name, tv, coverage)
 

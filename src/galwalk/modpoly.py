@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactmat import (
-    BadPrime,
     PrimeFieldPolynomial,
     RationalPolynomial,
     poly_gcd,
@@ -34,23 +33,6 @@ def repeat_parts(ct: CycleType, e: int) -> CycleType:
     if e == 1:
         return ct
     return make_cycle_type(tuple(p for p in ct for _ in range(e)))
-
-
-class NotSquarefree:
-    """Marker value: the reduction has a repeated factor; skip this prime."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotSquarefree"
-
-
-NOT_SQUAREFREE = NotSquarefree()
 
 
 @dataclass(frozen=True)
@@ -140,22 +122,20 @@ def squarefree_over_q(f: RationalPolynomial) -> bool:
     return poly_gcd(f, f.derivative()).degree <= 0
 
 
-def distinct_degree_pattern(
-    g: PrimeFieldPolynomial,
-) -> CycleType | NotSquarefree:
+def distinct_degree_pattern(g: PrimeFieldPolynomial) -> CycleType | None:
     """Multiset of degrees of the irreducible factors of g over F_p.
 
     Standard distinct-degree factorization: strip the degree-d part
     gcd(rem, x^(p^d) - x) for d = 1, 2, ...; stop early once the remaining
-    cofactor must be irreducible.  Returns NOT_SQUAREFREE when g has a
-    repeated factor (those primes are excluded from statistics).
+    cofactor must be irreducible.  Returns None when g has a repeated
+    factor (those primes are excluded from statistics).
     """
     p = g.p
     f = _pf_monic(list(g.coeffs), p)
     if len(f) - 1 < 1:
         raise ValueError("need degree >= 1")
     if len(_pf_gcd(f, _pf_deriv(f, p), p)) - 1 > 0:
-        return NOT_SQUAREFREE
+        return None
     parts: list[int] = []
     rem = f
     h = _pf_rem([0, 1], rem, p)  # x mod rem
@@ -201,10 +181,10 @@ def frobenius_cycle_type(f: RationalPolynomial, p: int) -> FrobeniusSample:
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     reduced = reduce_poly_mod_p(f, p)
-    if isinstance(reduced, BadPrime):
+    if reduced is None:
         return FrobeniusSample(p, None, "bad_prime")
     pattern = distinct_degree_pattern(reduced)
-    if isinstance(pattern, NotSquarefree):
+    if pattern is None:
         return FrobeniusSample(p, None, "not_squarefree")
     return FrobeniusSample(p, pattern, "good")
 

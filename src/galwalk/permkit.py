@@ -14,6 +14,9 @@ from .modpoly import CycleType, make_cycle_type
 
 Permutation = tuple[int, ...]
 
+# element bound of every permutation closure
+MAX_ORDER = 2_000_000
+
 
 class GroupTooLarge(RuntimeError):
     """Closure exceeded the element bound; raise the bound to proceed."""
@@ -62,11 +65,13 @@ class EnumeratedGroup:
 
     type_distribution maps each cycle type to its exact frequency
     (#elements of that type / order), a Fraction; frequencies sum to 1.
+    generators are the permutations the elements were closed from.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
     type_distribution: dict = field(compare=False)
+    generators: tuple[Permutation, ...] = field(default=(), compare=False)
 
     @property
     def order(self) -> int:
@@ -92,7 +97,7 @@ def _distribution(degree: int, elements) -> dict:
 
 
 def enumerate_group(
-    generators, degree: int | None = None, bound: int = 2_000_000
+    generators, degree: int | None = None, bound: int = MAX_ORDER
 ) -> EnumeratedGroup:
     """Breadth-first closure of the generators under composition.
 
@@ -123,16 +128,18 @@ def enumerate_group(
                 seen.add(nxt)
                 queue.append(nxt)
     elements = tuple(sorted(seen))
-    return EnumeratedGroup(degree, elements, _distribution(degree, elements))
+    return EnumeratedGroup(
+        degree, elements, _distribution(degree, elements), tuple(gens)
+    )
 
 
-def symmetric_group(n: int, bound: int = 2_000_000) -> EnumeratedGroup:
+def symmetric_group(n: int) -> EnumeratedGroup:
     if n == 1:
         return enumerate_group([], degree=1)
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
-    return enumerate_group(gens, degree=n, bound=bound)
+    return enumerate_group(gens, degree=n)
 
 
 def cyclic_group(n: int) -> EnumeratedGroup:
@@ -147,7 +154,7 @@ def trivial_group(n: int) -> EnumeratedGroup:
 
 
 def wreath_product(
-    base: EnumeratedGroup, top: EnumeratedGroup, bound: int = 2_000_000
+    base: EnumeratedGroup, top: EnumeratedGroup, bound: int = MAX_ORDER
 ) -> EnumeratedGroup:
     """base wr top: one base copy per top point, top permuting blocks rigidly.
 
@@ -160,12 +167,12 @@ def wreath_product(
     size = n * d
     gens = []
     for b in range(d):
-        for g in _generating_subset(base):
+        for g in base.generators:
             lift = list(range(size))
             for i in range(n):
                 lift[b * n + i] = b * n + g[i]
             gens.append(tuple(lift))
-    for t in _generating_subset(top):
+    for t in top.generators:
         lift = list(range(size))
         for b in range(d):
             for i in range(n):
@@ -177,40 +184,22 @@ def wreath_product(
 
 
 def semidirect_by_action(
-    normal: EnumeratedGroup, acting: EnumeratedGroup, bound: int = 2_000_000
+    normal: EnumeratedGroup, acting: EnumeratedGroup
 ) -> EnumeratedGroup:
     """Subgroup generated by both factors inside their common symmetric group.
 
-    The action is conjugation in the ambient degree; each acting element must
-    normalize the normal factor, otherwise the declared structure is wrong
-    and we refuse.
+    The action is conjugation in the ambient degree; each acting generator
+    must normalize the normal factor, otherwise the declared structure is
+    wrong and we refuse.
     """
     if normal.degree != acting.degree:
         raise ValueError("factors must live in a common degree")
     normal_set = set(normal.elements)
-    for a in acting.elements:
+    for a in acting.generators:
         a_inv = inverse_perm(a)
-        for g in _generating_subset(normal):
+        for g in normal.generators:
             if compose(a, compose(g, a_inv)) not in normal_set:
                 raise ValueError("acting factor does not normalize the normal factor")
-    gens = list(_generating_subset(normal)) + list(_generating_subset(acting))
-    return enumerate_group(gens, degree=normal.degree, bound=bound)
-
-
-def _generating_subset(group: EnumeratedGroup) -> tuple[Permutation, ...]:
-    """A small generating set extracted greedily from the element list.
-
-    Each accepted generator at least doubles the subgroup, so at most
-    log2(order) closure recomputations happen.
-    """
-    ident = identity_perm(group.degree)
-    gens: list[Permutation] = []
-    have: set[Permutation] = {ident}
-    for g in group.elements:
-        if g in have:
-            continue
-        gens.append(g)
-        have = set(enumerate_group(gens, degree=group.degree).elements)
-        if len(have) == group.order:
-            break
-    return tuple(gens) if gens else (ident,)
+    return enumerate_group(
+        normal.generators + acting.generators, degree=normal.degree
+    )

@@ -17,7 +17,6 @@ from operator import mul
 from .exactmat import RationalMatrix, det, mat_inverse, mat_mul
 from .permkit import (
     EnumeratedGroup,
-    _generating_subset,
     cyclic_group,
     enumerate_group,
     symmetric_group,
@@ -61,14 +60,13 @@ def pi_sl_n_doubled(n: int) -> PredictedGroup:
     """
     sym = symmetric_group(n)
     gens = []
-
-    for g in _generating_subset(sym):
+    for g in sym.generators:
         gens.append(tuple(list(g) + [n + g[i] for i in range(n)]))
     group = enumerate_group(gens, degree=2 * n)
     assert group.order == sym.order
     return PredictedGroup(f"sym{n}_doubled", group, 2 * n)
 
-def pi_sl_n_tau(n: int, bound: int = 2_000_000) -> PredictedGroup:
+def pi_sl_n_tau(n: int) -> PredictedGroup:
     """Sign-flip wreath over r = n/2 letter pairs, acting on 4r points.
 
     Point (pair j, letter in {a, b}, sign in {+, -}) has index
@@ -82,10 +80,10 @@ def pi_sl_n_tau(n: int, bound: int = 2_000_000) -> PredictedGroup:
         raise ValueError("only even n is supported")
     r = n // 2
     signed_pairs = wreath_product(cyclic_group(2), symmetric_group(r))
-    group = wreath_product(cyclic_group(2), signed_pairs, bound=bound)
+    group = wreath_product(cyclic_group(2), signed_pairs)
     return PredictedGroup(f"signflip_wreath_{n}", group, 4 * r)
 
-def pi_sl_n_tau_reciprocal(n: int, bound: int = 2_000_000) -> PredictedGroup:
+def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
     """Subgroup of pi_sl_n_tau cut out by the square-root product relations.
 
     The two letters of a pair carry square roots of an eigenvalue and of its
@@ -127,7 +125,7 @@ def pi_sl_n_tau_reciprocal(n: int, bound: int = 2_000_000) -> PredictedGroup:
                 g[4 * j + off],
             )
         gens.append(tuple(g))
-    group = enumerate_group(gens, degree=size, bound=bound)
+    group = enumerate_group(gens, degree=size)
     assert group.order == 2 ** (r + 1) * factorial(r)
     return PredictedGroup(f"reciprocal_wreath_{n}", group, size)
 
@@ -140,7 +138,7 @@ def pi_sl_power_identity(n: int, d: int) -> PredictedGroup:
     group = wreath_product(symmetric_group(n), trivial_group(d))
     return PredictedGroup(f"sym{n}_power{d}", group, n * d)
 
-def pi_sl_power_cyclic(n: int, d: int, bound: int = 2_000_000) -> PredictedGroup:
+def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
     """Coset group for d cyclically permuted factors: rotations with trivial
     total rotation, block permutations, and the multiplicative unit action.
 
@@ -172,36 +170,22 @@ def pi_sl_power_cyclic(n: int, d: int, bound: int = 2_000_000) -> PredictedGroup
             for i in range(d):
                 g[d * j + i] = d * j + (a * i) % d
         gens.append(tuple(g))
-    group = enumerate_group(gens, degree=size, bound=bound)
+    group = enumerate_group(gens, degree=size)
     phi = 1 + len(units)
     assert group.order == d ** (n - 1) * factorial(n) * phi
     return PredictedGroup(f"cycshift_{n}x{d}", group, size)
 
-def pi_restriction_of_scalars(
-    n: int, gal: EnumeratedGroup, bound: int = 2_000_000
-) -> PredictedGroup:
+def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> PredictedGroup:
     """S_n wr gal in its imprimitive action on n * gal.degree points.
 
     gal must be transitive (it is a Galois group acting on the embeddings).
     """
-    if not _is_transitive(gal):
+    if len({g[0] for g in gal.elements}) != gal.degree:  # orbit of point 0
         raise ValueError("gal must act transitively")
-    group = wreath_product(symmetric_group(n), gal, bound)
+    group = wreath_product(symmetric_group(n), gal)
     return PredictedGroup(
         f"sym{n}_wr_{gal.order}on{gal.degree}", group, n * gal.degree
     )
-
-def _is_transitive(group: EnumeratedGroup) -> bool:
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in group.elements:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return len(orbit) == group.degree
 
 # ---------------------------------------------------------------------------
 # integer lattices: Smith normal form and coset Weyl structure

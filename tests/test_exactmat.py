@@ -1,10 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from galwalk.exactmat import (
-    BadPrime,
     DimensionMismatch,
     PrimeFieldPolynomial,
     RationalMatrix,
@@ -36,6 +37,15 @@ def rand_rational_matrix(rng, n, lo=-5, hi=5, max_den=6):
         [[F(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)]
          for _ in range(n)]
     )
+
+
+def det_leibniz(a: RationalMatrix) -> F:
+    """Slow oracle: sum of sign(s) * a[0][s(0)] * ... over all permutations s."""
+    total = F(0)
+    for s in itertools.permutations(range(a.n)):
+        inversions = sum(s[i] > s[j] for i, j in itertools.combinations(range(a.n), 2))
+        total += (-1) ** inversions * math.prod(a.rows[i][s[i]] for i in range(a.n))
+    return total
 
 
 def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
@@ -104,13 +114,19 @@ def test_mat_inverse_singular():
 
 def test_mat_inverse_involution_random():
     rng = random.Random(101)
+    singular = 0
     for _ in range(40):
         n = rng.choice([2, 3, 4])
-        m = rand_matrix(rng, n)
-        if det(m) == 0:
-            continue
-        assert mat_inverse(mat_inverse(m)) == m
-        assert mat_mul(m, mat_inverse(m)) == RationalMatrix.identity(n)
+        for m in (rand_matrix(rng, n), rand_rational_matrix(rng, n, -1, 1)):
+            # SingularMatrix is raised exactly when the independent det is 0
+            if det_leibniz(m) == 0:
+                singular += 1
+                with pytest.raises(SingularMatrix):
+                    mat_inverse(m)
+                continue
+            assert mat_inverse(mat_inverse(m)) == m
+            assert mat_mul(m, mat_inverse(m)) == RationalMatrix.identity(n)
+    assert singular > 0
 
 
 def test_char_poly_examples():
@@ -155,20 +171,23 @@ def test_char_poly_conjugation_invariance():
         checked += 1
 
 
-def test_det_equals_signed_constant_term():
+def test_det_against_leibniz_expansion():
     rng = random.Random(4)
     for _ in range(40):
-        n = rng.choice([2, 3, 4])
-        m = rand_matrix(rng, n)
-        assert det(m) == (-1) ** n * char_poly(m).coeffs[0]
+        n = rng.randint(1, 5)
+        for m in (
+            rand_matrix(rng, n),
+            rand_matrix(rng, n, -1, 1),  # often singular
+            rand_rational_matrix(rng, n),
+        ):
+            assert det(m) == det_leibniz(m)
 
 
 def test_reduce_poly_mod_p_examples():
     assert reduce_poly_mod_p(RationalPolynomial((6, -5, 1)), 7) == PrimeFieldPolynomial(
         7, (6, 2, 1)
     )
-    bad = reduce_poly_mod_p(RationalPolynomial((0, F(-1, 2), 1)), 2)
-    assert isinstance(bad, BadPrime)
+    assert reduce_poly_mod_p(RationalPolynomial((0, F(-1, 2), 1)), 2) is None
     assert reduce_poly_mod_p(RationalPolynomial((1, 0, 1)), 5) == PrimeFieldPolynomial(
         5, (1, 0, 1)
     )
@@ -176,7 +195,7 @@ def test_reduce_poly_mod_p_examples():
 
 def test_reduce_poly_leading_drop():
     f = RationalPolynomial((1, 1, 5))  # leading coefficient 5
-    assert isinstance(reduce_poly_mod_p(f, 5), BadPrime)
+    assert reduce_poly_mod_p(f, 5) is None
 
 
 def test_poly_division_and_gcd():

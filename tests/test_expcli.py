@@ -215,6 +215,14 @@ def test_cli_scenarios_and_errors(tmp_path):
     # the decay fit is printed only after the experiment ran
     assert "--out is required" in missing_out.stderr
     assert "mismatch decay fit" not in missing_out.stderr
+    no_dir = run_cli("run", "--scenario", "sl2", "--out", str(tmp_path / "no" / "x.csv"))
+    assert no_dir.returncode == 2
+    assert "does not exist" in no_dir.stderr
+    assert "mismatch decay fit" not in no_dir.stderr
+    is_dir = run_cli("run", "--scenario", "sl2", "--out", str(tmp_path))
+    assert is_dir.returncode == 2
+    assert "is a directory" in is_dir.stderr
+    assert "mismatch decay fit" not in is_dir.stderr
 
 
 def test_cli_run_reproducible_and_config_precedence(tmp_path):
@@ -242,6 +250,25 @@ def test_cli_run_reproducible_and_config_precedence(tmp_path):
     assert r3.returncode == 0
     assert out3.read_bytes() != out1.read_bytes()
     assert "# seed=6" in out3.read_text()
+
+
+def test_cli_config_out_and_format(tmp_path):
+    cfg_out = tmp_path / "from_config.json"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "scenario": "sl2", "k": "3", "samples": 4, "budget": 20,
+        "out": str(cfg_out), "format": "json",
+    }))
+    assert run_cli("run", "--config", str(cfg_file)).returncode == 0
+    rows = json.loads(cfg_out.read_text())
+    assert rows[0]["metadata"]["scenario"] == "sl2"
+    # --out beats the config's out; the config's format still applies
+    cfg_out.unlink()
+    flag_out = tmp_path / "from_flag.json"
+    r = run_cli("run", "--config", str(cfg_file), "--out", str(flag_out))
+    assert r.returncode == 0
+    assert not cfg_out.exists()
+    assert json.loads(flag_out.read_text())[1:] == rows[1:]
 
 
 def test_cli_oracle_and_catalog(tmp_path):

@@ -11,7 +11,6 @@ from galwalk.exactmat import (
 )
 from galwalk.finfield import (
     BadPrimeError,
-    GroupTooLargeError,
     census,
     charpoly_mod_p,
     density_report,
@@ -19,6 +18,7 @@ from galwalk.finfield import (
     reduce_matrix,
 )
 from galwalk.modpoly import frobenius_cycle_type, repeat_parts, squarefree_over_q
+from galwalk.permkit import GroupTooLarge
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 
@@ -48,7 +48,7 @@ def test_enumerate_bad_and_too_large():
     scen = builtin_scenarios()["sl2"]
     with pytest.raises(BadPrimeError):
         enumerate_mod_p(scen, 2)
-    with pytest.raises(GroupTooLargeError):
+    with pytest.raises(GroupTooLarge):
         enumerate_mod_p(scen, 13, bound=100)
     counter = builtin_scenarios()["diag_antidiag"]
     with pytest.raises(BadPrimeError):

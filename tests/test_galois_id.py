@@ -12,7 +12,6 @@ from galwalk.galois_id import (
     KIND_REJECTED,
     NotSquarefreeInput,
     SampleSummary,
-    Thresholds,
     certify_sn,
     collect_samples,
     expand_summary,
@@ -198,11 +197,9 @@ def test_rejection_soundness_calibration():
 
 def test_thresholds_are_used():
     s = summary_from(2, {(2,): F(2, 3), (1, 1): F(1, 3)})
-    strict = Thresholds(tv_max=F(1, 100))
-    loose = Thresholds(tv_max=F(1, 2))
     target = PredictedGroup("order2", enumerate_group([(1, 0)]), 2)
-    assert match_verdict(s, target, strict).kind == KIND_REJECTED
-    assert match_verdict(s, target, loose).kind == KIND_CONSISTENT
+    assert match_verdict(s, target, tv_max=F(1, 100)).kind == KIND_REJECTED
+    assert match_verdict(s, target, tv_max=F(1, 2)).kind == KIND_CONSISTENT
 
 
 def test_quartic_distribution_table_matches_enumeration():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from galwalk.exactmat import RationalMatrix, char_poly, det, mat_mul
+from galwalk.permkit import enumerate_group
 from galwalk.scenarios import (
     builtin_scenarios,
     dual_pair_embed,
@@ -126,3 +127,15 @@ def test_scenario_coset_lookup():
     assert scen.coset(1).name == "swap"
     with pytest.raises(KeyError):
         scen.coset(7)
+
+
+def test_catalog_groups_close_from_their_generators():
+    # wreath and doubled constructions build on the stored generators
+    for scenario in builtin_scenarios().values():
+        for spec in scenario.cosets:
+            for pg in (spec.predicted, spec.upper):
+                if pg is None:
+                    continue
+                group = pg.group
+                closed = enumerate_group(group.generators, degree=group.degree)
+                assert closed.elements == group.elements, pg.name
