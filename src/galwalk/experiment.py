@@ -25,8 +25,10 @@ from .finfield import (
     MAX_CLOSURE,
     BadPrimeError,
     census,
+    closure_order_bound,
     density_report,
     enumerate_mod_p,
+    reduce_generators,
 )
 from .galois_id import (
     BUDGET,
@@ -44,6 +46,7 @@ from .galois_id import (
     quadratic_galois,
 )
 from .modpoly import primes_in_window, squarefree_over_q
+from .permkit import GroupTooLarge
 from .scenarios import Scenario, builtin_scenarios
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
 
@@ -170,7 +173,8 @@ def identify_sample(sample, spec, config: ExperimentConfig):
     if q is None or q.degree == 0 or not squarefree_over_q(q):
         return SampleOutcome(sample.label, rs=False)
     summary = collect_samples(
-        q, (config.prime_min, config.prime_max), config.budget
+        q, (config.prime_min, config.prime_max), config.budget,
+        spec.predicted, spec.multiplicity,
     )
     if summary.good_count == 0:
         return SampleOutcome(sample.label, rs=True, kind=KIND_INCONCLUSIVE)
@@ -294,8 +298,23 @@ def run_finite_field(config: ExperimentConfig):
     scenario = builtin_scenarios()[config.scenario]
     if scenario.dimension > 4:
         raise ValueError("finite-field mode supports dimension <= 4 only")
+    primes = primes_in_window(config.prime_min, config.prime_max)
+    # fail before any enumeration when some prime's closure must overflow
+    for p in primes:
+        if p <= scenario.dimension:
+            continue
+        try:
+            reduce_generators(scenario, p)
+        except BadPrimeError:
+            continue
+        order = closure_order_bound(scenario, p)
+        if order > config.bound:
+            raise GroupTooLarge(
+                f"closure at p={p} has at least {order} elements, "
+                f"exceeds bound {config.bound}"
+            )
     rows = []
-    for p in primes_in_window(config.prime_min, config.prime_max):
+    for p in primes:
         try:
             if p <= scenario.dimension:
                 raise BadPrimeError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .exactmat import det, int_char_poly
 from .modpoly import (
@@ -61,12 +62,30 @@ def charpoly_mod_p(a: PFMatrix, p: int) -> PrimeFieldPolynomial:
     return PrimeFieldPolynomial(p, tuple(c % p for c in int_char_poly(a)))
 
 
-def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, list[PFMatrix]]:
-    """Closure of the scenario's reduced admissible generators, split by coset.
+def _sl_order(n: int, p: int) -> int:
+    """|SL_n(F_p)| = p^(n(n-1)/2) * (p^2 - 1)(p^3 - 1)...(p^n - 1)."""
+    return p ** (n * (n - 1) // 2) * prod(p ** i - 1 for i in range(2, n + 1))
 
-    Raises BadPrimeError when p is unusable for the scenario (p = 2,
-    denominator collisions, a generator that degenerates, or an element
-    reached with two different labels) and GroupTooLarge past bound.
+
+def closure_order_bound(scenario, p: int) -> int:
+    """Closed-form lower bound on the order of the scenario's mod-p closure.
+
+    Elementary matrices generate SL_n over a field, so the identity coset
+    contains a copy of SL_n(F_p) for each entry of scenario.sl_factors, and
+    the built-in generators reach every label of the component group, each
+    by a coset of that size.  Holds at every prime enumerate_mod_p accepts.
+    """
+    order = scenario.component_group.order
+    for n in scenario.sl_factors:
+        order *= _sl_order(n, p)
+    return order
+
+
+def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
+    """The scenario's admissible generators mod p, with their labels.
+
+    Raises BadPrimeError for p = 2, a denominator divisible by p, or a
+    generator that degenerates mod p.
     """
     if p == 2:
         raise BadPrimeError("p = 2 is excluded")
@@ -76,6 +95,17 @@ def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, lis
         if det(mat).numerator % p == 0:
             raise BadPrimeError(f"generator degenerates mod {p}")
         gens.append((reduced, label))
+    return gens
+
+
+def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, list[PFMatrix]]:
+    """Closure of the scenario's reduced admissible generators, split by coset.
+
+    Raises BadPrimeError when p is unusable for the scenario (see
+    reduce_generators, or an element reached with two different labels)
+    and GroupTooLarge past bound.
+    """
+    gens = reduce_generators(scenario, p)
     n = scenario.dimension
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     labels = {ident: 0}

@@ -65,6 +65,13 @@ class SampleSummary:
 
 @dataclass(frozen=True)
 class Verdict:
+    """How a sample relates to its target.
+
+    tv_distance and coverage describe the primes actually scanned: when
+    collect_samples stopped early at a settled kind, that is a prefix of
+    the budget, and only the kind is what the full budget would give.
+    """
+
     kind: str
     target: str
     tv_distance: Fraction
@@ -80,27 +87,42 @@ def collect_samples(
     f: RationalPolynomial,
     prime_window: tuple[int, int] = PRIME_WINDOW,
     budget: int = BUDGET,
+    target: PredictedGroup | None = None,
+    multiplicity: int = 1,
 ) -> SampleSummary:
     """Cycle types of f at ascending primes in the window, up to budget good ones.
 
     Bad primes (denominator or leading-term collisions) and non-squarefree
     reductions are skipped and counted, never classified.
+
+    With a target, the scan stops at the first good prime after which the
+    verdict kind against target is settled (see settled_kind), judged on
+    the types with every part repeated multiplicity times.  The summary,
+    and so the tv and coverage computed from it, then describe the scanned
+    prefix only; the kind equals the full budget's.  Without a target the
+    whole budget is scanned.
     """
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
     if not squarefree_over_q(f):
         raise NotSquarefreeInput("polynomial has repeated roots over Q")
     counts: dict[CycleType, int] = {}
+    expanded: set[CycleType] = set()
     good = bad = 0
     for p in primes_in_window(*prime_window):
         if good >= budget:
             break
         sample = frobenius_cycle_type(f, p)
-        if sample.status == "good":
-            good += 1
-            counts[sample.cycle_type] = counts.get(sample.cycle_type, 0) + 1
-        else:
+        if sample.status != "good":
             bad += 1
+            continue
+        good += 1
+        ct = sample.cycle_type
+        counts[ct] = counts.get(ct, 0) + 1
+        if target is not None and counts[ct] == 1:
+            expanded.add(repeat_parts(ct, multiplicity))
+            if settled_kind(expanded, target) is not None:
+                break
     empirical = {
         ct: Fraction(counts[ct], good) for ct in sorted(counts, reverse=True)
     }
@@ -138,14 +160,15 @@ def tv_distance(observed: dict, target: dict) -> Fraction:
     return Fraction(total, 2)
 
 
-def certify_sn(summary: SampleSummary, n: int) -> bool:
+def certify_sn(types, n: int) -> bool:
     """Transposition + long-cycle certificate for the full symmetric group.
 
-    Sound given that observed types are realized by actual Galois elements:
-    an n-cycle forces transitivity, a transposition plus a prime-length
-    cycle longer than n/2 leave only S_n itself.
+    types is the set of observed cycle types.  Sound given that they are
+    realized by actual Galois elements: an n-cycle forces transitivity, a
+    transposition plus a prime-length cycle longer than n/2 leave only S_n
+    itself.
     """
-    types = set(summary.empirical)
+    types = set(types)
     if make_cycle_type((n,)) not in types:
         return False
     transposition = make_cycle_type([2] + [1] * (n - 2))
@@ -158,6 +181,25 @@ def certify_sn(summary: SampleSummary, n: int) -> bool:
     return False
 
 
+def settled_kind(types, target: PredictedGroup) -> str | None:
+    """The verdict kind that no further observed type can change, if any.
+
+    Rejected once a type lies outside the target; certified S_n once the
+    target is natural-symmetric and the certificate holds, since every
+    partition of n is a type of S_n and so no later type can reject.  Both
+    are monotone in the set of types, and match_verdict tests them before
+    any distance, so an early stop on them keeps the full budget's kind.
+    """
+    tdist = target.group.type_distribution
+    if any(ct not in tdist for ct in types):
+        return KIND_REJECTED
+    if target.natural_symmetric is not None and certify_sn(
+        types, target.natural_symmetric
+    ):
+        return KIND_CERTIFIED_SN
+    return None
+
+
 def match_verdict(
     summary: SampleSummary,
     target: PredictedGroup,
@@ -166,9 +208,10 @@ def match_verdict(
 ) -> Verdict:
     """Decide how the sampled distribution relates to the predicted group.
 
-    Order of precedence: hard rejection (an observed type the target never
-    attains), the S_n certificate where the target is symmetric-natural,
-    rejection by distance at complete coverage, then the threshold verdict.
+    Order of precedence: the settled kinds (hard rejection by an observed
+    type the target never attains, then the S_n certificate where the
+    target is symmetric-natural), rejection by distance at complete
+    coverage, then the threshold verdict.
     """
     if summary.degree != target.N:
         raise ValueError(
@@ -176,20 +219,19 @@ def match_verdict(
         )
     tdist = target.group.type_distribution
     observed = summary.empirical
-    for ct in observed:
-        if ct not in tdist:
-            return Verdict(
-                KIND_REJECTED,
-                target.name,
-                Fraction(1),
-                _coverage(observed, tdist),
-                detail=f"type {ct} impossible for target",
-            )
-    tv = tv_distance(observed, tdist)
     coverage = _coverage(observed, tdist)
-    if target.natural_symmetric is not None and certify_sn(
-        summary, target.natural_symmetric
-    ):
+    settled = settled_kind(observed, target)
+    if settled == KIND_REJECTED:
+        ct = next(ct for ct in observed if ct not in tdist)
+        return Verdict(
+            KIND_REJECTED,
+            target.name,
+            Fraction(1),
+            coverage,
+            detail=f"type {ct} impossible for target",
+        )
+    tv = tv_distance(observed, tdist)
+    if settled == KIND_CERTIFIED_SN:
         return Verdict(KIND_CERTIFIED_SN, target.name, tv, coverage)
     if coverage == 1 and tv > tv_max:
         return Verdict(

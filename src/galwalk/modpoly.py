@@ -56,15 +56,20 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _pf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    """Integer product of two coefficient lists, nothing reduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+                out[i + j] += x * y
+    return out
+
+
+def _pf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([x % p for x in _conv(a, b)])
 
 
 def _pf_rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -100,15 +105,39 @@ def _pf_deriv(a: list[int], p: int) -> list[int]:
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def _pf_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pf_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pf_rem(_pf_mul(result, base, p), mod, p)
-        base = _pf_rem(_pf_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+def _reduce_monic(c: list[int], f: list[int], p: int) -> list[int]:
+    """c mod f over F_p for a monic f; c may hold unreduced integers.
+
+    Each coefficient is reduced mod p once, as it becomes the leading one or
+    at the end, instead of after every product.  c is overwritten.
+    """
+    n = len(f) - 1
+    for k in range(len(c) - 1, n - 1, -1):
+        q = c[k] % p
+        if q:
+            base = k - n
+            for i in range(n):
+                c[base + i] -= q * f[i]
+    return _trim([x % p for x in c[:n]])
+
+
+def _x_pow_mod(e: int, f: list[int], p: int) -> list[int]:
+    """x^e mod a monic f over F_p, by left-to-right square-and-shift."""
+    h = [1]
+    for bit in bin(e)[2:]:
+        sq = _conv(h, h)
+        h = _reduce_monic([0] + sq if bit == "1" else sq, f, p)
+    return h
+
+
+def _compose_mod(h: list[int], g: list[int], f: list[int], p: int) -> list[int]:
+    """h(g) mod a monic f over F_p, by Horner in g."""
+    out = [h[-1]]
+    for c in reversed(h[:-1]):
+        out = _conv(out, g) or [0]
+        out[0] += c
+        out = _reduce_monic(out, f, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +156,11 @@ def distinct_degree_pattern(g: PrimeFieldPolynomial) -> CycleType | None:
 
     Standard distinct-degree factorization: strip the degree-d part
     gcd(rem, x^(p^d) - x) for d = 1, 2, ...; stop early once the remaining
-    cofactor must be irreducible.  Returns None when g has a repeated
-    factor (those primes are excluded from statistics).
+    cofactor must be irreducible.  x^p mod rem is computed once; each next
+    x^(p^d) is the previous one composed with x^p (von zur Gathen-Shoup),
+    a few products at low degree instead of a fresh power.  Returns None
+    when g has a repeated factor (those primes are excluded from
+    statistics).
     """
     p = g.p
     f = _pf_monic(list(g.coeffs), p)
@@ -138,24 +170,27 @@ def distinct_degree_pattern(g: PrimeFieldPolynomial) -> CycleType | None:
         return None
     parts: list[int] = []
     rem = f
-    h = _pf_rem([0, 1], rem, p)  # x mod rem
+    h = xp = None  # x^(p^d) and x^p, both mod rem
     d = 0
     while len(rem) - 1 > 0:
         d += 1
         if 2 * d > len(rem) - 1:
             parts.append(len(rem) - 1)
             break
-        h = _pf_powmod(h, p, rem, p)
+        if xp is None:
+            h = xp = _x_pow_mod(p, rem, p)
+        else:
+            # Frobenius fixes F_p, so x^(p^d) = (x^(p^(d-1)))^p = h(x^p)
+            h = _compose_mod(h, xp, rem, p)
         diff = h + [0] * max(0, 2 - len(h))
-        diff = diff[:]
         diff[1] = (diff[1] - 1) % p
         g_d = _pf_gcd(rem, _trim(diff), p)
         deg = len(g_d) - 1
         if deg > 0:
             parts.extend([d] * (deg // d))
-            quotient = _pf_fulldiv(rem, g_d, p)
-            rem = quotient
+            rem = _pf_fulldiv(rem, g_d, p)
             h = _pf_rem(h, rem, p)
+            xp = _pf_rem(xp, rem, p)
     return make_cycle_type(parts)
 
 

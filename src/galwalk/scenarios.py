@@ -64,6 +64,9 @@ class Scenario:
     component_group: ComponentGroup
     cosets: tuple[CosetSpec, ...]
     description: str
+    # n for each SL_n(F_p) the mod-p identity coset contains (see
+    # finfield.closure_order_bound)
+    sl_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
         labels = {c.label for c in self.cosets}
@@ -185,6 +188,7 @@ def _sl_scenario(n: int) -> Scenario:
         cosets=(CosetSpec(0, "identity", pi_sl_n(n)),),
         description=f"integer unimodular walks in dimension {n}; "
         f"expected full symmetric group on {n} eigenvalues",
+        sl_factors=(n,),
     )
 
 
@@ -213,6 +217,7 @@ def _sl_tau_scenario(n: int) -> Scenario:
         description=f"dimension-{n} unimodular walks extended by the "
         "transpose-inverse involution, embedded in twice the dimension; "
         "the two cosets have different predicted groups",
+        sl_factors=(n,),
     )
 
 
@@ -231,6 +236,7 @@ def _sl_power_cyclic_scenario(n: int, d: int) -> Scenario:
         cosets=tuple(cosets),
         description=f"{d} dimension-{n} factors permuted cyclically; "
         "shifted cosets pick up root-of-unity structure",
+        sl_factors=(n,) * d,
     )
 
 
@@ -258,6 +264,8 @@ def _sqrt2_scenario() -> Scenario:
         description="unimodular walks over the quadratic ring Z[sqrt2], "
         "embedded rationally in dimension 4; characteristic polynomials "
         "split into two conjugate quadratics",
+        # SL_2(F_p)^2 where 2 is a square mod p, SL_2(F_p^2) otherwise
+        sl_factors=(2, 2),
     )
 
 

@@ -2,23 +2,41 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from galwalk.exactmat import RationalMatrix, is_rational_square, mat_mul
+from galwalk.cli import main
+from galwalk.exactmat import (
+    RationalMatrix,
+    char_poly,
+    exact_poly_root,
+    is_rational_square,
+    mat_mul,
+)
 from galwalk.experiment import (
     CONVERGENCE_FIELDS,
     ExperimentConfig,
     QUADRATIC_FIELDS,
     batch_seed,
     catalog_rows,
+    identify_sample,
     run_convergence,
     run_finite_field,
     run_oracle,
 )
+from galwalk.galois_id import (
+    KIND_CERTIFIED_SN,
+    KIND_INCONCLUSIVE,
+    KIND_REJECTED,
+    collect_samples,
+    expand_summary,
+    match_verdict,
+)
 from galwalk.output import dec6, emit, render_csv, render_json
 from galwalk.scenarios import builtin_scenarios
+from galwalk.walker import batch_sample
 
 
 def test_config_validation():
@@ -104,6 +122,36 @@ def test_run_convergence_counterexample_schema():
     assert fields == QUADRATIC_FIELDS
     diag = next(r for r in rows if r["coset"] == 0)
     assert diag["n_order2"] == 0  # diagonal samples have rational eigenvalues
+
+
+def _full_budget_kind(sample, spec, cfg):
+    q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
+    summary = collect_samples(q, (cfg.prime_min, cfg.prime_max), cfg.budget)
+    if summary.good_count == 0:
+        return KIND_INCONCLUSIVE
+    expanded = expand_summary(summary, spec.multiplicity)
+    return match_verdict(expanded, spec.predicted, cfg.tv_max, cfg.coverage_min).kind
+
+
+def test_early_stop_keeps_the_full_budget_kind():
+    seen = set()
+    for name in ("sl2", "sl3", "sl4", "sltau2", "sltau4", "slcyc2x2", "slcyc2x3",
+                 "res_sqrt2"):
+        scen = builtin_scenarios()[name]
+        for seed, k in ((1, 4), (2, 12), (3, 20)):
+            cfg = ExperimentConfig(scenario=name, k_values=(k,), seed=seed)
+            for sample in batch_sample(scen.admissible(), k, 4, batch_seed(seed, k)):
+                spec = scen.coset(sample.label)
+                out = identify_sample(sample, spec, cfg)
+                if not out.rs:
+                    continue
+                assert out.kind == _full_budget_kind(sample, spec, cfg)
+                seen.add((name, spec.multiplicity, out.kind))
+                if name == "sl4" and out.kind == KIND_CERTIFIED_SN:
+                    assert out.summary.good_count < cfg.budget
+    assert any(e == 2 for _, e, _ in seen)
+    assert ("sl4", 1, KIND_CERTIFIED_SN) in seen
+    assert {kind for _, _, kind in seen} >= {KIND_CERTIFIED_SN, KIND_REJECTED}
 
 
 def test_batch_seed_stability():
@@ -223,6 +271,19 @@ def test_cli_scenarios_and_errors(tmp_path):
     assert is_dir.returncode == 2
     assert "is a directory" in is_dir.stderr
     assert "mismatch decay fit" not in is_dir.stderr
+
+
+def test_cli_finfield_fails_fast_past_the_bound(tmp_path, capsys):
+    # each window ends at a prime whose closure exceeds the default bound:
+    # 2 * |SL_2(F_11)|^2 = 3,484,800 and |SL_3(F_7)| = 5,630,688
+    for scenario, top in (("slcyc2x2", "11"), ("sl3", "7")):
+        out = tmp_path / f"{scenario}.csv"
+        t0 = time.perf_counter()
+        code = main(["finfield", "--scenario", scenario, "--primes-max", top,
+                     "--out", str(out)])
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and not out.exists()
+        assert f"closure at p={top} has at least" in capsys.readouterr().err
 
 
 def test_cli_run_reproducible_and_config_precedence(tmp_path):

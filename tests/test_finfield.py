@@ -13,6 +13,7 @@ from galwalk.finfield import (
     BadPrimeError,
     census,
     charpoly_mod_p,
+    closure_order_bound,
     density_report,
     enumerate_mod_p,
     reduce_matrix,
@@ -53,6 +54,19 @@ def test_enumerate_bad_and_too_large():
     counter = builtin_scenarios()["diag_antidiag"]
     with pytest.raises(BadPrimeError):
         enumerate_mod_p(counter, 3)  # 1/3 does not reduce
+
+
+def test_closure_order_bound_below_enumerated_order():
+    reg = builtin_scenarios()
+    for p in (5, 7, 11, 13, 17):
+        assert closure_order_bound(reg["sltau2"], p) == 2 * sl2_order(p)
+    # res_sqrt2 at 3: 2 is no square mod 3, so the closure is SL_2(F_9)
+    cases = [("sl2", (3, 5, 7, 11, 13)), ("sl3", (3,)), ("sltau2", (5, 7, 11, 13, 17)),
+             ("slcyc2x2", (3,)), ("res_sqrt2", (3,)), ("diag_antidiag", (5, 7, 11))]
+    for name, primes in cases:
+        for p in primes:
+            order = sum(len(c) for c in enumerate_mod_p(reg[name], p).values())
+            assert closure_order_bound(reg[name], p) <= order, (name, p)
 
 
 def test_census_identity_not_rs():

@@ -116,13 +116,36 @@ def test_expand_summary():
 
 
 def test_certify_sn():
-    assert certify_sn(summary_from(3, {(3,): F(1, 3), (2, 1): F(1, 2), (1, 1, 1): F(1, 6)}), 3)
-    assert not certify_sn(summary_from(3, {(3,): F(2, 3), (1, 1, 1): F(1, 3)}), 3)
-    assert certify_sn(summary_from(2, {(2,): F(1)}), 2)
-    assert not certify_sn(summary_from(4, {(4,): F(1, 2), (2, 1, 1): F(1, 2)}), 4)
-    assert certify_sn(
-        summary_from(4, {(4,): F(1, 3), (2, 1, 1): F(1, 3), (3, 1): F(1, 3)}), 4
-    )
+    assert certify_sn({(3,), (2, 1), (1, 1, 1)}, 3)
+    assert not certify_sn({(3,), (1, 1, 1)}, 3)
+    assert certify_sn({(2,)}, 2)
+    assert not certify_sn({(4,), (2, 1, 1)}, 4)
+    assert certify_sn({(4,), (2, 1, 1), (3, 1)}, 4)
+
+
+def trivial_of_degree(n):
+    return PredictedGroup("trivial", enumerate_group([tuple(range(n))]), n)
+
+
+def test_collect_samples_stops_at_a_settled_kind():
+    f = P((1, 0, 1))  # split iff p = 1 mod 4
+    full = collect_samples(f, budget=300)
+    # only the identity type: the first inert prime settles "rejected"
+    trivial = trivial_of_degree(2)
+    early = collect_samples(f, budget=300, target=trivial)
+    assert early.good_count < 5 and (2,) in early.empirical
+    assert match_verdict(early, trivial).kind == match_verdict(full, trivial).kind
+    assert match_verdict(early, trivial).kind == KIND_REJECTED
+    # a transposition and a 2-cycle certify S_2 the same way
+    sym = collect_samples(f, budget=300, target=pi_sl_n(2))
+    assert sym.good_count < 5
+    assert match_verdict(sym, pi_sl_n(2)).kind == KIND_CERTIFIED_SN
+    # multiplicity 2: judged on the doubled types (1,1,1,1) and (2,2)
+    doubled = PredictedGroup("order2", enumerate_group([(1, 0, 3, 2)]), 4)
+    kept = collect_samples(f, budget=300, target=doubled, multiplicity=2)
+    assert kept.good_count == 300
+    cut = collect_samples(f, budget=300, target=trivial_of_degree(4), multiplicity=2)
+    assert cut.good_count < 5
 
 
 def test_match_verdict_consistent_and_certified():

@@ -5,6 +5,13 @@ import pytest
 
 from galwalk.exactmat import PrimeFieldPolynomial, RationalMatrix, RationalPolynomial, char_poly
 from galwalk.modpoly import (
+    _pf_deriv,
+    _pf_fulldiv,
+    _pf_gcd,
+    _pf_monic,
+    _pf_mul,
+    _pf_rem,
+    _trim,
     distinct_degree_pattern,
     frobenius_cycle_type,
     make_cycle_type,
@@ -48,6 +55,80 @@ def test_pattern_against_brute_force_factorization():
         if got is None:
             continue
         assert got == brute_force_pattern(coeffs, p)
+
+
+def _pf_powmod(base, e, mod, p):
+    result = [1]
+    base = _pf_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = _pf_rem(_pf_mul(result, base, p), mod, p)
+        base = _pf_rem(_pf_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def ddf_by_powering(g):
+    """Reference DDF: each x^(p^d) is the previous one raised to the p-th
+    power by square-and-multiply, reduced mod p after every product."""
+    p = g.p
+    f = _pf_monic(list(g.coeffs), p)
+    if len(_pf_gcd(f, _pf_deriv(f, p), p)) - 1 > 0:
+        return None
+    parts = []
+    rem = f
+    h = _pf_rem([0, 1], rem, p)
+    d = 0
+    while len(rem) - 1 > 0:
+        d += 1
+        if 2 * d > len(rem) - 1:
+            parts.append(len(rem) - 1)
+            break
+        h = _pf_powmod(h, p, rem, p)
+        diff = h + [0] * max(0, 2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        g_d = _pf_gcd(rem, _trim(diff), p)
+        deg = len(g_d) - 1
+        if deg > 0:
+            parts.extend([d] * (deg // d))
+            rem = _pf_fulldiv(rem, g_d, p)
+            h = _pf_rem(h, rem, p)
+    return make_cycle_type(parts)
+
+
+def _composes_after_split(pattern):
+    """True when DDF strips a factor and then still computes x^(p^(d+1))
+    modulo the smaller remainder: the path where x^p is reduced again."""
+    n = sum(pattern)
+    for d in sorted(set(pattern))[:-1]:
+        rest = n - sum(x for x in pattern if x <= d)
+        if rest >= 2 * (d + 1):
+            return True
+    return False
+
+
+def test_ddf_by_composition_against_powering():
+    rng = random.Random(5)
+    shrunk = brute_checked = 0
+    for p in (3, 5, 7, 11, 13, 997, 1009, 99991, 100003):
+        for _ in range(60):
+            # a product of random monic factors, so splits are common
+            coeffs = [1]
+            for _ in range(rng.randint(1, 4)):
+                k = rng.randint(1, 4)
+                coeffs = _pf_mul(coeffs, [rng.randrange(p) for _ in range(k)] + [1], p)
+            if not 1 <= len(coeffs) - 1 <= 8:
+                continue
+            g = PrimeFieldPolynomial(p, tuple(coeffs))
+            want = ddf_by_powering(g)
+            assert distinct_degree_pattern(g) == want
+            if want is None:
+                continue
+            shrunk += _composes_after_split(want)
+            if p <= 13:
+                brute_checked += 1
+                assert want == brute_force_pattern(coeffs, p)
+    assert shrunk >= 50 and brute_checked >= 100
 
 
 def test_frobenius_cycle_type_examples():
