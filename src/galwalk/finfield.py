@@ -2,12 +2,14 @@
 
 Reduces a scenario's generators mod p, enumerates the finite group they
 generate together with coset labels, and classifies every coset element by
-the factorization pattern of its characteristic polynomial.  This is the
-ground-truth census that the per-class density claims are checked against.
+the factorization pattern of its characteristic polynomial.  Elements with
+the same characteristic polynomial share a pattern, so the census factors
+once per distinct polynomial.  This is the ground-truth census that the
+per-class density claims are checked against.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -49,12 +51,23 @@ def reduce_matrix(mat, p: int) -> PFMatrix:
     return tuple(out)
 
 
-def _mat_mul_mod(a: PFMatrix, b: PFMatrix, p: int) -> PFMatrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-        for row in a
-    )
+class _RowTimes(dict):
+    """row -> row * g mod p for one fixed matrix g, each computed once.
+
+    Right multiplication by g acts on each row separately, so a product
+    a * g is tuple(map(memo.__getitem__, a)), and products share row tuples.
+    """
+
+    def __init__(self, g: PFMatrix, p: int):
+        super().__init__()
+        self.cols = tuple(zip(*g))
+        self.p = p
+
+    def __missing__(self, row):
+        image = self[row] = tuple(
+            sum(x * y for x, y in zip(row, col)) % self.p for col in self.cols
+        )
+        return image
 
 
 def charpoly_mod_p(a: PFMatrix, p: int) -> PrimeFieldPolynomial:
@@ -82,30 +95,36 @@ def closure_order_bound(scenario, p: int) -> int:
 
 
 def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
-    """The scenario's admissible generators mod p, with their labels.
+    """The scenario's raw generators mod p, with their labels.
 
-    Raises BadPrimeError for p = 2, a denominator divisible by p, or a
-    generator that degenerates mod p.
+    Checks the whole admissible set first: raises BadPrimeError for p = 2,
+    a denominator divisible by p, or a generator that degenerates mod p.
     """
     if p == 2:
         raise BadPrimeError("p = 2 is excluded")
-    gens = []
-    for mat, label in scenario.admissible().generators:
-        reduced = reduce_matrix(mat, p)
+    for mat, _ in scenario.admissible().generators:
+        reduce_matrix(mat, p)
         if det(mat).numerator % p == 0:
             raise BadPrimeError(f"generator degenerates mod {p}")
-        gens.append((reduced, label))
-    return gens
+    return [(reduce_matrix(mat, p), lab) for mat, lab in scenario.raw_generators]
 
 
 def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, list[PFMatrix]]:
-    """Closure of the scenario's reduced admissible generators, split by coset.
+    """Closure of the scenario's reduced generators, split by coset.
+
+    The breadth-first search multiplies by the raw generators only: in a
+    finite group the monoid they generate is the whole group, and labels
+    that agree on every g-edge agree on every g^-1-edge, since
+    label(x g^-1) * label(g) = label(x).  So the admissible set's inverses
+    and identity would find no new element and no new label collision.
 
     Raises BadPrimeError when p is unusable for the scenario (see
     reduce_generators, or an element reached with two different labels)
     and GroupTooLarge past bound.
     """
-    gens = reduce_generators(scenario, p)
+    gens = [
+        (_RowTimes(g, p).__getitem__, lab) for g, lab in reduce_generators(scenario, p)
+    ]
     n = scenario.dimension
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     labels = {ident: 0}
@@ -114,8 +133,8 @@ def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, lis
     while queue:
         cur = queue.popleft()
         cur_label = labels[cur]
-        for g, lab in gens:
-            nxt = _mat_mul_mod(cur, g, p)
+        for times, lab in gens:
+            nxt = tuple(map(times, cur))
             nxt_label = group.mul(cur_label, lab)
             known = labels.get(nxt)
             if known is None:
@@ -185,16 +204,17 @@ def census(elements, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     An element counts as regular semisimple iff its characteristic
     polynomial mod p is q**multiplicity with q squarefree (the operational
     proxy; multiplicity is the coset's generic eigenvalue multiplicity).
+    The pattern is computed once per distinct characteristic polynomial.
     """
+    chis = Counter(charpoly_mod_p(m, p).coeffs for m in elements)
     counts: dict[CycleType, int] = {}
     rs = 0
-    for m in elements:
-        chi = charpoly_mod_p(m, p)
-        pattern = _profile_pattern(chi, multiplicity)
+    for coeffs, count in chis.items():
+        pattern = _profile_pattern(PrimeFieldPolynomial(p, coeffs), multiplicity)
         if pattern is None:
             continue
-        rs += 1
-        counts[pattern] = counts.get(pattern, 0) + 1
+        rs += count
+        counts[pattern] = counts.get(pattern, 0) + count
     ordered = {ct: counts[ct] for ct in sorted(counts, reverse=True)}
     return CosetCensus(p, coset, len(elements), rs, ordered)
 

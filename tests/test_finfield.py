@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -11,17 +12,19 @@ from galwalk.exactmat import (
 )
 from galwalk.finfield import (
     BadPrimeError,
+    _profile_pattern,
     census,
     charpoly_mod_p,
     closure_order_bound,
     density_report,
     enumerate_mod_p,
+    reduce_generators,
     reduce_matrix,
 )
 from galwalk.modpoly import frobenius_cycle_type, repeat_parts, squarefree_over_q
 from galwalk.permkit import GroupTooLarge
-from galwalk.scenarios import builtin_scenarios
-from galwalk.walker import batch_sample
+from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
+from galwalk.walker import batch_sample, cyclic_component_group
 
 from fp_brute import attainable_types, sltau2_identity_chi, sltau2_swap_chi
 
@@ -54,6 +57,78 @@ def test_enumerate_bad_and_too_large():
     counter = builtin_scenarios()["diag_antidiag"]
     with pytest.raises(BadPrimeError):
         enumerate_mod_p(counter, 3)  # 1/3 does not reduce
+
+
+def closure_by_all_generators(scenario, p, bound):
+    """Reference closure: breadth-first over every admissible generator
+    (inverses and the identity included), one full product mod p per edge."""
+    reduce_generators(scenario, p)
+    gens = [(reduce_matrix(g, p), lab) for g, lab in scenario.admissible().generators]
+    n = scenario.dimension
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    labels = {ident: 0}
+    queue = deque([ident])
+    group = scenario.component_group
+    while queue:
+        cur = queue.popleft()
+        for g, lab in gens:
+            cols = tuple(zip(*g))
+            nxt = tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+                for row in cur
+            )
+            nxt_label = group.mul(labels[cur], lab)
+            known = labels.get(nxt)
+            if known is None:
+                if len(labels) >= bound:
+                    raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}")
+                labels[nxt] = nxt_label
+                queue.append(nxt)
+            elif known != nxt_label:
+                raise BadPrimeError(f"label collision mod {p}")
+    return labels
+
+
+def test_enumerate_matches_closure_by_all_generators():
+    # Closures above the bound (sl3 and slcyc2x2 at 5, res_sqrt2 at 5 and
+    # 7, the dimension-4 scenarios) must overflow on both sides alike.
+    bounds = {3: 6000, 5: 6000, 7: 1000}
+    compared = 0
+    for name, scen in builtin_scenarios().items():
+        if scen.dimension > 4:
+            continue
+        for p, bound in bounds.items():
+            try:
+                want = closure_by_all_generators(scen, p, bound)
+            except (BadPrimeError, GroupTooLarge) as exc:
+                with pytest.raises(type(exc)):
+                    enumerate_mod_p(scen, p, bound=bound)
+                continue
+            cosets = enumerate_mod_p(scen, p, bound=bound)
+            got = {mat: lab for lab, mats in cosets.items() for mat in mats}
+            assert sum(map(len, cosets.values())) == len(got)
+            assert got == want, (name, p)
+            compared += 1
+    # sl2, sltau2 at 3, 5, 7; sl3, slcyc2x2, res_sqrt2 at 3; diag_antidiag at 5, 7
+    assert compared == 11
+
+
+def test_enumerate_label_collision_is_a_bad_prime():
+    # u = [[1,1],[0,1]] has order p mod p, so u^p = I is reached with label
+    # p * 1 = 1 in C2 while the identity carries label 0.
+    u = elementary(2, 0, 1)
+    low = elementary(2, 1, 0)
+    scen = Scenario(
+        name="collide",
+        dimension=2,
+        raw_generators=((u, 1), (low, 0)),
+        component_group=cyclic_component_group(2),
+        cosets=(CosetSpec(0, "even", None), CosetSpec(1, "odd", None)),
+        description="u labelled 1 and l labelled 0 in C2",
+    )
+    for p in (3, 5, 7):
+        with pytest.raises(BadPrimeError, match="label collision"):
+            enumerate_mod_p(scen, p)
 
 
 def test_closure_order_bound_below_enumerated_order():
@@ -105,6 +180,33 @@ def test_census_multiplicity_profile():
     # wrong multiplicity declaration finds nothing regular
     c_wrong = census(cosets[0], 5, 0, multiplicity=1)
     assert c_wrong.rs_count == 0
+
+
+def census_per_element(elements, p, multiplicity):
+    """Reference census: one pattern computation per element."""
+    counts = {}
+    rs = 0
+    for m in elements:
+        pattern = _profile_pattern(charpoly_mod_p(m, p), multiplicity)
+        if pattern is not None:
+            rs += 1
+            counts[pattern] = counts.get(pattern, 0) + 1
+    return len(elements), rs, counts
+
+
+def test_census_per_distinct_chi_matches_per_element():
+    reg = builtin_scenarios()
+    cases = [("sltau2", 5), ("sltau2", 7), ("sl3", 3)]
+    for name, p in cases:
+        scen = reg[name]
+        cosets = enumerate_mod_p(scen, p)
+        for spec in scen.cosets:
+            # multiplicity 1 on the doubled identity coset is a wrong input
+            for mult in sorted({1, spec.multiplicity}):
+                c = census(cosets[spec.label], p, spec.label, mult)
+                want = census_per_element(cosets[spec.label], p, mult)
+                assert (c.total, c.rs_count, c.type_counts) == want, (name, p, mult)
+                assert list(c.type_counts) == sorted(c.type_counts, reverse=True)
 
 
 def test_cross_check_with_global_reduction():
