@@ -90,8 +90,8 @@ def closure_by_all_generators(scenario, p, bound):
 
 
 def test_enumerate_matches_closure_by_all_generators():
-    # Closures above the bound (sl3 and slcyc2x2 at 5, res_sqrt2 at 5 and
-    # 7, the dimension-4 scenarios) must overflow on both sides alike.
+    # Closures above the bound (sl3, slcyc2x2 and res_sqrt2 at 5 and 7, the
+    # dimension-4 scenarios at every prime) must overflow on both sides alike.
     bounds = {3: 6000, 5: 6000, 7: 1000}
     compared = 0
     for name, scen in builtin_scenarios().items():
