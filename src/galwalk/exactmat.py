@@ -319,7 +319,7 @@ def int_char_poly(rows) -> list[int]:
     n = len(rows)
     coeffs = [0] * n + [1]
     m = rows
-    for k in range(1, n + 1):
+    for k in range(1, n):
         if k > 1:
             # m <- a (m + c I) = a m + c a
             c = coeffs[n - k + 1]
@@ -329,6 +329,13 @@ def int_char_poly(rows) -> list[int]:
                 for row in rows
             ]
         coeffs[n - k] = -(sum(m[i][i] for i in range(n)) // k)
+    # k = n reads only tr(a (m + c I)) = sum_ij a_ij m_ji + c tr(a)
+    trace_a = sum(rows[i][i] for i in range(n))
+    if n == 1:
+        coeffs[0] = -trace_a
+    else:
+        trace_am = sum(sum(map(mul, row, col)) for row, col in zip(rows, zip(*m)))
+        coeffs[0] = -((trace_am + coeffs[1] * trace_a) // n)
     return coeffs
 
 

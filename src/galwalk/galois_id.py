@@ -1,9 +1,12 @@
 """Galois group identification from Frobenius cycle-type statistics.
 
-Exact certificates where they exist (quadratic discriminants, the resolvent
-cubic at degree 4, the transposition + long-prime-cycle certificate for full
-symmetric groups); statistical consistency verdicts against a predicted
-group's exact type distribution otherwise.
+The transposition + long-prime-cycle certificate for full symmetric groups
+where it applies; statistical consistency verdicts against a predicted
+group's exact type distribution otherwise.  The exact low-degree
+classifiers (quadratic discriminants, the resolvent cubic at degree 4) sit
+here too: `run` uses the quadratic one on the counterexample scenario,
+while `exact_quartic_verdict` is a test oracle that `run` does not call
+yet, so `run` never yields certified_exact.
 
 A verdict never claims abstract isomorphism beyond what cycle types can
 see: Rejected is sound (an observed type outside the target, or a fully

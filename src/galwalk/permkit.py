@@ -31,13 +31,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return tuple(a[x] for x in b)
 
 
-def inverse_perm(a: Permutation) -> Permutation:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def is_permutation(seq) -> bool:
     return sorted(seq) == list(range(len(seq)))
 
@@ -181,25 +174,3 @@ def wreath_product(
     result = enumerate_group(gens, degree=size, bound=bound)
     assert result.order == expected, "wreath closure has unexpected order"
     return result
-
-
-def semidirect_by_action(
-    normal: EnumeratedGroup, acting: EnumeratedGroup
-) -> EnumeratedGroup:
-    """Subgroup generated by both factors inside their common symmetric group.
-
-    The action is conjugation in the ambient degree; each acting generator
-    must normalize the normal factor, otherwise the declared structure is
-    wrong and we refuse.
-    """
-    if normal.degree != acting.degree:
-        raise ValueError("factors must live in a common degree")
-    normal_set = set(normal.elements)
-    for a in acting.generators:
-        a_inv = inverse_perm(a)
-        for g in normal.generators:
-            if compose(a, compose(g, a_inv)) not in normal_set:
-                raise ValueError("acting factor does not normalize the normal factor")
-    return enumerate_group(
-        normal.generators + acting.generators, degree=normal.degree
-    )

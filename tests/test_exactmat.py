@@ -148,12 +148,12 @@ def test_char_poly_against_cofactor_expansion():
     # validation oracle for the Faddeev-LeVerrier recurrence
     rng = random.Random(12345)
     for _ in range(60):
-        n = rng.choice([2, 3, 4])
+        n = rng.choice([1, 2, 3, 4, 5])
         m = rand_matrix(rng, n)
         assert char_poly(m) == char_poly_cofactor(m)
     # denominators 1..6 take the common-denominator path into the integer kernel
     for _ in range(60):
-        n = rng.choice([2, 3, 4])
+        n = rng.choice([1, 2, 3, 4, 5])
         m = rand_rational_matrix(rng, n)
         assert char_poly(m) == char_poly_cofactor(m)
 

@@ -1,17 +1,9 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 
-from galwalk.exactmat import RationalMatrix, det
 from galwalk.permkit import cyclic_group, symmetric_group, cycle_type
 from galwalk.picatalog import (
-    CosetWeylReport,
-    LatticeAutomorphism,
-    coset_weyl_structure,
-    dual_flip_lattice_map,
-    identity_lattice_map,
-    integer_kernel,
     pi_restriction_of_scalars,
     pi_sl_n,
     pi_sl_n_doubled,
@@ -19,7 +11,6 @@ from galwalk.picatalog import (
     pi_sl_n_tau_reciprocal,
     pi_sl_power_cyclic,
     pi_sl_power_identity,
-    smith_normal_form,
 )
 
 PARTITIONS = {2: 2, 3: 3, 4: 5, 5: 7}
@@ -109,100 +100,3 @@ def test_every_element_type_has_positive_frequency():
         for g in pg.group.elements:
             assert dist[cycle_type(g)] > 0
         assert pg.N == pg.group.degree
-
-
-# ---------------------------------------------------------------------------
-# lattices
-# ---------------------------------------------------------------------------
-
-def unimodular(mat):
-    return det(RationalMatrix(mat)) in (1, -1)
-
-
-def test_smith_normal_form_known():
-    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    diag, u, v = smith_normal_form(a)
-    assert diag == [2, 6, 12]
-    assert unimodular(u) and unimodular(v)
-
-
-def test_smith_normal_form_random():
-    rng = random.Random(17)
-    for _ in range(40):
-        rows = rng.choice([1, 2, 3, 4])
-        cols = rng.choice([1, 2, 3, 4])
-        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        diag, u, v = smith_normal_form(a)
-        assert unimodular(u) and unimodular(v)
-        # U*A*V is the diagonal
-        ua = [
-            [sum(u[i][k] * a[k][j] for k in range(rows)) for j in range(cols)]
-            for i in range(rows)
-        ]
-        uav = [
-            [sum(ua[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
-            for i in range(rows)
-        ]
-        for i in range(rows):
-            for j in range(cols):
-                expect = diag[i] if (i == j and i < len(diag)) else 0
-                assert uav[i][j] == expect
-        # divisibility chain on nonzero entries
-        nz = [d for d in diag if d != 0]
-        assert all(d >= 0 for d in diag)
-        for x, y in zip(nz, nz[1:]):
-            assert y % x == 0
-
-
-def test_integer_kernel():
-    k = integer_kernel([[1, 2, 3]])
-    assert len(k) == 2
-    for b in k:
-        assert b[0] + 2 * b[1] + 3 * b[2] == 0
-    assert integer_kernel([[1, 0], [0, 1]]) == []
-
-
-def test_lattice_automorphism_validation():
-    with pytest.raises(ValueError):
-        LatticeAutomorphism(((2, 0), (0, 1)))  # det 2
-    shear = LatticeAutomorphism(((1, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        shear.order(bound=50)  # infinite order
-    assert dual_flip_lattice_map(4).order() == 2
-    assert identity_lattice_map(3).order() == 1
-
-
-def test_coset_weyl_identity_gives_factorial():
-    for n, fact in [(2, 2), (3, 6), (4, 24), (5, 120)]:
-        rep = coset_weyl_structure(n, identity_lattice_map(n))
-        assert rep.total_order == fact
-        assert rep.torsion_order == 1 and rep.torsion_invariants == ()
-
-
-def test_coset_weyl_dual_flip():
-    # fixed Weyl part is the centralizer of the longest element: 2^k * k!,
-    # torsion is (Z/2)^(n-1-k), with k = floor(n/2)
-    expected = {
-        2: (2, (), 1, 2),
-        3: (2, (2,), 2, 4),
-        4: (8, (2,), 2, 16),
-        5: (8, (2, 2), 4, 32),
-    }
-    for n, (wfix, inv, tor, total) in expected.items():
-        rep = coset_weyl_structure(n, dual_flip_lattice_map(n))
-        assert rep == CosetWeylReport(n, wfix, inv, tor, total)
-        k = n // 2
-        assert rep.fixed_weyl_order == 2**k * _fact(k)
-        assert rep.torsion_order == 2 ** (n - 1 - k)
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def test_coset_weyl_rejects_rank_mismatch():
-    with pytest.raises(ValueError):
-        coset_weyl_structure(3, identity_lattice_map(4))
