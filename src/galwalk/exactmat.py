@@ -1,7 +1,9 @@
 """Exact rational linear algebra: matrices, characteristic polynomials,
 univariate polynomials over Q, and coefficientwise reduction mod p.
 
-Everything here is arbitrary-precision and exact.  Matrices and polynomials
+Everything here is arbitrary-precision and exact.  A matrix is integer rows
+over one common denominator, so products, characteristic polynomials,
+determinants and inverses all run on integers.  Matrices and polynomials
 are immutable; all operations are pure functions, safe to share across
 workers.
 """
@@ -9,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -27,47 +30,53 @@ def _frac(x) -> Fraction:
 
 
 class RationalMatrix:
-    """Square matrix over Q, stored as a tuple of row tuples of Fraction."""
+    """Square matrix over Q, stored as integer rows over one denominator.
 
-    __slots__ = ("n", "rows", "integral")
+    The entries are num[i][j] / den, where den is the least common
+    denominator of the entries: den >= 1 and gcd(den, every num entry) = 1.
+    The form is canonical, so equality and hashing compare integers.
+    """
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(_frac(e) for e in row) for row in rows)
+    __slots__ = ("n", "den", "num")
+
+    def __new__(cls, rows: Iterable[Iterable]):
+        rows = [[_frac(e) for e in row] for row in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(
-            self, "integral", all(e.denominator == 1 for row in rows for e in row)
+        den = lcm(*(e.denominator for row in rows for e in row))
+        return _from_int(
+            [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
         )
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions; a read-only view, rebuilt on each access."""
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
+
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return RationalMatrix(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return _from_int([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RationalMatrix":
-        es = [_frac(e) for e in entries]
-        zero = Fraction(0)
+        es = list(entries)
         return RationalMatrix(
-            tuple(
-                tuple(es[i] if i == j else zero for j in range(len(es)))
-                for i in range(len(es))
-            )
+            [[es[i] if i == j else 0 for j in range(len(es))] for i in range(len(es))]
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, RationalMatrix)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
@@ -76,29 +85,28 @@ class RationalMatrix:
         return mat_mul(self, other)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
+        return _from_int(tuple(zip(*self.num)), self.den)
+
+
+def _from_int(num: Sequence[Sequence[int]], den: int) -> RationalMatrix:
+    """The matrix num / den (den nonzero), divided by one gcd, den made positive."""
+    g = gcd(den, *chain.from_iterable(num))
+    if den < 0:
+        g = -g
+    m = object.__new__(RationalMatrix)
+    object.__setattr__(m, "n", len(num))
+    object.__setattr__(m, "den", den // g)
+    object.__setattr__(m, "num", tuple(tuple(e // g for e in row) for row in num))
+    return m
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact matrix product; entries come out in lowest terms (Fraction invariant)."""
+    """Exact matrix product: the integer product over a.den * b.den, in lowest terms."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
-    if a.integral and b.integral:
-        # plain integer arithmetic avoids per-operation gcd normalization
-        an = [[e.numerator for e in row] for row in a.rows]
-        bt = list(zip(*[[e.numerator for e in row] for row in b.rows]))
-        return RationalMatrix(
-            tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                for row in an
-            )
-        )
-    bt = tuple(zip(*b.rows))
-    return RationalMatrix(
-        tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.rows
-        )
+    cols = tuple(zip(*b.num))
+    return _from_int(
+        [[sum(map(mul, row, col)) for col in cols] for row in a.num], a.den * b.den
     )
 
 
@@ -229,33 +237,21 @@ def poly_gcd(f: RationalPolynomial, g: RationalPolynomial) -> RationalPolynomial
     return a.monic() if not a.is_zero() else a
 
 
-def poly_pow(f: RationalPolynomial, e: int) -> RationalPolynomial:
-    out = RationalPolynomial((1,))
-    base = f
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
-
-
 def exact_poly_root(f: RationalPolynomial, e: int) -> RationalPolynomial | None:
     """If monic f = q**e with q monic squarefree, return q; otherwise None.
 
     Used to recognize characteristic polynomials whose eigenvalues all carry
     the same multiplicity e.
     """
-    if e == 1:
-        return f
     if f.is_zero() or not f.is_monic() or f.degree % e != 0:
         return None
     rad = radical(f)
     if rad.degree * e != f.degree:
         return None
-    if poly_pow(rad, e) == f:
-        return rad
-    return None
+    power = rad
+    for _ in range(e - 1):
+        power = power * rad
+    return rad if power == f else None
 
 
 def radical(f: RationalPolynomial) -> RationalPolynomial:
@@ -339,39 +335,32 @@ def int_char_poly(rows) -> list[int]:
     return coeffs
 
 
-def _cleared(a: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(d, d*a as integer rows), d the common denominator of a's entries."""
-    d = lcm(*(e.denominator for row in a.rows for e in row))
-    return d, [[(e * d).numerator for e in row] for row in a.rows]
-
-
 def char_poly(a: RationalMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(T*I - a), monic of degree n.
 
-    With d the common denominator of the entries, the integer kernel gives
-    det(T*I - d*a) = d^n * det((T/d)*I - a), so the coefficient of T^i over Q
-    is the integer one divided by d^(n-i).
+    With a = num / d, the integer kernel gives det(T*I - num) = d^n *
+    det((T/d)*I - a), so the coefficient of T^i over Q is the integer one
+    divided by d^(n-i).
     """
-    d, rows = _cleared(a)
+    d = a.den
     return RationalPolynomial(
-        Fraction(c, d ** (a.n - i)) for i, c in enumerate(int_char_poly(rows))
+        Fraction(c, d ** (a.n - i)) for i, c in enumerate(int_char_poly(a.num))
     )
 
 
 def det(a: RationalMatrix) -> Fraction:
     """Exact determinant (-1)^n * chi_a(0), from the integer kernel."""
-    d, rows = _cleared(a)
-    return Fraction((-1) ** a.n * int_char_poly(rows)[0], d ** a.n)
+    return Fraction((-1) ** a.n * int_char_poly(a.num)[0], a.den ** a.n)
 
 
 def mat_inverse(a: RationalMatrix) -> RationalMatrix:
     """Exact inverse by Cayley-Hamilton; raises SingularMatrix.
 
-    With b = d*a integral and c = int_char_poly(b), b^n + c_(n-1) b^(n-1) +
-    ... + c_0 I = 0, so b^-1 = -(b^(n-1) + c_(n-1) b^(n-2) + ... + c_1 I) / c_0
+    With a = b / d, b integral and c = int_char_poly(b), b^n + c_(n-1) b^(n-1)
+    + ... + c_0 I = 0, so b^-1 = -(b^(n-1) + c_(n-1) b^(n-2) + ... + c_1 I) / c_0
     (evaluated by Horner) and a^-1 = d * b^-1.  c_0 = 0 iff a is singular.
     """
-    d, b = _cleared(a)
+    b = a.num
     c = int_char_poly(b)
     if c[0] == 0:
         raise SingularMatrix("matrix is singular")
@@ -382,7 +371,7 @@ def mat_inverse(a: RationalMatrix) -> RationalMatrix:
             [sum(map(mul, row, col)) + ci * (i == j) for j, col in enumerate(cols)]
             for i, row in enumerate(acc)
         ]
-    return RationalMatrix([[Fraction(-d * e, c[0]) for e in row] for row in acc])
+    return _from_int([[-a.den * e for e in row] for row in acc], c[0])
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def identify_sample(sample, spec, config: ExperimentConfig):
     """Classify one walk sample against its coset's predicted group."""
     chi = char_poly(sample.element)
     q = exact_poly_root(chi, spec.multiplicity)
-    if q is None or q.degree == 0 or not squarefree_over_q(q):
+    if q is None:
         return SampleOutcome(sample.label, rs=False)
     summary = collect_samples(
         q, (config.prime_min, config.prime_max), config.budget,

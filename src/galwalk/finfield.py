@@ -39,16 +39,11 @@ class BadPrimeError(ValueError):
 
 
 def reduce_matrix(mat, p: int) -> PFMatrix:
-    """Entrywise reduction mod p; BadPrimeError on denominator collisions."""
-    out = []
-    for row in mat.rows:
-        new = []
-        for e in row:
-            if e.denominator % p == 0:
-                raise BadPrimeError(f"denominator divisible by {p}")
-            new.append(e.numerator * pow(e.denominator, -1, p) % p)
-        out.append(tuple(new))
-    return tuple(out)
+    """Entrywise reduction mod p; BadPrimeError iff p divides the denominator."""
+    if mat.den % p == 0:
+        raise BadPrimeError(f"denominator divisible by {p}")
+    inv = pow(mat.den, -1, p)
+    return tuple(tuple(e * inv % p for e in row) for row in mat.num)
 
 
 class _RowTimes(dict):

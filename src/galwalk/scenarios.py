@@ -119,9 +119,8 @@ def _block_diag(blocks: list[RationalMatrix]) -> RationalMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     off = 0
     for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[off + i][off + j] = b.rows[i][j]
+        for i, row in enumerate(b.rows):
+            rows[off + i][off:off + b.n] = row
         off += b.n
     return RationalMatrix(rows)
 
@@ -129,15 +128,6 @@ def _block_diag(blocks: list[RationalMatrix]) -> RationalMatrix:
 def dual_pair_embed(a: RationalMatrix) -> RationalMatrix:
     """A |-> diag(A, transpose-inverse of A) in twice the dimension."""
     return _block_diag([a, mat_inverse(a.transpose())])
-
-
-def swap_blocks_matrix(n: int) -> RationalMatrix:
-    """The involution exchanging the two n-blocks of a 2n-space."""
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = Fraction(1)
-        rows[n + i][i] = Fraction(1)
-    return RationalMatrix(rows)
 
 
 def factor_embed(a: RationalMatrix, index: int, copies: int) -> RationalMatrix:
@@ -194,7 +184,7 @@ def _sl_scenario(n: int) -> Scenario:
 
 def _sl_tau_scenario(n: int) -> Scenario:
     raw = [(dual_pair_embed(g), 0) for g in _sl_generators(n)]
-    raw.append((swap_blocks_matrix(n), 1))
+    raw.append((block_shift_matrix(n, 2), 1))
     return Scenario(
         name=f"sltau{n}",
         dimension=2 * n,

@@ -75,6 +75,20 @@ def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
     return minor_det(idx, idx)
 
 
+def mat_mul_fractions(a: RationalMatrix, b: RationalMatrix) -> tuple:
+    """Reference: the product on Fraction entries, as rows of Fractions."""
+    cols = tuple(zip(*b.rows))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in cols)
+        for row in a.rows
+    )
+
+
+def assert_canonical(m: RationalMatrix):
+    assert m.den >= 1
+    assert math.gcd(m.den, *itertools.chain.from_iterable(m.num)) == 1
+
+
 def test_mat_mul_identity():
     a = RationalMatrix([[1, 2], [3, 4]])
     assert mat_mul(I2, a) == a
@@ -127,6 +141,80 @@ def test_mat_inverse_involution_random():
             assert mat_inverse(mat_inverse(m)) == m
             assert mat_mul(m, mat_inverse(m)) == RationalMatrix.identity(n)
     assert singular > 0
+
+
+def test_mat_mul_matches_fraction_reference():
+    rng = random.Random(8)
+    for n in range(1, 6):
+        for _ in range(12):
+            a = rand_rational_matrix(rng, n, -6, 6)
+            b = rand_rational_matrix(rng, n, -6, 6)
+            ab = mat_mul(a, b)
+            assert_canonical(ab)
+            ref = mat_mul_fractions(a, b)
+            assert ab.rows == ref
+            assert ab == RationalMatrix(ref) and hash(ab) == hash(RationalMatrix(ref))
+
+
+def test_equal_matrices_hash_equal():
+    rng = random.Random(9)
+    for n in range(1, 6):
+        for _ in range(8):
+            a = rand_rational_matrix(rng, n)
+            b = rand_rational_matrix(rng, n)
+            if det(a) == 0 or det(b) == 0:
+                continue
+            for m in (
+                RationalMatrix(a.rows),
+                mat_mul(mat_mul(a, b), mat_inverse(b)),
+                mat_inverse(mat_inverse(a)),
+            ):
+                assert_canonical(m)
+                assert m == a and hash(m) == hash(a)
+
+
+def test_mat_inverse_canonical():
+    rng = random.Random(10)
+    negative = 0
+    for _ in range(60):
+        n = rng.choice([1, 2, 3, 4])
+        a = rand_rational_matrix(rng, n)
+        if det(a) == 0:
+            continue
+        negative += char_poly(a).coeffs[0] < 0
+        inv = mat_inverse(a)
+        assert_canonical(inv)
+        assert inv == RationalMatrix(inv.rows)
+        assert mat_mul(a, inv) == RationalMatrix.identity(n)
+    assert negative > 0
+
+
+def reduce_matrix_entrywise(m: RationalMatrix, p: int):
+    """Reference: per-entry reduction mod p; None if p divides a denominator."""
+    if any(e.denominator % p == 0 for row in m.rows for e in row):
+        return None
+    return tuple(
+        tuple(e.numerator * pow(e.denominator, -1, p) % p for e in row)
+        for row in m.rows
+    )
+
+
+def test_reduce_matrix_matches_entrywise_reference():
+    from galwalk.finfield import BadPrimeError, reduce_matrix
+
+    rng = random.Random(11)
+    bad = 0
+    for _ in range(60):
+        m = rand_rational_matrix(rng, rng.randint(1, 5), -9, 9)
+        for p in (2, 3, 5, 7, 13):
+            ref = reduce_matrix_entrywise(m, p)
+            if ref is None:
+                bad += 1
+                with pytest.raises(BadPrimeError):
+                    reduce_matrix(m, p)
+            else:
+                assert reduce_matrix(m, p) == ref
+    assert bad > 0
 
 
 def test_char_poly_examples():
@@ -217,6 +305,7 @@ def test_radical_and_exact_root():
     cube = RationalPolynomial((-1, 1))
     assert exact_poly_root(cube * cube * cube * cube, 2) is None  # radical^2 != f
     assert exact_poly_root(q, 1) == q
+    assert exact_poly_root(RationalPolynomial((1, -2, 1)), 1) is None  # (T-1)^2
 
 
 def test_resultant_and_discriminant():

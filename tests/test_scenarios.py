@@ -5,11 +5,11 @@ import pytest
 from galwalk.exactmat import RationalMatrix, char_poly, det, mat_mul
 from galwalk.permkit import enumerate_group
 from galwalk.scenarios import (
+    block_shift_matrix,
     builtin_scenarios,
     dual_pair_embed,
     elementary,
     sqrt2_embed,
-    swap_blocks_matrix,
 )
 
 EXPECTED = {
@@ -79,7 +79,7 @@ def test_dual_pair_embed_structure():
     assert m.n == 4
     # top-left block is e, bottom-right is its transpose inverse
     assert m.rows[0][1] == 1 and m.rows[3][2] == -1
-    tau = swap_blocks_matrix(2)
+    tau = block_shift_matrix(2, 2)
     assert mat_mul(tau, tau) == RationalMatrix.identity(4)
     # conjugation by tau implements transpose-inverse on the embedding
     lhs = mat_mul(mat_mul(tau, m), tau)
