@@ -40,9 +40,7 @@ from .galois_id import (
     KIND_REJECTED,
     PRIME_WINDOW,
     TV_MAX,
-    collect_samples,
-    expand_summary,
-    match_verdict,
+    identify,
     quadratic_galois,
 )
 from .modpoly import primes_in_window, squarefree_over_q
@@ -167,25 +165,18 @@ class SampleOutcome:
 
 
 def identify_sample(sample, spec, config: ExperimentConfig):
-    """Classify one walk sample against its coset's predicted group."""
+    """Classify one walk sample against its coset's predicted group: the
+    exact rules first, the prime scan only if they leave it undecided."""
     chi = char_poly(sample.element)
     q = exact_poly_root(chi, spec.multiplicity)
     if q is None:
         return SampleOutcome(sample.label, rs=False)
-    summary = collect_samples(
-        q, (config.prime_min, config.prime_max), config.budget,
-        spec.predicted, spec.multiplicity,
+    verdict, summary = identify(
+        q, spec.predicted, spec.multiplicity,
+        (config.prime_min, config.prime_max), config.budget,
+        config.tv_max, config.coverage_min,
     )
-    if summary.good_count == 0:
-        return SampleOutcome(sample.label, rs=True, kind=KIND_INCONCLUSIVE)
-    expanded = expand_summary(summary, spec.multiplicity)
-    verdict = match_verdict(
-        expanded, spec.predicted, config.tv_max, config.coverage_min
-    )
-    out = SampleOutcome(sample.label, rs=True, kind=verdict.kind)
-    out.summary = expanded
-    out.verdict = verdict
-    return out
+    return SampleOutcome(sample.label, True, verdict.kind, summary, verdict)
 
 
 def _tally_batches(scenario: Scenario, config: ExperimentConfig, classify, make_row):

@@ -1,38 +1,51 @@
-"""Galois group identification from Frobenius cycle-type statistics.
+"""Galois group identification of walk samples: exact rules first, then
+Frobenius cycle-type statistics for what the rules leave undecided.
 
-The transposition + long-prime-cycle certificate for full symmetric groups
-where it applies; statistical consistency verdicts against a predicted
-group's exact type distribution otherwise.  The exact low-degree
-classifiers (quadratic discriminants, the resolvent cubic at degree 4) sit
-here too: `run` uses the quadratic one on the counterexample scenario,
-while `exact_quartic_verdict` is a test oracle that `run` does not call
-yet, so `run` never yields certified_exact.
+`identify` decides a sample by three exact rules before any prime scan:
 
-A verdict never claims abstract isomorphism beyond what cycle types can
-see: Rejected is sound (an observed type outside the target, or a fully
-covered target at large total-variation distance), Consistent is a
-threshold statement, and the certified kinds come from actual proofs.
+(a) the degrees of q's irreducible factors over Q, each repeated
+    `multiplicity` times, are the orbit lengths of Gal; if they differ
+    from the target's, the verdict is rejected;
+(b) at multiplicity 1, disc(q) is a square iff Gal lies in A_N, so a square
+    discriminant against a target holding an odd permutation is rejected;
+(c) at degree <= 4 and multiplicity 1, the orbit lengths, the discriminant
+    and (at degree 4) the resolvent cubic name Gal exactly; it is
+    certified_exact when its type distribution is the target's, rejected
+    otherwise.
+
+Only samples the rules leave undecided scan primes: the transposition +
+long-prime-cycle certificate where the target is a full symmetric group,
+statistical consistency against the target's type distribution otherwise.
+
+A verdict never claims abstract isomorphism beyond what it proves.  A
+rejection is always a proof: an exact rule, or an observed type the target
+never attains.  Consistent is a threshold statement, a distribution
+mismatch at complete coverage stays inconclusive, and the certified kinds
+come from actual proofs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import lru_cache
 
 from .exactmat import (
     RationalPolynomial,
     discriminant,
+    integer_roots,
+    integral_monic,
     is_rational_square,
-    poly_divmod,
 )
 from .modpoly import (
     CycleType,
+    factor_degrees,
     frobenius_cycle_type,
     make_cycle_type,
     primes_in_window,
     repeat_parts,
     squarefree_over_q,
 )
+from .permkit import enumerate_group
 from .picatalog import PredictedGroup
 
 # walk defaults; ExperimentConfig's field defaults name these
@@ -213,8 +226,9 @@ def match_verdict(
 
     Order of precedence: the settled kinds (hard rejection by an observed
     type the target never attains, then the S_n certificate where the
-    target is symmetric-natural), rejection by distance at complete
-    coverage, then the threshold verdict.
+    target is symmetric-natural), then the threshold verdict.  A distance
+    above tv_max proves nothing, so at complete coverage it is inconclusive
+    with that reason in the detail, never rejected.
     """
     if summary.degree != target.N:
         raise ValueError(
@@ -236,14 +250,10 @@ def match_verdict(
     tv = tv_distance(observed, tdist)
     if settled == KIND_CERTIFIED_SN:
         return Verdict(KIND_CERTIFIED_SN, target.name, tv, coverage)
-    if coverage == 1 and tv > tv_max:
-        return Verdict(
-            KIND_REJECTED, target.name, tv, coverage,
-            detail="distribution mismatch at complete coverage",
-        )
     if coverage >= coverage_min and tv <= tv_max:
         return Verdict(KIND_CONSISTENT, target.name, tv, coverage)
-    return Verdict(KIND_INCONCLUSIVE, target.name, tv, coverage)
+    detail = "distribution mismatch at complete coverage" if coverage == 1 else ""
+    return Verdict(KIND_INCONCLUSIVE, target.name, tv, coverage, detail=detail)
 
 
 def _coverage(observed: dict, tdist: dict) -> Fraction:
@@ -251,68 +261,200 @@ def _coverage(observed: dict, tdist: dict) -> Fraction:
     return Fraction(hit, len(tdist))
 
 
-# exact type distributions of the transitive degree-4 groups, plus the
-# intransitive cases the quartic oracle can emit
-QUARTIC_DISTRIBUTIONS = {
-    "S4": {
-        make_cycle_type(t): f
-        for t, f in {
-            (1, 1, 1, 1): Fraction(1, 24),
-            (2, 1, 1): Fraction(1, 4),
-            (2, 2): Fraction(1, 8),
-            (3, 1): Fraction(1, 3),
-            (4,): Fraction(1, 4),
-        }.items()
-    },
-    "A4": {
-        make_cycle_type((1, 1, 1, 1)): Fraction(1, 12),
-        make_cycle_type((2, 2)): Fraction(1, 4),
-        make_cycle_type((3, 1)): Fraction(2, 3),
-    },
-    "D4": {
-        make_cycle_type((1, 1, 1, 1)): Fraction(1, 8),
-        make_cycle_type((2, 1, 1)): Fraction(1, 4),
-        make_cycle_type((2, 2)): Fraction(3, 8),
-        make_cycle_type((4,)): Fraction(1, 4),
-    },
-    "V4": {
-        make_cycle_type((1, 1, 1, 1)): Fraction(1, 4),
-        make_cycle_type((2, 2)): Fraction(3, 4),
-    },
-    "C4": {
-        make_cycle_type((1, 1, 1, 1)): Fraction(1, 4),
-        make_cycle_type((2, 2)): Fraction(1, 4),
-        make_cycle_type((4,)): Fraction(1, 2),
-    },
+# ---------------------------------------------------------------------------
+# exact rules (a)-(c) and the identification order
+# ---------------------------------------------------------------------------
+
+def identify(
+    q: RationalPolynomial,
+    target: PredictedGroup,
+    multiplicity: int = 1,
+    prime_window: tuple[int, int] = PRIME_WINDOW,
+    budget: int = BUDGET,
+    tv_max: Fraction = TV_MAX,
+    coverage_min: Fraction = COVERAGE_MIN,
+) -> tuple[Verdict, SampleSummary | None]:
+    """Verdict on a sample whose characteristic polynomial is q**multiplicity.
+
+    q is monic and squarefree.  The exact rules decide first
+    (exact_verdict); only what they leave undecided scans the window's
+    primes (collect_samples, match_verdict).  The summary is the scan's,
+    with every part repeated multiplicity times, or None without a scan.
+    """
+    verdict = exact_verdict(q, target, multiplicity, primes_in_window(*prime_window))
+    if verdict is not None:
+        return verdict, None
+    summary = collect_samples(q, prime_window, budget, target, multiplicity)
+    if summary.good_count == 0:
+        return Verdict(
+            KIND_INCONCLUSIVE, target.name, Fraction(1), Fraction(0),
+            detail="no good prime in the window",
+        ), summary
+    expanded = expand_summary(summary, multiplicity)
+    return match_verdict(expanded, target, tv_max, coverage_min), expanded
+
+
+def exact_verdict(
+    q: RationalPolynomial, target: PredictedGroup, multiplicity: int, primes
+) -> Verdict | None:
+    """The verdict rules (a)-(c) prove for a monic squarefree q, or None.
+
+    primes feed Musser's filter in factor_degrees; a cycle type already
+    seen there that is odd proves the discriminant is not a square, so
+    rule (b) above degree 4 computes no discriminant then.  Rejections
+    carry tv 1 and coverage 0, certificates tv 0 and coverage 1; the detail
+    names the rule that fired.
+    """
+    n = q.degree
+    if n * multiplicity != target.N:
+        raise ValueError(
+            f"degree mismatch: {n} x {multiplicity} vs target {target.N}"
+        )
+    found = factor_degrees(q, primes)
+    if found is None:
+        return None
+    orbits = repeat_parts(found.degrees, multiplicity)
+    want = target.group.orbit_lengths()
+    if orbits != want:
+        return _rejected(
+            target, f"rule (a): factor degrees give orbits {orbits}, target {want}"
+        )
+    if multiplicity != 1:
+        return None
+    odd_target = any(_is_odd(ct) for ct in target.group.type_distribution)
+    if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
+        return None
+    ints = integral_monic(q)
+    disc = _int_discriminant(ints)
+    if odd_target and is_rational_square(disc):
+        return _rejected(
+            target, "rule (b): square discriminant, target has odd permutations"
+        )
+    if n > 4:
+        return None
+    name = _small_group_name(ints, orbits, disc)
+    if small_group_distribution(name, orbits) == target.group.type_distribution:
+        return Verdict(
+            KIND_CERTIFIED_EXACT, target.name, Fraction(0), Fraction(1),
+            detail=f"rule (c): exact group {name} on orbits {orbits}",
+        )
+    return _rejected(
+        target, f"rule (c): exact group {name} on orbits {orbits} is not the target"
+    )
+
+
+def _rejected(target: PredictedGroup, detail: str) -> Verdict:
+    return Verdict(KIND_REJECTED, target.name, Fraction(1), Fraction(0), detail=detail)
+
+
+def _is_odd(ct: CycleType) -> bool:
+    return (sum(ct) - len(ct)) % 2 == 1
+
+
+# generators of the exact group for each (name, orbit lengths) at degree
+# <= 4; points are numbered orbit by orbit, longest orbit first.  The orbit
+# lengths and the type distribution fix each one up to conjugacy.
+SMALL_GROUPS = {
+    ("S4", (4,)): ((1, 0, 2, 3), (1, 2, 3, 0)),
+    ("A4", (4,)): ((1, 2, 0, 3), (0, 2, 3, 1)),
+    ("D4", (4,)): ((1, 2, 3, 0), (2, 1, 0, 3)),
+    ("C4", (4,)): ((1, 2, 3, 0),),
+    ("V4", (4,)): ((1, 0, 3, 2), (2, 3, 0, 1)),
+    ("S3", (3, 1)): ((1, 0, 2, 3), (1, 2, 0, 3)),
+    ("C3", (3, 1)): ((1, 2, 0, 3),),
+    ("V4", (2, 2)): ((1, 0, 2, 3), (0, 1, 3, 2)),
+    ("C2", (2, 2)): ((1, 0, 3, 2),),
+    ("C2", (2, 1, 1)): ((1, 0, 2, 3),),
+    ("1", (1, 1, 1, 1)): (),
+    ("S3", (3,)): ((1, 0, 2), (1, 2, 0)),
+    ("C3", (3,)): ((1, 2, 0),),
+    ("C2", (2, 1)): ((1, 0, 2),),
+    ("1", (1, 1, 1)): (),
+    ("C2", (2,)): ((1, 0),),
+    ("1", (1, 1)): (),
 }
 
 
-def exact_quartic_verdict(
-    f: RationalPolynomial, target: PredictedGroup
-) -> Verdict | None:
-    """Certify a degree-4 sample exactly against the target, when possible.
+@lru_cache(maxsize=None)
+def small_group_distribution(name: str, orbits: CycleType) -> dict:
+    """Exact type distribution of SMALL_GROUPS[(name, orbits)]."""
+    group = enumerate_group(SMALL_GROUPS[(name, orbits)], degree=sum(orbits))
+    return group.type_distribution
 
-    Runs the resolvent-cubic classification; if the named group's exact type
-    distribution equals the target group's, the verdict is CertifiedExact.
-    A named group whose types cannot all occur in the target is a certified
-    rejection.  Returns None when the name falls outside the tabulated
-    transitive cases (reducible splittings).
+
+def small_galois_group(f: RationalPolynomial) -> tuple[str, CycleType]:
+    """Gal(f) for a squarefree f of degree <= 4: its name and orbit lengths.
+
+    The name is the abstract group ("1", "C2", "C3", "S3", "C4", "V4",
+    "D4", "A4", "S4"); with the orbit lengths it keys SMALL_GROUPS.
     """
-    if target.N != 4:
-        raise ValueError("exact quartic certification needs a degree-4 target")
-    name = quartic_galois_exact(f)
-    dist = QUARTIC_DISTRIBUTIONS.get(name)
-    if dist is None:
-        return None
-    tdist = target.group.type_distribution
-    if dist == dict(tdist):
-        return Verdict(KIND_CERTIFIED_EXACT, target.name, Fraction(0), Fraction(1), detail=name)
-    if any(ct not in tdist for ct in dist):
-        return Verdict(
-            KIND_REJECTED, target.name, Fraction(1), Fraction(0),
-            detail=f"exact group {name} attains types outside the target",
-        )
-    return None
+    n = f.degree
+    if not 1 < n <= 4:
+        raise ValueError("need degree 2, 3 or 4")
+    if not squarefree_over_q(f):
+        raise NotSquarefreeInput("repeated root")
+    f = f.monic()
+    orbits = factor_degrees(f, primes_in_window(*PRIME_WINDOW)).degrees
+    ints = integral_monic(f)
+    return _small_group_name(ints, orbits, _int_discriminant(ints)), orbits
+
+
+def _small_group_name(ints, orbits, disc) -> str:
+    """Gal of the monic integer polynomial ints, of degree <= 4, from its
+    orbit lengths (factor degrees), discriminant and resolvent cubic.
+
+    Irreducible quartics follow Kappe and Warren (1989): the resolvent
+    cubic's integer roots give S4 or A4 (none, by the discriminant), V4
+    (three), or one root t, and then C4 exactly when x^2 - t x + d and
+    x^2 + a x + (b - t) both split over Q(sqrt(disc)).  Below that, the
+    discriminant's square class settles C3 against S3, and a diagonal C2
+    against C2 x C2 on two quadratic factors (disc = d1 d2 Res^2).
+    """
+    square = is_rational_square(disc)
+    if orbits == (4,):
+        roots = integer_roots(_resolvent_cubic(ints))
+        if not roots:
+            return "A4" if square else "S4"
+        if len(roots) == 3:
+            return "V4"
+        t = roots[0]
+        d, _, b, a = ints[:4]
+
+        def splits(u, v):
+            delta = u * u - 4 * v
+            return is_rational_square(delta) or is_rational_square(delta * disc)
+
+        return "C4" if splits(-t, d) and splits(a, b - t) else "D4"
+    if orbits[0] == 3:
+        return "C3" if square else "S3"
+    if orbits[:2] == (2, 2):
+        return "C2" if square else "V4"
+    return "C2" if orbits[0] == 2 else "1"
+
+
+def _resolvent_cubic(ints) -> list[int]:
+    """y^3 - b y^2 + (a c - 4 d) y - (a^2 d - 4 b d + c^2), whose roots are
+    x1 x2 + x3 x4 and its conjugates, for x^4 + a x^3 + b x^2 + c x + d.
+    Its discriminant is the quartic's."""
+    d, c, b, a = ints[:4]
+    return [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
+
+
+def _int_discriminant(ints) -> int:
+    """Discriminant of a monic integer polynomial: closed forms to degree 3,
+    the resolvent cubic's at degree 4, the Sylvester resultant
+    (exactmat.discriminant) above."""
+    n = len(ints) - 1
+    if n == 4:
+        return _int_discriminant(_resolvent_cubic(ints))
+    if n == 1:
+        return 1
+    if n == 2:
+        return ints[1] ** 2 - 4 * ints[0]
+    if n == 3:
+        c, b, a = ints[:3]
+        return a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
+    return int(discriminant(RationalPolynomial(ints)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,170 +470,3 @@ def quadratic_galois(f: RationalPolynomial) -> str:
     c, b, a = f.coeffs[0], f.coeffs[1], f.coeffs[2]
     disc = b * b - 4 * a * c
     return "trivial" if is_rational_square(disc) else "order2"
-
-
-def _rational_roots(f: RationalPolynomial) -> list[Fraction]:
-    """All rational roots, found exactly via the integer root bound."""
-    scale = lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * scale) for c in f.coeffs]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = ints[-1]
-    const = next((v for v in ints if v != 0), 0)
-    # roots are p/q with p | first nonzero coefficient, q | leading one
-    shift = 0
-    for v in ints:
-        if v != 0:
-            break
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if f.evaluate(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _classify_two_quadratics(q1: RationalPolynomial, q2: RationalPolynomial) -> str:
-    """Splitting field of a product of two monic rational quadratics."""
-    d1 = q1.coeffs[1] ** 2 - 4 * q1.coeffs[0]
-    d2 = q2.coeffs[1] ** 2 - 4 * q2.coeffs[0]
-    s1, s2 = is_rational_square(d1), is_rational_square(d2)
-    if s1 and s2:
-        return "1"
-    if s1 or s2:
-        return "C2"
-    return "C2" if is_rational_square(d1 * d2) else "V4"
-
-
-def quartic_galois_exact(f: RationalPolynomial) -> str:
-    """Exact Galois group of the splitting field of a squarefree quartic.
-
-    Returns one of "1", "C2", "C3", "S3", "C4", "V4", "D4", "A4", "S4".
-    Irreducible quartics go through the resolvent cubic
-    y^3 - p y^2 - 4 r y + (4 p r - q^2) of the depressed form
-    x^4 + p x^2 + q x + r; reducible ones are split exactly first.
-    """
-    if f.degree != 4:
-        raise ValueError("need degree 4")
-    if not squarefree_over_q(f):
-        raise NotSquarefreeInput("repeated root")
-    f = f.monic()
-
-    roots = _rational_roots(f)
-    if roots:
-        rem = f
-        for r in roots:
-            quo, rem_check = poly_divmod(rem, RationalPolynomial((-r, 1)))
-            assert rem_check.is_zero()
-            rem = quo
-        if rem.degree <= 1:
-            return "1"
-        if rem.degree == 2:
-            d = rem.coeffs[1] ** 2 - 4 * rem.coeffs[0]
-            return "1" if is_rational_square(d) else "C2"
-        # cubic factor without rational roots, hence irreducible
-        return "C3" if is_rational_square(discriminant(rem)) else "S3"
-
-    c3 = f.coeffs[3]
-    g = f.shift(-c3 / 4)  # depressed: x^4 + p x^2 + q x + r
-    p, q, r = g.coeffs[2], g.coeffs[1], g.coeffs[0]
-    betas = _resolvent_rational_roots(p, q, r)
-
-    split = _try_quadratic_split(p, q, r, betas)
-    if split is not None:
-        return _classify_two_quadratics(*split)
-
-    # f is irreducible from here on
-    if not betas:
-        return "A4" if is_rational_square(discriminant(f)) else "S4"
-    if len(betas) >= 3:
-        return "V4"
-    beta = betas[0]
-    m = beta - p
-    if m == 0:
-        # q = 0 here; the quadratic split over Q failed, so p^2 - 4r is not
-        # a square and the pair field is Q(sqrt(p^2 - 4r))
-        m2 = p * p - 4 * r
-        v2 = 16 * r
-        ok = is_rational_square(v2) or is_rational_square(v2 * m2)
-        return "C4" if ok else "D4"
-    v = m * m - 4 * beta * m + 16 * r
-    ok = is_rational_square(v) or is_rational_square(v * m)
-    return "C4" if ok else "D4"
-
-
-def _resolvent_rational_roots(p, q, r) -> list[Fraction]:
-    """Rational roots of y^3 - p y^2 - 4 r y + (4 p r - q^2).
-
-    For q = 0 the cubic factors as (y - p)(y^2 - 4r), giving the roots in
-    closed form; this is the shape every reciprocal walk sample produces,
-    and it avoids divisor searches over huge constant terms.
-    """
-    if q == 0:
-        roots = [Fraction(p)]
-        if is_rational_square(4 * r):
-            s = _fraction_sqrt(4 * r)
-            for cand in (s, -s):
-                if cand not in roots:
-                    roots.append(cand)
-        return roots
-    resolvent = RationalPolynomial((4 * p * r - q * q, -4 * r, -p, Fraction(1)))
-    return _rational_roots(resolvent)
-
-
-def _try_quadratic_split(p, q, r, betas):
-    """Factor x^4 + p x^2 + q x + r into two rational quadratics, if possible.
-
-    Each rational resolvent root beta pairs the roots so that the two
-    quadratic factors are x^2 - a x + b and x^2 + a x + d with a^2 = beta - p,
-    b + d = beta, b - d = q / a (or, for a = 0, b and d roots of
-    y^2 - beta y + r).
-    """
-    for beta in betas:
-        m = beta - p
-        if m == 0:
-            if q != 0:
-                continue
-            disc = beta * beta - 4 * r
-            if not is_rational_square(disc):
-                continue
-            s = _fraction_sqrt(disc)
-            b, d = (beta + s) / 2, (beta - s) / 2
-            return (
-                RationalPolynomial((b, Fraction(0), Fraction(1))),
-                RationalPolynomial((d, Fraction(0), Fraction(1))),
-            )
-        if not is_rational_square(m):
-            continue
-        a = _fraction_sqrt(m)
-        if a == 0:
-            continue
-        b = (beta + q / a) / 2
-        d = (beta - q / a) / 2
-        f1 = RationalPolynomial((b, -a, Fraction(1)))
-        f2 = RationalPolynomial((d, a, Fraction(1)))
-        product = f1 * f2
-        expected = RationalPolynomial((r, q, p, Fraction(0), Fraction(1)))
-        if product == expected:
-            return f1, f2
-    return None
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction:
-    assert x >= 0
-    return Fraction(isqrt(x.numerator), isqrt(x.denominator))

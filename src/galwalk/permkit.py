@@ -70,6 +70,23 @@ class EnumeratedGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def orbit_lengths(self) -> CycleType:
+        """Sizes of the group's orbits on its points, a partition of the degree."""
+        seen = [False] * self.degree
+        sizes = []
+        for start in range(self.degree):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            for x in orbit:  # grows while it is read
+                for g in self.generators:
+                    if not seen[g[x]]:
+                        seen[g[x]] = True
+                        orbit.append(g[x])
+            sizes.append(len(orbit))
+        return make_cycle_type(sizes)
+
     def types(self) -> tuple[CycleType, ...]:
         return tuple(self.type_distribution.keys())
 

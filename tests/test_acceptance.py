@@ -21,12 +21,13 @@ from galwalk.exactmat import (
 from galwalk.experiment import ExperimentConfig, batch_seed, run_convergence, run_oracle
 from galwalk.finfield import census, charpoly_mod_p, enumerate_mod_p, reduce_matrix
 from galwalk.galois_id import (
+    KIND_CERTIFIED_EXACT,
     KIND_CONSISTENT,
     KIND_REJECTED,
     collect_samples,
     expand_summary,
-    match_verdict,
-    quartic_galois_exact,
+    identify,
+    small_galois_group,
 )
 from galwalk.modpoly import primes_in_window, squarefree_over_q
 from galwalk.output import render_csv
@@ -149,27 +150,25 @@ def test_criterion_4_coset_dependence():
             if q is None or not squarefree_over_q(q):
                 continue
             id_rs += 1
-            summary = expand_summary(
-                collect_samples(q, WINDOW, 300), id_spec.multiplicity
-            )
-            id_verdicts[match_verdict(summary, id_spec.predicted).kind] += 1
-            id_cross[match_verdict(summary, swap_spec.predicted).kind] += 1
+            e = id_spec.multiplicity
+            id_verdicts[identify(q, id_spec.predicted, e, WINDOW)[0].kind] += 1
+            id_cross[identify(q, swap_spec.predicted, e, WINDOW)[0].kind] += 1
         else:
             if oracle_pool < 100:
                 oracle_pool += 1
                 if squarefree_over_q(chi):
-                    oracle_names[quartic_galois_exact(chi)] += 1
+                    oracle_names[small_galois_group(chi)[0]] += 1
             if not squarefree_over_q(chi):
                 continue
             swap_rs += 1
-            summary = collect_samples(chi, WINDOW, 300)
-            swap_verdicts[match_verdict(summary, swap_spec.predicted).kind] += 1
-            swap_cross[match_verdict(summary, id_spec.predicted).kind] += 1
-            swap_upper[match_verdict(summary, swap_spec.upper).kind] += 1
+            swap_verdicts[identify(chi, swap_spec.predicted, 1, WINDOW)[0].kind] += 1
+            swap_cross[identify(chi, id_spec.predicted, 1, WINDOW)[0].kind] += 1
+            swap_upper[identify(chi, swap_spec.upper, 1, WINDOW)[0].kind] += 1
 
     assert id_rs >= 40 and swap_rs >= 40
     id_ok = F(id_verdicts[KIND_CONSISTENT], id_rs)
-    swap_ok = F(swap_verdicts[KIND_CONSISTENT], swap_rs)
+    # the exact rules certify the swap coset outright (rule (c))
+    swap_ok = F(swap_verdicts[KIND_CERTIFIED_EXACT] + swap_verdicts[KIND_CONSISTENT], swap_rs)
     swap_rej = F(swap_cross[KIND_REJECTED], swap_rs)
     id_rej = F(id_cross[KIND_REJECTED], id_rs)
     mode_name, mode_count = oracle_names.most_common(1)[0]
@@ -177,7 +176,7 @@ def test_criterion_4_coset_dependence():
     mode_frac = F(mode_count, oracle_rs)
 
     print(
-        "[criterion 4] adjudication table (swap-coset statistics vs each target):\n"
+        "[criterion 4] adjudication table (swap-coset verdicts vs each target):\n"
         f"    vs identity prediction {id_spec.predicted.name}: {dict(swap_cross)}\n"
         f"    vs adjudicated target {swap_spec.predicted.name} "
         f"(order {swap_spec.predicted.group.order}): {dict(swap_verdicts)}\n"
@@ -195,7 +194,7 @@ def test_criterion_4_coset_dependence():
         and mode_frac >= F(9, 10)
     )
     report(4, ok,
-           f"identity consistent {float(id_ok):.2f}, swap consistent "
+           f"identity consistent {float(id_ok):.2f}, swap certified or consistent "
            f"{float(swap_ok):.2f} (adjudicated target), swap rejected vs identity "
            f"prediction {float(swap_rej):.2f}, identity rejected vs swap prediction "
            f"{float(id_rej):.2f}, oracle names {mode_name} for {float(mode_frac):.2f}")

@@ -27,6 +27,7 @@ from galwalk.experiment import (
     run_oracle,
 )
 from galwalk.galois_id import (
+    KIND_CERTIFIED_EXACT,
     KIND_CERTIFIED_SN,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
@@ -124,17 +125,23 @@ def test_run_convergence_counterexample_schema():
     assert diag["n_order2"] == 0  # diagonal samples have rational eigenvalues
 
 
-def _full_budget_kind(sample, spec, cfg):
-    q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
-    summary = collect_samples(q, (cfg.prime_min, cfg.prime_max), cfg.budget)
+def _scan(q, spec, cfg, early):
+    """Kind and summary of the prime scan, stopping early at a settled kind
+    or running the whole budget."""
+    summary = collect_samples(
+        q, (cfg.prime_min, cfg.prime_max), cfg.budget,
+        spec.predicted if early else None, spec.multiplicity,
+    )
     if summary.good_count == 0:
-        return KIND_INCONCLUSIVE
+        return KIND_INCONCLUSIVE, summary
     expanded = expand_summary(summary, spec.multiplicity)
-    return match_verdict(expanded, spec.predicted, cfg.tv_max, cfg.coverage_min).kind
+    verdict = match_verdict(expanded, spec.predicted, cfg.tv_max, cfg.coverage_min)
+    return verdict.kind, summary
 
 
 def test_early_stop_keeps_the_full_budget_kind():
     seen = set()
+    pipeline = set()
     for name in ("sl2", "sl3", "sl4", "sltau2", "sltau4", "slcyc2x2", "slcyc2x3",
                  "res_sqrt2"):
         scen = builtin_scenarios()[name]
@@ -142,16 +149,31 @@ def test_early_stop_keeps_the_full_budget_kind():
             cfg = ExperimentConfig(scenario=name, k_values=(k,), seed=seed)
             for sample in batch_sample(scen.admissible(), k, 4, batch_seed(seed, k)):
                 spec = scen.coset(sample.label)
-                out = identify_sample(sample, spec, cfg)
-                if not out.rs:
+                q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
+                if q is None:
                     continue
-                assert out.kind == _full_budget_kind(sample, spec, cfg)
-                seen.add((name, spec.multiplicity, out.kind))
-                if name == "sl4" and out.kind == KIND_CERTIFIED_SN:
-                    assert out.summary.good_count < cfg.budget
+                kind, summary = _scan(q, spec, cfg, early=True)
+                full = _scan(q, spec, cfg, early=False)[0]
+                assert kind == full
+                seen.add((name, spec.multiplicity, kind))
+                if name == "sl4" and kind == KIND_CERTIFIED_SN:
+                    assert summary.good_count < cfg.budget
+                # the pipeline scans only what the exact rules leave open,
+                # and a proof from either side never contradicts the other
+                out = identify_sample(sample, spec, cfg)
+                pipeline.add(out.kind)
+                if out.summary is not None:
+                    assert out.kind == full
+                if full == KIND_REJECTED:
+                    assert out.kind == KIND_REJECTED
+                if full == KIND_CERTIFIED_SN:
+                    assert out.kind == KIND_CERTIFIED_EXACT
     assert any(e == 2 for _, e, _ in seen)
     assert ("sl4", 1, KIND_CERTIFIED_SN) in seen
-    assert {kind for _, _, kind in seen} >= {KIND_CERTIFIED_SN, KIND_REJECTED}
+    # the only scan rejections here were distance mismatches, which are
+    # inconclusive now; the exact rules prove those samples rejected
+    assert {kind for _, _, kind in seen} >= {KIND_CERTIFIED_SN, KIND_INCONCLUSIVE}
+    assert pipeline >= {KIND_CERTIFIED_EXACT, KIND_REJECTED}
 
 
 def test_batch_seed_stability():

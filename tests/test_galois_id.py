@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,22 +7,43 @@ import pytest
 from galwalk.exactmat import RationalPolynomial as P
 from galwalk.exactmat import is_rational_square
 from galwalk.galois_id import (
+    KIND_CERTIFIED_EXACT,
     KIND_CERTIFIED_SN,
     KIND_CONSISTENT,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
+    PRIME_WINDOW,
     NotSquarefreeInput,
     SampleSummary,
     certify_sn,
     collect_samples,
+    exact_verdict,
     expand_summary,
+    identify,
     match_verdict,
     quadratic_galois,
-    quartic_galois_exact,
+    small_galois_group,
+    small_group_distribution,
     tv_distance,
 )
+from galwalk.modpoly import primes_in_window
 from galwalk.permkit import enumerate_group, symmetric_group
-from galwalk.picatalog import PredictedGroup, pi_sl_n, pi_sl_n_tau, pi_sl_n_tau_reciprocal
+from galwalk.picatalog import (
+    PredictedGroup,
+    pi_restriction_of_scalars,
+    pi_sl_n,
+    pi_sl_n_doubled,
+    pi_sl_n_tau,
+    pi_sl_n_tau_reciprocal,
+    pi_sl_power_cyclic,
+    pi_sl_power_identity,
+)
+
+PRIMES = primes_in_window(*PRIME_WINDOW)
+
+
+def group_name(f):
+    return small_galois_group(f)[0]
 
 
 def summary_from(n, freqs):
@@ -50,20 +72,20 @@ QUARTIC_TABLE = [
 
 def test_quartic_galois_exact_irreducible_table():
     for coeffs, want in QUARTIC_TABLE:
-        assert quartic_galois_exact(P(coeffs)) == want
+        assert group_name(P(coeffs)) == want
 
 
 def test_quartic_galois_exact_reducible():
-    assert quartic_galois_exact(P((-2, 0, 1)) * P((-3, 0, 1))) == "V4"
-    assert quartic_galois_exact(P((-2, 0, 1)) * P((-8, 0, 1))) == "C2"
+    assert small_galois_group(P((-2, 0, 1)) * P((-3, 0, 1))) == ("V4", (2, 2))
+    assert small_galois_group(P((-2, 0, 1)) * P((-8, 0, 1))) == ("C2", (2, 2))
     assert (
-        quartic_galois_exact(P((-1, 1)) * P((-2, 1)) * P((-3, 1)) * P((-5, 1))) == "1"
+        group_name(P((-1, 1)) * P((-2, 1)) * P((-3, 1)) * P((-5, 1))) == "1"
     )
-    assert quartic_galois_exact(P((-2, 1)) * P((2, 0, 0, 1))) == "S3"
-    assert quartic_galois_exact(P((-1, 1)) * P((1, -3, 0, 1))) == "C3"
-    assert quartic_galois_exact(P((-7, 1)) * P((-11, 1)) * P((1, 1, 1))) == "C2"
+    assert group_name(P((-2, 1)) * P((2, 0, 0, 1))) == "S3"
+    assert group_name(P((-1, 1)) * P((1, -3, 0, 1))) == "C3"
+    assert group_name(P((-7, 1)) * P((-11, 1)) * P((1, 1, 1))) == "C2"
     with pytest.raises(NotSquarefreeInput):
-        quartic_galois_exact(P((-2, 0, 1)) * P((-2, 0, 1)))
+        group_name(P((-2, 0, 1)) * P((-2, 0, 1)))
 
 
 def test_quartic_reciprocal_family():
@@ -71,7 +93,7 @@ def test_quartic_reciprocal_family():
     # C2 when it splits into two quadratics sharing a field
     for t in (3, 5, 12, 99, -3, 10**12 + 7):
         want = "C2" if (is_rational_square(F(t - 2)) or is_rational_square(F(t + 2))) else "V4"
-        assert quartic_galois_exact(P((1, 0, -t, 0, 1))) == want
+        assert group_name(P((1, 0, -t, 0, 1))) == want
 
 
 def test_quartic_oracle_agrees_with_frobenius_statistics():
@@ -89,7 +111,7 @@ def test_quartic_oracle_agrees_with_frobenius_statistics():
     }
     for coeffs, name in QUARTIC_TABLE[:5]:
         f = P(coeffs)
-        assert quartic_galois_exact(f) == name
+        assert group_name(f) == name
         summary = collect_samples(f, (1_000, 200_000), 500)
         assert summary.good_count == 500
         tv = tv_distance(summary.empirical, groups[name].type_distribution)
@@ -183,10 +205,12 @@ def test_match_verdict_v4_against_d4():
     assert v2.kind == KIND_CONSISTENT and v2.tv_distance == 0
 
 
-def test_match_verdict_tv_rejection_at_full_coverage():
+def test_match_verdict_tv_mismatch_at_full_coverage_is_inconclusive():
+    # a large distance proves nothing: the tv branch never rejects
     skewed = summary_from(4, {(2, 2): F(1, 2), (1, 1, 1, 1): F(1, 2)})
     v = match_verdict(skewed, pi_sl_n_tau_reciprocal(2))
-    assert v.kind == KIND_REJECTED
+    assert v.kind == KIND_INCONCLUSIVE
+    assert v.detail == "distribution mismatch at complete coverage"
     assert v.coverage == 1 and v.tv_distance == F(1, 4)
 
 
@@ -221,35 +245,121 @@ def test_rejection_soundness_calibration():
 def test_thresholds_are_used():
     s = summary_from(2, {(2,): F(2, 3), (1, 1): F(1, 3)})
     target = PredictedGroup("order2", enumerate_group([(1, 0)]), 2)
-    assert match_verdict(s, target, tv_max=F(1, 100)).kind == KIND_REJECTED
+    assert match_verdict(s, target, tv_max=F(1, 100)).kind == KIND_INCONCLUSIVE
     assert match_verdict(s, target, tv_max=F(1, 2)).kind == KIND_CONSISTENT
 
 
-def test_quartic_distribution_table_matches_enumeration():
-    from galwalk.galois_id import QUARTIC_DISTRIBUTIONS
+# hand-tabulated type distributions of the transitive degree-4 groups
+QUARTIC_DISTRIBUTIONS = {
+    "S4": {(1, 1, 1, 1): F(1, 24), (2, 1, 1): F(1, 4), (2, 2): F(1, 8),
+           (3, 1): F(1, 3), (4,): F(1, 4)},
+    "A4": {(1, 1, 1, 1): F(1, 12), (2, 2): F(1, 4), (3, 1): F(2, 3)},
+    "D4": {(1, 1, 1, 1): F(1, 8), (2, 1, 1): F(1, 4), (2, 2): F(3, 8), (4,): F(1, 4)},
+    "V4": {(1, 1, 1, 1): F(1, 4), (2, 2): F(3, 4)},
+    "C4": {(1, 1, 1, 1): F(1, 4), (2, 2): F(1, 4), (4,): F(1, 2)},
+}
 
-    groups = {
-        "C4": enumerate_group([(1, 2, 3, 0)]),
-        "V4": enumerate_group([(1, 0, 3, 2), (2, 3, 0, 1)]),
-        "D4": enumerate_group([(1, 2, 3, 0), (1, 0, 3, 2)]),
-        "A4": enumerate_group([(1, 2, 0, 3), (0, 2, 3, 1)]),
-        "S4": symmetric_group(4),
-    }
-    for name, g in groups.items():
-        assert QUARTIC_DISTRIBUTIONS[name] == dict(g.type_distribution)
+
+def test_quartic_distribution_table_matches_enumeration():
+    for name, dist in QUARTIC_DISTRIBUTIONS.items():
+        assert small_group_distribution(name, (4,)) == dist
+    # the intransitive groups by their orbits
+    assert small_group_distribution("V4", (2, 2)) == {
+        (1, 1, 1, 1): F(1, 4), (2, 1, 1): F(1, 2), (2, 2): F(1, 4)}
+    assert small_group_distribution("C2", (2, 2)) == {(1, 1, 1, 1): F(1, 2), (2, 2): F(1, 2)}
+    assert small_group_distribution("S3", (3, 1)) == {
+        (1, 1, 1, 1): F(1, 6), (2, 1, 1): F(1, 2), (3, 1): F(1, 3)}
+
+
+def transitive_v4():
+    return PredictedGroup("v4", enumerate_group([(1, 0, 3, 2), (2, 3, 0, 1)]), 4)
 
 
 def test_exact_quartic_verdict():
-    from galwalk.galois_id import KIND_CERTIFIED_EXACT, exact_quartic_verdict
-
-    target = pi_sl_n_tau_reciprocal(2)
-    v = exact_quartic_verdict(P((1, 0, -5, 0, 1)), target)
-    assert v.kind == KIND_CERTIFIED_EXACT and v.detail == "V4"
-    v2 = exact_quartic_verdict(P((-2, 0, 0, 0, 1)), target)
-    assert v2.kind == KIND_REJECTED
-    assert exact_quartic_verdict(P((-2, 0, 1)) * P((-8, 0, 1)), target) is None
+    target = pi_sl_n_tau_reciprocal(2)  # transitive V4
+    v = exact_verdict(P((1, 0, -5, 0, 1)), target, 1, PRIMES)
+    assert v.kind == KIND_CERTIFIED_EXACT
+    assert v.detail == "rule (c): exact group V4 on orbits (4,)"
+    v2 = exact_verdict(P((-2, 0, 0, 0, 1)), target, 1, PRIMES)
+    assert v2.kind == KIND_REJECTED and v2.detail.startswith("rule (c): exact group D4")
+    # two quadratics: two orbits against a transitive target
+    v3 = exact_verdict(P((-2, 0, 1)) * P((-8, 0, 1)), target, 1, PRIMES)
+    assert v3.kind == KIND_REJECTED and v3.detail.startswith("rule (a)")
     with pytest.raises(ValueError):
-        exact_quartic_verdict(P((1, 0, -5, 0, 1)), pi_sl_n(3))
+        exact_verdict(P((1, 0, -5, 0, 1)), pi_sl_n(3), 1, PRIMES)
+
+
+def test_reducible_quartic_is_never_certified_against_transitive_v4():
+    # (x^2 - 2)(x^2 - 3) has Galois group V4 acting on two orbits of 2; the
+    # old quartic oracle named it "V4" and certified it against the
+    # transitive V4
+    v = exact_verdict(P((-2, 0, 1)) * P((-3, 0, 1)), transitive_v4(), 1, PRIMES)
+    assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
+    # the intransitive V4 target is certified
+    s2xs2 = PredictedGroup("s2xs2", enumerate_group([(1, 0, 2, 3), (0, 1, 3, 2)]), 4)
+    assert exact_verdict(P((-2, 0, 1)) * P((-3, 0, 1)), s2xs2, 1, PRIMES).kind == (
+        KIND_CERTIFIED_EXACT
+    )
+
+
+def test_huge_resolvent_constant_needs_no_trial_division():
+    # x^4 + a x^3 + b x^2 + c x + d with the resolvent cubic's constant term
+    # a^2 d - 4 b d + c^2 above 2^120: a divisor search would never end
+    a, b, c, d = 3, 10**20 + 7, 10**31 + 3, 5 * 10**29 + 1
+    assert a * a * d - 4 * b * d + c * c > 2**120
+    f = P((d, c, b, a, 1))
+    start = time.perf_counter()
+    name, orbits = small_galois_group(f)
+    assert time.perf_counter() - start < 1
+    assert (name, orbits) == ("S4", (4,))
+
+
+def test_worst_res_sqrt2_sample_is_fast():
+    # chi of res_sqrt2's slowest walk sample at k = 35 (seed 1, sample 23
+    # of 40): the old quartic oracle's divisor search on its resolvent ran
+    # for minutes
+    chi = P((1, 19316, 11228916, 19316, 1))
+    target = pi_restriction_of_scalars(2, symmetric_group(2))
+    start = time.perf_counter()
+    v = exact_verdict(chi, target, 1, PRIMES)
+    assert time.perf_counter() - start < 1
+    assert v.kind == KIND_CERTIFIED_EXACT and "D4" in v.detail
+
+
+def test_rule_b_rejects_square_discriminant_above_degree_4():
+    # x^5 - 5x + 12 has Galois group D5 inside A5: irreducible, square
+    # discriminant, so S5 is rejected by (b) and A5 is left open
+    f = P((12, -5, 0, 0, 0, 1))
+    v = exact_verdict(f, pi_sl_n(5), 1, PRIMES)
+    assert v.kind == KIND_REJECTED and v.detail.startswith("rule (b)")
+    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 5)
+    assert exact_verdict(f, a5, 1, PRIMES) is None
+
+
+def test_exact_verdict_multiplicity_uses_only_rule_a():
+    # q = x^2 - 2 with multiplicity 2: orbits (2, 2)
+    q = P((-2, 0, 1))
+    assert exact_verdict(q, pi_sl_n_doubled(2), 2, PRIMES) is None
+    v = exact_verdict(q, pi_sl_n_tau_reciprocal(2), 2, PRIMES)
+    assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
+
+
+def test_identify_scans_only_what_the_rules_leave_open():
+    q = P((-2, 0, 1))
+    verdict, summary = identify(q, pi_sl_n_doubled(2), 2)
+    assert verdict.kind == KIND_CONSISTENT and summary.degree == 4
+    verdict, summary = identify(P((1, 1, 0, 0, 1)), pi_sl_n(4))
+    assert verdict.kind == KIND_CERTIFIED_EXACT and summary is None
+
+
+def test_catalog_orbit_lengths():
+    assert pi_sl_n(4).group.orbit_lengths() == (4,)
+    assert pi_sl_n_doubled(4).group.orbit_lengths() == (4, 4)
+    assert pi_sl_n_tau_reciprocal(2).group.orbit_lengths() == (4,)
+    assert pi_sl_power_identity(2, 2).group.orbit_lengths() == (2, 2)
+    assert pi_sl_power_cyclic(2, 3).group.orbit_lengths() == (6,)
+    assert pi_restriction_of_scalars(2, symmetric_group(2)).group.orbit_lengths() == (4,)
+    assert enumerate_group([], degree=3).orbit_lengths() == (1, 1, 1)
 
 
 def test_quadratic_galois_antidiagonal_example():
