@@ -266,80 +266,6 @@ def radical(f: RationalPolynomial) -> RationalPolynomial:
     return q.monic()
 
 
-def integral_monic(f: RationalPolynomial) -> list[int]:
-    """Integer coefficients of D^n f(T / D) for a monic f of degree n.
-
-    D is the least common denominator of f's coefficients.  The roots are
-    D times f's, so the factor degrees over Q and the Galois group of the
-    splitting field are f's own.
-    """
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
-    d = lcm(*(c.denominator for c in f.coeffs))
-    n = f.degree
-    return [c.numerator * (d ** (n - i) // c.denominator) for i, c in enumerate(f.coeffs)]
-
-
-def _int_eval(c: Sequence[int], x: int) -> int:
-    acc = 0
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
-
-
-def integer_roots(c: Sequence[int]) -> list[int]:
-    """Integer roots, ascending, of a nonzero integer polynomial (degree-indexed).
-
-    Integer bisection between critical points: every root r satisfies
-    |r| <= 1 + max|c_i| (Cauchy) and, when c_0 != 0, |r| <= |c_0|.  The
-    floors of the real roots of c' cut that range into segments on which c
-    is monotone, and bisection finds the one root a segment can hold.  The
-    work is polynomial in the coefficients' bit size, unlike a search over
-    the divisors of c_0.
-    """
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        raise ValueError("zero polynomial")
-    roots = []
-    if c[0] == 0:
-        roots.append(0)
-        while c[0] == 0:
-            c.pop(0)
-    bound = min(1 + max(map(abs, c)), abs(c[0]))
-    roots += (m for m in _root_floors(c, -bound, bound) if _int_eval(c, m) == 0)
-    return sorted(roots)
-
-
-def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:
-    """Ascending integers in [lo, hi] among which lies floor(r) for every real
-    root r of c with lo <= r <= hi (a superset: the caller tests them)."""
-    if len(c) < 2:
-        return []
-    crit = _root_floors([i * a for i, a in enumerate(c)][1:], lo, hi)
-    out = set(crit)
-    # c' has no root in [m + 1, m'), so c is monotone on [m + 1, m']
-    for a, b in zip([lo] + [m + 1 for m in crit], crit + [hi]):
-        if a > b:
-            continue
-        fa, fb = _int_eval(c, a), _int_eval(c, b)
-        if fa == 0:
-            out.add(a)
-            continue
-        if fb != 0 and (fb > 0) == (fa > 0):
-            continue
-        while b - a > 1:  # sign(c(a)) = sign(fa), c(b) opposite or zero
-            mid = (a + b) // 2
-            fm = _int_eval(c, mid)
-            if fm != 0 and (fm > 0) == (fa > 0):
-                a = mid
-            else:
-                b = mid
-        out.add(b if _int_eval(c, b) == 0 else a)
-    return sorted(out)
-
-
 def resultant(f: RationalPolynomial, g: RationalPolynomial) -> Fraction:
     """Resultant via the Sylvester matrix (exact)."""
     m, n = f.degree, g.degree

@@ -32,13 +32,10 @@ from functools import lru_cache
 from .exactmat import (
     RationalPolynomial,
     discriminant,
-    integer_roots,
-    integral_monic,
     is_rational_square,
 )
 from .modpoly import (
     CycleType,
-    factor_degrees,
     frobenius_cycle_type,
     make_cycle_type,
     primes_in_window,
@@ -47,6 +44,7 @@ from .modpoly import (
 )
 from .permkit import enumerate_group
 from .picatalog import PredictedGroup
+from .zfactor import factor_degrees, integer_roots, integral_monic
 
 # walk defaults; ExperimentConfig's field defaults name these
 PRIME_WINDOW = (1_000, 100_000)

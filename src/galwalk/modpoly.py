@@ -7,17 +7,12 @@ that: we never need the factors themselves, only their degree pattern.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import isqrt
 
 from .exactmat import (
     PrimeFieldPolynomial,
     RationalPolynomial,
-    integer_roots,
-    integral_monic,
     poly_gcd,
     reduce_poly_mod_p,
 )
@@ -235,242 +230,6 @@ def frobenius_cycle_type(f: RationalPolynomial, p: int) -> FrobeniusSample:
     if pattern is None:
         return FrobeniusSample(p, None, "not_squarefree")
     return FrobeniusSample(p, pattern, "good")
-
-
-# ---------------------------------------------------------------------------
-# factor degrees over Q: rational roots, Musser's filter, then Zassenhaus
-# (Cohen, GTM 138, section 3.5)
-# ---------------------------------------------------------------------------
-
-# good primes whose patterns Musser's filter intersects before lifting
-MUSSER_PRIMES = 5
-
-
-@dataclass(frozen=True)
-class FactorDegrees:
-    """Degrees of f's irreducible factors over Q (a partition of deg f), and
-    the Frobenius cycle types of f seen at the primes used to find them."""
-
-    degrees: CycleType
-    types: frozenset
-
-
-def factor_degrees(f: RationalPolynomial, primes) -> FactorDegrees | None:
-    """Exact factor degrees of a monic squarefree f over Q.
-
-    Rational roots come first, found exactly.  Without a linear factor a
-    cofactor of degree <= 3 is irreducible.  Above that, the cycle types at
-    the first MUSSER_PRIMES good odd primes among `primes` bound the
-    possible factor degrees to the subset sums common to all of them
-    (Musser); when no proper degree survives, the cofactor is irreducible.
-    Otherwise the factorization at the prime with the fewest factors is
-    lifted p-adically (Hensel) and recombined, each factor confirmed by
-    exact division over Z, so the result never depends on chance.  None
-    only when `primes` holds no good odd prime and the degrees need one.
-    """
-    ints = integral_monic(f)
-    roots = integer_roots(ints)
-    g = ints
-    for r in roots:
-        g = _exact_quotient(g, [-r, 1])
-    degrees = [1] * len(roots)
-    types: set[CycleType] = set()
-    m = len(g) - 1
-    if m >= 4:
-        sums = None
-        best = None  # (factor count, prime)
-        good = 0
-        for p in primes:
-            if p == 2:
-                continue
-            sample = frobenius_cycle_type(f, p)
-            if sample.status != "good":
-                continue
-            good += 1
-            types.add(sample.cycle_type)
-            parts = list(sample.cycle_type)[: len(sample.cycle_type) - len(roots)]
-            reach = {0}
-            for part in parts:
-                reach |= {s + part for s in reach}
-            sums = reach if sums is None else sums & reach
-            if best is None or len(parts) < best[0]:
-                best = (len(parts), p)
-            proper = any(2 <= d <= m - 2 for d in sums)
-            if not proper or good == MUSSER_PRIMES:
-                break
-        if best is None:
-            return None
-        if proper:
-            degrees += _zassenhaus(g, best[1], sums)
-            m = 0
-    if m > 0:
-        degrees.append(m)
-    return FactorDegrees(make_cycle_type(degrees), frozenset(types))
-
-
-def _zassenhaus(g: list[int], p: int, sums: set[int]) -> list[int]:
-    """Factor degrees of a monic squarefree integer g, squarefree mod the odd
-    prime p, whose factor degrees all lie in sums."""
-    local = [
-        u
-        for d, g_d in _ddf([c % p for c in g], p)
-        for u in _edf(g_d, d, p, random.Random(p))
-    ]
-    # Mignotte: a factor's coefficients are at most 2^m |g|_2 in size
-    bound = 2 ** (len(g) - 1) * (isqrt(sum(c * c for c in g)) + 1)
-    modulus = p
-    while modulus <= 2 * bound:
-        modulus *= modulus
-    lifted = _hensel_lift(g, local, p, modulus)
-    degrees = []
-    size = 1
-    while 2 * size <= len(lifted):
-        for subset in combinations(range(len(lifted)), size):
-            d = sum(len(lifted[i]) - 1 for i in subset)
-            if d not in sums:
-                continue
-            v = [1]
-            for i in subset:
-                v = _zmod(_conv(v, lifted[i]), modulus)
-            v = [c - modulus if 2 * c > modulus else c for c in v]
-            quo = _exact_quotient(g, v)
-            if quo is not None:
-                degrees.append(d)
-                g = quo
-                lifted = [u for i, u in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
-    if len(g) > 1:
-        degrees.append(len(g) - 1)
-    return degrees
-
-
-def _exact_quotient(g: list[int], v: list[int]) -> list[int] | None:
-    """g / v over Z for a monic v, or None when v does not divide g."""
-    n = len(v) - 1
-    if v[0] and g[0] % v[0]:
-        return None
-    rem = g[:]
-    quo = [0] * (len(g) - n)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = rem[k + n]
-        if c:
-            for i in range(n + 1):
-                rem[k + i] -= c * v[i]
-    return quo if not any(rem[:n]) else None
-
-
-def _edf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """The irreducible factors of a monic squarefree g over F_p (p odd) whose
-    factors all have degree d (Cantor-Zassenhaus equal-degree splitting).
-
-    A random a splits g through gcd(g, a^((p^d - 1) / 2) - 1); the seeded
-    rng keeps runs reproducible, and the factors do not depend on it.
-    """
-    n = len(g) - 1
-    if n == d:
-        return [g]
-    e = (p ** d - 1) // 2
-    while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
-        if len(a) < 2:
-            continue
-        b = _pow_mod(a, e, g, p) or [0]
-        b[0] = (b[0] - 1) % p
-        u = _pf_gcd(g, _trim(b), p)
-        if 1 < len(u) < len(g):
-            return _edf(u, d, p, rng) + _edf(_pf_fulldiv(g, u, p), d, p, rng)
-
-
-def _pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod a monic f over F_p, square-and-multiply."""
-    h = [1]
-    for bit in bin(e)[2:]:
-        h = _reduce_monic(_conv(h, h), f, p)
-        if bit == "1":
-            h = _reduce_monic(_conv(h, a), f, p)
-    return h
-
-
-def _hensel_lift(f, factors, p: int, modulus: int) -> list[list[int]]:
-    """Lift pairwise coprime monic factors of a monic integer f mod p to
-    monic factors of f mod modulus = p^(2^j), one factor split off at a time."""
-    lifted = []
-    for i in range(len(factors) - 1):
-        rest = [1]
-        for u in factors[i + 1:]:
-            rest = _pf_mul(rest, u, p)
-        g, f = _lift_pair(f, factors[i], rest, p, modulus)
-        lifted.append(g)
-    lifted.append(_zmod(f, modulus))
-    return lifted
-
-
-def _lift_pair(f, g, h, p: int, modulus: int):
-    """Quadratic Hensel lifting of f = g h mod p to mod modulus, for monic f,
-    g, h with g, h coprime mod p (von zur Gathen-Gerhard, Algorithm 15.10)."""
-    s, t = _pf_bezout(g, h, p)
-    m = p
-    while m < modulus:
-        m *= m
-        e = _zmod(_zsum(f, _zneg(_conv(g, h))), m)
-        q, r = _zdivmod(_conv(s, e), h, m)
-        g = _zmod(_zsum(g, _conv(t, e), _conv(q, g)), m)
-        h = _zmod(_zsum(h, r), m)
-        b = _zmod(_zsum(_conv(s, g), _conv(t, h), [-1]), m)
-        c, d = _zdivmod(_conv(s, b), h, m)
-        s = _zmod(_zsum(s, _zneg(d)), m)
-        t = _zmod(_zsum(t, _zneg(_conv(t, b)), _zneg(_conv(c, g))), m)
-    return g, h
-
-
-def _pf_bezout(a: list[int], b: list[int], p: int):
-    """s, t over F_p with s a + t b = 1, deg s < deg b, deg t < deg a, for
-    coprime a and b (extended Euclid, each divisor made monic)."""
-    r0, s0, t0 = a, [1], []
-    r1, s1, t1 = b, [], [1]
-    while r1:
-        inv = pow(r1[-1], -1, p)
-        r1, s1, t1 = ([c * inv % p for c in x] for x in (r1, s1, t1))
-        q, r = _zdivmod(r0, r1, p)
-        r0, s0, t0, r1, s1, t1 = (
-            r1, s1, t1, r,
-            _zmod(_zsum(s0, _zneg(_conv(q, s1))), p),
-            _zmod(_zsum(t0, _zneg(_conv(q, t1))), p),
-        )
-    return s0, t0
-
-
-def _zmod(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
-
-
-def _zsum(*polys: list[int]) -> list[int]:
-    out = [0] * max(map(len, polys))
-    for a in polys:
-        for i, c in enumerate(a):
-            out[i] += c
-    return out
-
-
-def _zneg(a: list[int]) -> list[int]:
-    return [-c for c in a]
-
-
-def _zdivmod(a: list[int], h: list[int], m: int):
-    """Quotient and remainder of a by a monic h over Z/m."""
-    n = len(h) - 1
-    a = [c % m for c in a]
-    if len(a) <= n:
-        return [], _trim(a)
-    quo = [0] * (len(a) - n)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + n] % m
-        if c:
-            for i in range(n + 1):
-                a[k + i] -= c * h[i]
-    return _trim(quo), _zmod(a[:n], m)
 
 
 @lru_cache(maxsize=8)

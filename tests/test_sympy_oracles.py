@@ -14,9 +14,10 @@ from galwalk.galois_id import (
     KIND_REJECTED,
     PRIME_WINDOW,
 )
-from galwalk.modpoly import factor_degrees, primes_in_window
+from galwalk.modpoly import primes_in_window
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
+from galwalk.zfactor import factor_degrees
 
 X = symbols("x")
 PRIMES = primes_in_window(*PRIME_WINDOW)
