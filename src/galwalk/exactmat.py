@@ -2,10 +2,10 @@
 univariate polynomials over Q, and coefficientwise reduction mod p.
 
 Everything here is arbitrary-precision and exact.  A matrix is integer rows
-over one common denominator, so products, characteristic polynomials,
-determinants and inverses all run on integers.  Matrices and polynomials
-are immutable; all operations are pure functions, safe to share across
-workers.
+over one common denominator and a polynomial is integer coefficients over
+one, so products, characteristic polynomials, determinants and inverses
+all run on integers.  Matrices and polynomials are immutable; all
+operations are pure functions, safe to share across workers.
 """
 from __future__ import annotations
 
@@ -111,196 +111,68 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 class RationalPolynomial:
-    """Univariate polynomial over Q.
+    """Univariate polynomial over Q, stored as integer coefficients over one
+    denominator.
 
-    Coefficients are degree-indexed (coeffs[i] multiplies T^i) with a nonzero
-    leading coefficient; the zero polynomial is the empty tuple.
+    The coefficient of T^i is num[i] / den (degree-indexed, num[-1] != 0; the
+    zero polynomial has num = ()).  den >= 1 and gcd(den, every num entry) =
+    1, as for RationalMatrix, so equality and hashing compare integers.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "num")
 
-    def __init__(self, coeffs: Iterable):
+    def __new__(cls, coeffs: Iterable):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return cls.from_int([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @staticmethod
+    def from_int(num: Iterable[int], den: int = 1) -> "RationalPolynomial":
+        """The polynomial num[i] / den (den nonzero), in lowest terms."""
+        num = list(num)
+        while num and num[-1] == 0:
+            num.pop()
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        f = object.__new__(RationalPolynomial)
+        object.__setattr__(f, "den", den // g)
+        object.__setattr__(f, "num", tuple(c // g for c in num))
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions; a read-only view, rebuilt on each access."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def degree(self) -> int:
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return bool(self.num) and self.num[-1] == self.den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, RationalPolynomial)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.den, self.num))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Poly(0)"
         terms = [f"{c}*T^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "Poly(" + " + ".join(terms) + ")"
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RationalPolynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + RationalPolynomial(tuple(-c for c in other.coeffs))
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RationalPolynomial(out)
-
-    def scale(self, c) -> "RationalPolynomial":
-        c = _frac(c)
-        return RationalPolynomial(tuple(x * c for x in self.coeffs))
-
-    def monic(self) -> "RationalPolynomial":
-        if self.is_zero() or self.coeffs[-1] == 1:
-            return self
-        return self.scale(1 / self.leading())
-
-    def evaluate(self, x) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            tuple(i * c for i, c in enumerate(self.coeffs))[1:]
-        )
-
-    def shift(self, a) -> "RationalPolynomial":
-        """Compose with T -> T + a (exact Horner on polynomial arguments)."""
-        a = _frac(a)
-        x = RationalPolynomial((a, Fraction(1)))
-        acc = RationalPolynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * x + RationalPolynomial((c,))
-        return acc
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
 
-def poly_divmod(
-    f: RationalPolynomial, g: RationalPolynomial
-) -> tuple[RationalPolynomial, RationalPolynomial]:
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f.coeffs)
-    quo = [Fraction(0)] * max(0, len(rem) - len(g.coeffs) + 1)
-    glead = g.leading()
-    gdeg = g.degree
-    while len(rem) - 1 >= gdeg and rem:
-        c = rem[-1] / glead
-        k = len(rem) - 1 - gdeg
-        quo[k] = c
-        for i, gc in enumerate(g.coeffs):
-            rem[k + i] -= c * gc
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return RationalPolynomial(quo), RationalPolynomial(rem)
-
-
-def poly_gcd(f: RationalPolynomial, g: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd over Q (Euclid; degrees here are tiny)."""
-    a, b = f, g
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
-
-
-def exact_poly_root(f: RationalPolynomial, e: int) -> RationalPolynomial | None:
-    """If monic f = q**e with q monic squarefree, return q; otherwise None.
-
-    Used to recognize characteristic polynomials whose eigenvalues all carry
-    the same multiplicity e.
-    """
-    if f.is_zero() or not f.is_monic() or f.degree % e != 0:
-        return None
-    rad = radical(f)
-    if rad.degree * e != f.degree:
-        return None
-    power = rad
-    for _ in range(e - 1):
-        power = power * rad
-    return rad if power == f else None
-
-
-def radical(f: RationalPolynomial) -> RationalPolynomial:
-    """Squarefree part f / gcd(f, f'), monic."""
-    if f.is_zero():
-        return f
-    g = poly_gcd(f, f.derivative())
-    if g.degree <= 0:
-        return f.monic()
-    q, r = poly_divmod(f, g)
-    assert r.is_zero()
-    return q.monic()
-
-
-def resultant(f: RationalPolynomial, g: RationalPolynomial) -> Fraction:
-    """Resultant via the Sylvester matrix (exact)."""
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    return det(RationalMatrix(rows))
-
-
-def discriminant(f: RationalPolynomial) -> Fraction:
-    n = f.degree
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading()
-
-
-def is_rational_square(x: Fraction) -> bool:
-    """Exact test: x = (a/b)^2 for some rational a/b."""
-    x = _frac(x)
-    if x < 0:
-        return False
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    return rn * rn == x.numerator and rd * rd == x.denominator
+def is_rational_square(x: int) -> bool:
+    """Exact test: the integer x is the square of a rational, so of an integer."""
+    return x >= 0 and isqrt(x) ** 2 == x
 
 
 def int_char_poly(rows) -> list[int]:
@@ -340,11 +212,11 @@ def char_poly(a: RationalMatrix) -> RationalPolynomial:
 
     With a = num / d, the integer kernel gives det(T*I - num) = d^n *
     det((T/d)*I - a), so the coefficient of T^i over Q is the integer one
-    divided by d^(n-i).
+    times d^i over d^n.
     """
     d = a.den
-    return RationalPolynomial(
-        Fraction(c, d ** (a.n - i)) for i, c in enumerate(int_char_poly(a.num))
+    return RationalPolynomial.from_int(
+        (c * d ** i for i, c in enumerate(int_char_poly(a.num))), d ** a.n
     )
 
 
@@ -395,17 +267,11 @@ class PrimeFieldPolynomial:
 def reduce_poly_mod_p(f: RationalPolynomial, p: int) -> PrimeFieldPolynomial | None:
     """Coefficientwise reduction of f mod p.
 
-    None marks a bad prime (zero polynomial, a denominator divisible by p,
-    or a leading coefficient that vanishes mod p); Frobenius sampling skips
+    None marks a bad prime (zero polynomial, p dividing the denominator, or
+    a leading coefficient that vanishes mod p); Frobenius sampling skips
     such primes.
     """
-    if f.is_zero():
+    if not f.num or f.den % p == 0 or f.num[-1] % p == 0:
         return None
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    if out[-1] % p == 0:
-        return None
-    return PrimeFieldPolynomial(p, tuple(out))
+    inv = pow(f.den, -1, p)
+    return PrimeFieldPolynomial(p, tuple(c * inv % p for c in f.num))

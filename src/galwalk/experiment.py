@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .exactmat import (
-    RationalMatrix,
-    char_poly,
-    exact_poly_root,
-    is_rational_square,
-    mat_mul,
-)
+from .exactmat import RationalMatrix, char_poly, is_rational_square, mat_mul
 from .finfield import (
     MAX_CLOSURE,
     BadPrimeError,
@@ -43,7 +37,13 @@ from .galois_id import (
     identify,
     quadratic_galois,
 )
-from .modpoly import primes_in_window, squarefree_over_q
+from .modpoly import (
+    discriminant,
+    exact_poly_root,
+    integral_monic,
+    primes_in_window,
+    squarefree_over_q,
+)
 from .permkit import GroupTooLarge
 from .scenarios import Scenario, builtin_scenarios
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
@@ -384,9 +384,7 @@ def run_oracle(config: ExperimentConfig):
             if lab == 0:
                 continue
             off += count
-            chi = char_poly(m)
-            disc = chi.coeffs[1] ** 2 - 4 * chi.coeffs[0]
-            is_trivial = is_rational_square(disc)
+            is_trivial = is_rational_square(discriminant(integral_monic(char_poly(m))))
             if is_trivial:
                 trivial += count
             expected = (parity == 1) if k % 2 == 0 else (parity == 0)

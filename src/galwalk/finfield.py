@@ -18,12 +18,13 @@ from .exactmat import det, int_char_poly
 from .modpoly import (
     CycleType,
     PrimeFieldPolynomial,
-    _pf_deriv,
-    _pf_fulldiv,
-    _pf_gcd,
-    _pf_monic,
-    _pf_mul,
+    derivative,
     distinct_degree_pattern,
+    divmod_poly,
+    mod,
+    mul,
+    pf_gcd,
+    pf_monic,
     repeat_parts,
 )
 from .permkit import GroupTooLarge
@@ -175,16 +176,16 @@ def _profile_pattern(
     p = chi.p
     if multiplicity == 1:
         return distinct_degree_pattern(chi)
-    f = _pf_monic(list(chi.coeffs), p)
-    g = _pf_gcd(f, _pf_deriv(f, p), p)
+    f = pf_monic(chi.coeffs, p)
+    g = pf_gcd(f, mod(derivative(f), p), p)
     if len(g) - 1 <= 0:
         return None  # squarefree, but we expected multiplicity > 1
-    rad = _pf_fulldiv(f, g, p)
+    rad = divmod_poly(f, g, p)[0]
     if (len(rad) - 1) * multiplicity != len(f) - 1:
         return None
     power = [1]
     for _ in range(multiplicity):
-        power = _pf_mul(power, rad, p)
+        power = mod(mul(power, rad), p)
     if power != f:
         return None
     base = distinct_degree_pattern(PrimeFieldPolynomial(p, tuple(rad)))

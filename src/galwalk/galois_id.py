@@ -29,22 +29,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmat import (
-    RationalPolynomial,
-    discriminant,
-    is_rational_square,
-)
+from .exactmat import RationalPolynomial, is_rational_square
 from .modpoly import (
     CycleType,
+    discriminant,
     frobenius_cycle_type,
+    integral_monic,
     make_cycle_type,
     primes_in_window,
     repeat_parts,
+    resolvent_cubic,
     squarefree_over_q,
 )
 from .permkit import enumerate_group
 from .picatalog import PredictedGroup
-from .zfactor import factor_degrees, integer_roots, integral_monic
+from .zfactor import factor_degrees, integer_roots
 
 # walk defaults; ExperimentConfig's field defaults name these
 PRIME_WINDOW = (1_000, 100_000)
@@ -323,7 +322,7 @@ def exact_verdict(
     if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
         return None
     ints = integral_monic(q)
-    disc = _int_discriminant(ints)
+    disc = discriminant(ints)
     if odd_target and is_rational_square(disc):
         return _rejected(
             target, "rule (b): square discriminant, target has odd permutations"
@@ -381,7 +380,7 @@ def small_group_distribution(name: str, orbits: CycleType) -> dict:
 
 
 def small_galois_group(f: RationalPolynomial) -> tuple[str, CycleType]:
-    """Gal(f) for a squarefree f of degree <= 4: its name and orbit lengths.
+    """Gal(f) for a monic squarefree f of degree <= 4: its name and orbit lengths.
 
     The name is the abstract group ("1", "C2", "C3", "S3", "C4", "V4",
     "D4", "A4", "S4"); with the orbit lengths it keys SMALL_GROUPS.
@@ -391,10 +390,9 @@ def small_galois_group(f: RationalPolynomial) -> tuple[str, CycleType]:
         raise ValueError("need degree 2, 3 or 4")
     if not squarefree_over_q(f):
         raise NotSquarefreeInput("repeated root")
-    f = f.monic()
     orbits = factor_degrees(f, primes_in_window(*PRIME_WINDOW)).degrees
     ints = integral_monic(f)
-    return _small_group_name(ints, orbits, _int_discriminant(ints)), orbits
+    return _small_group_name(ints, orbits, discriminant(ints)), orbits
 
 
 def _small_group_name(ints, orbits, disc) -> str:
@@ -410,7 +408,7 @@ def _small_group_name(ints, orbits, disc) -> str:
     """
     square = is_rational_square(disc)
     if orbits == (4,):
-        roots = integer_roots(_resolvent_cubic(ints))
+        roots = integer_roots(resolvent_cubic(ints))
         if not roots:
             return "A4" if square else "S4"
         if len(roots) == 3:
@@ -430,41 +428,16 @@ def _small_group_name(ints, orbits, disc) -> str:
     return "C2" if orbits[0] == 2 else "1"
 
 
-def _resolvent_cubic(ints) -> list[int]:
-    """y^3 - b y^2 + (a c - 4 d) y - (a^2 d - 4 b d + c^2), whose roots are
-    x1 x2 + x3 x4 and its conjugates, for x^4 + a x^3 + b x^2 + c x + d.
-    Its discriminant is the quartic's."""
-    d, c, b, a = ints[:4]
-    return [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-
-
-def _int_discriminant(ints) -> int:
-    """Discriminant of a monic integer polynomial: closed forms to degree 3,
-    the resolvent cubic's at degree 4, the Sylvester resultant
-    (exactmat.discriminant) above."""
-    n = len(ints) - 1
-    if n == 4:
-        return _int_discriminant(_resolvent_cubic(ints))
-    if n == 1:
-        return 1
-    if n == 2:
-        return ints[1] ** 2 - 4 * ints[0]
-    if n == 3:
-        c, b, a = ints[:3]
-        return a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
-    return int(discriminant(RationalPolynomial(ints)))
-
-
 # ---------------------------------------------------------------------------
 # exact low-degree classification
 # ---------------------------------------------------------------------------
 
 def quadratic_galois(f: RationalPolynomial) -> str:
-    """"trivial" iff the discriminant is a rational square, else "order2"."""
+    """"trivial" iff the monic quadratic f's discriminant is a rational
+    square, else "order2"; decided on f's integral form."""
     if f.degree != 2:
         raise ValueError("need degree 2")
     if not squarefree_over_q(f):
         raise NotSquarefreeInput("repeated root")
-    c, b, a = f.coeffs[0], f.coeffs[1], f.coeffs[2]
-    disc = b * b - 4 * a * c
+    disc = discriminant(integral_monic(f))
     return "trivial" if is_rational_square(disc) else "order2"

@@ -1,19 +1,29 @@
-"""Polynomial arithmetic over prime fields and Frobenius cycle types.
+"""Coefficient-list polynomials over Z and F_p, "chi = q^e" over Z, and
+Frobenius cycle types.
 
-The observable extracted from a matrix at a prime p is the multiset of
-degrees of the irreducible factors of its characteristic polynomial mod p
-(a partition of the degree).  Distinct-degree factorization is enough for
-that: we never need the factors themselves, only their degree pattern.
+A polynomial is a degree-indexed list of ints with a nonzero leading entry
+(the zero polynomial is []).  The arithmetic below is the one home of that
+representation: over Z, over Z/m and over F_p, each operation written once.
+
+Over Z it proves "chi = q^e with q squarefree" (power_root) and computes
+discriminants.  Over F_p, the observable extracted from a matrix at a prime p
+is the multiset of degrees of the irreducible factors of its characteristic
+polynomial mod p (a partition of the degree).  Distinct-degree factorization
+is enough for that: we never need the factors themselves, only their degree
+pattern.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from typing import Sequence
 
 from .exactmat import (
     PrimeFieldPolynomial,
     RationalPolynomial,
-    poly_gcd,
+    int_char_poly,
     reduce_poly_mod_p,
 )
 
@@ -47,17 +57,36 @@ class FrobeniusSample:
 
 
 # ---------------------------------------------------------------------------
-# low-level F_p[x] helpers; coefficient tuples are degree-indexed and reduced
+# coefficient lists over Z, Z/m and F_p
 # ---------------------------------------------------------------------------
 
-def _trim(c: list[int]) -> list[int]:
+def trim(c: list[int]) -> list[int]:
+    """c without its zero leading entries; c is shortened in place."""
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    """Integer product of two coefficient lists, nothing reduced."""
+def mod(c: Sequence[int], m: int) -> list[int]:
+    """c with every coefficient reduced mod m."""
+    return trim([x % m for x in c])
+
+
+def add(*polys: Sequence[int]) -> list[int]:
+    """Sum over Z, nothing reduced or trimmed."""
+    out = [0] * max(map(len, polys))
+    for a in polys:
+        for i, c in enumerate(a):
+            out[i] += c
+    return out
+
+
+def neg(a: Sequence[int]) -> list[int]:
+    return [-c for c in a]
+
+
+def mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product over Z, nothing reduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -68,65 +97,79 @@ def _conv(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _pf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    return _trim([x % p for x in _conv(a, b)])
+def derivative(c: Sequence[int]) -> list[int]:
+    return [i * x for i, x in enumerate(c)][1:]
 
 
-def _pf_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lead % p
-        k = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[k + i] = (a[k + i] - c * bc) % p
-        _trim(a)
-    return a
+def evaluate(c: Sequence[int], x: int) -> int:
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
 
 
-def _pf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pf_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+def divmod_poly(a: Sequence[int], h: Sequence[int], m: int = 0):
+    """Quotient and remainder of a by h: over Z for a monic h (m = 0), over
+    Z/m for an h whose leading coefficient is a unit mod m."""
+    a = list(a)
+    rem = _divide_in_place(a, h, m)
+    return trim(a[len(h) - 1:]), rem
 
 
-def _pf_monic(a: list[int], p: int) -> list[int]:
+def _divide_in_place(a: list[int], h: Sequence[int], m: int) -> list[int]:
+    """The remainder of a by h, as for divmod_poly; a is overwritten, its
+    quotient digits replacing the coefficients they eliminate.
+
+    Over Z/m, a may hold unreduced integers, and each coefficient is
+    reduced once, as it becomes the leading one or at the end, instead of
+    after every product.  The remainder-only callers below pass a product
+    they own, so the hot paths copy nothing.
+    """
+    n = len(h) - 1
+    inv = 1 if h[-1] == 1 else pow(h[-1], -1, m)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k] = a[k] * inv % m if m else a[k]
+        if c:
+            base = k - n
+            for i in range(n):
+                a[base + i] -= c * h[i]
+    return trim([x % m for x in a[:n]] if m else a[:n])
+
+
+def exact_quotient(g: Sequence[int], v: Sequence[int]) -> list[int] | None:
+    """g / v over Z for a monic v, or None when v does not divide g."""
+    if v[0] and g[0] % v[0]:
+        return None
+    quo, rem = divmod_poly(g, v)
+    return None if rem else quo
+
+
+def pf_monic(a: Sequence[int], p: int) -> list[int]:
     if not a or a[-1] == 1:
-        return a[:]
+        return list(a)
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
-def _pf_deriv(a: list[int], p: int) -> list[int]:
-    return _trim([i * c % p for i, c in enumerate(a)][1:])
+def pf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p of reduced a and b (Euclid)."""
+    while b:
+        a, b = b, divmod_poly(a, b, p)[1]
+    return pf_monic(a, p)
 
 
-def _reduce_monic(c: list[int], f: list[int], p: int) -> list[int]:
-    """c mod f over F_p for a monic f; c may hold unreduced integers.
+def pow_mod(a: list[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """a^e mod a monic f over F_p, by left-to-right square-and-multiply.
 
-    Each coefficient is reduced mod p once, as it becomes the leading one or
-    at the end, instead of after every product.  c is overwritten.
+    Multiplying by a = x is a shift, so x^e takes one reduction per bit.
     """
-    n = len(f) - 1
-    for k in range(len(c) - 1, n - 1, -1):
-        q = c[k] % p
-        if q:
-            base = k - n
-            for i in range(n):
-                c[base + i] -= q * f[i]
-    return _trim([x % p for x in c[:n]])
-
-
-def _x_pow_mod(e: int, f: list[int], p: int) -> list[int]:
-    """x^e mod a monic f over F_p, by left-to-right square-and-shift."""
+    shift = a == [0, 1]
     h = [1]
     for bit in bin(e)[2:]:
-        sq = _conv(h, h)
-        h = _reduce_monic([0] + sq if bit == "1" else sq, f, p)
+        h = mul(h, h)
+        if bit == "1":
+            h = [0] + h if shift else mul(_divide_in_place(h, f, p), a)
+        h = _divide_in_place(h, f, p)
     return h
 
 
@@ -134,41 +177,13 @@ def _compose_mod(h: list[int], g: list[int], f: list[int], p: int) -> list[int]:
     """h(g) mod a monic f over F_p, by Horner in g."""
     out = [h[-1]]
     for c in reversed(h[:-1]):
-        out = _conv(out, g) or [0]
+        out = mul(out, g) or [0]
         out[0] += c
-        out = _reduce_monic(out, f, p)
+        out = _divide_in_place(out, f, p)
     return out
 
 
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def squarefree_over_q(f: RationalPolynomial) -> bool:
-    """True iff gcd(f, f') is constant, computed exactly over Q."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    return poly_gcd(f, f.derivative()).degree <= 0
-
-
-def distinct_degree_pattern(g: PrimeFieldPolynomial) -> CycleType | None:
-    """Multiset of degrees of the irreducible factors of g over F_p.
-
-    Returns None when g has a repeated factor (those primes are excluded
-    from statistics); otherwise reads the pattern off _ddf.
-    """
-    p = g.p
-    f = _pf_monic(list(g.coeffs), p)
-    if len(f) - 1 < 1:
-        raise ValueError("need degree >= 1")
-    if len(_pf_gcd(f, _pf_deriv(f, p), p)) - 1 > 0:
-        return None
-    return make_cycle_type(
-        d for d, g_d in _ddf(f, p) for _ in range((len(g_d) - 1) // d)
-    )
-
-
-def _ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+def ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
     """Distinct-degree factorization of a monic squarefree f over F_p.
 
     Pairs (d, product of f's irreducible factors of degree d), d ascending.
@@ -187,36 +202,168 @@ def _ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
             out.append((len(rem) - 1, rem))
             break
         if xp is None:
-            h = xp = _x_pow_mod(p, rem, p)
+            h = xp = pow_mod([0, 1], p, rem, p)
         else:
             # Frobenius fixes F_p, so x^(p^d) = (x^(p^(d-1)))^p = h(x^p)
             h = _compose_mod(h, xp, rem, p)
         diff = h + [0] * max(0, 2 - len(h))
         diff[1] = (diff[1] - 1) % p
-        g_d = _pf_gcd(rem, _trim(diff), p)
+        g_d = pf_gcd(rem, trim(diff), p)
         if len(g_d) > 1:
             out.append((d, g_d))
-            rem = _pf_fulldiv(rem, g_d, p)
-            h = _pf_rem(h, rem, p)
-            xp = _pf_rem(xp, rem, p)
+            rem = divmod_poly(rem, g_d, p)[0]
+            h = divmod_poly(h, rem, p)[1]
+            xp = divmod_poly(xp, rem, p)[1]
     return out
 
 
-def _pf_fulldiv(a: list[int], b: list[int], p: int) -> list[int]:
-    """Exact quotient a / b over F_p (remainder known to vanish)."""
-    a = a[:]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lead % p
-        k = len(a) - 1 - db
-        quo[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = (a[k + i] - c * bc) % p
-        _trim(a)
-    assert not a, "division was not exact"
-    return quo
+# ---------------------------------------------------------------------------
+# over Z: chi = q^e with q squarefree, and the discriminant
+# ---------------------------------------------------------------------------
+
+def _primitive(c: Sequence[int]) -> list[int]:
+    """A nonzero c divided by its content, leading coefficient made positive."""
+    g = gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
+
+
+def prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd over Z of a nonzero a and any b, primitive with positive leading
+    coefficient: the primitive polynomial remainder sequence (Knuth, TAOCP
+    vol. 2, section 4.6.1), each pseudo-remainder divided by its content."""
+    a = _primitive(a)
+    b = _primitive(b) if b else []
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        n, lead = len(b) - 1, b[-1]
+        r = a
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r[k]
+            r = [x * lead for x in r[:k]]
+            for i in range(n):
+                r[k - n + i] -= c * b[i]
+        r = trim(r)
+        a, b = b, _primitive(r) if r else []
+    return a
+
+
+def power_root(f: Sequence[int], e: int) -> list[int] | None:
+    """q with f = q^e and q squarefree, for a monic integer f; otherwise None.
+
+    q is f / gcd(f, f'), f's squarefree part, computed over Z: the gcd is
+    primitive and divides the monic f, so by Gauss's lemma it is monic and
+    the division is exact.  Then q^e = f is checked.
+    """
+    n = len(f) - 1
+    if n % e:
+        return None
+    q = exact_quotient(f, prs_gcd(f, derivative(f)))
+    if (len(q) - 1) * e != n:
+        return None
+    power = q
+    for _ in range(e - 1):
+        power = mul(power, q)
+    return q if power == list(f) else None
+
+
+def integral_monic(f: RationalPolynomial) -> list[int]:
+    """Integer coefficients of D^n f(T / D) for a monic f of degree n, D = f.den.
+
+    The coefficient of T^i is num[i] * D^(n-1-i), where f = num / D.  The
+    roots are D times f's, so squarefreeness, e-th powers, the factor
+    degrees over Q, the Galois group and the discriminant's square class are
+    f's own.
+    """
+    if not f.is_monic():
+        raise ValueError("expected a monic polynomial")
+    d, num = f.den, f.num
+    n = len(num) - 1
+    return [c * d ** (n - 1 - i) for i, c in enumerate(num[:-1])] + [1]
+
+
+def exact_poly_root(f: RationalPolynomial, e: int) -> RationalPolynomial | None:
+    """If monic f = q**e with q monic squarefree, return q; otherwise None.
+
+    Used to recognize characteristic polynomials whose eigenvalues all carry
+    the same multiplicity e.  Decided by power_root on f's integral form:
+    D^n f(T/D) = (D^m q(T/D))^e, so q's coefficient of T^i is the root's
+    times D^i over D^m.
+    """
+    if not f.is_monic():
+        return None
+    q = power_root(integral_monic(f), e)
+    if q is None:
+        return None
+    d = f.den
+    return RationalPolynomial.from_int(
+        [c * d ** i for i, c in enumerate(q)], d ** (len(q) - 1)
+    )
+
+
+def squarefree_over_q(f: RationalPolynomial) -> bool:
+    """True iff the monic f has no repeated root: power_root at e = 1."""
+    if not f.is_monic():
+        raise ValueError("expected a monic polynomial")
+    return power_root(integral_monic(f), 1) is not None
+
+
+def resolvent_cubic(f: Sequence[int]) -> list[int]:
+    """y^3 - b y^2 + (a c - 4 d) y - (a^2 d - 4 b d + c^2), whose roots are
+    x1 x2 + x3 x4 and its conjugates, for f = x^4 + a x^3 + b x^2 + c x + d.
+    Its discriminant is f's."""
+    d, c, b, a = f[:4]
+    return [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
+
+
+def discriminant(f: Sequence[int]) -> int:
+    """Discriminant of a monic integer polynomial of degree >= 1.
+
+    Closed forms to degree 3, the resolvent cubic's at degree 4, and above
+    that (-1)^(n(n-1)/2) Res(f, f'), the determinant of the integer
+    Sylvester matrix.
+    """
+    n = len(f) - 1
+    if n < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    if n == 1:
+        return 1
+    if n == 2:
+        return f[1] ** 2 - 4 * f[0]
+    if n == 3:
+        c, b, a = f[:3]
+        return a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
+    if n == 4:
+        return discriminant(resolvent_cubic(f))
+    rf, rg = list(reversed(f)), list(reversed(derivative(f)))
+    size = 2 * n - 1
+    rows = [[0] * i + rf + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + rg + [0] * (n - 1 - i) for i in range(n)]
+    res = (-1) ** size * int_char_poly(rows)[0]
+    return -res if n * (n - 1) // 2 % 2 else res
+
+
+# ---------------------------------------------------------------------------
+# Frobenius cycle types
+# ---------------------------------------------------------------------------
+
+def distinct_degree_pattern(g: PrimeFieldPolynomial) -> CycleType | None:
+    """Multiset of degrees of the irreducible factors of g over F_p.
+
+    Returns None when g has a repeated factor (those primes are excluded
+    from statistics); otherwise reads the pattern off ddf.
+    """
+    p = g.p
+    f = pf_monic(g.coeffs, p)
+    if len(f) - 1 < 1:
+        raise ValueError("need degree >= 1")
+    if len(pf_gcd(f, mod(derivative(f), p), p)) - 1 > 0:
+        return None
+    return make_cycle_type(
+        d for d, g_d in ddf(f, p) for _ in range((len(g_d) - 1) // d)
+    )
 
 
 def frobenius_cycle_type(f: RationalPolynomial, p: int) -> FrobeniusSample:
@@ -248,6 +395,4 @@ def primes_in_window(lo: int, hi: int) -> tuple[int, ...]:
     if hi < 2:
         return ()
     ps = _sieve(hi)
-    from bisect import bisect_left
-
     return ps[bisect_left(ps, lo):]

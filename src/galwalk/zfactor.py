@@ -5,51 +5,36 @@ polynomial are the orbit lengths of its Galois group.  They are found
 exactly: integer roots by bisection, Musser's filter over Frobenius cycle
 types, then Zassenhaus's algorithm (Cohen, GTM 138, section 3.5): Hensel
 lifting of the factorization at one prime and recombination, each factor
-confirmed by exact division over Z.  The prime-field arithmetic is
-modpoly's.
+confirmed by exact division over Z.  The coefficient-list arithmetic over
+Z and F_p is modpoly's.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt
 from typing import Sequence
 
 from .exactmat import RationalPolynomial
 from .modpoly import (
     CycleType,
-    _conv,
-    _ddf,
-    _pf_fulldiv,
-    _pf_gcd,
-    _pf_mul,
-    _reduce_monic,
-    _trim,
+    add,
+    ddf,
+    derivative,
+    divmod_poly,
+    evaluate,
+    exact_quotient,
     frobenius_cycle_type,
+    integral_monic,
     make_cycle_type,
+    mod,
+    mul,
+    neg,
+    pf_gcd,
+    pow_mod,
+    trim,
 )
-
-
-def integral_monic(f: RationalPolynomial) -> list[int]:
-    """Integer coefficients of D^n f(T / D) for a monic f of degree n.
-
-    D is the least common denominator of f's coefficients.  The roots are
-    D times f's, so the factor degrees over Q and the Galois group of the
-    splitting field are f's own.
-    """
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
-    d = lcm(*(c.denominator for c in f.coeffs))
-    n = f.degree
-    return [c.numerator * (d ** (n - i) // c.denominator) for i, c in enumerate(f.coeffs)]
-
-
-def _int_eval(c: Sequence[int], x: int) -> int:
-    acc = 0
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
 
 
 def integer_roots(c: Sequence[int]) -> list[int]:
@@ -62,9 +47,7 @@ def integer_roots(c: Sequence[int]) -> list[int]:
     work is polynomial in the coefficients' bit size, unlike a search over
     the divisors of c_0.
     """
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
+    c = trim(list(c))
     if not c:
         raise ValueError("zero polynomial")
     roots = []
@@ -73,7 +56,7 @@ def integer_roots(c: Sequence[int]) -> list[int]:
         while c[0] == 0:
             c.pop(0)
     bound = min(1 + max(map(abs, c)), abs(c[0]))
-    roots += (m for m in _root_floors(c, -bound, bound) if _int_eval(c, m) == 0)
+    roots += (m for m in _root_floors(c, -bound, bound) if evaluate(c, m) == 0)
     return sorted(roots)
 
 
@@ -82,13 +65,13 @@ def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:
     root r of c with lo <= r <= hi (a superset: the caller tests them)."""
     if len(c) < 2:
         return []
-    crit = _root_floors([i * a for i, a in enumerate(c)][1:], lo, hi)
+    crit = _root_floors(derivative(c), lo, hi)
     out = set(crit)
     # c' has no root in [m + 1, m'), so c is monotone on [m + 1, m']
     for a, b in zip([lo] + [m + 1 for m in crit], crit + [hi]):
         if a > b:
             continue
-        fa, fb = _int_eval(c, a), _int_eval(c, b)
+        fa, fb = evaluate(c, a), evaluate(c, b)
         if fa == 0:
             out.add(a)
             continue
@@ -96,12 +79,12 @@ def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:
             continue
         while b - a > 1:  # sign(c(a)) = sign(fa), c(b) opposite or zero
             mid = (a + b) // 2
-            fm = _int_eval(c, mid)
+            fm = evaluate(c, mid)
             if fm != 0 and (fm > 0) == (fa > 0):
                 a = mid
             else:
                 b = mid
-        out.add(b if _int_eval(c, b) == 0 else a)
+        out.add(b if evaluate(c, b) == 0 else a)
     return sorted(out)
 
 
@@ -139,7 +122,7 @@ def factor_degrees(f: RationalPolynomial, primes) -> FactorDegrees | None:
     roots = integer_roots(ints)
     g = ints
     for r in roots:
-        g = _exact_quotient(g, [-r, 1])
+        g = exact_quotient(g, [-r, 1])
     degrees = [1] * len(roots)
     types: set[CycleType] = set()
     m = len(g) - 1
@@ -180,7 +163,7 @@ def _zassenhaus(g: list[int], p: int, sums: set[int]) -> list[int]:
     prime p, whose factor degrees all lie in sums."""
     local = [
         u
-        for d, g_d in _ddf([c % p for c in g], p)
+        for d, g_d in ddf(mod(g, p), p)
         for u in _edf(g_d, d, p, random.Random(p))
     ]
     # Mignotte: a factor's coefficients are at most 2^m |g|_2 in size
@@ -198,9 +181,9 @@ def _zassenhaus(g: list[int], p: int, sums: set[int]) -> list[int]:
                 continue
             v = [1]
             for i in subset:
-                v = _zmod(_conv(v, lifted[i]), modulus)
+                v = mod(mul(v, lifted[i]), modulus)
             v = [c - modulus if 2 * c > modulus else c for c in v]
-            quo = _exact_quotient(g, v)
+            quo = exact_quotient(g, v)
             if quo is not None:
                 degrees.append(d)
                 g = quo
@@ -211,21 +194,6 @@ def _zassenhaus(g: list[int], p: int, sums: set[int]) -> list[int]:
     if len(g) > 1:
         degrees.append(len(g) - 1)
     return degrees
-
-
-def _exact_quotient(g: list[int], v: list[int]) -> list[int] | None:
-    """g / v over Z for a monic v, or None when v does not divide g."""
-    n = len(v) - 1
-    if v[0] and g[0] % v[0]:
-        return None
-    rem = g[:]
-    quo = [0] * (len(g) - n)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = rem[k + n]
-        if c:
-            for i in range(n + 1):
-                rem[k + i] -= c * v[i]
-    return quo if not any(rem[:n]) else None
 
 
 def _edf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -240,24 +208,14 @@ def _edf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         return [g]
     e = (p ** d - 1) // 2
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
-        b = _pow_mod(a, e, g, p) or [0]
+        b = pow_mod(a, e, g, p) or [0]
         b[0] = (b[0] - 1) % p
-        u = _pf_gcd(g, _trim(b), p)
+        u = pf_gcd(g, trim(b), p)
         if 1 < len(u) < len(g):
-            return _edf(u, d, p, rng) + _edf(_pf_fulldiv(g, u, p), d, p, rng)
-
-
-def _pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod a monic f over F_p, square-and-multiply."""
-    h = [1]
-    for bit in bin(e)[2:]:
-        h = _reduce_monic(_conv(h, h), f, p)
-        if bit == "1":
-            h = _reduce_monic(_conv(h, a), f, p)
-    return h
+            return _edf(u, d, p, rng) + _edf(divmod_poly(g, u, p)[0], d, p, rng)
 
 
 def _hensel_lift(f, factors, p: int, modulus: int) -> list[list[int]]:
@@ -267,10 +225,10 @@ def _hensel_lift(f, factors, p: int, modulus: int) -> list[list[int]]:
     for i in range(len(factors) - 1):
         rest = [1]
         for u in factors[i + 1:]:
-            rest = _pf_mul(rest, u, p)
+            rest = mod(mul(rest, u), p)
         g, f = _lift_pair(f, factors[i], rest, p, modulus)
         lifted.append(g)
-    lifted.append(_zmod(f, modulus))
+    lifted.append(mod(f, modulus))
     return lifted
 
 
@@ -281,14 +239,14 @@ def _lift_pair(f, g, h, p: int, modulus: int):
     m = p
     while m < modulus:
         m *= m
-        e = _zmod(_zsum(f, _zneg(_conv(g, h))), m)
-        q, r = _zdivmod(_conv(s, e), h, m)
-        g = _zmod(_zsum(g, _conv(t, e), _conv(q, g)), m)
-        h = _zmod(_zsum(h, r), m)
-        b = _zmod(_zsum(_conv(s, g), _conv(t, h), [-1]), m)
-        c, d = _zdivmod(_conv(s, b), h, m)
-        s = _zmod(_zsum(s, _zneg(d)), m)
-        t = _zmod(_zsum(t, _zneg(_conv(t, b)), _zneg(_conv(c, g))), m)
+        e = mod(add(f, neg(mul(g, h))), m)
+        q, r = divmod_poly(mul(s, e), h, m)
+        g = mod(add(g, mul(t, e), mul(q, g)), m)
+        h = mod(add(h, r), m)
+        b = mod(add(mul(s, g), mul(t, h), [-1]), m)
+        c, d = divmod_poly(mul(s, b), h, m)
+        s = mod(add(s, neg(d)), m)
+        t = mod(add(t, neg(mul(t, b)), neg(mul(c, g))), m)
     return g, h
 
 
@@ -300,41 +258,10 @@ def _pf_bezout(a: list[int], b: list[int], p: int):
     while r1:
         inv = pow(r1[-1], -1, p)
         r1, s1, t1 = ([c * inv % p for c in x] for x in (r1, s1, t1))
-        q, r = _zdivmod(r0, r1, p)
+        q, r = divmod_poly(r0, r1, p)
         r0, s0, t0, r1, s1, t1 = (
             r1, s1, t1, r,
-            _zmod(_zsum(s0, _zneg(_conv(q, s1))), p),
-            _zmod(_zsum(t0, _zneg(_conv(q, t1))), p),
+            mod(add(s0, neg(mul(q, s1))), p),
+            mod(add(t0, neg(mul(q, t1))), p),
         )
     return s0, t0
-
-
-def _zmod(a: list[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
-
-
-def _zsum(*polys: list[int]) -> list[int]:
-    out = [0] * max(map(len, polys))
-    for a in polys:
-        for i, c in enumerate(a):
-            out[i] += c
-    return out
-
-
-def _zneg(a: list[int]) -> list[int]:
-    return [-c for c in a]
-
-
-def _zdivmod(a: list[int], h: list[int], m: int):
-    """Quotient and remainder of a by a monic h over Z/m."""
-    n = len(h) - 1
-    a = [c % m for c in a]
-    if len(a) <= n:
-        return [], _trim(a)
-    quo = [0] * (len(a) - n)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + n] % m
-        if c:
-            for i in range(n + 1):
-                a[k + i] -= c * h[i]
-    return _trim(quo), _zmod(a[:n], m)

@@ -15,7 +15,6 @@ from math import factorial, gcd
 from galwalk.exactmat import (
     RationalMatrix,
     char_poly,
-    exact_poly_root,
     reduce_poly_mod_p,
 )
 from galwalk.experiment import ExperimentConfig, batch_seed, run_convergence, run_oracle
@@ -29,7 +28,7 @@ from galwalk.galois_id import (
     identify,
     small_galois_group,
 )
-from galwalk.modpoly import primes_in_window, squarefree_over_q
+from galwalk.modpoly import exact_poly_root, primes_in_window, squarefree_over_q
 from galwalk.output import render_csv
 from galwalk.permkit import symmetric_group, cyclic_group, wreath_product
 from galwalk.picatalog import (

@@ -13,17 +13,12 @@ from galwalk.exactmat import (
     SingularMatrix,
     char_poly,
     det,
-    discriminant,
-    exact_poly_root,
     is_rational_square,
     mat_inverse,
     mat_mul,
-    poly_divmod,
-    poly_gcd,
-    radical,
     reduce_poly_mod_p,
-    resultant,
 )
+from galwalk.modpoly import add, mul, neg
 
 I2 = RationalMatrix.identity(2)
 
@@ -49,30 +44,25 @@ def det_leibniz(a: RationalMatrix) -> F:
 
 
 def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
-    """Slow oracle: expand det(T*I - a) by cofactors over Q[T]."""
-    n = a.n
+    """Slow oracle: expand det(T*I - a) by cofactors over Q[T], on lists of
+    Fraction coefficients."""
 
     def minor_det(rows_idx, cols_idx):
         if not rows_idx:
-            return RationalPolynomial((1,))
+            return [F(1)]
         i = rows_idx[0]
-        total = RationalPolynomial(())
+        total = []
         for pos, j in enumerate(cols_idx):
-            if i == j:
-                entry = RationalPolynomial((-a.rows[i][j], F(1)))
-            else:
-                entry = RationalPolynomial((-a.rows[i][j],))
-            if entry.is_zero():
+            entry = [-a.rows[i][j], F(1)] if i == j else [-a.rows[i][j]]
+            if not any(entry):
                 continue
             sub = minor_det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:])
-            term = entry * sub
-            if pos % 2:
-                term = term.scale(-1)
-            total = total + term
+            term = mul(entry, sub)
+            total = add(total, neg(term) if pos % 2 else term)
         return total
 
-    idx = tuple(range(n))
-    return minor_det(idx, idx)
+    idx = tuple(range(a.n))
+    return RationalPolynomial(minor_det(idx, idx))
 
 
 def mat_mul_fractions(a: RationalMatrix, b: RationalMatrix) -> tuple:
@@ -281,59 +271,37 @@ def test_reduce_poly_mod_p_examples():
     )
 
 
+def test_reduce_poly_mod_p_denominator():
+    # T^2 / 2 + 1: the leading numerator is a unit mod 2, the denominator is not
+    f = RationalPolynomial((1, 0, F(1, 2)))
+    assert (f.den, f.num) == (2, (2, 0, 1))
+    assert reduce_poly_mod_p(f, 2) is None
+    assert reduce_poly_mod_p(f, 3) == PrimeFieldPolynomial(3, (1, 0, 2))
+
+
+def test_polynomial_canonical_form():
+    f = RationalPolynomial((F(1, 2), F(-2, 3), 1, 0))
+    assert (f.den, f.num) == (6, (3, -4, 6)) and f.degree == 2 and f.is_monic()
+    assert f.coeffs == (F(1, 2), F(-2, 3), F(1))
+    assert f == RationalPolynomial.from_int((-6, 8, -12), -12)
+    assert hash(f) == hash(RationalPolynomial.from_int((-6, 8, -12), -12))
+    assert RationalPolynomial.from_int((4, 2)) != RationalPolynomial((2, 1))
+    zero = RationalPolynomial((0, 0))
+    assert (zero.den, zero.num, zero.degree, zero.is_monic()) == (1, (), -1, False)
+
+
 def test_reduce_poly_leading_drop():
     f = RationalPolynomial((1, 1, 5))  # leading coefficient 5
     assert reduce_poly_mod_p(f, 5) is None
 
 
-def test_poly_division_and_gcd():
-    f = RationalPolynomial((6, -5, 1))
-    g = RationalPolynomial((-2, 1))
-    q, r = poly_divmod(f, g)
-    assert r.is_zero() and q == RationalPolynomial((-3, 1))
-    assert poly_gcd(f, g) == RationalPolynomial((-2, 1))
-    sq = RationalPolynomial((1, -2, 1))
-    assert poly_gcd(sq, sq.derivative()) == RationalPolynomial((-1, 1))
-
-
-def test_radical_and_exact_root():
-    q = RationalPolynomial((1, -3, 1))
-    assert radical(q * q) == q.monic()
-    assert exact_poly_root(q * q, 2) == q
-    assert exact_poly_root(q * q * q, 3) == q
-    assert exact_poly_root(q * q * RationalPolynomial((-5, 1)), 2) is None
-    cube = RationalPolynomial((-1, 1))
-    assert exact_poly_root(cube * cube * cube * cube, 2) is None  # radical^2 != f
-    assert exact_poly_root(q, 1) == q
-    assert exact_poly_root(RationalPolynomial((1, -2, 1)), 1) is None  # (T-1)^2
-    # a monic squarefree polynomial is its own radical, not a rescaled copy
-    assert radical(q) is q
-    assert RationalPolynomial((F(1, 2), 2)).monic() == RationalPolynomial((F(1, 4), 1))
-
-
-def test_resultant_and_discriminant():
-    # disc(x^2 + bx + c) = b^2 - 4c
-    f = RationalPolynomial((3, -5, 1))
-    assert discriminant(f) == 25 - 12
-    # disc(x^3 + px + q) = -4p^3 - 27q^2
-    g = RationalPolynomial((2, -1, 0, 1))
-    assert discriminant(g) == -4 * (-1) ** 3 - 27 * 4
-    # resultant of coprime polynomials is nonzero; of sharing a root, zero
-    assert resultant(RationalPolynomial((-1, 1)), RationalPolynomial((-1, 1))) == 0
-
-
 def test_is_rational_square():
-    assert is_rational_square(F(4))
-    assert is_rational_square(F(9, 16))
-    assert not is_rational_square(F(6))
-    assert not is_rational_square(F(-4))
-    assert is_rational_square(F(0))
-
-
-def test_shift_composition():
-    f = RationalPolynomial((0, 0, 1))  # T^2
-    g = f.shift(1)  # (T+1)^2
-    assert g == RationalPolynomial((1, 2, 1))
+    assert is_rational_square(4)
+    assert is_rational_square(3 ** 40)
+    assert not is_rational_square(6)
+    assert not is_rational_square(3 ** 41)
+    assert not is_rational_square(-4)
+    assert is_rational_square(0)
 
 
 def test_commutation_with_mod_p_reduction():

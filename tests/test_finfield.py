@@ -7,7 +7,6 @@ import pytest
 from galwalk.exactmat import (
     RationalMatrix,
     char_poly,
-    exact_poly_root,
     reduce_poly_mod_p,
 )
 from galwalk.finfield import (
@@ -21,7 +20,12 @@ from galwalk.finfield import (
     reduce_generators,
     reduce_matrix,
 )
-from galwalk.modpoly import frobenius_cycle_type, repeat_parts, squarefree_over_q
+from galwalk.modpoly import (
+    exact_poly_root,
+    frobenius_cycle_type,
+    repeat_parts,
+    squarefree_over_q,
+)
 from galwalk.permkit import GroupTooLarge
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
 from galwalk.walker import batch_sample, cyclic_component_group

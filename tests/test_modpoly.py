@@ -1,23 +1,28 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
 from galwalk.exactmat import PrimeFieldPolynomial, RationalMatrix, RationalPolynomial, char_poly
 from galwalk.modpoly import (
-    _pf_deriv,
-    _pf_fulldiv,
-    _pf_gcd,
-    _pf_monic,
-    _pf_mul,
-    _pf_rem,
-    _trim,
+    derivative,
+    discriminant,
     distinct_degree_pattern,
+    divmod_poly,
+    exact_poly_root,
     frobenius_cycle_type,
     make_cycle_type,
+    mod,
+    mul,
+    pf_gcd,
+    pf_monic,
+    power_root,
     primes_in_window,
+    prs_gcd,
     repeat_parts,
     squarefree_over_q,
+    trim,
 )
 
 from fp_brute import brute_force_pattern
@@ -35,6 +40,70 @@ def test_squarefree_over_q():
     assert squarefree_over_q(RationalPolynomial((6, -5, 1)))
     assert not squarefree_over_q(RationalPolynomial((1, -2, 1)))
     assert squarefree_over_q(RationalPolynomial((1, 0, 1)))
+    # (T - 1/2)^2 (T + 1/3): decided on the integral form (T - 6)^2 (T + 4), D = 12
+    assert not squarefree_over_q(RationalPolynomial((F(1, 12), F(-1, 12), F(-2, 3), 1)))
+    with pytest.raises(ValueError):
+        squarefree_over_q(RationalPolynomial((1, 0, 2)))
+
+
+def pprod(*factors):
+    return RationalPolynomial(reduce(mul, factors))
+
+
+def test_exact_poly_root():
+    q = (1, -3, 1)
+    assert exact_poly_root(pprod(q, q), 2) == RationalPolynomial(q)
+    assert exact_poly_root(pprod(q, q, q), 3) == RationalPolynomial(q)
+    assert exact_poly_root(pprod(q, q, (-5, 1)), 2) is None
+    line = (-1, 1)
+    assert exact_poly_root(pprod(line, line, line, line), 2) is None  # radical^2 != f
+    # the radical (T - 1)(T - 2) has the right degree, but its square is not f
+    assert exact_poly_root(pprod(line, line, line, (-2, 1)), 2) is None
+    assert exact_poly_root(RationalPolynomial(q), 1) == RationalPolynomial(q)
+    assert exact_poly_root(RationalPolynomial((1, -2, 1)), 1) is None  # (T-1)^2
+    assert exact_poly_root(RationalPolynomial((1, 0, 2)), 1) is None  # not monic
+    # a denominator-6 root: q = (T - 1/2)(T + 1/3)
+    half_third = (F(-1, 6), F(-1, 6), 1)
+    square = pprod(half_third, half_third)
+    assert exact_poly_root(square, 2) == RationalPolynomial(half_third)
+    assert exact_poly_root(square, 1) is None
+
+
+def test_power_root_and_prs_gcd():
+    assert prs_gcd([1, -2, 1], [-2, 2]) == [-1, 1]
+    assert prs_gcd([6, -5, 1], [-2, 1]) == [-2, 1]
+    assert prs_gcd([2, 0, 2], [3, 3]) == [1]  # contents 2 and 3 are dropped
+    # (T - 1)^2 (T + 2) and its derivative share T - 1
+    f = mul(mul([-1, 1], [-1, 1]), [2, 1])
+    assert prs_gcd(f, derivative(f)) == [-1, 1]
+    assert power_root(f, 1) is None
+    assert power_root(mul([2, 0, 1], [2, 0, 1]), 2) == [2, 0, 1]
+    assert power_root(mul(f, f), 2) is None
+
+
+def test_divmod_poly():
+    assert divmod_poly([6, -5, 1], [-2, 1]) == ([-3, 1], [])
+    assert divmod_poly([7, -5, 1], [-2, 1]) == ([-3, 1], [1])
+    # over Z/7 unreduced input gives reduced output
+    assert divmod_poly([14, 9, 8], [5, 1], 7) == ([4, 1], [1])
+    assert divmod_poly([1, 2], [0, 0, 1], 5) == ([], [1, 2])
+    # over F_5 the divisor's leading coefficient need only be a unit
+    assert divmod_poly([1, 0, 1], [1, 2], 5) == ([1, 3], [])
+    assert divmod_poly([2, 0, 1], [1, 2], 5) == ([1, 3], [1])
+
+
+def test_discriminant():
+    # disc(x^2 + bx + c) = b^2 - 4c
+    assert discriminant([3, -5, 1]) == 25 - 12
+    # disc(x^3 + px + q) = -4p^3 - 27q^2
+    assert discriminant([2, -1, 0, 1]) == -4 * (-1) ** 3 - 27 * 4
+    # a repeated root gives zero; degree 4 goes through the resolvent cubic
+    assert discriminant(mul([-1, 1], [-1, 1])) == 0
+    assert discriminant([-2, 0, 0, 0, 1]) == -2048
+    assert discriminant(mul(mul([-1, 1], [-1, 1]), [2, 0, 0, 1])) == 0
+    assert discriminant([5, 1]) == 1
+    with pytest.raises(ValueError):
+        discriminant([1])
 
 
 def test_distinct_degree_pattern_examples():
@@ -57,13 +126,17 @@ def test_pattern_against_brute_force_factorization():
         assert got == brute_force_pattern(coeffs, p)
 
 
-def _pf_powmod(base, e, mod, p):
+def _pf_rem(a, f, p):
+    return divmod_poly(a, f, p)[1]
+
+
+def _pf_powmod(base, e, f, p):
     result = [1]
-    base = _pf_rem(base, mod, p)
+    base = _pf_rem(base, f, p)
     while e:
         if e & 1:
-            result = _pf_rem(_pf_mul(result, base, p), mod, p)
-        base = _pf_rem(_pf_mul(base, base, p), mod, p)
+            result = _pf_rem(mod(mul(result, base), p), f, p)
+        base = _pf_rem(mod(mul(base, base), p), f, p)
         e >>= 1
     return result
 
@@ -72,8 +145,8 @@ def ddf_by_powering(g):
     """Reference DDF: each x^(p^d) is the previous one raised to the p-th
     power by square-and-multiply, reduced mod p after every product."""
     p = g.p
-    f = _pf_monic(list(g.coeffs), p)
-    if len(_pf_gcd(f, _pf_deriv(f, p), p)) - 1 > 0:
+    f = pf_monic(g.coeffs, p)
+    if len(pf_gcd(f, mod(derivative(f), p), p)) - 1 > 0:
         return None
     parts = []
     rem = f
@@ -87,11 +160,11 @@ def ddf_by_powering(g):
         h = _pf_powmod(h, p, rem, p)
         diff = h + [0] * max(0, 2 - len(h))
         diff[1] = (diff[1] - 1) % p
-        g_d = _pf_gcd(rem, _trim(diff), p)
+        g_d = pf_gcd(rem, trim(diff), p)
         deg = len(g_d) - 1
         if deg > 0:
             parts.extend([d] * (deg // d))
-            rem = _pf_fulldiv(rem, g_d, p)
+            rem = divmod_poly(rem, g_d, p)[0]
             h = _pf_rem(h, rem, p)
     return make_cycle_type(parts)
 
@@ -116,7 +189,7 @@ def test_ddf_by_composition_against_powering():
             coeffs = [1]
             for _ in range(rng.randint(1, 4)):
                 k = rng.randint(1, 4)
-                coeffs = _pf_mul(coeffs, [rng.randrange(p) for _ in range(k)] + [1], p)
+                coeffs = mod(mul(coeffs, [rng.randrange(p) for _ in range(k)] + [1]), p)
             if not 1 <= len(coeffs) - 1 <= 8:
                 continue
             g = PrimeFieldPolynomial(p, tuple(coeffs))

@@ -1,20 +1,29 @@
-"""Independent oracles for the exact rules: sympy's factor_list and
-galois_group.  Test only; the package itself never imports sympy."""
+"""Independent oracles for the exact rules and the integer kernel: sympy's
+factor_list, galois_group, sqf_list and discriminant.  Test only; the
+package itself never imports sympy."""
 import random
 from fractions import Fraction as F
+from functools import reduce
 
-from sympy import Poly, Rational, factor_list, symbols
+import sympy
+from sympy import QQ, Poly, Rational, factor_list, symbols
 from sympy.polys.numberfields.galoisgroups import galois_group
 
 from galwalk.exactmat import RationalPolynomial as P
-from galwalk.exactmat import char_poly, exact_poly_root
+from galwalk.exactmat import char_poly
 from galwalk.experiment import ExperimentConfig, batch_seed, identify_sample
 from galwalk.galois_id import (
     KIND_CERTIFIED_EXACT,
     KIND_REJECTED,
     PRIME_WINDOW,
 )
-from galwalk.modpoly import primes_in_window
+from galwalk.modpoly import (
+    discriminant,
+    exact_poly_root,
+    mul,
+    primes_in_window,
+    squarefree_over_q,
+)
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 from galwalk.zfactor import factor_degrees
@@ -51,9 +60,7 @@ def test_factor_degrees_match_sympy_factor_list():
     checked = 0
     for trial in range(130):
         split = splits[trial % len(splits)]
-        f = P((1,))
-        for d in split:
-            f = f * random_factor(rng, d)
+        f = P(reduce(mul, (random_factor(rng, d).coeffs for d in split)))
         if sympy_poly(f).sqf_part().degree() != f.degree:
             continue
         checked += 1
@@ -88,3 +95,71 @@ def test_exact_verdicts_match_sympy_on_sl3_and_sl4_walks():
                     assert alternating
                 else:
                     assert detail.startswith(f"rule (c): exact group {sym} ")
+
+
+def sympy_power_root(f: P, e: int) -> P | None:
+    """q with f = q**e and q monic squarefree, read off sympy's sqf_list."""
+    _, factors = Poly(sympy_poly(f), X, domain=QQ).sqf_list()
+    if any(m != e for _, m in factors):
+        return None
+    q = reduce(lambda a, b: a * b, (g for g, _ in factors), Poly(1, X, domain=QQ))
+    q = q.monic()
+    return P(F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs()))
+
+
+def check_kernel(f: P, e: int) -> bool:
+    """exact_poly_root and squarefree_over_q against sqf_list; True iff f = q**e."""
+    want = sympy_power_root(f, e)
+    assert exact_poly_root(f, e) == want, (f, e)
+    assert squarefree_over_q(f) == (sympy_power_root(f, 1) is not None), f
+    return want is not None
+
+
+def test_kernel_matches_sympy_sqf_list_on_random_products():
+    rng = random.Random(23)
+
+    def monic(d):
+        return [rng.randint(-4, 4) for _ in range(d)] + [1]
+
+    powers = repeated = checked = 0
+    while checked < 100:
+        e = rng.choice((1, 2, 3))
+        factors = [monic(rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+        repeat = rng.random() < 0.2  # q with a repeated factor
+        if repeat:
+            factors.append(factors[0])
+        q = reduce(mul, factors)
+        r = [1] if rng.random() < 0.5 else monic(rng.randint(1, 2))
+        f = reduce(mul, [q] * e + [r])
+        if len(f) - 1 > 8:
+            continue
+        checked += 1
+        repeated += repeat
+        powers += check_kernel(P(f), e)
+    assert powers >= 20 and repeated >= 10
+
+
+def test_kernel_matches_sympy_sqf_list_on_walk_samples():
+    # sltau2 has e = 2 on its identity coset; sltau4 has degree 8 and
+    # slcyc2x3 degree 6
+    powers = 0
+    for name in ("sltau2", "sltau4", "slcyc2x3"):
+        scen = builtin_scenarios()[name]
+        for k in (10, 20):
+            for sample in batch_sample(scen.admissible(), k, 20, batch_seed(1, k)):
+                e = scen.coset(sample.label).multiplicity
+                powers += check_kernel(char_poly(sample.element), e)
+    assert powers >= 60
+
+
+def test_kernel_matches_sympy_on_denominator_6():
+    q = (F(-1, 6), F(-1, 6), 1)  # (T - 1/2)(T + 1/3)
+    f = P(mul(q, q))
+    assert f.den == 36 and check_kernel(f, 2) and not check_kernel(f, 1)
+    assert exact_poly_root(f, 2) == P(q)
+
+
+def test_discriminant_matches_sympy_above_degree_4():
+    # degrees 5, 6 and 8 take the integer Sylvester determinant
+    for f in ([3, -1, 0, 2, 0, 1], [-7, 2, 5, 0, -3, 1, 1], [1, 0, -9, 4, 0, 0, 2, 0, 1]):
+        assert discriminant(f) == sympy.discriminant(Poly(list(reversed(f)), X)), f

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from galwalk.exactmat import RationalPolynomial
-from galwalk.zfactor import integer_roots, integral_monic
+from galwalk.modpoly import integral_monic
+from galwalk.zfactor import integer_roots
 
 
 def _int_mul(a, b):
@@ -35,8 +36,9 @@ def test_integer_roots_against_known_roots():
 
 
 def test_integral_monic_scales_roots():
-    # (T - 1/2)(T + 2/3) -> (T - 3)(T + 4) with D = 6
-    f = RationalPolynomial((-F(1, 2), 1)) * RationalPolynomial((F(2, 3), 1))
+    # (T - 1/2)(T + 2/3) = T^2 + T/6 - 1/3 -> (T - 3)(T + 4) with D = 6
+    f = RationalPolynomial((F(-1, 3), F(1, 6), 1))
+    assert (f.den, f.num) == (6, (-2, 1, 6))
     ints = integral_monic(f)
     assert ints == _int_mul([-3, 1], [4, 1])
     assert integer_roots(ints) == [-4, 3]
