@@ -335,26 +335,30 @@ def run_finite_field(config: ExperimentConfig):
     return rows, FINFIELD_FIELDS, config.metadata("finfield")
 
 
-def exact_word_census(scenario: Scenario, k: int):
+def exact_word_census(scenario: Scenario, k: int, start: tuple | None = None):
     """Exact distribution over all |gens|^k words of the walk at step k.
 
     Dynamic programming over (element, coset label, identity-letter parity)
     states with exact word counts; equivalent to enumerating every word.
     Returns {(matrix, label, parity): count} with counts summing to gens^k.
+    From `start`, an earlier call's (k0, states), only k - k0 steps run.  A
+    letter whose matrix is the identity keeps m, without a product.
     """
     gens = scenario.admissible()
     ident = RationalMatrix.identity(scenario.dimension)
-    states: dict[tuple, int] = {(ident, 0, 0): 1}
+    k0, states = start or (0, {(ident, 0, 0): 1})
+    if k0 > k:
+        raise ValueError(f"cannot extend the census at k={k0} back to k={k}")
     steps = [
-        (g, lab, 1 if (g == ident and lab == 0) else 0)
+        (None, lab, int(lab == 0)) if g == ident else (g, lab, 0)
         for g, lab in gens.generators
     ]
-    for _ in range(k):
+    for _ in range(k - k0):
         nxt: dict[tuple, int] = {}
         for (m, lab, parity), count in states.items():
             for g, glab, is_id in steps:
                 key = (
-                    mat_mul(m, g),
+                    m if g is None else mat_mul(m, g),
                     scenario.component_group.mul(lab, glab),
                     parity ^ is_id,
                 )
@@ -369,14 +373,17 @@ def run_oracle(config: ExperimentConfig):
     For each k, reports the exact off-coset count, the exact frequency of a
     trivial quadratic splitting field, and whether the parity law holds for
     every word: for even k the field is trivial iff the number of identity
-    letters is odd, for odd k iff it is even.
+    letters is odd, for odd k iff it is even.  Each k extends the previous
+    (smaller or equal) k's census, so one pass serves every k.
     """
     scenario = builtin_scenarios()[config.scenario]
     if scenario.has_predictions:
         raise ValueError("oracle mode applies to the counterexample scenario")
     rows = []
+    last = None
     for k in config.k_values:
-        states = exact_word_census(scenario, k)
+        states = exact_word_census(scenario, k, last)
+        last = (k, states)
         words = sum(states.values())
         off = trivial = 0
         parity_exact = 1

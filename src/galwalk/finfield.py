@@ -18,13 +18,9 @@ from .exactmat import det, int_char_poly
 from .modpoly import (
     CycleType,
     PrimeFieldPolynomial,
-    derivative,
     distinct_degree_pattern,
-    divmod_poly,
-    mod,
-    mul,
-    pf_gcd,
     pf_monic,
+    power_root,
     repeat_parts,
 )
 from .permkit import GroupTooLarge
@@ -176,21 +172,11 @@ def _profile_pattern(
     p = chi.p
     if multiplicity == 1:
         return distinct_degree_pattern(chi)
-    f = pf_monic(chi.coeffs, p)
-    g = pf_gcd(f, mod(derivative(f), p), p)
-    if len(g) - 1 <= 0:
-        return None  # squarefree, but we expected multiplicity > 1
-    rad = divmod_poly(f, g, p)[0]
-    if (len(rad) - 1) * multiplicity != len(f) - 1:
+    rad = power_root(pf_monic(chi.coeffs, p), multiplicity, p)
+    if rad is None:
         return None
-    power = [1]
-    for _ in range(multiplicity):
-        power = mod(mul(power, rad), p)
-    if power != f:
-        return None
+    # rad is squarefree, so it has a pattern
     base = distinct_degree_pattern(PrimeFieldPolynomial(p, tuple(rad)))
-    if base is None:
-        return None
     return repeat_parts(base, multiplicity)
 
 

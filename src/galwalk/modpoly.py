@@ -1,22 +1,23 @@
-"""Coefficient-list polynomials over Z and F_p, "chi = q^e" over Z, and
-Frobenius cycle types.
+"""Coefficient-list polynomials over Z and F_p, "chi = q^e", and Frobenius
+cycle types.
 
 A polynomial is a degree-indexed list of ints with a nonzero leading entry
 (the zero polynomial is []).  The arithmetic below is the one home of that
 representation: over Z, over Z/m and over F_p, each operation written once.
 
-Over Z it proves "chi = q^e with q squarefree" (power_root) and computes
-discriminants.  Over F_p, the observable extracted from a matrix at a prime p
-is the multiset of degrees of the irreducible factors of its characteristic
-polynomial mod p (a partition of the degree).  Distinct-degree factorization
-is enough for that: we never need the factors themselves, only their degree
-pattern.
+Over Z and over F_p it proves "chi = q^e with q squarefree" (power_root),
+and over Z it computes discriminants.  Over F_p, the observable extracted
+from a matrix at a prime p is the multiset of degrees of the irreducible
+factors of its characteristic polynomial mod p (a partition of the degree).
+Distinct-degree factorization is enough for that: we never need the
+factors themselves, only their degree pattern.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -218,7 +219,7 @@ def ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# over Z: chi = q^e with q squarefree, and the discriminant
+# chi = q^e with q squarefree (over Z and F_p); the discriminant over Z
 # ---------------------------------------------------------------------------
 
 def _primitive(c: Sequence[int]) -> list[int]:
@@ -250,22 +251,26 @@ def prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return a
 
 
-def power_root(f: Sequence[int], e: int) -> list[int] | None:
-    """q with f = q^e and q squarefree, for a monic integer f; otherwise None.
+def power_root(f: Sequence[int], e: int, m: int = 0) -> list[int] | None:
+    """q with f = q^e and q squarefree, for a monic f over Z (m = 0) or a
+    reduced monic f over F_m (m prime); otherwise None.
 
-    q is f / gcd(f, f'), f's squarefree part, computed over Z: the gcd is
-    primitive and divides the monic f, so by Gauss's lemma it is monic and
-    the division is exact.  Then q^e = f is checked.
+    q = f / gcd(f, f') is squarefree over Z and over F_m alike.  Over Z the
+    gcd is primitive and divides the monic f, so by Gauss's lemma the
+    division is exact.  Then q^e = f is checked.
     """
     n = len(f) - 1
     if n % e:
         return None
-    q = exact_quotient(f, prs_gcd(f, derivative(f)))
+    if m:
+        q = divmod_poly(f, pf_gcd(f, mod(derivative(f), m), m), m)[0]
+    else:
+        q = exact_quotient(f, prs_gcd(f, derivative(f)))
     if (len(q) - 1) * e != n:
         return None
     power = q
     for _ in range(e - 1):
-        power = mul(power, q)
+        power = mod(mul(power, q), m) if m else mul(power, q)
     return q if power == list(f) else None
 
 
@@ -386,7 +391,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
     for i in range(2, int(limit ** 0.5) + 1):
         if flags[i]:
             flags[i * i:: i] = b"\x00" * len(flags[i * i:: i])
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return tuple(compress(range(limit + 1), flags))
 
 
 @lru_cache(maxsize=8)

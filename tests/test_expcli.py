@@ -14,12 +14,14 @@ from galwalk.exactmat import (
     is_rational_square,
     mat_mul,
 )
+from galwalk import experiment
 from galwalk.experiment import (
     CONVERGENCE_FIELDS,
     ExperimentConfig,
     QUADRATIC_FIELDS,
     batch_seed,
     catalog_rows,
+    exact_word_census,
     identify_sample,
     run_convergence,
     run_finite_field,
@@ -207,7 +209,12 @@ def test_oracle_against_literal_word_enumeration():
     gens = scen.admissible()
     letters = list(gens.generators)
     ident = RationalMatrix.identity(2)
-    for k in (1, 2, 3, 4, 5, 6):
+    ks = (1, 2, 3, 4, 5, 6)
+    # one call for every k, so the rows come from the chained census
+    cfg = ExperimentConfig(scenario="diag_antidiag", k_values=ks, samples=1)
+    rows, _, _ = run_oracle(cfg)
+    assert [row["k"] for row in rows] == list(ks)
+    for k, row in zip(ks, rows):
         off = trivial = 0
         for word in itertools.product(range(len(letters)), repeat=k):
             m = ident
@@ -227,12 +234,87 @@ def test_oracle_against_literal_word_enumeration():
                 trivial += 1
             expected = (n_i % 2 == 1) if k % 2 == 0 else (n_i % 2 == 0)
             assert is_triv == expected
-        cfg = ExperimentConfig(scenario="diag_antidiag", k_values=(k,), samples=1)
-        (row,), _, _ = run_oracle(cfg)
         assert row["off_count"] == off
         assert row["trivial_count"] == trivial
         assert row["parity_exact"] == 1
         assert row["words"] == len(letters) ** k
+
+
+def census_by_products(scenario, k):
+    """Reference word census: every letter multiplied in, the identity too."""
+    gens = scenario.admissible()
+    ident = RationalMatrix.identity(scenario.dimension)
+    states = {(ident, 0, 0): 1}
+    for _ in range(k):
+        nxt = {}
+        for (m, lab, parity), count in states.items():
+            for g, glab in gens.generators:
+                key = (
+                    mat_mul(m, g),
+                    scenario.component_group.mul(lab, glab),
+                    parity ^ (1 if (g == ident and glab == 0) else 0),
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return states
+
+
+@pytest.mark.parametrize("name,k_max", [("diag_antidiag", 12), ("sl2", 6)])
+def test_chained_word_census_equals_fresh(name, k_max):
+    scen = builtin_scenarios()[name]
+    last = None
+    for k in range(k_max + 1):
+        states = exact_word_census(scen, k, last)
+        assert states == exact_word_census(scen, k), (name, k)
+        last = (k, states)
+    # a start beyond k cannot be extended back
+    with pytest.raises(ValueError):
+        exact_word_census(scen, k_max - 1, last)
+
+
+def test_word_census_skips_identity_products_exactly():
+    # the identity letter keeps m as it is; the states and the word totals
+    # |S|^k are those of the census that multiplies every letter in
+    for name, k_max in (("diag_antidiag", 6), ("sl2", 4)):
+        scen = builtin_scenarios()[name]
+        gens = scen.admissible()
+        ident = RationalMatrix.identity(scen.dimension)
+        assert any(g == ident for g, _ in gens.generators)
+        for k in range(k_max + 1):
+            states = exact_word_census(scen, k)
+            assert sum(states.values()) == len(gens.generators) ** k
+            assert states == census_by_products(scen, k), (name, k)
+
+
+def test_oracle_multi_k_equals_single_k_calls():
+    ks = (1, 2, 3, 4, 5, 6)
+    cfg = ExperimentConfig(scenario="diag_antidiag", k_values=ks, samples=1)
+    rows, _, _ = run_oracle(cfg)
+    singles = [
+        run_oracle(ExperimentConfig(scenario="diag_antidiag", k_values=(k,), samples=1))[0]
+        for k in ks
+    ]
+    assert [[row] for row in rows] == singles
+
+
+def test_oracle_repeated_k_and_one_census_call_per_k(monkeypatch):
+    calls = []
+
+    def recording(scenario, k, start=None):
+        states = exact_word_census(scenario, k, start)
+        calls.append((k, start[0] if start else None, sum(states.values())))
+        return states
+
+    monkeypatch.setattr(experiment, "exact_word_census", recording)
+    cfg = ExperimentConfig(scenario="diag_antidiag", k_values=(4, 4, 9), samples=1)
+    rows, _, _ = run_oracle(cfg)
+    assert rows[0] == rows[1] and rows[0]["k"] == 4
+    single = run_oracle(ExperimentConfig(scenario="diag_antidiag", k_values=(9,), samples=1))
+    assert rows[2] == single[0][0]
+    # one call per k value (the single-k run makes the fourth), each
+    # returning that k's states and extending the previous k's
+    n = len(builtin_scenarios()["diag_antidiag"].admissible().generators)
+    assert calls == [(4, None, n**4), (4, 4, n**4), (9, 4, n**9), (9, None, n**9)]
 
 
 def test_oracle_closed_form():

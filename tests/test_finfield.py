@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from galwalk.exactmat import (
+    PrimeFieldPolynomial,
     RationalMatrix,
     char_poly,
     reduce_poly_mod_p,
@@ -21,8 +22,17 @@ from galwalk.finfield import (
     reduce_matrix,
 )
 from galwalk.modpoly import (
+    derivative,
+    distinct_degree_pattern,
+    divmod_poly,
     exact_poly_root,
     frobenius_cycle_type,
+    mod,
+    mul,
+    pf_gcd,
+    pf_monic,
+    power_root,
+    primes_in_window,
     repeat_parts,
     squarefree_over_q,
 )
@@ -196,6 +206,81 @@ def census_per_element(elements, p, multiplicity):
             rs += 1
             counts[pattern] = counts.get(pattern, 0) + 1
     return len(elements), rs, counts
+
+
+def reference_root_fp(f, multiplicity, p):
+    """The F_p "chi = q^e" body census used before it called power_root:
+    gcd with f', exact division, then an e-fold product check (e > 1)."""
+    g = pf_gcd(f, mod(derivative(f), p), p)
+    if len(g) - 1 <= 0:
+        return None  # squarefree, but we expected multiplicity > 1
+    rad = divmod_poly(f, g, p)[0]
+    if (len(rad) - 1) * multiplicity != len(f) - 1:
+        return None
+    power = [1]
+    for _ in range(multiplicity):
+        power = mod(mul(power, rad), p)
+    if power != f:
+        return None
+    return rad
+
+
+def reference_profile_pattern(chi, multiplicity):
+    p = chi.p
+    if multiplicity == 1:
+        return distinct_degree_pattern(chi)
+    rad = reference_root_fp(pf_monic(chi.coeffs, p), multiplicity, p)
+    if rad is None:
+        return None
+    base = distinct_degree_pattern(PrimeFieldPolynomial(p, tuple(rad)))
+    if base is None:
+        return None
+    return repeat_parts(base, multiplicity)
+
+
+def assert_root_matches_reference(f, e, p):
+    f = pf_monic(mod(f, p), p)
+    chi = PrimeFieldPolynomial(p, tuple(f))
+    assert _profile_pattern(chi, e) == reference_profile_pattern(chi, e), (f, e, p)
+    q = power_root(f, e, p)
+    if e > 1:
+        assert q == reference_root_fp(f, e, p), (f, e, p)
+    else:
+        assert (q is not None) == (len(pf_gcd(f, mod(derivative(f), p), p)) == 1)
+        assert q is None or q == f
+    return q
+
+
+def test_fp_power_root_matches_reference_on_sltau2_chis():
+    scen = builtin_scenarios()["sltau2"]
+    for p in primes_in_window(5, 17):
+        chis = {
+            charpoly_mod_p(m, p).coeffs
+            for coset in enumerate_mod_p(scen, p).values()
+            for m in coset
+        }
+        found = 0
+        for coeffs in chis:
+            for e in (1, 2, 3):
+                found += assert_root_matches_reference(list(coeffs), e, p) is not None
+        assert found > 0, p
+
+
+def test_fp_power_root_matches_reference_on_random_products():
+    rng = random.Random(20260)
+    found = {1: 0, 2: 0, 3: 0}
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 17, 101))
+        e = rng.choice((1, 2, 3))
+        q = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+        r = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
+        if rng.random() < 0.5:
+            r = [1]
+        f = r
+        for _ in range(e):
+            f = mul(f, q)
+        found[e] += assert_root_matches_reference(f, e, p) is not None
+    assert all(found.values()), found
 
 
 def test_census_per_distinct_chi_matches_per_element():

@@ -33,6 +33,9 @@ CASES = {
         "finfield", "--scenario", "sl2", "--primes-min", "2", "--primes-max", "13",
     ),
     "oracle_diag_antidiag": ("oracle", "--scenario", "diag_antidiag"),
+    "oracle_diag_antidiag_repeat": (
+        "oracle", "--scenario", "diag_antidiag", "--k", "3,3,8,12",
+    ),
     **{
         f"run_{name}": (
             "run", "--scenario", name,

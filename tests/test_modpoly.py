@@ -79,6 +79,13 @@ def test_power_root_and_prs_gcd():
     assert power_root(f, 1) is None
     assert power_root(mul([2, 0, 1], [2, 0, 1]), 2) == [2, 0, 1]
     assert power_root(mul(f, f), 2) is None
+    # over F_5: (T^2 + 2)^2 = T^4 + 4 T^2 + 4; T^2 is a square with a
+    # repeated root; (T - 1)^5 has f' = 0, so f / gcd(f, f') is constant
+    assert power_root([4, 0, 4, 0, 1], 2, 5) == [2, 0, 1]
+    assert power_root([0, 0, 1], 2, 5) == [0, 1]
+    assert power_root([0, 0, 1], 1, 5) is None
+    assert power_root(mod(reduce(mul, [[-1, 1]] * 5), 5), 5, 5) is None
+    assert power_root([1, 0, 0, 1], 1, 5) == [1, 0, 0, 1]
 
 
 def test_divmod_poly():
@@ -274,3 +281,14 @@ def test_primes_in_window():
     assert primes_in_window(1000, 1030) == (1009, 1013, 1019, 1021)
     assert primes_in_window(2, 13) == (2, 3, 5, 7, 11, 13)
     assert primes_in_window(20, 22) == ()
+
+
+def test_primes_in_window_matches_trial_division():
+    def is_prime(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    windows = [(0, 1), (1, 1), (-5, 0), (2, 2), (4, 4), (97, 97), (0, 100),
+               (1000, 1100), (3, 5000), (4900, 5000), (4999, 4999), (5000, 4000)]
+    for lo, hi in windows:
+        want = tuple(n for n in range(max(lo, 0), hi + 1) if is_prime(n))
+        assert primes_in_window(lo, hi) == want, (lo, hi)
