@@ -81,9 +81,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
 
-    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return mat_mul(self, other)
-
     def transpose(self) -> "RationalMatrix":
         return _from_int(tuple(zip(*self.num)), self.den)
 
@@ -258,10 +255,6 @@ class PrimeFieldPolynomial:
             raise ValueError("leading coefficient vanishes mod p")
         if any(not (0 <= c < self.p) for c in self.coeffs):
             raise ValueError("coefficients must be reduced residues")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def reduce_poly_mod_p(f: RationalPolynomial, p: int) -> PrimeFieldPolynomial | None:

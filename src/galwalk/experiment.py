@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .exactmat import RationalMatrix, char_poly, is_rational_square, mat_mul
+from .exactmat import RationalMatrix, char_poly, mat_mul
 from .finfield import (
     MAX_CLOSURE,
     BadPrimeError,
@@ -28,7 +28,6 @@ from .galois_id import (
     BUDGET,
     COVERAGE_MIN,
     KIND_CERTIFIED_EXACT,
-    KIND_CERTIFIED_SN,
     KIND_CONSISTENT,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
@@ -37,13 +36,7 @@ from .galois_id import (
     identify,
     quadratic_galois,
 )
-from .modpoly import (
-    discriminant,
-    exact_poly_root,
-    integral_monic,
-    primes_in_window,
-    squarefree_over_q,
-)
+from .modpoly import exact_poly_root, primes_in_window
 from .permkit import GroupTooLarge
 from .scenarios import Scenario, builtin_scenarios
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
@@ -118,7 +111,9 @@ class ExperimentConfig:
     bound: int = MAX_CLOSURE
 
     def __post_init__(self):
-        if not self.k_values or any(k < 0 for k in self.k_values):
+        if not self.k_values:
+            raise ValueError("need at least one k value")
+        if any(k < 0 for k in self.k_values):
             raise ValueError("k values must be nonnegative")
         if list(self.k_values) != sorted(self.k_values):
             raise ValueError("k values must be ascending")
@@ -222,7 +217,7 @@ def run_convergence(config: ExperimentConfig):
         return outcome.kind if outcome.rs else None
 
     def make_row(t):
-        certified = t[KIND_CERTIFIED_SN] + t[KIND_CERTIFIED_EXACT]
+        certified = t[KIND_CERTIFIED_EXACT]
         return {
             "n_certified": certified,
             "n_consistent": t[KIND_CONSISTENT],
@@ -243,10 +238,8 @@ def _run_quadratic_outcomes(scenario: Scenario, config: ExperimentConfig):
         raise ValueError("quadratic outcome mode needs dimension 2")
 
     def classify(sample):
-        chi = char_poly(sample.element)
-        if not squarefree_over_q(chi):
-            return None
-        return "n_trivial" if quadratic_galois(chi) == "trivial" else "n_order2"
+        kind = quadratic_galois(char_poly(sample.element))
+        return None if kind is None else f"n_{kind}"
 
     def make_row(t):
         trivial = Fraction(t["n_trivial"], t["n_rs"]) if t["n_rs"] else Fraction(0)
@@ -391,7 +384,8 @@ def run_oracle(config: ExperimentConfig):
             if lab == 0:
                 continue
             off += count
-            is_trivial = is_rational_square(discriminant(integral_monic(char_poly(m))))
+            # a repeated root (None) is rational: the field is trivial
+            is_trivial = quadratic_galois(char_poly(m)) != "order2"
             if is_trivial:
                 trivial += count
             expected = (parity == 1) if k % 2 == 0 else (parity == 0)

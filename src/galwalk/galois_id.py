@@ -13,15 +13,16 @@ Frobenius cycle-type statistics for what the rules leave undecided.
     certified_exact when its type distribution is the target's, rejected
     otherwise.
 
-Only samples the rules leave undecided scan primes: the transposition +
-long-prime-cycle certificate where the target is a full symmetric group,
-statistical consistency against the target's type distribution otherwise.
+These decide every sample of degree <= 4 and multiplicity 1 whose window
+holds a good odd prime.  Only samples the rules leave undecided scan
+primes, for statistical consistency against the target's type
+distribution; the scan stops early only at a type the target never attains.
 
 A verdict never claims abstract isomorphism beyond what it proves.  A
 rejection is always a proof: an exact rule, or an observed type the target
 never attains.  Consistent is a threshold statement, a distribution
-mismatch at complete coverage stays inconclusive, and the certified kinds
-come from actual proofs.
+mismatch at complete coverage stays inconclusive, and certified_exact
+comes from rule (c) alone.
 """
 from __future__ import annotations
 
@@ -35,11 +36,9 @@ from .modpoly import (
     discriminant,
     frobenius_cycle_type,
     integral_monic,
-    make_cycle_type,
     primes_in_window,
     repeat_parts,
     resolvent_cubic,
-    squarefree_over_q,
 )
 from .permkit import enumerate_group
 from .picatalog import PredictedGroup
@@ -56,7 +55,6 @@ class NotSquarefreeInput(ValueError):
     """The polynomial has repeated roots; the sample is not usable."""
 
 
-KIND_CERTIFIED_SN = "certified_sn"
 KIND_CERTIFIED_EXACT = "certified_exact"
 KIND_CONSISTENT = "consistent"
 KIND_REJECTED = "rejected"
@@ -72,17 +70,14 @@ class SampleSummary:
     bad_count: int
     empirical: dict = field(compare=False)
 
-    def frequency(self, ct: CycleType) -> Fraction:
-        return self.empirical.get(ct, Fraction(0))
-
 
 @dataclass(frozen=True)
 class Verdict:
     """How a sample relates to its target.
 
     tv_distance and coverage describe the primes actually scanned: when
-    collect_samples stopped early at a settled kind, that is a prefix of
-    the budget, and only the kind is what the full budget would give.
+    collect_samples stopped early at a rejection, that is a prefix of the
+    budget, and only the kind is what the full budget would give.
     """
 
     kind: str
@@ -90,10 +85,6 @@ class Verdict:
     tv_distance: Fraction
     coverage: Fraction
     detail: str = ""
-
-    @property
-    def matched(self) -> bool:
-        return self.kind in (KIND_CERTIFIED_SN, KIND_CERTIFIED_EXACT, KIND_CONSISTENT)
 
 
 def collect_samples(
@@ -103,24 +94,22 @@ def collect_samples(
     target: PredictedGroup | None = None,
     multiplicity: int = 1,
 ) -> SampleSummary:
-    """Cycle types of f at ascending primes in the window, up to budget good ones.
+    """Cycle types of the monic squarefree f at ascending primes in the
+    window, up to budget good ones.
 
     Bad primes (denominator or leading-term collisions) and non-squarefree
     reductions are skipped and counted, never classified.
 
-    With a target, the scan stops at the first good prime after which the
-    verdict kind against target is settled (see settled_kind), judged on
-    the types with every part repeated multiplicity times.  The summary,
-    and so the tv and coverage computed from it, then describe the scanned
-    prefix only; the kind equals the full budget's.  Without a target the
-    whole budget is scanned.
+    With a target, the scan stops at the first type that, with every part
+    repeated multiplicity times, the target never attains: no later type
+    can undo that rejection, and match_verdict tests it before any
+    distance.  The summary, and so the tv and coverage computed from it,
+    then describe the scanned prefix only; the kind equals the full
+    budget's.  Without a target the whole budget is scanned.
     """
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
-    if not squarefree_over_q(f):
-        raise NotSquarefreeInput("polynomial has repeated roots over Q")
     counts: dict[CycleType, int] = {}
-    expanded: set[CycleType] = set()
     good = bad = 0
     for p in primes_in_window(*prime_window):
         if good >= budget:
@@ -132,10 +121,10 @@ def collect_samples(
         good += 1
         ct = sample.cycle_type
         counts[ct] = counts.get(ct, 0) + 1
-        if target is not None and counts[ct] == 1:
-            expanded.add(repeat_parts(ct, multiplicity))
-            if settled_kind(expanded, target) is not None:
-                break
+        if target is not None and counts[ct] == 1 and (
+            repeat_parts(ct, multiplicity) not in target.group.type_distribution
+        ):
+            break
     empirical = {
         ct: Fraction(counts[ct], good) for ct in sorted(counts, reverse=True)
     }
@@ -173,46 +162,6 @@ def tv_distance(observed: dict, target: dict) -> Fraction:
     return Fraction(total, 2)
 
 
-def certify_sn(types, n: int) -> bool:
-    """Transposition + long-cycle certificate for the full symmetric group.
-
-    types is the set of observed cycle types.  Sound given that they are
-    realized by actual Galois elements: an n-cycle forces transitivity, a
-    transposition plus a prime-length cycle longer than n/2 leave only S_n
-    itself.
-    """
-    types = set(types)
-    if make_cycle_type((n,)) not in types:
-        return False
-    transposition = make_cycle_type([2] + [1] * (n - 2))
-    if transposition not in types:
-        return False
-    for ct in types:
-        for part in ct:
-            if part > n / 2 and primes_in_window(part, part):
-                return True
-    return False
-
-
-def settled_kind(types, target: PredictedGroup) -> str | None:
-    """The verdict kind that no further observed type can change, if any.
-
-    Rejected once a type lies outside the target; certified S_n once the
-    target is natural-symmetric and the certificate holds, since every
-    partition of n is a type of S_n and so no later type can reject.  Both
-    are monotone in the set of types, and match_verdict tests them before
-    any distance, so an early stop on them keeps the full budget's kind.
-    """
-    tdist = target.group.type_distribution
-    if any(ct not in tdist for ct in types):
-        return KIND_REJECTED
-    if target.natural_symmetric is not None and certify_sn(
-        types, target.natural_symmetric
-    ):
-        return KIND_CERTIFIED_SN
-    return None
-
-
 def match_verdict(
     summary: SampleSummary,
     target: PredictedGroup,
@@ -221,11 +170,10 @@ def match_verdict(
 ) -> Verdict:
     """Decide how the sampled distribution relates to the predicted group.
 
-    Order of precedence: the settled kinds (hard rejection by an observed
-    type the target never attains, then the S_n certificate where the
-    target is symmetric-natural), then the threshold verdict.  A distance
-    above tv_max proves nothing, so at complete coverage it is inconclusive
-    with that reason in the detail, never rejected.
+    Hard rejection by an observed type the target never attains comes
+    first, then the threshold verdict.  A distance above tv_max proves
+    nothing, so at complete coverage it is inconclusive with that reason in
+    the detail, never rejected.
     """
     if summary.degree != target.N:
         raise ValueError(
@@ -234,19 +182,16 @@ def match_verdict(
     tdist = target.group.type_distribution
     observed = summary.empirical
     coverage = _coverage(observed, tdist)
-    settled = settled_kind(observed, target)
-    if settled == KIND_REJECTED:
-        ct = next(ct for ct in observed if ct not in tdist)
+    outside = [ct for ct in observed if ct not in tdist]
+    if outside:
         return Verdict(
             KIND_REJECTED,
             target.name,
             Fraction(1),
             coverage,
-            detail=f"type {ct} impossible for target",
+            detail=f"type {outside[0]} impossible for target",
         )
     tv = tv_distance(observed, tdist)
-    if settled == KIND_CERTIFIED_SN:
-        return Verdict(KIND_CERTIFIED_SN, target.name, tv, coverage)
     if coverage >= coverage_min and tv <= tv_max:
         return Verdict(KIND_CONSISTENT, target.name, tv, coverage)
     detail = "distribution mismatch at complete coverage" if coverage == 1 else ""
@@ -282,12 +227,12 @@ def identify(
     if verdict is not None:
         return verdict, None
     summary = collect_samples(q, prime_window, budget, target, multiplicity)
+    expanded = expand_summary(summary, multiplicity)
     if summary.good_count == 0:
         return Verdict(
             KIND_INCONCLUSIVE, target.name, Fraction(1), Fraction(0),
             detail="no good prime in the window",
-        ), summary
-    expanded = expand_summary(summary, multiplicity)
+        ), expanded
     return match_verdict(expanded, target, tv_max, coverage_min), expanded
 
 
@@ -388,11 +333,12 @@ def small_galois_group(f: RationalPolynomial) -> tuple[str, CycleType]:
     n = f.degree
     if not 1 < n <= 4:
         raise ValueError("need degree 2, 3 or 4")
-    if not squarefree_over_q(f):
+    ints = integral_monic(f)
+    disc = discriminant(ints)
+    if disc == 0:
         raise NotSquarefreeInput("repeated root")
     orbits = factor_degrees(f, primes_in_window(*PRIME_WINDOW)).degrees
-    ints = integral_monic(f)
-    return _small_group_name(ints, orbits, discriminant(ints)), orbits
+    return _small_group_name(ints, orbits, disc), orbits
 
 
 def _small_group_name(ints, orbits, disc) -> str:
@@ -432,12 +378,13 @@ def _small_group_name(ints, orbits, disc) -> str:
 # exact low-degree classification
 # ---------------------------------------------------------------------------
 
-def quadratic_galois(f: RationalPolynomial) -> str:
-    """"trivial" iff the monic quadratic f's discriminant is a rational
-    square, else "order2"; decided on f's integral form."""
+def quadratic_galois(f: RationalPolynomial) -> str | None:
+    """"trivial" iff the monic quadratic f's discriminant is a nonzero
+    rational square, "order2" iff it is not a square, and None iff it is 0,
+    that is iff f has a repeated root; decided on f's integral form."""
     if f.degree != 2:
         raise ValueError("need degree 2")
-    if not squarefree_over_q(f):
-        raise NotSquarefreeInput("repeated root")
     disc = discriminant(integral_monic(f))
+    if disc == 0:
+        return None
     return "trivial" if is_rational_square(disc) else "order2"

@@ -90,9 +90,6 @@ class EnumeratedGroup:
     def types(self) -> tuple[CycleType, ...]:
         return tuple(self.type_distribution.keys())
 
-    def frequency(self, ct: CycleType) -> Fraction:
-        return self.type_distribution.get(ct, Fraction(0))
-
 
 def _distribution(degree: int, elements) -> dict:
     counts: dict[CycleType, int] = {}

@@ -24,15 +24,13 @@ from .permkit import (
 class PredictedGroup:
     """A named permutation group on the N eigenvalue slots of a scenario.
 
-    natural_symmetric is set to n when the group is the full symmetric group
-    in its natural action; that enables the S_n transposition/long-cycle
-    certificate during identification.
+    A sample is decided against it by the exact rules of galois_id, or by
+    its cycle-type distribution where they leave the sample open.
     """
 
     name: str
     group: EnumeratedGroup
     N: int
-    natural_symmetric: int | None = None
 
     def __post_init__(self):
         if self.N != self.group.degree:
@@ -46,7 +44,7 @@ def pi_sl_n(n: int) -> PredictedGroup:
     """Full symmetric group on the n eigenvalues (the split connected case)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return PredictedGroup(f"sym{n}", symmetric_group(n), n, natural_symmetric=n)
+    return PredictedGroup(f"sym{n}", symmetric_group(n), n)
 
 def pi_sl_n_doubled(n: int) -> PredictedGroup:
     """S_n acting simultaneously on eigenvalues and their inverses.

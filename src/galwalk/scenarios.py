@@ -52,9 +52,6 @@ class CosetSpec:
     upper: PredictedGroup | None = None
     multiplicity: int = 1
 
-    def type_superset(self) -> PredictedGroup | None:
-        return self.upper if self.upper is not None else self.predicted
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -226,7 +226,7 @@ def test_criterion_5_subquotient_invariant():
             summary = expand_summary(
                 collect_samples(q, WINDOW, 40), spec.multiplicity
             )
-            allowed = set(spec.type_superset().group.type_distribution)
+            allowed = set((spec.upper or spec.predicted).group.type_distribution)
             checked += 1
             for ct in summary.empirical:
                 if ct not in allowed:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -29,7 +30,7 @@ from galwalk.experiment import (
 )
 from galwalk.galois_id import (
     KIND_CERTIFIED_EXACT,
-    KIND_CERTIFIED_SN,
+    KIND_CONSISTENT,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
     collect_samples,
@@ -40,10 +41,11 @@ from galwalk.modpoly import exact_poly_root
 from galwalk.output import dec6, emit, render_csv, render_json
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
+from test_galois_id import certify_sn
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one k value"):
         ExperimentConfig(scenario="sl2", k_values=())
     with pytest.raises(ValueError):
         ExperimentConfig(scenario="sl2", k_values=(10, 5))
@@ -144,6 +146,7 @@ def _scan(q, spec, cfg, early):
 def test_early_stop_keeps_the_full_budget_kind():
     seen = set()
     pipeline = set()
+    sn_certified = set()
     for name in ("sl2", "sl3", "sl4", "sltau2", "sltau4", "slcyc2x2", "slcyc2x3",
                  "res_sqrt2"):
         scen = builtin_scenarios()[name]
@@ -154,12 +157,10 @@ def test_early_stop_keeps_the_full_budget_kind():
                 q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
                 if q is None:
                     continue
-                kind, summary = _scan(q, spec, cfg, early=True)
-                full = _scan(q, spec, cfg, early=False)[0]
+                kind = _scan(q, spec, cfg, early=True)[0]
+                full, whole = _scan(q, spec, cfg, early=False)
                 assert kind == full
                 seen.add((name, spec.multiplicity, kind))
-                if name == "sl4" and kind == KIND_CERTIFIED_SN:
-                    assert summary.good_count < cfg.budget
                 # the pipeline scans only what the exact rules leave open,
                 # and a proof from either side never contradicts the other
                 out = identify_sample(sample, spec, cfg)
@@ -168,13 +169,18 @@ def test_early_stop_keeps_the_full_budget_kind():
                     assert out.kind == full
                 if full == KIND_REJECTED:
                     assert out.kind == KIND_REJECTED
-                if full == KIND_CERTIFIED_SN:
-                    assert out.kind == KIND_CERTIFIED_EXACT
+                # the S_n certificate (the test oracle) on the full budget's
+                # types is a proof rule (c) always reaches first
+                n = spec.predicted.N
+                symmetric = spec.predicted.group.order == math.factorial(n)
+                if symmetric and certify_sn(whole.empirical, n):
+                    sn_certified.add(name)
+                    assert out.kind == KIND_CERTIFIED_EXACT and out.summary is None
     assert any(e == 2 for _, e, _ in seen)
-    assert ("sl4", 1, KIND_CERTIFIED_SN) in seen
+    assert "sl4" in sn_certified
     # the only scan rejections here were distance mismatches, which are
     # inconclusive now; the exact rules prove those samples rejected
-    assert {kind for _, _, kind in seen} >= {KIND_CERTIFIED_SN, KIND_INCONCLUSIVE}
+    assert {kind for _, _, kind in seen} >= {KIND_CONSISTENT, KIND_INCONCLUSIVE}
     assert pipeline >= {KIND_CERTIFIED_EXACT, KIND_REJECTED}
 
 
@@ -376,6 +382,13 @@ def test_cli_scenarios_and_errors(tmp_path):
     assert is_dir.returncode == 2
     assert "is a directory" in is_dir.stderr
     assert "mismatch decay fit" not in is_dir.stderr
+
+
+def test_cli_empty_k_has_its_own_message(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", "sl2", "--k", ",", "--out", str(out)]) == 2
+    assert "error: need at least one k value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_finfield_fails_fast_past_the_bound(tmp_path, capsys):

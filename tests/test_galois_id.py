@@ -6,17 +6,15 @@ from functools import reduce
 import pytest
 
 from galwalk.exactmat import RationalPolynomial as P
-from galwalk.exactmat import is_rational_square
+from galwalk.exactmat import RationalMatrix, char_poly, is_rational_square
 from galwalk.galois_id import (
     KIND_CERTIFIED_EXACT,
-    KIND_CERTIFIED_SN,
     KIND_CONSISTENT,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
     PRIME_WINDOW,
     NotSquarefreeInput,
     SampleSummary,
-    certify_sn,
     collect_samples,
     exact_verdict,
     expand_summary,
@@ -27,7 +25,15 @@ from galwalk.galois_id import (
     small_group_distribution,
     tv_distance,
 )
-from galwalk.modpoly import mul, primes_in_window
+from galwalk.modpoly import (
+    discriminant,
+    exact_poly_root,
+    integral_monic,
+    make_cycle_type,
+    mul,
+    primes_in_window,
+)
+from galwalk.experiment import batch_seed
 from galwalk.permkit import enumerate_group, symmetric_group
 from galwalk.picatalog import (
     PredictedGroup,
@@ -39,6 +45,8 @@ from galwalk.picatalog import (
     pi_sl_power_cyclic,
     pi_sl_power_identity,
 )
+from galwalk.scenarios import builtin_scenarios
+from galwalk.walker import batch_sample
 
 PRIMES = primes_in_window(*PRIME_WINDOW)
 
@@ -52,6 +60,28 @@ def group_name(f):
     return small_galois_group(f)[0]
 
 
+def certify_sn(types, n: int) -> bool:
+    """Transposition + long-cycle certificate for the full symmetric group:
+    the test oracle for S_n.
+
+    types is the set of observed cycle types.  Sound given that they are
+    realized by actual Galois elements: an n-cycle forces transitivity, a
+    transposition plus a prime-length cycle longer than n/2 leave only S_n
+    itself.
+    """
+    types = set(types)
+    if make_cycle_type((n,)) not in types:
+        return False
+    transposition = make_cycle_type([2] + [1] * (n - 2))
+    if transposition not in types:
+        return False
+    for ct in types:
+        for part in ct:
+            if part > n / 2 and primes_in_window(part, part):
+                return True
+    return False
+
+
 def summary_from(n, freqs):
     d = {tuple(sorted(t, reverse=True)): F(v) for t, v in freqs.items()}
     return SampleSummary(n, 500, 0, d)
@@ -61,8 +91,9 @@ def test_quadratic_galois():
     assert quadratic_galois(P((-6, 0, 1))) == "order2"  # T^2 - 6 = T^2 - 2*3
     assert quadratic_galois(P((-4, 0, 1))) == "trivial"
     assert quadratic_galois(P((6, -5, 1))) == "trivial"
-    with pytest.raises(NotSquarefreeInput):
-        quadratic_galois(P((1, -2, 1)))
+    # a zero discriminant is a repeated root: no Galois verdict
+    assert quadratic_galois(P((1, -2, 1))) is None
+    assert quadratic_galois(P((F(1, 4), -1, 1))) is None  # (T - 1/2)^2
 
 
 # classification table from Cohen's standard examples
@@ -127,12 +158,18 @@ def test_quartic_oracle_agrees_with_frobenius_statistics():
 def test_collect_samples_examples():
     s = collect_samples(P((1, 0, 1)), budget=500)
     assert s.good_count == 500 and s.degree == 2
-    assert abs(s.frequency((1, 1)) - F(1, 2)) <= F(5, 100)
-    assert abs(s.frequency((2,)) - F(1, 2)) <= F(5, 100)
+    assert abs(s.empirical[(1, 1)] - F(1, 2)) <= F(5, 100)
+    assert abs(s.empirical[(2,)] - F(1, 2)) <= F(5, 100)
     rational = collect_samples(P((2, -3, 1)), budget=50)  # (T-1)(T-2)
     assert set(rational.empirical) == {(1, 1)}
-    with pytest.raises(NotSquarefreeInput):
-        collect_samples(P((1, -2, 1)))
+    # a repeated root never reaches the scan (exact_poly_root proves q
+    # squarefree first), and the scan classifies none of its reductions
+    square = P((1, -2, 1))
+    assert exact_poly_root(square, 1) is None
+    window = (1_000, 1_100)
+    never = collect_samples(square, window, budget=50)
+    assert never.good_count == 0 and never.empirical == {}
+    assert never.bad_count == len(primes_in_window(*window))
 
 
 def test_expand_summary():
@@ -164,10 +201,12 @@ def test_collect_samples_stops_at_a_settled_kind():
     assert early.good_count < 5 and (2,) in early.empirical
     assert match_verdict(early, trivial).kind == match_verdict(full, trivial).kind
     assert match_verdict(early, trivial).kind == KIND_REJECTED
-    # a transposition and a 2-cycle certify S_2 the same way
+    # no type rejects S_2, so its scan runs the whole budget; the types
+    # certify S_2 (certify_sn), and rule (c) proves it with no scan at all
     sym = collect_samples(f, budget=300, target=pi_sl_n(2))
-    assert sym.good_count < 5
-    assert match_verdict(sym, pi_sl_n(2)).kind == KIND_CERTIFIED_SN
+    assert sym.good_count == 300 and certify_sn(sym.empirical, 2)
+    assert match_verdict(sym, pi_sl_n(2)).kind == match_verdict(full, pi_sl_n(2)).kind
+    assert exact_verdict(f, pi_sl_n(2), 1, PRIMES).kind == KIND_CERTIFIED_EXACT
     # multiplicity 2: judged on the doubled types (1,1,1,1) and (2,2)
     doubled = PredictedGroup("order2", enumerate_group([(1, 0, 3, 2)]), 4)
     kept = collect_samples(f, budget=300, target=doubled, multiplicity=2)
@@ -177,13 +216,18 @@ def test_collect_samples_stops_at_a_settled_kind():
 
 
 def test_match_verdict_consistent_and_certified():
-    s = collect_samples(P((1, 0, 1)), budget=300)
-    v = match_verdict(s, pi_sl_n(2))
-    assert v.kind == KIND_CERTIFIED_SN and v.matched
-    # against a non-symmetric target of the same types: plain consistent
+    f = P((1, 0, 1))
+    s = collect_samples(f, budget=300)
+    assert certify_sn(s.empirical, 2)
+    # the scan's verdict is a threshold statement, for S_2 as for any
+    # target of the same types
+    assert match_verdict(s, pi_sl_n(2)).kind == KIND_CONSISTENT
     paired = PredictedGroup("order2", enumerate_group([(1, 0)]), 2)
     v2 = match_verdict(s, paired)
     assert v2.kind == KIND_CONSISTENT
+    # the certificate is rule (c)'s, proved before any prime is scanned
+    verdict, summary = identify(f, pi_sl_n(2))
+    assert verdict.kind == KIND_CERTIFIED_EXACT and summary is None
 
 
 def test_match_verdict_degree_mismatch():
@@ -358,6 +402,75 @@ def test_identify_scans_only_what_the_rules_leave_open():
     assert verdict.kind == KIND_CERTIFIED_EXACT and summary is None
 
 
+def test_identify_without_a_good_prime_expands_the_summary():
+    # the sltau2 identity target (e = 2) and a window holding no prime
+    target = pi_sl_n_doubled(2)
+    verdict, summary = identify(P((-2, 0, 1)), target, 2, prime_window=(4, 4))
+    assert verdict.kind == KIND_INCONCLUSIVE
+    assert verdict.detail == "no good prime in the window"
+    assert summary.good_count == 0 and summary.degree == target.N
+
+
+def random_squarefree(rng, n):
+    """A random monic squarefree integer polynomial of degree n, reducible
+    about as often as not: a product of random monic factors."""
+    while True:
+        parts = []
+        left = n
+        while left:
+            d = rng.randint(1, left)
+            parts.append([rng.randint(-6, 6) for _ in range(d)] + [1])
+            left -= d
+        f = pprod(*parts)
+        if discriminant(integral_monic(f)) != 0:
+            return f
+
+
+def test_degree_at_most_4_is_decided_before_any_scan():
+    # rules (a)-(c) decide every degree <= 4 sample at e = 1 when the
+    # window holds a good odd prime, against every catalog target
+    targets = {}
+    for scen in builtin_scenarios().values():
+        for spec in scen.cosets:
+            for pg in (spec.predicted, spec.upper):
+                if pg is not None and pg.N <= 4:
+                    targets[pg.name] = pg
+    assert {pg.N for pg in targets.values()} == {2, 3, 4}
+    rng = random.Random(13)
+    reducible = 0
+    for n in (2, 3, 4):
+        for _ in range(60):
+            f = random_squarefree(rng, n)
+            reducible += small_galois_group(f)[1] != (n,)
+            for pg in targets.values():
+                if pg.N == n:
+                    assert exact_verdict(f, pg, 1, PRIMES) is not None, (f, pg.name)
+    assert reducible >= 30
+
+
+def test_walk_samples_of_degree_at_most_4_scan_no_prime():
+    reg = builtin_scenarios()
+    cases = [(name, None) for name in ("sl2", "sl3", "sl4", "res_sqrt2", "slcyc2x2")]
+    cases.append(("sltau2", 1))  # the swap coset, e = 1
+    decided = 0
+    for name, label in cases:
+        scen = reg[name]
+        for seed, k in ((1, 4), (2, 12), (3, 20)):
+            for sample in batch_sample(scen.admissible(), k, 6, batch_seed(seed, k)):
+                if label is not None and sample.label != label:
+                    continue
+                spec = scen.coset(sample.label)
+                assert spec.multiplicity == 1
+                q = exact_poly_root(char_poly(sample.element), 1)
+                if q is None:
+                    continue
+                verdict, summary = identify(q, spec.predicted)
+                assert summary is None, (name, seed, k)
+                assert verdict.kind in (KIND_CERTIFIED_EXACT, KIND_REJECTED)
+                decided += 1
+    assert decided >= 60
+
+
 def test_catalog_orbit_lengths():
     assert pi_sl_n(4).group.orbit_lengths() == (4,)
     assert pi_sl_n_doubled(4).group.orbit_lengths() == (4, 4)
@@ -370,8 +483,6 @@ def test_catalog_orbit_lengths():
 
 def test_quadratic_galois_antidiagonal_example():
     # splitting field of antidiag(2, 3) is the quadratic field of sqrt(6)
-    from galwalk.exactmat import RationalMatrix, char_poly
-
     m = RationalMatrix([[0, 2], [3, 0]])
     chi = char_poly(m)
     assert chi == P((-6, 0, 1))

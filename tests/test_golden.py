@@ -43,6 +43,10 @@ CASES = {
         )
         for name in SCENARIOS
     },
+    "run_sl3_json": (
+        "run", "--scenario", "sl3",
+        "--k", "5,10", "--samples", "4", "--budget", "40", "--format", "json",
+    ),
 }
 
 

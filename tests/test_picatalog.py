@@ -42,7 +42,7 @@ def test_pi_sl_n_doubled():
 def test_pi_sl_n_tau():
     t2 = pi_sl_n_tau(2)
     assert t2.N == 4 and t2.group.order == 8
-    assert t2.group.frequency((4,)) > 0
+    assert t2.group.type_distribution[(4,)] == F(1, 4)
     t4 = pi_sl_n_tau(4)
     assert t4.N == 8 and t4.group.order == 128  # 2^(2r) * |signed pair group|
     for n in (3, 5):

@@ -38,8 +38,9 @@ def test_registry_contents():
 
 def test_predicted_group_bindings():
     reg = builtin_scenarios()
-    assert reg["sl3"].coset(0).predicted.name == "sym3"
-    assert reg["sl3"].coset(0).predicted.natural_symmetric == 3
+    sym3 = reg["sl3"].coset(0).predicted
+    assert sym3.name == "sym3"
+    assert (sym3.N, sym3.group.order) == (3, 6)  # S_3 in its natural action
     assert reg["sltau2"].coset(0).predicted.group.order == 2
     assert reg["sltau2"].coset(1).predicted.group.order == 4
     assert reg["sltau2"].coset(1).upper.group.order == 8

@@ -1,12 +1,16 @@
-"""Structural checks: how galwalk's modules depend on each other, and which
-coefficient ring the walk-sample path computes in."""
+"""Structural checks: how galwalk's modules depend on each other, which
+coefficient ring the walk-sample path computes in, and which functions the
+golden cases reach."""
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
 import galwalk
 from galwalk import exactmat, modpoly, zfactor
+from galwalk.cli import main
 from galwalk.exactmat import char_poly
 from galwalk.experiment import batch_seed
 from galwalk.galois_id import PRIME_WINDOW
@@ -20,6 +24,7 @@ from galwalk.modpoly import (
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 from galwalk.zfactor import factor_degrees
+from test_golden import CASES
 
 PACKAGE = Path(galwalk.__file__).parent
 
@@ -70,3 +75,67 @@ def test_characteristic_polynomial_path_builds_no_fraction(monkeypatch):
         discriminant(integral_monic(q))
         frobenius_cycle_type(q, primes[0])
     assert roots >= len(work) // 2
+
+
+# functions no golden case calls, kept on purpose
+UNREACHED_ON_PURPOSE = {
+    "exactmat.RationalMatrix.__setattr__": "immutability guard",
+    "exactmat.RationalPolynomial.__setattr__": "immutability guard",
+    "exactmat.RationalMatrix.__repr__": "debugging aid",
+    "exactmat.RationalPolynomial.__repr__": "debugging aid",
+    "exactmat.RationalPolynomial.__new__": "construction API used by tests",
+    "exactmat.RationalPolynomial.coeffs": "construction API used by tests",
+    "exactmat.RationalPolynomial.__eq__": "construction API used by tests",
+    "exactmat.RationalPolynomial.__hash__": "construction API used by tests",
+    "galois_id.small_galois_group": "test oracle for the exact rules",
+    "modpoly.squarefree_over_q": "benchmark probe target",
+}
+
+
+def defined_functions() -> dict:
+    """(file, first line of the def or its first decorator) -> dotted name,
+    for every function defined in the package, nested ones included."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, f"{path.stem}.")
+    return found
+
+
+def test_golden_cases_reach_every_function(tmp_path):
+    defined = defined_functions()
+    assert set(UNREACHED_ON_PURPOSE) <= set(defined.values())
+    for path in PACKAGE.glob("*.py"):  # an earlier test may have filled them
+        for fn in vars(importlib.import_module(f"galwalk.{path.stem}")).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for case, args in CASES.items():
+            assert main([*args, "--out", str(tmp_path / case)]) == 0
+    finally:
+        sys.setprofile(saved)
+    called = {(code.co_filename, code.co_firstlineno) for code in codes}
+    unreached = sorted(
+        name for key, name in defined.items()
+        if key not in called and name not in UNREACHED_ON_PURPOSE
+    )
+    assert not unreached, f"no golden case calls {', '.join(unreached)}"
