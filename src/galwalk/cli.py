@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .experiment import (
     ExperimentConfig,
@@ -31,7 +30,7 @@ from .scenarios import builtin_scenarios
 
 _CONFIG_KEYS = {
     "scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed",
-    "tv_max", "coverage_min", "bound", "out", "format",
+    "bound", "out", "format",
 }
 
 _FORMATS = ("csv", "json")
@@ -54,8 +53,6 @@ def _add_common(sub):
     sub.add_argument("--primes-max", type=int, default=None, dest="primes_max")
     sub.add_argument("--budget", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--tv-max", default=None, dest="tv_max")
-    sub.add_argument("--coverage-min", default=None, dest="coverage_min")
     sub.add_argument("--bound", type=int, default=None)
     sub.add_argument("--out", default=None, help="output file path")
     sub.add_argument("--format", default=None, choices=_FORMATS)
@@ -81,13 +78,19 @@ def _merged_settings(args) -> dict:
 
 
 def _field_value(key: str, value):
-    if key == "k":
-        return tuple(int(x) for x in str(value).split(",") if x != "")
-    if key in ("tv_max", "coverage_min"):
-        return Fraction(str(value))
+    """Integer keys take only integers, never a float or boolean; k also
+    takes a comma-separated string."""
     if key == "scenario":
         return str(value)
-    return int(value)
+    if key == "k" and isinstance(value, str):
+        try:
+            return tuple(int(x) for x in value.split(",") if x != "")
+        except ValueError:
+            raise ValueError(f"k must be comma-separated integers, got {value!r}") from None
+    if type(value) is not int:
+        kind = "an integer or a comma-separated string" if key == "k" else "an integer"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return (value,) if key == "k" else value
 
 
 def _build_config(settings: dict, verb: str) -> ExperimentConfig:

@@ -2,7 +2,7 @@
 exact counterexample oracle, and catalog dumps.
 
 Every run is fully determined by its config (scenario, k values, sample
-count, prime window, budget, thresholds, seed); sub-streams are derived
+count, prime window, budget, seed); sub-streams are derived
 from the seed so the output is independent of evaluation order.
 """
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .galois_id import (
     KIND_REJECTED,
     PRIME_WINDOW,
     TV_MAX,
+    Verdict,
     identify,
     quadratic_galois,
 )
@@ -105,8 +106,6 @@ class ExperimentConfig:
     prime_min: int = PRIME_WINDOW[0]
     prime_max: int = PRIME_WINDOW[1]
     budget: int = BUDGET
-    tv_max: Fraction = TV_MAX
-    coverage_min: Fraction = COVERAGE_MIN
     seed: int = 1
     bound: int = MAX_CLOSURE
 
@@ -122,8 +121,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.prime_min > self.prime_max:
             raise ValueError("empty prime window")
-        if not (0 <= self.tv_max <= 1 and 0 <= self.coverage_min <= 1):
-            raise ValueError("thresholds must lie in [0, 1]")
 
     def metadata(self, command: str) -> dict:
         return {
@@ -138,8 +135,8 @@ class ExperimentConfig:
             "primes_min": self.prime_min,
             "primes_max": self.prime_max,
             "budget": self.budget,
-            "tv_max": self.tv_max,
-            "coverage_min": self.coverage_min,
+            "tv_max": TV_MAX,
+            "coverage_min": COVERAGE_MIN,
         }
 
 
@@ -148,30 +145,17 @@ def batch_seed(seed: int, k: int) -> int:
     return stream_for(seed, k).next_uint64()
 
 
-@dataclass
-class SampleOutcome:
-    """Identification result for one walk sample (None fields where n/a)."""
-
-    label: int
-    rs: bool
-    kind: str | None = None
-    summary: object = None
-    verdict: object = None
-
-
-def identify_sample(sample, spec, config: ExperimentConfig):
-    """Classify one walk sample against its coset's predicted group: the
-    exact rules first, the prime scan only if they leave it undecided."""
-    chi = char_poly(sample.element)
-    q = exact_poly_root(chi, spec.multiplicity)
+def identify_sample(sample, spec, config: ExperimentConfig) -> Verdict | None:
+    """The verdict on one walk sample against its coset's predicted group,
+    or None when the sample is not regular semisimple: the exact rules
+    first, the prime scan only if they leave it undecided."""
+    q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
     if q is None:
-        return SampleOutcome(sample.label, rs=False)
-    verdict, summary = identify(
+        return None
+    return identify(
         q, spec.predicted, spec.multiplicity,
         (config.prime_min, config.prime_max), config.budget,
-        config.tv_max, config.coverage_min,
     )
-    return SampleOutcome(sample.label, True, verdict.kind, summary, verdict)
 
 
 def _tally_batches(scenario: Scenario, config: ExperimentConfig, classify, make_row):
@@ -213,8 +197,8 @@ def run_convergence(config: ExperimentConfig):
         return _run_quadratic_outcomes(scenario, config)
 
     def classify(sample):
-        outcome = identify_sample(sample, scenario.coset(sample.label), config)
-        return outcome.kind if outcome.rs else None
+        verdict = identify_sample(sample, scenario.coset(sample.label), config)
+        return None if verdict is None else verdict.kind
 
     def make_row(t):
         certified = t[KIND_CERTIFIED_EXACT]

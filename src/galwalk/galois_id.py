@@ -1,32 +1,35 @@
 """Galois group identification of walk samples: exact rules first, then
 Frobenius cycle-type statistics for what the rules leave undecided.
 
-`identify` decides a sample by three exact rules before any prime scan:
+A sample's characteristic polynomial is q**e, q monic squarefree of
+degree n; its splitting field is q's, and Gal moves the e copies of each
+root alike.  `identify` decides a sample by three exact rules before any
+prime scan:
 
-(a) the degrees of q's irreducible factors over Q, each repeated
-    `multiplicity` times, are the orbit lengths of Gal; if they differ
-    from the target's, the verdict is rejected;
-(b) at multiplicity 1, disc(q) is a square iff Gal lies in A_N, so a square
-    discriminant against a target holding an odd permutation is rejected;
-(c) at degree <= 4 and multiplicity 1, the orbit lengths, the discriminant
-    and (at degree 4) the resolvent cubic name Gal exactly; it is
-    certified_exact when its type distribution is the target's, rejected
-    otherwise.
+(a) the degrees of q's irreducible factors over Q, each repeated e times,
+    are the orbit lengths of Gal; if they differ from the target's, the
+    verdict is rejected;
+(b) disc(q) is a square iff Gal lies in A_n, so then a target holding an
+    odd permutation is rejected (repeating a type e times keeps its parity
+    at odd e and makes it even at even e);
+(c) at n <= 4, q's factor degrees, discriminant and resolvent cubic name
+    Gal exactly; it is certified_exact when its type distribution, every
+    part repeated e times, is the target's, rejected otherwise.
 
-These decide every sample of degree <= 4 and multiplicity 1 whose window
+These decide every sample with n <= 4, at every multiplicity, whose window
 holds a good odd prime.  Only samples the rules leave undecided scan
 primes, for statistical consistency against the target's type
 distribution; the scan stops early only at a type the target never attains.
 
 A verdict never claims abstract isomorphism beyond what it proves.  A
 rejection is always a proof: an exact rule, or an observed type the target
-never attains.  Consistent is a threshold statement, a distribution
-mismatch at complete coverage stays inconclusive, and certified_exact
-comes from rule (c) alone.
+never attains.  Consistent is a threshold statement (TV_MAX at full
+coverage), a distribution mismatch at complete coverage stays
+inconclusive, and certified_exact comes from rule (c) alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,6 +50,7 @@ from .zfactor import factor_degrees, integer_roots
 # walk defaults; ExperimentConfig's field defaults name these
 PRIME_WINDOW = (1_000, 100_000)
 BUDGET = 300
+# the scan's fixed thresholds (see match_verdict); run metadata records both
 TV_MAX = Fraction(1, 10)
 COVERAGE_MIN = Fraction(1)
 
@@ -73,17 +77,10 @@ class SampleSummary:
 
 @dataclass(frozen=True)
 class Verdict:
-    """How a sample relates to its target.
-
-    tv_distance and coverage describe the primes actually scanned: when
-    collect_samples stopped early at a rejection, that is a prefix of the
-    budget, and only the kind is what the full budget would give.
-    """
+    """How a sample relates to its target; the detail gives the reason."""
 
     kind: str
     target: str
-    tv_distance: Fraction
-    coverage: Fraction
     detail: str = ""
 
 
@@ -103,9 +100,9 @@ def collect_samples(
     With a target, the scan stops at the first type that, with every part
     repeated multiplicity times, the target never attains: no later type
     can undo that rejection, and match_verdict tests it before any
-    distance.  The summary, and so the tv and coverage computed from it,
-    then describe the scanned prefix only; the kind equals the full
-    budget's.  Without a target the whole budget is scanned.
+    distance.  The summary then describes the scanned prefix only; the
+    kind match_verdict gives equals the full budget's.  Without a target
+    the whole budget is scanned.
     """
     if not f.is_monic():
         raise ValueError("expected a monic polynomial")
@@ -140,16 +137,9 @@ def expand_summary(summary: SampleSummary, multiplicity: int) -> SampleSummary:
     """
     if multiplicity == 1:
         return summary
-    empirical = {
-        repeat_parts(ct, multiplicity): freq
-        for ct, freq in summary.empirical.items()
-    }
-    return SampleSummary(
-        summary.degree * multiplicity,
-        summary.good_count,
-        summary.bad_count,
-        empirical,
-    )
+    return replace(summary, degree=summary.degree * multiplicity, empirical={
+        repeat_parts(ct, multiplicity): freq for ct, freq in summary.empirical.items()
+    })
 
 
 def tv_distance(observed: dict, target: dict) -> Fraction:
@@ -162,16 +152,12 @@ def tv_distance(observed: dict, target: dict) -> Fraction:
     return Fraction(total, 2)
 
 
-def match_verdict(
-    summary: SampleSummary,
-    target: PredictedGroup,
-    tv_max: Fraction = TV_MAX,
-    coverage_min: Fraction = COVERAGE_MIN,
-) -> Verdict:
+def match_verdict(summary: SampleSummary, target: PredictedGroup) -> Verdict:
     """Decide how the sampled distribution relates to the predicted group.
 
     Hard rejection by an observed type the target never attains comes
-    first, then the threshold verdict.  A distance above tv_max proves
+    first.  Otherwise the sample is consistent when every target type was
+    seen and the distance is at most TV_MAX.  A larger distance proves
     nothing, so at complete coverage it is inconclusive with that reason in
     the detail, never rejected.
     """
@@ -181,26 +167,16 @@ def match_verdict(
         )
     tdist = target.group.type_distribution
     observed = summary.empirical
-    coverage = _coverage(observed, tdist)
     outside = [ct for ct in observed if ct not in tdist]
     if outside:
-        return Verdict(
-            KIND_REJECTED,
-            target.name,
-            Fraction(1),
-            coverage,
-            detail=f"type {outside[0]} impossible for target",
-        )
-    tv = tv_distance(observed, tdist)
-    if coverage >= coverage_min and tv <= tv_max:
-        return Verdict(KIND_CONSISTENT, target.name, tv, coverage)
-    detail = "distribution mismatch at complete coverage" if coverage == 1 else ""
-    return Verdict(KIND_INCONCLUSIVE, target.name, tv, coverage, detail=detail)
-
-
-def _coverage(observed: dict, tdist: dict) -> Fraction:
-    hit = sum(1 for ct in tdist if ct in observed)
-    return Fraction(hit, len(tdist))
+        return _rejected(target, f"type {outside[0]} impossible for target")
+    if not all(ct in observed for ct in tdist):
+        return Verdict(KIND_INCONCLUSIVE, target.name)
+    if tv_distance(observed, tdist) <= TV_MAX:
+        return Verdict(KIND_CONSISTENT, target.name)
+    return Verdict(
+        KIND_INCONCLUSIVE, target.name, "distribution mismatch at complete coverage"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +189,20 @@ def identify(
     multiplicity: int = 1,
     prime_window: tuple[int, int] = PRIME_WINDOW,
     budget: int = BUDGET,
-    tv_max: Fraction = TV_MAX,
-    coverage_min: Fraction = COVERAGE_MIN,
-) -> tuple[Verdict, SampleSummary | None]:
+) -> Verdict:
     """Verdict on a sample whose characteristic polynomial is q**multiplicity.
 
     q is monic and squarefree.  The exact rules decide first
     (exact_verdict); only what they leave undecided scans the window's
-    primes (collect_samples, match_verdict).  The summary is the scan's,
-    with every part repeated multiplicity times, or None without a scan.
+    primes (collect_samples, match_verdict).
     """
     verdict = exact_verdict(q, target, multiplicity, primes_in_window(*prime_window))
     if verdict is not None:
-        return verdict, None
+        return verdict
     summary = collect_samples(q, prime_window, budget, target, multiplicity)
-    expanded = expand_summary(summary, multiplicity)
     if summary.good_count == 0:
-        return Verdict(
-            KIND_INCONCLUSIVE, target.name, Fraction(1), Fraction(0),
-            detail="no good prime in the window",
-        ), expanded
-    return match_verdict(expanded, target, tv_max, coverage_min), expanded
+        return Verdict(KIND_INCONCLUSIVE, target.name, "no good prime in the window")
+    return match_verdict(expand_summary(summary, multiplicity), target)
 
 
 def exact_verdict(
@@ -243,8 +212,7 @@ def exact_verdict(
 
     primes feed Musser's filter in factor_degrees; a cycle type already
     seen there that is odd proves the discriminant is not a square, so
-    rule (b) above degree 4 computes no discriminant then.  Rejections
-    carry tv 1 and coverage 0, certificates tv 0 and coverage 1; the detail
+    rule (b) above degree 4 computes no discriminant then.  The detail
     names the rule that fired.
     """
     n = q.degree
@@ -261,8 +229,6 @@ def exact_verdict(
         return _rejected(
             target, f"rule (a): factor degrees give orbits {orbits}, target {want}"
         )
-    if multiplicity != 1:
-        return None
     odd_target = any(_is_odd(ct) for ct in target.group.type_distribution)
     if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
         return None
@@ -274,11 +240,12 @@ def exact_verdict(
         )
     if n > 4:
         return None
-    name = _small_group_name(ints, orbits, disc)
-    if small_group_distribution(name, orbits) == target.group.type_distribution:
+    name = _small_group_name(ints, found.degrees, disc)
+    exact = small_group_distribution(name, found.degrees, multiplicity)
+    if exact == target.group.type_distribution:
         return Verdict(
-            KIND_CERTIFIED_EXACT, target.name, Fraction(0), Fraction(1),
-            detail=f"rule (c): exact group {name} on orbits {orbits}",
+            KIND_CERTIFIED_EXACT, target.name,
+            f"rule (c): exact group {name} on orbits {orbits}",
         )
     return _rejected(
         target, f"rule (c): exact group {name} on orbits {orbits} is not the target"
@@ -286,7 +253,7 @@ def exact_verdict(
 
 
 def _rejected(target: PredictedGroup, detail: str) -> Verdict:
-    return Verdict(KIND_REJECTED, target.name, Fraction(1), Fraction(0), detail=detail)
+    return Verdict(KIND_REJECTED, target.name, detail)
 
 
 def _is_odd(ct: CycleType) -> bool:
@@ -318,10 +285,14 @@ SMALL_GROUPS = {
 
 
 @lru_cache(maxsize=None)
-def small_group_distribution(name: str, orbits: CycleType) -> dict:
-    """Exact type distribution of SMALL_GROUPS[(name, orbits)]."""
+def small_group_distribution(name: str, orbits: CycleType, multiplicity: int = 1) -> dict:
+    """Exact type distribution of SMALL_GROUPS[(name, orbits)], with every
+    part repeated multiplicity times."""
     group = enumerate_group(SMALL_GROUPS[(name, orbits)], degree=sum(orbits))
-    return group.type_distribution
+    return {
+        repeat_parts(ct, multiplicity): freq
+        for ct, freq in group.type_distribution.items()
+    }
 
 
 def small_galois_group(f: RationalPolynomial) -> tuple[str, CycleType]:

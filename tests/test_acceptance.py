@@ -150,8 +150,8 @@ def test_criterion_4_coset_dependence():
                 continue
             id_rs += 1
             e = id_spec.multiplicity
-            id_verdicts[identify(q, id_spec.predicted, e, WINDOW)[0].kind] += 1
-            id_cross[identify(q, swap_spec.predicted, e, WINDOW)[0].kind] += 1
+            id_verdicts[identify(q, id_spec.predicted, e, WINDOW).kind] += 1
+            id_cross[identify(q, swap_spec.predicted, e, WINDOW).kind] += 1
         else:
             if oracle_pool < 100:
                 oracle_pool += 1
@@ -160,13 +160,14 @@ def test_criterion_4_coset_dependence():
             if not squarefree_over_q(chi):
                 continue
             swap_rs += 1
-            swap_verdicts[identify(chi, swap_spec.predicted, 1, WINDOW)[0].kind] += 1
-            swap_cross[identify(chi, id_spec.predicted, 1, WINDOW)[0].kind] += 1
-            swap_upper[identify(chi, swap_spec.upper, 1, WINDOW)[0].kind] += 1
+            swap_verdicts[identify(chi, swap_spec.predicted, 1, WINDOW).kind] += 1
+            swap_cross[identify(chi, id_spec.predicted, 1, WINDOW).kind] += 1
+            swap_upper[identify(chi, swap_spec.upper, 1, WINDOW).kind] += 1
 
     assert id_rs >= 40 and swap_rs >= 40
-    id_ok = F(id_verdicts[KIND_CONSISTENT], id_rs)
-    # the exact rules certify the swap coset outright (rule (c))
+    # the exact rules certify both cosets outright (rule (c); e = 2 on
+    # the identity coset)
+    id_ok = F(id_verdicts[KIND_CERTIFIED_EXACT], id_rs)
     swap_ok = F(swap_verdicts[KIND_CERTIFIED_EXACT] + swap_verdicts[KIND_CONSISTENT], swap_rs)
     swap_rej = F(swap_cross[KIND_REJECTED], swap_rs)
     id_rej = F(id_cross[KIND_REJECTED], id_rs)
@@ -193,7 +194,7 @@ def test_criterion_4_coset_dependence():
         and mode_frac >= F(9, 10)
     )
     report(4, ok,
-           f"identity consistent {float(id_ok):.2f}, swap certified or consistent "
+           f"identity certified {float(id_ok):.2f}, swap certified or consistent "
            f"{float(swap_ok):.2f} (adjudicated target), swap rejected vs identity "
            f"prediction {float(swap_rej):.2f}, identity rejected vs swap prediction "
            f"{float(id_rej):.2f}, oracle names {mode_name} for {float(mode_frac):.2f}")

@@ -53,8 +53,9 @@ def test_config_validation():
         ExperimentConfig(scenario="sl2", samples=0)
     with pytest.raises(ValueError):
         ExperimentConfig(scenario="sl2", prime_min=50, prime_max=10)
-    with pytest.raises(ValueError):
-        ExperimentConfig(scenario="sl2", tv_max=F(2))
+    # the thresholds are fixed constants, not config fields
+    with pytest.raises(TypeError):
+        ExperimentConfig(scenario="sl2", tv_max=F(1, 10))
     ExperimentConfig(scenario="sl2", k_values=(0, 3))  # k = 0 is allowed
 
 
@@ -139,7 +140,7 @@ def _scan(q, spec, cfg, early):
     if summary.good_count == 0:
         return KIND_INCONCLUSIVE, summary
     expanded = expand_summary(summary, spec.multiplicity)
-    verdict = match_verdict(expanded, spec.predicted, cfg.tv_max, cfg.coverage_min)
+    verdict = match_verdict(expanded, spec.predicted)
     return verdict.kind, summary
 
 
@@ -161,11 +162,13 @@ def test_early_stop_keeps_the_full_budget_kind():
                 full, whole = _scan(q, spec, cfg, early=False)
                 assert kind == full
                 seen.add((name, spec.multiplicity, kind))
-                # the pipeline scans only what the exact rules leave open,
-                # and a proof from either side never contradicts the other
+                # the pipeline scans only what the exact rules leave open
+                # (their details start "rule ("), and a proof from either
+                # side never contradicts the other
                 out = identify_sample(sample, spec, cfg)
                 pipeline.add(out.kind)
-                if out.summary is not None:
+                by_rule = out.detail.startswith("rule (")
+                if not by_rule:
                     assert out.kind == full
                 if full == KIND_REJECTED:
                     assert out.kind == KIND_REJECTED
@@ -175,7 +178,7 @@ def test_early_stop_keeps_the_full_budget_kind():
                 symmetric = spec.predicted.group.order == math.factorial(n)
                 if symmetric and certify_sn(whole.empirical, n):
                     sn_certified.add(name)
-                    assert out.kind == KIND_CERTIFIED_EXACT and out.summary is None
+                    assert out.kind == KIND_CERTIFIED_EXACT and by_rule
     assert any(e == 2 for _, e, _ in seen)
     assert "sl4" in sn_certified
     # the only scan rejections here were distance mismatches, which are
@@ -448,6 +451,54 @@ def test_cli_config_out_and_format(tmp_path):
     assert r.returncode == 0
     assert not cfg_out.exists()
     assert json.loads(flag_out.read_text())[1:] == rows[1:]
+
+
+def test_identify_sample_is_none_off_the_regular_semisimple_locus():
+    scen = builtin_scenarios()["sl2"]
+    cfg = ExperimentConfig(scenario="sl2", k_values=(0,))
+    (sample,) = batch_sample(scen.admissible(), 0, 1, batch_seed(1, 0))
+    # the empty word is the identity: chi = (x - 1)^2 is not squarefree
+    assert identify_sample(sample, scen.coset(sample.label), cfg) is None
+
+
+def _run_with_config(tmp_path, capsys, settings):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(settings))
+    out = tmp_path / "out.csv"
+    code = main(["run", "--config", str(cfg_file), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("key,value", [
+    ("samples", 2.9), ("seed", True), ("budget", 30.0), ("k", 3.0), ("k", False),
+])
+def test_cli_config_integer_keys_refuse_floats_and_booleans(tmp_path, capsys, key, value):
+    settings = {"scenario": "sl2", "k": "3", "samples": 2, key: value}
+    code, err, out = _run_with_config(tmp_path, capsys, settings)
+    assert code == 2 and not out.exists()
+    assert f"error: {key} must be an integer" in err
+
+
+def test_cli_config_k_is_a_comma_string_or_one_integer(tmp_path, capsys):
+    code, err, _ = _run_with_config(tmp_path, capsys, {"scenario": "sl2", "k": [3, 5]})
+    assert code == 2
+    assert "error: k must be an integer or a comma-separated string, got [3, 5]" in err
+    code, err, _ = _run_with_config(tmp_path, capsys, {"scenario": "sl2", "k": "3,x"})
+    assert code == 2 and "error: k must be comma-separated integers" in err
+    settings = {"scenario": "sl2", "k": 3, "samples": 2}
+    code, _, out = _run_with_config(tmp_path, capsys, settings)
+    assert code == 0 and "# k_values=3\n" in out.read_text()
+
+
+def test_cli_removed_threshold_settings_fail_loudly(tmp_path, capsys):
+    code, err, out = _run_with_config(tmp_path, capsys, {"scenario": "sl2", "tv_max": "1/10"})
+    assert code == 2 and not out.exists()
+    assert "unknown config key 'tv_max'" in err
+    for flag in ("--tv-max", "--coverage-min"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "sl2", flag, "1", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_cli_oracle_and_catalog(tmp_path):

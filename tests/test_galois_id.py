@@ -1,18 +1,23 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
 
+from galwalk import galois_id
 from galwalk.exactmat import RationalPolynomial as P
 from galwalk.exactmat import RationalMatrix, char_poly, is_rational_square
 from galwalk.galois_id import (
+    BUDGET,
+    COVERAGE_MIN,
     KIND_CERTIFIED_EXACT,
     KIND_CONSISTENT,
     KIND_INCONCLUSIVE,
     KIND_REJECTED,
     PRIME_WINDOW,
+    TV_MAX,
     NotSquarefreeInput,
     SampleSummary,
     collect_samples,
@@ -226,8 +231,8 @@ def test_match_verdict_consistent_and_certified():
     v2 = match_verdict(s, paired)
     assert v2.kind == KIND_CONSISTENT
     # the certificate is rule (c)'s, proved before any prime is scanned
-    verdict, summary = identify(f, pi_sl_n(2))
-    assert verdict.kind == KIND_CERTIFIED_EXACT and summary is None
+    verdict = identify(f, pi_sl_n(2))
+    assert verdict.kind == KIND_CERTIFIED_EXACT and verdict.detail.startswith("rule (c)")
 
 
 def test_match_verdict_degree_mismatch():
@@ -245,23 +250,28 @@ def test_match_verdict_hard_rejection():
 
 def test_match_verdict_v4_against_d4():
     # V4 statistics against the dihedral target: all observed types possible,
-    # but coverage stays at 1/2, so the verdict is inconclusive at defaults
+    # but half the target's types are never seen, so the verdict is
+    # inconclusive, with no distance reason
     v4_stats = summary_from(4, {(2, 2): F(3, 4), (1, 1, 1, 1): F(1, 4)})
+    dihedral = pi_sl_n_tau(2).group.type_distribution
+    assert len(dihedral) == 2 * len(v4_stats.empirical)
     v = match_verdict(v4_stats, pi_sl_n_tau(2))
-    assert v.kind == KIND_INCONCLUSIVE
-    assert v.coverage == F(1, 2)
-    # and against the reciprocal target it is consistent with tv 0
-    v2 = match_verdict(v4_stats, pi_sl_n_tau_reciprocal(2))
-    assert v2.kind == KIND_CONSISTENT and v2.tv_distance == 0
+    assert v.kind == KIND_INCONCLUSIVE and v.detail == ""
+    # and against the reciprocal target it is consistent, at tv 0
+    reciprocal = pi_sl_n_tau_reciprocal(2)
+    assert tv_distance(v4_stats.empirical, reciprocal.group.type_distribution) == 0
+    assert match_verdict(v4_stats, reciprocal).kind == KIND_CONSISTENT
 
 
 def test_match_verdict_tv_mismatch_at_full_coverage_is_inconclusive():
     # a large distance proves nothing: the tv branch never rejects
     skewed = summary_from(4, {(2, 2): F(1, 2), (1, 1, 1, 1): F(1, 2)})
-    v = match_verdict(skewed, pi_sl_n_tau_reciprocal(2))
+    target = pi_sl_n_tau_reciprocal(2)
+    assert set(skewed.empirical) == set(target.group.type_distribution)
+    assert tv_distance(skewed.empirical, target.group.type_distribution) == F(1, 4)
+    v = match_verdict(skewed, target)
     assert v.kind == KIND_INCONCLUSIVE
     assert v.detail == "distribution mismatch at complete coverage"
-    assert v.coverage == 1 and v.tv_distance == F(1, 4)
 
 
 def test_rejection_soundness_calibration():
@@ -293,10 +303,19 @@ def test_rejection_soundness_calibration():
 
 
 def test_thresholds_are_used():
-    s = summary_from(2, {(2,): F(2, 3), (1, 1): F(1, 3)})
+    # the thresholds are fixed: tv at most 1/10, at full coverage
+    assert (TV_MAX, COVERAGE_MIN) == (F(1, 10), 1)
     target = PredictedGroup("order2", enumerate_group([(1, 0)]), 2)
-    assert match_verdict(s, target, tv_max=F(1, 100)).kind == KIND_INCONCLUSIVE
-    assert match_verdict(s, target, tv_max=F(1, 2)).kind == KIND_CONSISTENT
+    at_bound = summary_from(2, {(2,): F(3, 5), (1, 1): F(2, 5)})  # tv 1/10
+    assert match_verdict(at_bound, target).kind == KIND_CONSISTENT
+    beyond = summary_from(2, {(2,): F(2, 3), (1, 1): F(1, 3)})  # tv 1/6
+    assert match_verdict(beyond, target).kind == KIND_INCONCLUSIVE
+    # a distance far below 1/10 is not enough while a target type is unseen
+    s4 = pi_sl_n(4).group.type_distribution
+    most = {ct: freq for ct, freq in s4.items() if ct != (1, 1, 1, 1)}
+    assert tv_distance(most, s4) == F(1, 48)
+    v = match_verdict(SampleSummary(4, 500, 0, most), pi_sl_n(4))
+    assert v.kind == KIND_INCONCLUSIVE and v.detail == ""
 
 
 # hand-tabulated type distributions of the transitive degree-4 groups
@@ -386,29 +405,59 @@ def test_rule_b_rejects_square_discriminant_above_degree_4():
     assert exact_verdict(f, a5, 1, PRIMES) is None
 
 
-def test_exact_verdict_multiplicity_uses_only_rule_a():
-    # q = x^2 - 2 with multiplicity 2: orbits (2, 2)
+def test_exact_verdict_at_multiplicity_2_by_rules_a_and_c():
+    # q = x^2 - 2 with multiplicity 2: orbits (2, 2); its splitting field
+    # is q's, so Gal is C2 acting on both orbits at once
     q = P((-2, 0, 1))
-    assert exact_verdict(q, pi_sl_n_doubled(2), 2, PRIMES) is None
+    v = exact_verdict(q, pi_sl_n_doubled(2), 2, PRIMES)
+    assert v.kind == KIND_CERTIFIED_EXACT
+    assert v.detail == "rule (c): exact group C2 on orbits (2, 2)"
     v = exact_verdict(q, pi_sl_n_tau_reciprocal(2), 2, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
+    # a split q gives orbits (1, 1, 1, 1): rule (a)
+    v = exact_verdict(P((2, -3, 1)), pi_sl_n_doubled(2), 2, PRIMES)
+    assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
+    # degree-4 q against the doubled S4 on 8 points: S4 is certified, D4
+    # and A4 are rejected by rule (c); no doubled type is odd, so rule (b)
+    # cannot fire on the square discriminant of the A4 quartic
+    doubled = pi_sl_n_doubled(4)
+    assert exact_verdict(P((1, 1, 0, 0, 1)), doubled, 2, PRIMES).kind == (
+        KIND_CERTIFIED_EXACT
+    )
+    for coeffs, name in (((-2, 0, 0, 0, 1), "D4"), ((12, 8, 0, 0, 1), "A4")):
+        v = exact_verdict(P(coeffs), doubled, 2, PRIMES)
+        assert v.kind == KIND_REJECTED
+        assert v.detail.startswith(f"rule (c): exact group {name} on orbits (4, 4)")
 
 
-def test_identify_scans_only_what_the_rules_leave_open():
-    q = P((-2, 0, 1))
-    verdict, summary = identify(q, pi_sl_n_doubled(2), 2)
-    assert verdict.kind == KIND_CONSISTENT and summary.degree == 4
-    verdict, summary = identify(P((1, 1, 0, 0, 1)), pi_sl_n(4))
-    assert verdict.kind == KIND_CERTIFIED_EXACT and summary is None
+def test_identify_scans_only_what_the_rules_leave_open(monkeypatch):
+    scans = []
+
+    def counting(*args, **kwargs):
+        summary = collect_samples(*args, **kwargs)
+        scans.append(summary)
+        return summary
+
+    monkeypatch.setattr(galois_id, "collect_samples", counting)
+    verdict = identify(P((-2, 0, 1)), pi_sl_n_doubled(2), 2)
+    assert verdict.kind == KIND_CERTIFIED_EXACT and scans == []
+    verdict = identify(P((1, 1, 0, 0, 1)), pi_sl_n(4))
+    assert verdict.kind == KIND_CERTIFIED_EXACT and scans == []
+    # x^5 - 5x + 12 (D5) against A5: the rules leave it open, and the scan
+    # never sees A5's 3-cycles
+    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 5)
+    verdict = identify(P((12, -5, 0, 0, 0, 1)), a5)
+    assert verdict.kind == KIND_INCONCLUSIVE and verdict.detail == ""
+    (summary,) = scans
+    assert summary.good_count == BUDGET and (3, 1, 1) not in summary.empirical
 
 
-def test_identify_without_a_good_prime_expands_the_summary():
-    # the sltau2 identity target (e = 2) and a window holding no prime
-    target = pi_sl_n_doubled(2)
-    verdict, summary = identify(P((-2, 0, 1)), target, 2, prime_window=(4, 4))
+def test_identify_without_a_good_prime_is_inconclusive():
+    # factor_degrees needs a good prime for an irreducible quartic, and the
+    # window (4, 4) holds none, so the rules and the scan both come up empty
+    verdict = identify(P((1, 1, 0, 0, 1)), pi_sl_n(4), prime_window=(4, 4))
     assert verdict.kind == KIND_INCONCLUSIVE
     assert verdict.detail == "no good prime in the window"
-    assert summary.good_count == 0 and summary.degree == target.N
 
 
 def random_squarefree(rng, n):
@@ -443,32 +492,32 @@ def test_degree_at_most_4_is_decided_before_any_scan():
             f = random_squarefree(rng, n)
             reducible += small_galois_group(f)[1] != (n,)
             for pg in targets.values():
-                if pg.N == n:
-                    assert exact_verdict(f, pg, 1, PRIMES) is not None, (f, pg.name)
+                # e = 1, and e = 2 for the degree-4 targets at n = 2
+                for e in (1, 2):
+                    if pg.N == n * e:
+                        assert exact_verdict(f, pg, e, PRIMES) is not None, (f, pg.name, e)
     assert reducible >= 30
 
 
 def test_walk_samples_of_degree_at_most_4_scan_no_prime():
+    # sltau2's identity coset has e = 2 (q of degree 2), its swap coset e = 1
     reg = builtin_scenarios()
-    cases = [(name, None) for name in ("sl2", "sl3", "sl4", "res_sqrt2", "slcyc2x2")]
-    cases.append(("sltau2", 1))  # the swap coset, e = 1
-    decided = 0
-    for name, label in cases:
+    decided = Counter()
+    for name in ("sl2", "sl3", "sl4", "res_sqrt2", "slcyc2x2", "sltau2"):
         scen = reg[name]
         for seed, k in ((1, 4), (2, 12), (3, 20)):
             for sample in batch_sample(scen.admissible(), k, 6, batch_seed(seed, k)):
-                if label is not None and sample.label != label:
-                    continue
                 spec = scen.coset(sample.label)
-                assert spec.multiplicity == 1
-                q = exact_poly_root(char_poly(sample.element), 1)
+                e = spec.multiplicity
+                q = exact_poly_root(char_poly(sample.element), e)
                 if q is None:
                     continue
-                verdict, summary = identify(q, spec.predicted)
-                assert summary is None, (name, seed, k)
+                verdict = identify(q, spec.predicted, e)
+                # only the exact rules' details start so: no prime was scanned
+                assert verdict.detail.startswith("rule ("), (name, seed, k, verdict)
                 assert verdict.kind in (KIND_CERTIFIED_EXACT, KIND_REJECTED)
-                decided += 1
-    assert decided >= 60
+                decided[e] += 1
+    assert decided[1] >= 60 and decided[2] >= 5
 
 
 def test_catalog_orbit_lengths():

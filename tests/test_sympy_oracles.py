@@ -80,7 +80,7 @@ def test_exact_verdicts_match_sympy_on_sl3_and_sl4_walks():
                 if q is None:
                     continue
                 out = identify_sample(sample, spec, cfg)
-                detail = out.verdict.detail
+                detail = out.detail
                 degrees = sympy_degrees(q)
                 if degrees != (q.degree,):
                     assert out.kind == KIND_REJECTED and detail.startswith("rule (a)")
@@ -95,6 +95,31 @@ def test_exact_verdicts_match_sympy_on_sl3_and_sl4_walks():
                     assert alternating
                 else:
                     assert detail.startswith(f"rule (c): exact group {sym} ")
+
+
+def test_exact_verdicts_match_sympy_on_the_sltau2_identity_coset():
+    # chi = q^2 there; Gal(chi) = Gal(q) acts on both copies of each root
+    scen = builtin_scenarios()["sltau2"]
+    spec = scen.coset(0)
+    assert spec.multiplicity == 2
+    cfg = ExperimentConfig(scenario="sltau2", k_values=(10, 20, 30), samples=20, seed=1)
+    kinds = set()
+    for k in cfg.k_values:
+        for sample in batch_sample(scen.admissible(), k, 20, batch_seed(1, k)):
+            if sample.label != 0:
+                continue
+            q = exact_poly_root(char_poly(sample.element), 2)
+            if q is None:
+                continue
+            out = identify_sample(sample, spec, cfg)
+            kinds.add(out.kind)
+            if sympy_degrees(q) != (2,):
+                assert out.kind == KIND_REJECTED and out.detail.startswith("rule (a)")
+                continue
+            group, _ = galois_group(sympy_poly(q), by_name=True)
+            assert group.name == "S2"
+            assert out.kind == KIND_CERTIFIED_EXACT, (q, out.detail)
+    assert KIND_CERTIFIED_EXACT in kinds
 
 
 def sympy_power_root(f: P, e: int) -> P | None:
