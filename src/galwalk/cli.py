@@ -8,7 +8,8 @@ Verbs:
   catalog     predicted-group cycle-type distributions
 
 Data goes to the --out file; diagnostics go to stderr.  A flat key=value
-JSON config file may replace flags; explicit flags win.
+JSON config file may replace flags; explicit flags win.  Each verb takes
+only the flags and config keys it reads; any other is an error (exit 2).
 """
 from __future__ import annotations
 
@@ -28,12 +29,31 @@ from .output import emit
 from .permkit import GroupTooLarge
 from .scenarios import builtin_scenarios
 
-_CONFIG_KEYS = {
-    "scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed",
-    "bound", "out", "format",
+_FORMATS = ("csv", "json")
+
+# argparse keywords of each setting's flag, in --help order
+_FLAGS = {
+    "scenario": {"help": "scenario name (see `scenarios`)"},
+    "k": {"help": "comma-separated walk lengths"},
+    "samples": {"type": int},
+    "primes_min": {"type": int},
+    "primes_max": {"type": int},
+    "budget": {"type": int},
+    "seed": {"type": int},
+    "bound": {"type": int},
+    "out": {"help": "output file path"},
+    "format": {"choices": _FORMATS},
 }
 
-_FORMATS = ("csv", "json")
+# the settings each verb reads, as flags and as --config keys (catalog takes
+# no --config)
+_VERB_KEYS = {
+    "run": ("scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed",
+            "out", "format"),
+    "finfield": ("scenario", "primes_min", "primes_max", "bound", "out", "format"),
+    "oracle": ("scenario", "k", "out", "format"),
+    "catalog": ("out", "format"),
+}
 
 # where a verb's default differs from the ExperimentConfig field default
 _VERB_DEFAULTS = {
@@ -45,21 +65,15 @@ _VERB_DEFAULTS = {
 _FIELD_NAMES = {"k": "k_values", "primes_min": "prime_min", "primes_max": "prime_max"}
 
 
-def _add_common(sub):
-    sub.add_argument("--scenario", help="scenario name (see `scenarios`)")
-    sub.add_argument("--k", help="comma-separated walk lengths", default=None)
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--primes-min", type=int, default=None, dest="primes_min")
-    sub.add_argument("--primes-max", type=int, default=None, dest="primes_max")
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--bound", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", default=None, choices=_FORMATS)
-    sub.add_argument("--config", default=None, help="flat JSON config file")
+def _add_flags(sub, verb: str):
+    for key in _VERB_KEYS[verb]:
+        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **_FLAGS[key])
+    if verb != "catalog":
+        sub.add_argument("--config", default=None, help="flat JSON config file")
 
 
 def _merged_settings(args) -> dict:
+    keys = _VERB_KEYS[args.verb]
     settings: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -67,11 +81,11 @@ def _merged_settings(args) -> dict:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a flat JSON object")
         for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(f"unknown config key {key!r} for {args.verb}")
             settings[key] = value
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     return settings
@@ -108,13 +122,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="galwalk", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
     subs.add_parser("scenarios", help="list built-in scenarios")
-    for verb in ("run", "finfield", "oracle", "catalog"):
-        sub = subs.add_parser(verb)
-        if verb != "catalog":
-            _add_common(sub)
-        else:
-            sub.add_argument("--out", default=None)
-            sub.add_argument("--format", default=None, choices=_FORMATS)
+    for verb in _VERB_KEYS:
+        _add_flags(subs.add_parser(verb), verb)
 
     args = parser.parse_args(argv)
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import __version__
 from .exactmat import RationalMatrix, char_poly, mat_mul
 from .finfield import (
-    MAX_CLOSURE,
     BadPrimeError,
     census,
     closure_order_bound,
@@ -38,7 +37,7 @@ from .galois_id import (
     quadratic_galois,
 )
 from .modpoly import exact_poly_root, primes_in_window
-from .permkit import GroupTooLarge
+from .permkit import MAX_ORDER, GroupTooLarge
 from .scenarios import Scenario, builtin_scenarios
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
 
@@ -107,7 +106,7 @@ class ExperimentConfig:
     prime_max: int = PRIME_WINDOW[1]
     budget: int = BUDGET
     seed: int = 1
-    bound: int = MAX_CLOSURE
+    bound: int = MAX_ORDER
 
     def __post_init__(self):
         if not self.k_values:

@@ -1,32 +1,24 @@
 """Brute-force verification over small prime fields.
 
 Reduces a scenario's generators mod p, enumerates the finite group they
-generate together with coset labels, and classifies every coset element by
-the factorization pattern of its characteristic polynomial.  Elements with
-the same characteristic polynomial share a pattern, so the census factors
-once per distinct polynomial.  This is the ground-truth census that the
-per-class density claims are checked against.
+generate together with coset labels (permkit.closure, one row-product memo
+per generator), and classifies every coset element by the factorization
+pattern of its characteristic polynomial as q**e with q squarefree
+(modpoly.distinct_degree_pattern).  Elements with the same characteristic
+polynomial share a pattern, so the census factors once per distinct
+polynomial.  This is the ground-truth census that the per-class density
+claims are checked against.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
 from .exactmat import det, int_char_poly
-from .modpoly import (
-    CycleType,
-    PrimeFieldPolynomial,
-    distinct_degree_pattern,
-    pf_monic,
-    power_root,
-    repeat_parts,
-)
-from .permkit import GroupTooLarge
-
-# element bound of the mod-p closure (the default of ExperimentConfig.bound)
-MAX_CLOSURE = 2_000_000
+from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
+from .permkit import MAX_ORDER, GroupTooLarge, LabelCollision, closure
 
 PFMatrix = tuple[tuple[int, ...], ...]
 
@@ -101,41 +93,26 @@ def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
     return [(reduce_matrix(mat, p), lab) for mat, lab in scenario.raw_generators]
 
 
-def enumerate_mod_p(scenario, p: int, bound: int = MAX_CLOSURE) -> dict[int, list[PFMatrix]]:
-    """Closure of the scenario's reduced generators, split by coset.
-
-    The breadth-first search multiplies by the raw generators only: in a
-    finite group the monoid they generate is the whole group, and labels
-    that agree on every g-edge agree on every g^-1-edge, since
-    label(x g^-1) * label(g) = label(x).  So the admissible set's inverses
-    and identity would find no new element and no new label collision.
+def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, list[PFMatrix]]:
+    """Closure of the scenario's reduced raw generators, split by coset.
 
     Raises BadPrimeError when p is unusable for the scenario (see
     reduce_generators, or an element reached with two different labels)
     and GroupTooLarge past bound.
     """
-    gens = [
-        (_RowTimes(g, p).__getitem__, lab) for g, lab in reduce_generators(scenario, p)
+    steps = [
+        (lambda a, row_times=_RowTimes(g, p).__getitem__: tuple(map(row_times, a)), lab)
+        for g, lab in reduce_generators(scenario, p)
     ]
     n = scenario.dimension
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    labels = {ident: 0}
-    queue = deque([ident])
     group = scenario.component_group
-    while queue:
-        cur = queue.popleft()
-        cur_label = labels[cur]
-        for times, lab in gens:
-            nxt = tuple(map(times, cur))
-            nxt_label = group.mul(cur_label, lab)
-            known = labels.get(nxt)
-            if known is None:
-                if len(labels) >= bound:
-                    raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}")
-                labels[nxt] = nxt_label
-                queue.append(nxt)
-            elif known != nxt_label:
-                raise BadPrimeError(f"label collision mod {p}")
+    try:
+        labels = closure(ident, steps, group.mul, bound)
+    except LabelCollision:
+        raise BadPrimeError(f"label collision mod {p}") from None
+    except GroupTooLarge:
+        raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}") from None
     cosets: dict[int, list[PFMatrix]] = {lab: [] for lab in range(group.order)}
     for mat, lab in labels.items():
         cosets[lab].append(mat)
@@ -161,25 +138,6 @@ class CosetCensus:
         return Fraction(self.type_counts.get(ct, 0), self.total)
 
 
-def _profile_pattern(
-    chi: PrimeFieldPolynomial, multiplicity: int
-) -> CycleType | None:
-    """Pattern of chi viewed as q**multiplicity with q squarefree.
-
-    Returns None unless chi has exactly that shape; the element is then not
-    (operationally) regular semisimple.
-    """
-    p = chi.p
-    if multiplicity == 1:
-        return distinct_degree_pattern(chi)
-    rad = power_root(pf_monic(chi.coeffs, p), multiplicity, p)
-    if rad is None:
-        return None
-    # rad is squarefree, so it has a pattern
-    base = distinct_degree_pattern(PrimeFieldPolynomial(p, tuple(rad)))
-    return repeat_parts(base, multiplicity)
-
-
 def census(elements, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     """Classify one coset's elements by characteristic polynomial pattern.
 
@@ -192,7 +150,7 @@ def census(elements, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     counts: dict[CycleType, int] = {}
     rs = 0
     for coeffs, count in chis.items():
-        pattern = _profile_pattern(PrimeFieldPolynomial(p, coeffs), multiplicity)
+        pattern = distinct_degree_pattern(PrimeFieldPolynomial(p, coeffs), multiplicity)
         if pattern is None:
             continue
         rs += count

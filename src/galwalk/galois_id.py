@@ -55,10 +55,6 @@ TV_MAX = Fraction(1, 10)
 COVERAGE_MIN = Fraction(1)
 
 
-class NotSquarefreeInput(ValueError):
-    """The polynomial has repeated roots; the sample is not usable."""
-
-
 KIND_CERTIFIED_EXACT = "certified_exact"
 KIND_CONSISTENT = "consistent"
 KIND_REJECTED = "rejected"
@@ -293,23 +289,6 @@ def small_group_distribution(name: str, orbits: CycleType, multiplicity: int = 1
         repeat_parts(ct, multiplicity): freq
         for ct, freq in group.type_distribution.items()
     }
-
-
-def small_galois_group(f: RationalPolynomial) -> tuple[str, CycleType]:
-    """Gal(f) for a monic squarefree f of degree <= 4: its name and orbit lengths.
-
-    The name is the abstract group ("1", "C2", "C3", "S3", "C4", "V4",
-    "D4", "A4", "S4"); with the orbit lengths it keys SMALL_GROUPS.
-    """
-    n = f.degree
-    if not 1 < n <= 4:
-        raise ValueError("need degree 2, 3 or 4")
-    ints = integral_monic(f)
-    disc = discriminant(ints)
-    if disc == 0:
-        raise NotSquarefreeInput("repeated root")
-    orbits = factor_degrees(f, primes_in_window(*PRIME_WINDOW)).degrees
-    return _small_group_name(ints, orbits, disc), orbits
 
 
 def _small_group_name(ints, orbits, disc) -> str:

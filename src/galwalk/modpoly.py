@@ -8,9 +8,10 @@ representation: over Z, over Z/m and over F_p, each operation written once.
 Over Z and over F_p it proves "chi = q^e with q squarefree" (power_root),
 and over Z it computes discriminants.  Over F_p, the observable extracted
 from a matrix at a prime p is the multiset of degrees of the irreducible
-factors of its characteristic polynomial mod p (a partition of the degree).
-Distinct-degree factorization is enough for that: we never need the
-factors themselves, only their degree pattern.
+factors of its characteristic polynomial mod p (a partition of the degree);
+for chi = q^e it is q's pattern with every part repeated e times
+(distinct_degree_pattern).  Distinct-degree factorization is enough for
+that: we never need the factors themselves, only their degree pattern.
 """
 from __future__ import annotations
 
@@ -354,21 +355,24 @@ def discriminant(f: Sequence[int]) -> int:
 # Frobenius cycle types
 # ---------------------------------------------------------------------------
 
-def distinct_degree_pattern(g: PrimeFieldPolynomial) -> CycleType | None:
-    """Multiset of degrees of the irreducible factors of g over F_p.
+def distinct_degree_pattern(g: PrimeFieldPolynomial, e: int = 1) -> CycleType | None:
+    """Pattern of g = q**e over F_p with q squarefree: the degrees of q's
+    irreducible factors, each repeated e times.
 
-    Returns None when g has a repeated factor (those primes are excluded
-    from statistics); otherwise reads the pattern off ddf.
+    Returns None unless g has that shape (at e = 1: unless g is
+    squarefree; those primes are excluded from statistics); otherwise
+    reads q's pattern off ddf.
     """
     p = g.p
     f = pf_monic(g.coeffs, p)
     if len(f) - 1 < 1:
         raise ValueError("need degree >= 1")
-    if len(pf_gcd(f, mod(derivative(f), p), p)) - 1 > 0:
+    q = power_root(f, e, p)
+    if q is None:
         return None
-    return make_cycle_type(
-        d for d, g_d in ddf(f, p) for _ in range((len(g_d) - 1) // d)
-    )
+    return repeat_parts(make_cycle_type(
+        d for d, g_d in ddf(q, p) for _ in range((len(g_d) - 1) // d)
+    ), e)
 
 
 def frobenius_cycle_type(f: RationalPolynomial, p: int) -> FrobeniusSample:

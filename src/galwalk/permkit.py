@@ -1,25 +1,67 @@
-"""Permutation groups at desk scale: full enumeration from generators,
-exact cycle-type distributions, and imprimitive product constructions.
+"""Permutation groups at desk scale: the one breadth-first group closure,
+full enumeration from generators, exact cycle-type distributions, and
+imprimitive product constructions.
 
-Groups here are small enough (order <= ~10^6) that breadth-first closure
-beats anything clever, and it yields exact class data for free.
+Groups here are small enough (order <= MAX_ORDER) that breadth-first
+closure beats anything clever, and it yields exact class data for free.
+`closure` also enumerates the mod-p matrix groups of finfield, with a coset
+label carried along each element; orbits and cycle types are read off the
+enumerated elements.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from operator import add
 
 from .modpoly import CycleType, make_cycle_type
 
 Permutation = tuple[int, ...]
 
-# element bound of every permutation closure
+# element bound of every closure (the default of ExperimentConfig.bound)
 MAX_ORDER = 2_000_000
 
 
 class GroupTooLarge(RuntimeError):
     """Closure exceeded the element bound; raise the bound to proceed."""
+
+
+class LabelCollision(ValueError):
+    """Closure reached one element with two different labels."""
+
+
+def closure(ident, steps, mul, bound: int) -> dict:
+    """Breadth-first closure from ident: element -> label, ident labelled 0.
+
+    A step (times, label) maps an element x to times(x) and its label l to
+    mul(l, label).  Steps by the raw generators are enough: in a finite
+    group the monoid they generate is the whole group, and labels that
+    agree on every g-edge agree on every g^-1-edge, since
+    label(x g^-1) * label(g) = label(x).  So inverses and the identity
+    would find no new element and no new label collision.
+
+    Raises GroupTooLarge past bound elements, and LabelCollision when one
+    element is reached with two different labels.
+    """
+    labels = {ident: 0}
+    queue = deque([ident])
+    while queue:
+        cur = queue.popleft()
+        cur_label = labels[cur]
+        for times, lab in steps:
+            nxt = times(cur)
+            nxt_label = mul(cur_label, lab)
+            known = labels.get(nxt)
+            if known is None:
+                if len(labels) >= bound:
+                    raise GroupTooLarge(f"closure exceeds bound {bound}")
+                labels[nxt] = nxt_label
+                queue.append(nxt)
+            elif known != nxt_label:
+                raise LabelCollision(f"one element has labels {known} and {nxt_label}")
+    return labels
 
 
 def identity_perm(n: int) -> Permutation:
@@ -28,7 +70,7 @@ def identity_perm(n: int) -> Permutation:
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """a after b: (a*b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def is_permutation(seq) -> bool:
@@ -71,27 +113,22 @@ class EnumeratedGroup:
         return len(self.elements)
 
     def orbit_lengths(self) -> CycleType:
-        """Sizes of the group's orbits on its points, a partition of the degree."""
-        seen = [False] * self.degree
+        """Sizes of the group's orbits on its points, a partition of the
+        degree; the orbit of x is {g[x] for g in elements}."""
+        seen: set[int] = set()
         sizes = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            for x in orbit:  # grows while it is read
-                for g in self.generators:
-                    if not seen[g[x]]:
-                        seen[g[x]] = True
-                        orbit.append(g[x])
-            sizes.append(len(orbit))
+        for x in range(self.degree):
+            if x not in seen:  # each orbit is read off the elements once
+                orbit = {g[x] for g in self.elements}
+                seen |= orbit
+                sizes.append(len(orbit))
         return make_cycle_type(sizes)
 
     def types(self) -> tuple[CycleType, ...]:
         return tuple(self.type_distribution.keys())
 
 
-def _distribution(degree: int, elements) -> dict:
+def _distribution(elements) -> dict:
     counts: dict[CycleType, int] = {}
     for g in elements:
         ct = cycle_type(g)
@@ -103,13 +140,11 @@ def _distribution(degree: int, elements) -> dict:
     }
 
 
-def enumerate_group(
-    generators, degree: int | None = None, bound: int = MAX_ORDER
-) -> EnumeratedGroup:
-    """Breadth-first closure of the generators under composition.
+def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
+    """Closure of the generators under composition, every label 0.
 
     The empty generator list yields the trivial group (degree must then be
-    supplied).  Raises GroupTooLarge if the closure exceeds bound.
+    supplied).  Raises GroupTooLarge past MAX_ORDER elements.
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
@@ -120,24 +155,9 @@ def enumerate_group(
         raise ValueError("generators must share one degree")
     if any(not is_permutation(g) for g in gens):
         raise ValueError("generator is not a bijection")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    ident = identity_perm(degree)
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        cur = queue.popleft()
-        for g in gens:
-            nxt = compose(cur, g)
-            if nxt not in seen:
-                if len(seen) >= bound:
-                    raise GroupTooLarge(f"group exceeds bound {bound}")
-                seen.add(nxt)
-                queue.append(nxt)
-    elements = tuple(sorted(seen))
-    return EnumeratedGroup(
-        degree, elements, _distribution(degree, elements), tuple(gens)
-    )
+    steps = [(partial(compose, b=g), 0) for g in gens]
+    elements = tuple(sorted(closure(identity_perm(degree), steps, add, MAX_ORDER)))
+    return EnumeratedGroup(degree, elements, _distribution(elements), tuple(gens))
 
 
 def symmetric_group(n: int) -> EnumeratedGroup:
@@ -160,17 +180,15 @@ def trivial_group(n: int) -> EnumeratedGroup:
     return enumerate_group([], degree=n)
 
 
-def wreath_product(
-    base: EnumeratedGroup, top: EnumeratedGroup, bound: int = MAX_ORDER
-) -> EnumeratedGroup:
+def wreath_product(base: EnumeratedGroup, top: EnumeratedGroup) -> EnumeratedGroup:
     """base wr top: one base copy per top point, top permuting blocks rigidly.
 
     Point (block b, slot i) has index b*base.degree + i.
     """
     n, d = base.degree, top.degree
     expected = base.order ** d * top.order
-    if expected > bound:
-        raise GroupTooLarge(f"wreath order {expected} exceeds bound {bound}")
+    if expected > MAX_ORDER:
+        raise GroupTooLarge(f"wreath order {expected} exceeds bound {MAX_ORDER}")
     size = n * d
     gens = []
     for b in range(d):
@@ -185,6 +203,6 @@ def wreath_product(
             for i in range(n):
                 lift[b * n + i] = t[b] * n + i
         gens.append(tuple(lift))
-    result = enumerate_group(gens, degree=size, bound=bound)
+    result = enumerate_group(gens, degree=size)
     assert result.order == expected, "wreath closure has unexpected order"
     return result

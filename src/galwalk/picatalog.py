@@ -3,8 +3,8 @@
 Each constructor fixes a concrete action on the eigenvalue slots of one
 scenario coset.  The point-labeling conventions are documented per
 constructor; their correctness is established by oracle validation in the
-test suite (exact quartic classification at degree 4, distribution matching
-above), not derived symbolically.
+test suite (sympy's Galois group at degree 4, distribution matching above),
+not derived symbolically.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
     Generators: the within-pair letter swap for each pair, the global
     coupled sign flip, and rigid pair permutations.  Order 2^(r+1) * r!.
 
-    The exact quartic oracle (n = 2) and Frobenius statistics (n = 4)
+    sympy's quartic Galois group (n = 2) and Frobenius statistics (n = 4)
     validate this as the group sampled Galois groups actually realize; see
     the acceptance suite.
     """
@@ -174,7 +174,7 @@ def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> PredictedGroup:
 
     gal must be transitive (it is a Galois group acting on the embeddings).
     """
-    if len({g[0] for g in gal.elements}) != gal.degree:  # orbit of point 0
+    if gal.orbit_lengths() != (gal.degree,):
         raise ValueError("gal must act transitively")
     group = wreath_product(symmetric_group(n), gal)
     return PredictedGroup(

@@ -26,13 +26,7 @@ from .picatalog import (
     pi_sl_power_identity,
 )
 from .permkit import symmetric_group
-from .walker import (
-    ComponentGroup,
-    GeneratorSet,
-    cyclic_component_group,
-    make_admissible,
-    trivial_component_group,
-)
+from .walker import ComponentGroup, GeneratorSet, make_admissible
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def _sl_scenario(n: int) -> Scenario:
         name=f"sl{n}",
         dimension=n,
         raw_generators=raw,
-        component_group=trivial_component_group(),
+        component_group=ComponentGroup(1),
         cosets=(CosetSpec(0, "identity", pi_sl_n(n)),),
         description=f"integer unimodular walks in dimension {n}; "
         f"expected full symmetric group on {n} eigenvalues",
@@ -186,7 +180,7 @@ def _sl_tau_scenario(n: int) -> Scenario:
         name=f"sltau{n}",
         dimension=2 * n,
         raw_generators=tuple(raw),
-        component_group=cyclic_component_group(2),
+        component_group=ComponentGroup(2),
         cosets=(
             CosetSpec(
                 0,
@@ -219,7 +213,7 @@ def _sl_power_cyclic_scenario(n: int, d: int) -> Scenario:
         name=f"slcyc{n}x{d}",
         dimension=n * d,
         raw_generators=tuple(raw),
-        component_group=cyclic_component_group(d),
+        component_group=ComponentGroup(d),
         cosets=tuple(cosets),
         description=f"{d} dimension-{n} factors permuted cyclically; "
         "shifted cosets pick up root-of-unity structure",
@@ -240,7 +234,7 @@ def _sqrt2_scenario() -> Scenario:
         name="res_sqrt2",
         dimension=4,
         raw_generators=raw,
-        component_group=trivial_component_group(),
+        component_group=ComponentGroup(1),
         cosets=(
             CosetSpec(
                 0,
@@ -263,7 +257,7 @@ def _diag_antidiag_scenario() -> Scenario:
         name="diag_antidiag",
         dimension=2,
         raw_generators=((a, 0), (j, 1)),
-        component_group=cyclic_component_group(2),
+        component_group=ComponentGroup(2),
         cosets=(
             CosetSpec(0, "diagonal", None),
             CosetSpec(1, "antidiagonal", None),

@@ -1,10 +1,13 @@
 """Random walks on finitely generated matrix groups with coset labels.
 
-A generator set is made admissible by closing it under inverses and padding
-with the identity (the lazy-walk device); steps are then drawn uniformly
-from the resulting multiset.  Each sample's randomness comes from its own
-splitmix64 stream keyed by (seed, sample index), so batches are
-reproducible bit-for-bit regardless of scheduling or worker count.
+Each generator carries a label in the component group Z/m (every
+scenario's component group is cyclic), and a walk's label is the sum of
+its letters' labels mod m.  A generator set is made admissible by closing
+it under inverses and padding with the identity (the lazy-walk device);
+steps are then drawn uniformly from the resulting multiset.  Each
+sample's randomness comes from its own splitmix64 stream keyed by (seed,
+sample index), so batches are reproducible bit-for-bit regardless of
+scheduling or worker count.
 """
 from __future__ import annotations
 
@@ -51,49 +54,19 @@ def stream_for(seed: int, index: int) -> SplitMix64:
 
 @dataclass(frozen=True)
 class ComponentGroup:
-    """Finite label group given by its multiplication table; identity is 0."""
+    """The label group Z/order: labels 0..order-1 under addition mod order."""
 
-    table: tuple[tuple[int, ...], ...]
+    order: int
 
     def __post_init__(self):
-        m = len(self.table)
-        if m == 0 or any(len(row) != m for row in self.table):
-            raise ValueError("table must be square and nonempty")
-        if any(not (0 <= x < m) for row in self.table for x in row):
-            raise ValueError("table entries out of range")
-        if any(self.table[0][j] != j or self.table[j][0] != j for j in range(m)):
-            raise ValueError("element 0 must be the identity")
-        for i in range(m):
-            if 0 not in self.table[i]:
-                raise ValueError(f"element {i} has no inverse")
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    if (
-                        self.table[self.table[a][b]][c]
-                        != self.table[a][self.table[b][c]]
-                    ):
-                        raise ValueError("table is not associative")
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
+        if self.order < 1:
+            raise ValueError("order must be positive")
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return (a + b) % self.order
 
     def inv(self, a: int) -> int:
-        return self.table[a].index(0)
-
-
-def cyclic_component_group(m: int) -> ComponentGroup:
-    return ComponentGroup(
-        tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    )
-
-
-def trivial_component_group() -> ComponentGroup:
-    return cyclic_component_group(1)
+        return -a % self.order
 
 
 @dataclass(frozen=True)

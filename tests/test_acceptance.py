@@ -26,7 +26,6 @@ from galwalk.galois_id import (
     collect_samples,
     expand_summary,
     identify,
-    small_galois_group,
 )
 from galwalk.modpoly import exact_poly_root, primes_in_window, squarefree_over_q
 from galwalk.output import render_csv
@@ -44,6 +43,7 @@ from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 
 from fp_brute import CHI_FAMILIES, attainable_types
+from test_sympy_oracles import sympy_galois_name
 
 SEED = 1
 WINDOW = (1_000, 100_000)
@@ -125,8 +125,8 @@ def test_criterion_3_sl3_convergence():
 
 def test_criterion_4_coset_dependence():
     """The two cosets of the involution scenario get different verdicts;
-    the quartic oracle adjudicates which catalog group the swap coset
-    actually realizes."""
+    sympy's quartic Galois group adjudicates which catalog group the swap
+    coset actually realizes."""
     scen = builtin_scenarios()["sltau2"]
     gens = scen.admissible()
     id_spec, swap_spec = scen.coset(0), scen.coset(1)
@@ -156,7 +156,7 @@ def test_criterion_4_coset_dependence():
             if oracle_pool < 100:
                 oracle_pool += 1
                 if squarefree_over_q(chi):
-                    oracle_names[small_galois_group(chi)[0]] += 1
+                    oracle_names[sympy_galois_name(chi) or "reducible"] += 1
             if not squarefree_over_q(chi):
                 continue
             swap_rs += 1
@@ -182,7 +182,7 @@ def test_criterion_4_coset_dependence():
         f"(order {swap_spec.predicted.group.order}): {dict(swap_verdicts)}\n"
         f"    vs larger reference {swap_spec.upper.name} "
         f"(order {swap_spec.upper.group.order}): {dict(swap_upper)}\n"
-        f"    exact quartic oracle on {oracle_pool} swap samples "
+        f"    sympy quartic oracle on {oracle_pool} swap samples "
         f"({oracle_rs} regular semisimple): {dict(oracle_names)}"
     )
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -499,6 +500,61 @@ def test_cli_removed_threshold_settings_fail_loudly(tmp_path, capsys):
             main(["run", "--scenario", "sl2", flag, "1", "--out", str(out)])
         assert exc.value.code == 2 and not out.exists()
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,args,flag", [
+    ("run", ("--scenario", "sl2", "--k", "3", "--samples", "2"), "--bound"),
+    ("finfield", ("--scenario", "sl2", "--primes-max", "5"), "--samples"),
+    ("finfield", ("--scenario", "sl2", "--primes-max", "5"), "--seed"),
+    ("finfield", ("--scenario", "sl2", "--primes-max", "5"), "--k"),
+    ("finfield", ("--scenario", "sl2", "--primes-max", "5"), "--budget"),
+    ("oracle", ("--scenario", "diag_antidiag", "--k", "2"), "--primes-min"),
+    ("oracle", ("--scenario", "diag_antidiag", "--k", "2"), "--bound"),
+    ("oracle", ("--scenario", "diag_antidiag", "--k", "2"), "--samples"),
+])
+def test_cli_verb_refuses_a_flag_it_does_not_read(tmp_path, capsys, verb, args, flag):
+    out = tmp_path / "out.csv"
+    assert main([verb, *args, "--out", str(out)]) == 0  # without the flag
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *args, flag, "3", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,settings,key", [
+    ("run", {"scenario": "sl2", "k": "3", "samples": 2}, "bound"),
+    ("finfield", {"scenario": "sl2", "primes_max": 5}, "samples"),
+    ("finfield", {"scenario": "sl2", "primes_max": 5}, "seed"),
+    ("oracle", {"scenario": "diag_antidiag", "k": "2"}, "budget"),
+    ("oracle", {"scenario": "diag_antidiag", "k": "2"}, "primes_min"),
+])
+def test_cli_verb_refuses_a_config_key_it_does_not_read(tmp_path, capsys, verb, settings, key):
+    cfg_file = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg_file.write_text(json.dumps(settings))
+    assert main([verb, "--config", str(cfg_file), "--out", str(out)]) == 0
+    out.unlink()
+    cfg_file.write_text(json.dumps({**settings, key: 1}))
+    assert main([verb, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: unknown config key {key!r} for {verb}" in capsys.readouterr().err
+
+
+def test_cli_verbs_list_only_the_flags_they_read(capsys):
+    want = {
+        "run": ["--scenario", "--k", "--samples", "--primes-min", "--primes-max",
+                "--budget", "--seed", "--out", "--format", "--config"],
+        "finfield": ["--scenario", "--primes-min", "--primes-max", "--bound", "--out",
+                     "--format", "--config"],
+        "oracle": ["--scenario", "--k", "--out", "--format", "--config"],
+        "catalog": ["--out", "--format"],
+    }
+    for verb, flags in want.items():
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert listed == flags, verb
 
 
 def test_cli_oracle_and_catalog(tmp_path):

@@ -12,7 +12,6 @@ from galwalk.exactmat import (
 )
 from galwalk.finfield import (
     BadPrimeError,
-    _profile_pattern,
     census,
     charpoly_mod_p,
     closure_order_bound,
@@ -22,11 +21,13 @@ from galwalk.finfield import (
     reduce_matrix,
 )
 from galwalk.modpoly import (
+    ddf,
     derivative,
     distinct_degree_pattern,
     divmod_poly,
     exact_poly_root,
     frobenius_cycle_type,
+    make_cycle_type,
     mod,
     mul,
     pf_gcd,
@@ -38,7 +39,7 @@ from galwalk.modpoly import (
 )
 from galwalk.permkit import GroupTooLarge
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
-from galwalk.walker import batch_sample, cyclic_component_group
+from galwalk.walker import ComponentGroup, batch_sample
 
 from fp_brute import attainable_types, sltau2_identity_chi, sltau2_swap_chi
 
@@ -136,7 +137,7 @@ def test_enumerate_label_collision_is_a_bad_prime():
         name="collide",
         dimension=2,
         raw_generators=((u, 1), (low, 0)),
-        component_group=cyclic_component_group(2),
+        component_group=ComponentGroup(2),
         cosets=(CosetSpec(0, "even", None), CosetSpec(1, "odd", None)),
         description="u labelled 1 and l labelled 0 in C2",
     )
@@ -201,7 +202,7 @@ def census_per_element(elements, p, multiplicity):
     counts = {}
     rs = 0
     for m in elements:
-        pattern = _profile_pattern(charpoly_mod_p(m, p), multiplicity)
+        pattern = distinct_degree_pattern(charpoly_mod_p(m, p), multiplicity)
         if pattern is not None:
             rs += 1
             counts[pattern] = counts.get(pattern, 0) + 1
@@ -225,14 +226,23 @@ def reference_root_fp(f, multiplicity, p):
     return rad
 
 
+def reference_ddf_pattern(f, p):
+    """Factor degrees of a monic f over F_p, or None when f has a repeated
+    factor: gcd with f', then ddf."""
+    if len(pf_gcd(f, mod(derivative(f), p), p)) > 1:
+        return None
+    return make_cycle_type(d for d, g_d in ddf(f, p) for _ in range((len(g_d) - 1) // d))
+
+
 def reference_profile_pattern(chi, multiplicity):
     p = chi.p
+    f = pf_monic(chi.coeffs, p)
     if multiplicity == 1:
-        return distinct_degree_pattern(chi)
-    rad = reference_root_fp(pf_monic(chi.coeffs, p), multiplicity, p)
+        return reference_ddf_pattern(f, p)
+    rad = reference_root_fp(f, multiplicity, p)
     if rad is None:
         return None
-    base = distinct_degree_pattern(PrimeFieldPolynomial(p, tuple(rad)))
+    base = reference_ddf_pattern(rad, p)
     if base is None:
         return None
     return repeat_parts(base, multiplicity)
@@ -241,7 +251,7 @@ def reference_profile_pattern(chi, multiplicity):
 def assert_root_matches_reference(f, e, p):
     f = pf_monic(mod(f, p), p)
     chi = PrimeFieldPolynomial(p, tuple(f))
-    assert _profile_pattern(chi, e) == reference_profile_pattern(chi, e), (f, e, p)
+    assert distinct_degree_pattern(chi, e) == reference_profile_pattern(chi, e), (f, e, p)
     q = power_root(f, e, p)
     if e > 1:
         assert q == reference_root_fp(f, e, p), (f, e, p)

@@ -18,7 +18,6 @@ from galwalk.galois_id import (
     KIND_REJECTED,
     PRIME_WINDOW,
     TV_MAX,
-    NotSquarefreeInput,
     SampleSummary,
     collect_samples,
     exact_verdict,
@@ -26,7 +25,6 @@ from galwalk.galois_id import (
     identify,
     match_verdict,
     quadratic_galois,
-    small_galois_group,
     small_group_distribution,
     tv_distance,
 )
@@ -52,6 +50,8 @@ from galwalk.picatalog import (
 )
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
+from galwalk.zfactor import factor_degrees
+from test_sympy_oracles import sympy_degrees, sympy_galois_name
 
 PRIMES = primes_in_window(*PRIME_WINDOW)
 
@@ -61,8 +61,17 @@ def pprod(*factors):
     return P(reduce(mul, factors))
 
 
+def rule_c_group(f):
+    """Gal(f) for a monic squarefree f of degree 2 to 4 as rule (c) names
+    it, with its orbit lengths (the factor degrees); the tests below pin
+    that naming to known answers."""
+    ints = integral_monic(f)
+    orbits = factor_degrees(f, PRIMES).degrees
+    return galois_id._small_group_name(ints, orbits, discriminant(ints)), orbits
+
+
 def group_name(f):
-    return small_galois_group(f)[0]
+    return rule_c_group(f)[0]
 
 
 def certify_sn(types, n: int) -> bool:
@@ -115,19 +124,24 @@ QUARTIC_TABLE = [
 def test_quartic_galois_exact_irreducible_table():
     for coeffs, want in QUARTIC_TABLE:
         assert group_name(P(coeffs)) == want
+        assert sympy_galois_name(P(coeffs)) == want
 
 
 def test_quartic_galois_exact_reducible():
-    assert small_galois_group(pprod((-2, 0, 1), (-3, 0, 1))) == ("V4", (2, 2))
-    assert small_galois_group(pprod((-2, 0, 1), (-8, 0, 1))) == ("C2", (2, 2))
+    assert rule_c_group(pprod((-2, 0, 1), (-3, 0, 1))) == ("V4", (2, 2))
+    assert rule_c_group(pprod((-2, 0, 1), (-8, 0, 1))) == ("C2", (2, 2))
     assert (
         group_name(pprod((-1, 1), (-2, 1), (-3, 1), (-5, 1))) == "1"
     )
     assert group_name(pprod((-2, 1), (2, 0, 0, 1))) == "S3"
     assert group_name(pprod((-1, 1), (1, -3, 0, 1))) == "C3"
     assert group_name(pprod((-7, 1), (-11, 1), (1, 1, 1))) == "C2"
-    with pytest.raises(NotSquarefreeInput):
-        group_name(pprod((-2, 0, 1), (-2, 0, 1)))
+    # a repeated root never reaches rule (c): chi = (x^2 - 2)^2 is not
+    # squarefree, and at e = 2 rule (c) sees q = x^2 - 2
+    square = pprod((-2, 0, 1), (-2, 0, 1))
+    assert discriminant(integral_monic(square)) == 0
+    assert exact_poly_root(square, 1) is None
+    assert exact_poly_root(square, 2) == P((-2, 0, 1))
 
 
 def test_quartic_reciprocal_family():
@@ -378,9 +392,10 @@ def test_huge_resolvent_constant_needs_no_trial_division():
     assert a * a * d - 4 * b * d + c * c > 2**120
     f = P((d, c, b, a, 1))
     start = time.perf_counter()
-    name, orbits = small_galois_group(f)
+    name, orbits = rule_c_group(f)
     assert time.perf_counter() - start < 1
     assert (name, orbits) == ("S4", (4,))
+    assert sympy_galois_name(f) == "S4"
 
 
 def test_worst_res_sqrt2_sample_is_fast():
@@ -490,7 +505,7 @@ def test_degree_at_most_4_is_decided_before_any_scan():
     for n in (2, 3, 4):
         for _ in range(60):
             f = random_squarefree(rng, n)
-            reducible += small_galois_group(f)[1] != (n,)
+            reducible += sympy_degrees(f) != (n,)
             for pg in targets.values():
                 # e = 1, and e = 2 for the degree-4 targets at n = 2
                 for e in (1, 2):

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction as F
+from operator import add
 
 import pytest
 
+from galwalk import permkit
+from galwalk.galois_id import SMALL_GROUPS
+from galwalk.modpoly import make_cycle_type
 from galwalk.permkit import (
     EnumeratedGroup,
     GroupTooLarge,
+    LabelCollision,
+    closure,
     compose,
     cycle_type,
     cyclic_group,
@@ -15,6 +21,7 @@ from galwalk.permkit import (
     trivial_group,
     wreath_product,
 )
+from galwalk.scenarios import builtin_scenarios
 
 
 def inverse_perm(a):
@@ -58,16 +65,54 @@ def test_enumerate_trivial():
     assert g.type_distribution == {(1, 1, 1, 1, 1): F(1)}
 
 
-def test_enumerate_rejects_junk():
+def test_enumerate_rejects_junk(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_group([(0, 0, 1)])
     with pytest.raises(ValueError):
         enumerate_group([(1, 0), (0, 1, 2)])
+    # S_8 (order 40320) past an element bound of 100
+    s8 = [tuple([1, 0] + list(range(2, 8))), tuple(list(range(1, 8)) + [0])]
+    monkeypatch.setattr(permkit, "MAX_ORDER", 100)
     with pytest.raises(GroupTooLarge):
-        enumerate_group(
-            [tuple([1, 0] + list(range(2, 8))), tuple(list(range(1, 8)) + [0])],
-            bound=100,
-        )
+        enumerate_group(s8)
+
+
+def z2_mul(a, b):
+    return (a + b) % 2
+
+
+# Z/12 under x -> x + 1 and x -> x + 5, every label 0
+Z12_STEPS = [(lambda x: (x + 1) % 12, 0), (lambda x: (x + 5) % 12, 0)]
+
+
+def test_closure_bound():
+    assert len(closure(0, Z12_STEPS, add, 12)) == 12
+    with pytest.raises(GroupTooLarge, match="closure exceeds bound 11"):
+        closure(0, Z12_STEPS, add, 11)
+
+
+def test_closure_all_labels_0():
+    assert closure(0, Z12_STEPS, add, 100) == {x: 0 for x in range(12)}
+    # enumerate_group is this closure on permutations: S_3's elements
+    gens = [(1, 0, 2), (1, 2, 0)]
+    steps = [((lambda x, g=g: compose(x, g)), 0) for g in gens]
+    labels = closure(identity_perm(3), steps, add, 100)
+    assert set(labels.values()) == {0}
+    assert tuple(sorted(labels)) == symmetric_group(3).elements
+
+
+def test_closure_labels_and_collision():
+    # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
+    assert closure(0, [(lambda x: (x + 1) % 12, 1)], z2_mul, 100) == {
+        x: x % 2 for x in range(12)
+    }
+    # ... but on Z/9 the ninth step returns to 0 with label 1
+    with pytest.raises(LabelCollision):
+        closure(0, [(lambda x: (x + 1) % 9, 1)], z2_mul, 100)
+    # the bound is checked on new elements only, so a collision found
+    # after the last new element is still a collision
+    with pytest.raises(LabelCollision):
+        closure(0, [(lambda x: (x + 1) % 9, 1)], z2_mul, 9)
 
 
 def test_distribution_sums_to_one():
@@ -97,8 +142,44 @@ def test_wreath_order_formula():
 
 
 def test_wreath_bound():
-    with pytest.raises(GroupTooLarge):
-        wreath_product(cyclic_group(10), symmetric_group(5), bound=1000)
+    # order 10^5 * 5! = 12,000,000, refused before any enumeration
+    with pytest.raises(GroupTooLarge, match="wreath order 12000000 exceeds bound 2000000"):
+        wreath_product(cyclic_group(10), symmetric_group(5))
+
+
+def orbit_lengths_by_generators(group: EnumeratedGroup):
+    """Reference orbits: a breadth-first search over the generators from
+    each point not yet seen."""
+    seen = [False] * group.degree
+    sizes = []
+    for start in range(group.degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:  # grows while it is read
+            for g in group.generators:
+                if not seen[g[x]]:
+                    seen[g[x]] = True
+                    orbit.append(g[x])
+        sizes.append(len(orbit))
+    return make_cycle_type(sizes)
+
+
+def test_orbit_lengths_match_the_generator_search():
+    groups = [
+        pg.group
+        for scen in builtin_scenarios().values()
+        for spec in scen.cosets
+        for pg in (spec.predicted, spec.upper)
+        if pg is not None
+    ]
+    assert len(groups) == 15
+    for group in groups:
+        assert group.orbit_lengths() == orbit_lengths_by_generators(group)
+    for (name, orbits), gens in SMALL_GROUPS.items():
+        group = enumerate_group(gens, degree=sum(orbits))
+        assert group.orbit_lengths() == orbit_lengths_by_generators(group) == orbits, name
 
 
 def relabel(group: EnumeratedGroup, perm) -> EnumeratedGroup:

@@ -87,7 +87,6 @@ UNREACHED_ON_PURPOSE = {
     "exactmat.RationalPolynomial.coeffs": "construction API used by tests",
     "exactmat.RationalPolynomial.__eq__": "construction API used by tests",
     "exactmat.RationalPolynomial.__hash__": "construction API used by tests",
-    "galois_id.small_galois_group": "test oracle for the exact rules",
     "modpoly.squarefree_over_q": "benchmark probe target",
 }
 

@@ -30,9 +30,10 @@ from galwalk.zfactor import factor_degrees
 
 X = symbols("x")
 PRIMES = primes_in_window(*PRIME_WINDOW)
-# sympy's names for the transitive groups of degree 3 and 4
-SYMPY_NAMES = {"S3": "S3", "A3": "C3", "S4": "S4", "A4": "A4", "D4": "D4",
-               "C4": "C4", "V": "V4"}
+# sympy's names for the transitive groups of degree 2 to 4, as rule (c)
+# names them
+SYMPY_NAMES = {"S2": "C2", "S3": "S3", "A3": "C3", "S4": "S4", "A4": "A4",
+               "D4": "D4", "C4": "C4", "V": "V4"}
 
 
 def sympy_poly(f: P) -> Poly:
@@ -43,6 +44,16 @@ def sympy_degrees(f: P) -> tuple:
     _, factors = factor_list(sympy_poly(f).as_expr(), X)
     return tuple(sorted((Poly(g, X).degree() for g, e in factors for _ in range(e)),
                         reverse=True))
+
+
+def sympy_galois_name(f: P) -> str | None:
+    """sympy's Gal(f) for an irreducible f of degree 2 to 4, named as in
+    SYMPY_NAMES; None for a reducible f (sympy names transitive groups
+    only)."""
+    if sympy_degrees(f) != (f.degree,):
+        return None
+    group, _ = galois_group(sympy_poly(f), by_name=True)
+    return SYMPY_NAMES[group.name]
 
 
 def random_factor(rng: random.Random, d: int) -> P:

@@ -9,25 +9,33 @@ from galwalk.walker import (
     ComponentGroup,
     SplitMix64,
     batch_sample,
-    cyclic_component_group,
     draw_word,
     make_admissible,
     sample_walk,
     stream_for,
-    trivial_component_group,
 )
 
 A = RationalMatrix.diagonal([2, 3])
 J = RationalMatrix([[0, 1], [1, 0]])
-Z2 = cyclic_component_group(2)
+Z2 = ComponentGroup(2)
 
 
 def test_component_group_validation():
     assert Z2.order == 2 and Z2.mul(1, 1) == 0 and Z2.inv(1) == 1
-    with pytest.raises(ValueError):
-        ComponentGroup(((1, 0), (0, 1)))  # 0 is not the identity
-    cg3 = cyclic_component_group(3)
-    assert cg3.inv(1) == 2
+    for order in (0, -2):
+        with pytest.raises(ValueError):
+            ComponentGroup(order)
+    cg3 = ComponentGroup(3)
+    assert cg3.inv(1) == 2 and cg3.inv(0) == 0
+    # the group laws of Z/5: identity 0, inverses, associativity
+    z5 = ComponentGroup(5)
+    for a in range(5):
+        assert z5.mul(0, a) == z5.mul(a, 0) == a
+        assert z5.mul(a, z5.inv(a)) == 0
+        for b in range(5):
+            assert 0 <= z5.mul(a, b) < 5
+            for c in range(5):
+                assert z5.mul(z5.mul(a, b), c) == z5.mul(a, z5.mul(b, c))
 
 
 def test_splitmix_reference_stream():
@@ -62,7 +70,7 @@ def test_make_admissible_counterexample_set():
 
 
 def test_make_admissible_symmetrization():
-    gs = make_admissible([(RationalMatrix([[1, 1], [0, 1]]), 0)], trivial_component_group())
+    gs = make_admissible([(RationalMatrix([[1, 1], [0, 1]]), 0)], ComponentGroup(1))
     mats = {g for g, _ in gs.generators}
     assert RationalMatrix([[1, -1], [0, 1]]) in mats
     assert RationalMatrix.identity(2) in mats
@@ -83,7 +91,7 @@ def test_walk_k0_and_identity_only():
     s = sample_walk(gs, 0, 1, 0)
     assert s.element == RationalMatrix.identity(2) and s.label == 0
     only_id = make_admissible(
-        [(RationalMatrix.identity(2), 0)], trivial_component_group()
+        [(RationalMatrix.identity(2), 0)], ComponentGroup(1)
     )
     s1 = sample_walk(only_id, 1, 9, 4)
     assert s1.element == RationalMatrix.identity(2)
