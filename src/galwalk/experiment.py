@@ -19,6 +19,7 @@ from .finfield import (
     BadPrimeError,
     census,
     closure_order_bound,
+    conjugation_steps,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -298,11 +299,12 @@ def run_finite_field(config: ExperimentConfig):
                 }
             )
             continue
+        conjugators = conjugation_steps(scenario, p)
         censuses = []
         targets = {}
         for spec in scenario.cosets:
             censuses.append(
-                census(cosets[spec.label], p, spec.label, spec.multiplicity)
+                census(cosets[spec.label], p, spec.label, spec.multiplicity, conjugators)
             )
             if spec.predicted is not None:
                 targets[spec.label] = spec.predicted.group.types()

@@ -4,10 +4,13 @@ Reduces a scenario's generators mod p, enumerates the finite group they
 generate together with coset labels (permkit.closure, one row-product memo
 per generator), and classifies every coset element by the factorization
 pattern of its characteristic polynomial as q**e with q squarefree
-(modpoly.distinct_degree_pattern).  Elements with the same characteristic
-polynomial share a pattern, so the census factors once per distinct
-polynomial.  This is the ground-truth census that the per-class density
-claims are checked against.
+(modpoly.distinct_degree_pattern).  The characteristic polynomial is a
+class function, so the census splits each coset into conjugacy classes
+(permkit.closure again, under conjugation by the raw generators) and
+computes it once per class, weighted by the class size; elements with the
+same characteristic polynomial share a pattern, so it factors once per
+distinct polynomial.  This is the ground-truth census that the per-class
+density claims are checked against.
 """
 from __future__ import annotations
 
@@ -15,8 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import add
 
-from .exactmat import det, int_char_poly
+from .exactmat import det, int_char_poly, mat_inverse
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
 from .permkit import MAX_ORDER, GroupTooLarge, LabelCollision, closure
 
@@ -119,6 +123,55 @@ def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, list[
     return cosets
 
 
+def conjugation_steps(scenario, p: int) -> list:
+    """One closure step x -> g^-1 x g mod p per raw generator g, label 0.
+
+    x g is a row map by g; g^-1 y is a row map by g^-T on the transpose of
+    y.  Call after enumerate_mod_p (or reduce_generators) has accepted p:
+    that check covers the inverse-closed admissible set, so g^-1 reduces.
+    """
+    steps = []
+    for mat, _ in scenario.raw_generators:
+        right = _RowTimes(reduce_matrix(mat, p), p).__getitem__
+        left_t = _RowTimes(tuple(zip(*reduce_matrix(mat_inverse(mat), p))), p).__getitem__
+        steps.append(
+            (lambda a, right=right, left_t=left_t:
+                tuple(zip(*map(left_t, zip(*map(right, a))))), 0)
+        )
+    return steps
+
+
+def conjugacy_classes(elements, conjugators):
+    """(representative, class size) for each class of a coset's elements.
+
+    Each class is the closure of its first element under the conjugators
+    (see conjugation_steps and permkit.closure).  Coset labels lie in the
+    abelian Z/m, so conjugation keeps them and a class of the group lies
+    inside one coset.  Raises ValueError when a conjugate is not among
+    elements or the class sizes do not sum to len(elements), so a wrong
+    coset list is never miscounted.
+    """
+    index = {m: i for i, m in enumerate(elements)}
+    seen = bytearray(len(elements))
+    total = 0
+    for i, rep in enumerate(elements):
+        if seen[i]:
+            continue
+        try:
+            orbit = closure(rep, conjugators, add, len(elements))
+        except GroupTooLarge:
+            raise ValueError("a conjugacy class is larger than its coset") from None
+        for x in orbit:
+            j = index.get(x)
+            if j is None:
+                raise ValueError("a conjugate lies outside the coset")
+            seen[j] = 1
+        total += len(orbit)
+        yield rep, len(orbit)
+    if total != len(elements):
+        raise ValueError(f"class sizes sum to {total}, not {len(elements)}")
+
+
 @dataclass(frozen=True)
 class CosetCensus:
     """Cycle-type counts over the regular semisimple part of one coset."""
@@ -138,15 +191,26 @@ class CosetCensus:
         return Fraction(self.type_counts.get(ct, 0), self.total)
 
 
-def census(elements, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
+def census(elements, p: int, coset: int, multiplicity: int = 1,
+           conjugators=()) -> CosetCensus:
     """Classify one coset's elements by characteristic polynomial pattern.
 
     An element counts as regular semisimple iff its characteristic
     polynomial mod p is q**multiplicity with q squarefree (the operational
     proxy; multiplicity is the coset's generic eigenvalue multiplicity).
-    The pattern is computed once per distinct characteristic polynomial.
+    With conjugators (conjugation_steps) the characteristic polynomial is
+    computed once per conjugacy class and weighted by its size (see
+    conjugacy_classes, which raises on an inconsistent coset list); with
+    none, once per element.  The pattern is computed once per distinct
+    characteristic polynomial.
     """
-    chis = Counter(charpoly_mod_p(m, p).coeffs for m in elements)
+    classes = (
+        conjugacy_classes(elements, conjugators) if conjugators
+        else ((m, 1) for m in elements)
+    )
+    chis: Counter = Counter()
+    for rep, size in classes:
+        chis[charpoly_mod_p(rep, p).coeffs] += size
     counts: dict[CycleType, int] = {}
     rs = 0
     for coeffs, count in chis.items():

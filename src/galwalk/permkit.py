@@ -5,8 +5,8 @@ imprimitive product constructions.
 Groups here are small enough (order <= MAX_ORDER) that breadth-first
 closure beats anything clever, and it yields exact class data for free.
 `closure` also enumerates the mod-p matrix groups of finfield, with a coset
-label carried along each element; orbits and cycle types are read off the
-enumerated elements.
+label carried along each element, and their conjugacy classes; orbits and
+cycle types are read off the enumerated elements.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ class LabelCollision(ValueError):
     """Closure reached one element with two different labels."""
 
 
-def closure(ident, steps, mul, bound: int) -> dict:
-    """Breadth-first closure from ident: element -> label, ident labelled 0.
+def closure(start, steps, mul, bound: int) -> dict:
+    """Breadth-first closure from start: element -> label, start labelled 0.
 
     A step (times, label) maps an element x to times(x) and its label l to
     mul(l, label).  Steps by the raw generators are enough: in a finite
@@ -42,11 +42,17 @@ def closure(ident, steps, mul, bound: int) -> dict:
     label(x g^-1) * label(g) = label(x).  So inverses and the identity
     would find no new element and no new label collision.
 
+    start need not be the identity.  With one step x -> g^-1 x g per raw
+    generator g (and every label 0) the closure from x is x's conjugacy
+    class: the conjugations form a finite group, the image of the group in
+    its inner automorphisms, so the monoid the raw ones generate is all of
+    it and the orbit of x is {g^-1 x g : g in the group}.
+
     Raises GroupTooLarge past bound elements, and LabelCollision when one
     element is reached with two different labels.
     """
-    labels = {ident: 0}
-    queue = deque([ident])
+    labels = {start: 0}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
         cur_label = labels[cur]

@@ -18,7 +18,13 @@ from galwalk.exactmat import (
     reduce_poly_mod_p,
 )
 from galwalk.experiment import ExperimentConfig, batch_seed, run_convergence, run_oracle
-from galwalk.finfield import census, charpoly_mod_p, enumerate_mod_p, reduce_matrix
+from galwalk.finfield import (
+    census,
+    charpoly_mod_p,
+    conjugation_steps,
+    enumerate_mod_p,
+    reduce_matrix,
+)
 from galwalk.galois_id import (
     KIND_CERTIFIED_EXACT,
     KIND_CONSISTENT,
@@ -304,10 +310,11 @@ def test_criterion_7_finite_field_densities():
         scen = builtin_scenarios()[name]
         for p in (5, 7, 11, 13):
             cosets = enumerate_mod_p(scen, p)
+            conjugators = conjugation_steps(scen, p)
             rs_total = 0
             total = 0
             for spec in scen.cosets:
-                c = census(cosets[spec.label], p, spec.label, spec.multiplicity)
+                c = census(cosets[spec.label], p, spec.label, spec.multiplicity, conjugators)
                 rs_total += c.rs_count
                 total += c.total
                 family, multiplicity = CHI_FAMILIES[(name, spec.name)]

@@ -15,6 +15,8 @@ from galwalk.finfield import (
     census,
     charpoly_mod_p,
     closure_order_bound,
+    conjugacy_classes,
+    conjugation_steps,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -42,6 +44,11 @@ from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
 from galwalk.walker import ComponentGroup, batch_sample
 
 from fp_brute import attainable_types, sltau2_identity_chi, sltau2_swap_chi
+
+# per-prime closure bounds of the tests that enumerate every dimension <= 4
+# scenario; sl3, slcyc2x2 and res_sqrt2 at 5 and 7 and the dimension-4
+# scenarios at every prime overflow them
+CLOSURE_BOUNDS = {3: 6000, 5: 6000, 7: 1000}
 
 
 def sl2_order(p):
@@ -105,14 +112,12 @@ def closure_by_all_generators(scenario, p, bound):
 
 
 def test_enumerate_matches_closure_by_all_generators():
-    # Closures above the bound (sl3, slcyc2x2 and res_sqrt2 at 5 and 7, the
-    # dimension-4 scenarios at every prime) must overflow on both sides alike.
-    bounds = {3: 6000, 5: 6000, 7: 1000}
+    # Closures above the bound must overflow on both sides alike.
     compared = 0
     for name, scen in builtin_scenarios().items():
         if scen.dimension > 4:
             continue
-        for p, bound in bounds.items():
+        for p, bound in CLOSURE_BOUNDS.items():
             try:
                 want = closure_by_all_generators(scen, p, bound)
             except (BadPrimeError, GroupTooLarge) as exc:
@@ -262,12 +267,14 @@ def assert_root_matches_reference(f, e, p):
 
 
 def test_fp_power_root_matches_reference_on_sltau2_chis():
+    # chi is a class function: the class representatives carry every chi
     scen = builtin_scenarios()["sltau2"]
     for p in primes_in_window(5, 17):
+        conjugators = conjugation_steps(scen, p)
         chis = {
-            charpoly_mod_p(m, p).coeffs
+            charpoly_mod_p(rep, p).coeffs
             for coset in enumerate_mod_p(scen, p).values()
-            for m in coset
+            for rep, _ in conjugacy_classes(coset, conjugators)
         }
         found = 0
         for coeffs in chis:
@@ -294,18 +301,78 @@ def test_fp_power_root_matches_reference_on_random_products():
 
 
 def test_census_per_distinct_chi_matches_per_element():
+    # per element and per conjugacy class, on every closure that
+    # test_enumerate_matches_closure_by_all_generators compares, and sltau2 at 11
     reg = builtin_scenarios()
-    cases = [("sltau2", 5), ("sltau2", 7), ("sl3", 3)]
-    for name, p in cases:
+    cases = [(name, p, bound) for name in reg for p, bound in CLOSURE_BOUNDS.items()]
+    cases.append(("sltau2", 11, 2 * sl2_order(11)))
+    compared = set()
+    for name, p, bound in cases:
         scen = reg[name]
-        cosets = enumerate_mod_p(scen, p)
+        if scen.dimension > 4:
+            continue
+        try:
+            cosets = enumerate_mod_p(scen, p, bound=bound)
+        except (BadPrimeError, GroupTooLarge):
+            continue
+        conjugators = conjugation_steps(scen, p)
         for spec in scen.cosets:
-            # multiplicity 1 on the doubled identity coset is a wrong input
+            # multiplicity 1 on a doubled coset is a wrong input
             for mult in sorted({1, spec.multiplicity}):
-                c = census(cosets[spec.label], p, spec.label, mult)
                 want = census_per_element(cosets[spec.label], p, mult)
-                assert (c.total, c.rs_count, c.type_counts) == want, (name, p, mult)
-                assert list(c.type_counts) == sorted(c.type_counts, reverse=True)
+                for conj in ((), conjugators):
+                    c = census(cosets[spec.label], p, spec.label, mult, conj)
+                    assert (c.total, c.rs_count, c.type_counts) == want, (name, p, mult)
+                    assert list(c.type_counts) == sorted(c.type_counts, reverse=True)
+        compared.add((name, p))
+    assert compared == {
+        ("sl2", 3), ("sl2", 5), ("sl2", 7), ("sltau2", 3), ("sltau2", 5),
+        ("sltau2", 7), ("sltau2", 11), ("sl3", 3), ("slcyc2x2", 3),
+        ("res_sqrt2", 3), ("diag_antidiag", 5), ("diag_antidiag", 7),
+    }
+
+
+def sl2_class_sizes(p):
+    """Class sizes of SL_2(F_p), p odd: the two central elements, four
+    unipotent-times-central classes, (p - 3)/2 split semisimple classes
+    and (p - 1)/2 non-split ones; p + 4 classes in all."""
+    return sorted(
+        [1] * 2 + [(p * p - 1) // 2] * 4
+        + [p * (p + 1)] * ((p - 3) // 2) + [p * (p - 1)] * ((p - 1) // 2)
+    )
+
+
+def test_conjugacy_class_counts_follow_the_class_number():
+    # conjugation by the raw generators alone reaches whole classes
+    reg = builtin_scenarios()
+    for p in (3, 5, 7, 11, 13):
+        coset = enumerate_mod_p(reg["sl2"], p)[0]
+        sizes = sorted(s for _, s in conjugacy_classes(coset, conjugation_steps(reg["sl2"], p)))
+        assert len(sizes) == p + 4, p
+        assert sizes == sl2_class_sizes(p), p
+    for p in primes_in_window(5, 17):
+        conjugators = conjugation_steps(reg["sltau2"], p)
+        classes = sum(
+            len(list(conjugacy_classes(coset, conjugators)))
+            for coset in enumerate_mod_p(reg["sltau2"], p).values()
+        )
+        assert classes == 2 * (p + 4), p
+
+
+def test_census_refuses_an_inconsistent_coset_list():
+    scen = builtin_scenarios()["sl2"]
+    coset = enumerate_mod_p(scen, 5)[0]
+    conjugators = conjugation_steps(scen, 5)
+    unipotent = ((1, 1), (0, 1))
+    assert unipotent in coset
+    with pytest.raises(ValueError, match="outside the coset"):
+        census([m for m in coset if m != unipotent], 5, 0, 1, conjugators)
+    with pytest.raises(ValueError, match="larger than its coset"):
+        census([unipotent], 5, 0, 1, conjugators)
+    with pytest.raises(ValueError, match="not 121"):
+        census(coset + [unipotent], 5, 0, 1, conjugators)
+    # with no conjugators every element is its own class
+    assert census(coset + [unipotent], 5, 0).total == 121
 
 
 def test_cross_check_with_global_reduction():
