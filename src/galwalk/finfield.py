@@ -147,8 +147,9 @@ def conjugacy_classes(elements, conjugators):
     Each class is the closure of its first element under the conjugators
     (see conjugation_steps and permkit.closure).  Coset labels lie in the
     abelian Z/m, so conjugation keeps them and a class of the group lies
-    inside one coset.  Raises ValueError when a conjugate is not among
-    elements or the class sizes do not sum to len(elements), so a wrong
+    inside one coset.  With no conjugators each element is its own class.
+    Raises ValueError when a conjugate is not among elements or the class
+    sizes do not sum to len(elements) (a repeated element, say), so a wrong
     coset list is never miscounted.
     """
     index = {m: i for i, m in enumerate(elements)}
@@ -198,18 +199,14 @@ def census(elements, p: int, coset: int, multiplicity: int = 1,
     An element counts as regular semisimple iff its characteristic
     polynomial mod p is q**multiplicity with q squarefree (the operational
     proxy; multiplicity is the coset's generic eigenvalue multiplicity).
-    With conjugators (conjugation_steps) the characteristic polynomial is
-    computed once per conjugacy class and weighted by its size (see
-    conjugacy_classes, which raises on an inconsistent coset list); with
-    none, once per element.  The pattern is computed once per distinct
-    characteristic polynomial.
+    The characteristic polynomial is computed once per class of
+    conjugacy_classes(elements, conjugators) and weighted by its size; with
+    conjugation_steps that is once per conjugacy class, with no conjugators
+    once per element.  An inconsistent coset list raises ValueError.  The
+    pattern is computed once per distinct characteristic polynomial.
     """
-    classes = (
-        conjugacy_classes(elements, conjugators) if conjugators
-        else ((m, 1) for m in elements)
-    )
     chis: Counter = Counter()
-    for rep, size in classes:
+    for rep, size in conjugacy_classes(elements, conjugators):
         chis[charpoly_mod_p(rep, p).coeffs] += size
     counts: dict[CycleType, int] = {}
     rs = 0

@@ -371,8 +371,9 @@ def test_census_refuses_an_inconsistent_coset_list():
         census([unipotent], 5, 0, 1, conjugators)
     with pytest.raises(ValueError, match="not 121"):
         census(coset + [unipotent], 5, 0, 1, conjugators)
-    # with no conjugators every element is its own class
-    assert census(coset + [unipotent], 5, 0).total == 121
+    # with no conjugators every element is its own class; a repeat still raises
+    with pytest.raises(ValueError, match="not 121"):
+        census(coset + [unipotent], 5, 0)
 
 
 def test_cross_check_with_global_reduction():
