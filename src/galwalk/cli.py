@@ -9,7 +9,9 @@ Verbs:
 
 Data goes to the --out file; diagnostics go to stderr.  A flat key=value
 JSON config file may replace flags; explicit flags win.  Each verb takes
-only the flags and config keys it reads; any other is an error (exit 2).
+only the flags and config keys it reads (experiment.VERB_SETTINGS, plus
+--out and --format), with that table's defaults; any other is an error
+(exit 2).
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ import os
 import sys
 
 from .experiment import (
+    CONFIG_FIELDS,
+    VERB_SETTINGS,
     ExperimentConfig,
     catalog_rows,
     run_convergence,
@@ -31,7 +35,7 @@ from .scenarios import builtin_scenarios
 
 _FORMATS = ("csv", "json")
 
-# argparse keywords of each setting's flag, in --help order
+# argparse keywords of each setting's flag
 _FLAGS = {
     "scenario": {"help": "scenario name (see `scenarios`)"},
     "k": {"help": "comma-separated walk lengths"},
@@ -45,35 +49,23 @@ _FLAGS = {
     "format": {"choices": _FORMATS},
 }
 
-# the settings each verb reads, as flags and as --config keys (catalog takes
-# no --config)
-_VERB_KEYS = {
-    "run": ("scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed",
-            "out", "format"),
-    "finfield": ("scenario", "primes_min", "primes_max", "bound", "out", "format"),
-    "oracle": ("scenario", "k", "out", "format"),
-    "catalog": ("out", "format"),
-}
+# where the data goes: every verb reads these after its own settings
+_OUTPUT_KEYS = ("out", "format")
 
-# where a verb's default differs from the ExperimentConfig field default
-_VERB_DEFAULTS = {
-    "finfield": {"primes_min": 5, "primes_max": 17},
-    "oracle": {"k": "1,2,3,4,5,6,7,8,9,10"},
-}
 
-# flag names that differ from the ExperimentConfig field names
-_FIELD_NAMES = {"k": "k_values", "primes_min": "prime_min", "primes_max": "prime_max"}
+def _verb_keys(verb: str) -> tuple[str, ...]:
+    return (*VERB_SETTINGS[verb], *_OUTPUT_KEYS)
 
 
 def _add_flags(sub, verb: str):
-    for key in _VERB_KEYS[verb]:
+    for key in _verb_keys(verb):
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **_FLAGS[key])
-    if verb != "catalog":
+    if VERB_SETTINGS[verb]:  # catalog reads no setting, so takes no --config
         sub.add_argument("--config", default=None, help="flat JSON config file")
 
 
 def _merged_settings(args) -> dict:
-    keys = _VERB_KEYS[args.verb]
+    keys = _verb_keys(args.verb)
     settings: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -110,19 +102,22 @@ def _field_value(key: str, value):
 def _build_config(settings: dict, verb: str) -> ExperimentConfig:
     if "scenario" not in settings:
         raise ValueError("--scenario is required")
-    merged = {**_VERB_DEFAULTS.get(verb, {}), **settings}
-    return ExperimentConfig(**{
-        _FIELD_NAMES.get(key, key): _field_value(key, value)
-        for key, value in merged.items()
-        if key not in ("out", "format")
-    })
+    fields = {
+        CONFIG_FIELDS.get(key, key): default
+        for key, default in VERB_SETTINGS[verb].items()
+        if default is not None
+    }
+    for key, value in settings.items():
+        if key not in _OUTPUT_KEYS:
+            fields[CONFIG_FIELDS.get(key, key)] = _field_value(key, value)
+    return ExperimentConfig(**fields)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="galwalk", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
     subs.add_parser("scenarios", help="list built-in scenarios")
-    for verb in _VERB_KEYS:
+    for verb in VERB_SETTINGS:
         _add_flags(subs.add_parser(verb), verb)
 
     args = parser.parse_args(argv)

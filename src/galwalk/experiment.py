@@ -1,9 +1,10 @@
 """Experiment orchestration: convergence runs, finite-field censuses, the
 exact counterexample oracle, and catalog dumps.
 
-Every run is fully determined by its config (scenario, k values, sample
-count, prime window, budget, seed); sub-streams are derived
-from the seed so the output is independent of evaluation order.
+Every run is fully determined by the settings its verb reads (see
+VERB_SETTINGS), and its output's metadata lists exactly those; walk
+sub-streams are derived from the seed so the output is independent of
+evaluation order.
 """
 from __future__ import annotations
 
@@ -98,6 +99,23 @@ CATALOG_FIELDS = (
 )
 
 
+# The settings each verb reads, by flag and --config key in --help order,
+# with the verb's default where it differs from the ExperimentConfig field
+# default (None keeps the field default).  The CLI's flags and config keys
+# and each output's metadata come from this table.
+VERB_SETTINGS = {
+    "run": dict.fromkeys(
+        ("scenario", "k", "samples", "primes_min", "primes_max", "budget", "seed")
+    ),
+    "finfield": {"scenario": None, "primes_min": 5, "primes_max": 17, "bound": None},
+    "oracle": {"scenario": None, "k": tuple(range(1, 11))},
+    "catalog": {},
+}
+
+# a setting's ExperimentConfig field, where the names differ
+CONFIG_FIELDS = {"k": "k_values", "primes_min": "prime_min", "primes_max": "prime_max"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -122,22 +140,18 @@ class ExperimentConfig:
         if self.prime_min > self.prime_max:
             raise ValueError("empty prime window")
 
-    def metadata(self, command: str) -> dict:
-        return {
-            "artifact": "galwalk",
-            "version": __version__,
-            "command": command,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "rng": RNG_ALGORITHM,
-            "k_values": "+".join(str(k) for k in self.k_values),
-            "samples": self.samples,
-            "primes_min": self.prime_min,
-            "primes_max": self.prime_max,
-            "budget": self.budget,
-            "tv_max": TV_MAX,
-            "coverage_min": COVERAGE_MIN,
-        }
+
+def metadata(verb: str, config: ExperimentConfig | None = None) -> dict:
+    """An output's header: artifact, version and command, then the value of
+    each setting the verb reads (k as k_values); run adds the rng and the
+    scan thresholds its walk reads."""
+    meta = {"artifact": "galwalk", "version": __version__, "command": verb}
+    for key in VERB_SETTINGS[verb]:
+        value = getattr(config, CONFIG_FIELDS.get(key, key))
+        meta["k_values" if key == "k" else key] = value
+    if verb == "run":
+        meta.update(rng=RNG_ALGORITHM, tv_max=TV_MAX, coverage_min=COVERAGE_MIN)
+    return meta
 
 
 def batch_seed(seed: int, k: int) -> int:
@@ -214,7 +228,7 @@ def run_convergence(config: ExperimentConfig):
 
     rows = _tally_batches(scenario, config, classify, make_row)
     _report_decay_fit(rows)
-    return rows, CONVERGENCE_FIELDS, config.metadata("run")
+    return rows, CONVERGENCE_FIELDS, metadata("run", config)
 
 
 def _run_quadratic_outcomes(scenario: Scenario, config: ExperimentConfig):
@@ -234,7 +248,7 @@ def _run_quadratic_outcomes(scenario: Scenario, config: ExperimentConfig):
         }
 
     rows = _tally_batches(scenario, config, classify, make_row)
-    return rows, QUADRATIC_FIELDS, config.metadata("run")
+    return rows, QUADRATIC_FIELDS, metadata("run", config)
 
 
 def _report_decay_fit(rows) -> None:
@@ -310,7 +324,7 @@ def run_finite_field(config: ExperimentConfig):
                 targets[spec.label] = spec.predicted.group.types()
         prows, _ = density_report(censuses, targets)
         rows.extend(prows)
-    return rows, FINFIELD_FIELDS, config.metadata("finfield")
+    return rows, FINFIELD_FIELDS, metadata("finfield", config)
 
 
 def exact_word_census(scenario: Scenario, k: int, start: tuple | None = None):
@@ -387,7 +401,7 @@ def run_oracle(config: ExperimentConfig):
                 "parity_exact": parity_exact,
             }
         )
-    return rows, ORACLE_FIELDS, config.metadata("oracle")
+    return rows, ORACLE_FIELDS, metadata("oracle", config)
 
 
 def catalog_rows():
@@ -414,9 +428,4 @@ def catalog_rows():
                             "frequency_exact": f"{freq.numerator}/{freq.denominator}",
                         }
                     )
-    metadata = {
-        "artifact": "galwalk",
-        "version": __version__,
-        "command": "catalog",
-    }
-    return rows, CATALOG_FIELDS, metadata
+    return rows, CATALOG_FIELDS, metadata("catalog")

@@ -47,7 +47,7 @@ from .permkit import enumerate_group
 from .picatalog import PredictedGroup
 from .zfactor import factor_degrees, integer_roots
 
-# walk defaults; ExperimentConfig's field defaults name these
+# the prime scan's default window and budget, which run also defaults to
 PRIME_WINDOW = (1_000, 100_000)
 BUDGET = 300
 # the scan's fixed thresholds (see match_verdict); run metadata records both

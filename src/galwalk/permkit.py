@@ -20,7 +20,7 @@ from .modpoly import CycleType, make_cycle_type
 
 Permutation = tuple[int, ...]
 
-# element bound of every closure (the default of ExperimentConfig.bound)
+# element bound of every closure; finfield's --bound defaults to it
 MAX_ORDER = 2_000_000
 
 
@@ -186,6 +186,14 @@ def trivial_group(n: int) -> EnumeratedGroup:
     return enumerate_group([], degree=n)
 
 
+def block_map(outer: Permutation, inner) -> Permutation:
+    """The permutation of d blocks of n points sending point (b, i), index
+    b*n + i, to (outer[b], inner[b][i]): inner[b] moves the points of block
+    b and outer carries the block along."""
+    n = len(inner[0])
+    return tuple(outer[b] * n + x for b, perm in enumerate(inner) for x in perm)
+
+
 def wreath_product(base: EnumeratedGroup, top: EnumeratedGroup) -> EnumeratedGroup:
     """base wr top: one base copy per top point, top permuting blocks rigidly.
 
@@ -195,20 +203,13 @@ def wreath_product(base: EnumeratedGroup, top: EnumeratedGroup) -> EnumeratedGro
     expected = base.order ** d * top.order
     if expected > MAX_ORDER:
         raise GroupTooLarge(f"wreath order {expected} exceeds bound {MAX_ORDER}")
-    size = n * d
-    gens = []
-    for b in range(d):
-        for g in base.generators:
-            lift = list(range(size))
-            for i in range(n):
-                lift[b * n + i] = b * n + g[i]
-            gens.append(tuple(lift))
-    for t in top.generators:
-        lift = list(range(size))
-        for b in range(d):
-            for i in range(n):
-                lift[b * n + i] = t[b] * n + i
-        gens.append(tuple(lift))
-    result = enumerate_group(gens, degree=size)
+    fixed = [identity_perm(n)] * d
+    gens = [
+        block_map(identity_perm(d), fixed[:b] + [g] + fixed[b + 1:])
+        for b in range(d)
+        for g in base.generators
+    ]
+    gens += [block_map(t, fixed) for t in top.generators]
+    result = enumerate_group(gens, degree=n * d)
     assert result.order == expected, "wreath closure has unexpected order"
     return result

@@ -13,8 +13,10 @@ from math import factorial, gcd
 
 from .permkit import (
     EnumeratedGroup,
+    block_map,
     cyclic_group,
     enumerate_group,
+    identity_perm,
     symmetric_group,
     trivial_group,
     wreath_product,
@@ -53,9 +55,7 @@ def pi_sl_n_doubled(n: int) -> PredictedGroup:
     permutation moves both copies in lockstep, so every cycle appears twice.
     """
     sym = symmetric_group(n)
-    gens = []
-    for g in sym.generators:
-        gens.append(tuple(list(g) + [n + g[i] for i in range(n)]))
+    gens = [block_map((0, 1), [g, g]) for g in sym.generators]
     group = enumerate_group(gens, degree=2 * n)
     assert group.order == sym.order
     return PredictedGroup(f"sym{n}_doubled", group, 2 * n)
@@ -95,30 +95,11 @@ def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
         raise ValueError("only even n is supported")
     r = n // 2
     size = 4 * r
-
-    def idx(j, letter, sign):
-        return 4 * j + 2 * letter + sign
-
-    gens = []
-    flip_all = list(range(size))  # negate every square root at once
-    for j in range(r):
-        for letter in range(2):
-            a, b = idx(j, letter, 0), idx(j, letter, 1)
-            flip_all[a], flip_all[b] = flip_all[b], flip_all[a]
-    gens.append(tuple(flip_all))
-    for j in range(r):
-        g = list(range(size))  # letter swap, signs carried along
-        for s in range(2):
-            g[idx(j, 0, s)], g[idx(j, 1, s)] = g[idx(j, 1, s)], g[idx(j, 0, s)]
-        gens.append(tuple(g))
-    for j in range(r - 1):
-        g = list(range(size))  # rigid pair transposition
-        for off in range(4):
-            g[4 * j + off], g[4 * (j + 1) + off] = (
-                g[4 * (j + 1) + off],
-                g[4 * j + off],
-            )
-        gens.append(tuple(g))
+    letters = identity_perm(2 * r)  # letter 2j + l of pair j, a 2-point block
+    gens = [block_map(letters, [(1, 0)] * (2 * r))]  # negate every square root
+    # letter swaps and rigid pair permutations, signs carried along
+    signed_pairs = wreath_product(cyclic_group(2), symmetric_group(r))
+    gens += [block_map(g, [(0, 1)] * (2 * r)) for g in signed_pairs.generators]
     group = enumerate_group(gens, degree=size)
     assert group.order == 2 ** (r + 1) * factorial(r)
     return PredictedGroup(f"reciprocal_wreath_{n}", group, size)
@@ -145,25 +126,21 @@ def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
     size = n * d
-    gens = []
-    for j in range(n - 1):
-        g = list(range(size))  # block j rotates +1, reference block -1
-        for i in range(d):
-            g[d * j + i] = d * j + (i + 1) % d
-            g[d * (n - 1) + i] = d * (n - 1) + (i - 1) % d
-        gens.append(tuple(g))
-    for j in range(n - 1):
-        g = list(range(size))  # rigid adjacent block transposition
-        for i in range(d):
-            g[d * j + i], g[d * (j + 1) + i] = g[d * (j + 1) + i], g[d * j + i]
-        gens.append(tuple(g))
+    blocks = identity_perm(n)
+
+    def affine(a, s):  # slot i -> a*i + s mod d
+        return tuple((a * i + s) % d for i in range(d))
+
+    # block j rotates +1 and the reference block n-1 rotates -1
+    gens = [
+        block_map(blocks, [affine(1, (b == j) - (b == n - 1)) for b in range(n)])
+        for j in range(n - 1)
+    ]
+    # rigid block permutations
+    gens += [block_map(t, [affine(1, 0)] * n) for t in symmetric_group(n).generators]
     units = [a for a in range(2, d) if gcd(a, d) == 1]
-    for a in units:
-        g = list(range(size))  # unit action on every block simultaneously
-        for j in range(n):
-            for i in range(d):
-                g[d * j + i] = d * j + (a * i) % d
-        gens.append(tuple(g))
+    # unit action on every block simultaneously
+    gens += [block_map(blocks, [affine(a, 0)] * n) for a in units]
     group = enumerate_group(gens, degree=size)
     phi = 1 + len(units)
     assert group.order == d ** (n - 1) * factorial(n) * phi

@@ -541,20 +541,51 @@ def test_cli_verb_refuses_a_config_key_it_does_not_read(tmp_path, capsys, verb, 
     assert f"error: unknown config key {key!r} for {verb}" in capsys.readouterr().err
 
 
+# each verb's flags in --help order; all but --out, --format and --config
+# name the verb's settings, which its output header lists
+VERB_FLAGS = {
+    "run": ["--scenario", "--k", "--samples", "--primes-min", "--primes-max",
+            "--budget", "--seed", "--out", "--format", "--config"],
+    "finfield": ["--scenario", "--primes-min", "--primes-max", "--bound", "--out",
+                 "--format", "--config"],
+    "oracle": ["--scenario", "--k", "--out", "--format", "--config"],
+    "catalog": ["--out", "--format"],
+}
+
+
 def test_cli_verbs_list_only_the_flags_they_read(capsys):
-    want = {
-        "run": ["--scenario", "--k", "--samples", "--primes-min", "--primes-max",
-                "--budget", "--seed", "--out", "--format", "--config"],
-        "finfield": ["--scenario", "--primes-min", "--primes-max", "--bound", "--out",
-                     "--format", "--config"],
-        "oracle": ["--scenario", "--k", "--out", "--format", "--config"],
-        "catalog": ["--out", "--format"],
-    }
-    for verb, flags in want.items():
+    for verb, flags in VERB_FLAGS.items():
         with pytest.raises(SystemExit):
             main([verb, "--help"])
         listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
         assert listed == flags, verb
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("verb,args", [
+    ("run", ("--scenario", "sl2", "--k", "3", "--samples", "2")),
+    ("finfield", ("--scenario", "sl2", "--primes-max", "5", "--bound", "5000")),
+    ("oracle", ("--scenario", "diag_antidiag", "--k", "2")),
+    ("catalog", ()),
+])
+def test_cli_header_lists_exactly_the_settings_the_verb_reads(tmp_path, verb, args, fmt):
+    out = tmp_path / f"out.{fmt}"
+    assert main([verb, *args, "--out", str(out), "--format", fmt]) == 0
+    text = out.read_text()
+    if fmt == "csv":
+        lines = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+        header = dict(line.split("=", 1) for line in lines)
+    else:
+        header = {k: str(v) for k, v in json.loads(text)[0]["metadata"].items()}
+    settings = {
+        "k_values" if flag == "--k" else flag[2:].replace("-", "_")
+        for flag in VERB_FLAGS[verb] if flag not in ("--out", "--format", "--config")
+    }
+    walk = {"rng", "tv_max", "coverage_min"} if verb == "run" else set()
+    assert set(header) == {"artifact", "version", "command"} | settings | walk
+    assert header["command"] == verb
+    if verb == "finfield":
+        assert header["bound"] == "5000"  # in CSV, the line "# bound=5000"
 
 
 def test_cli_oracle_and_catalog(tmp_path):

@@ -141,6 +141,36 @@ def test_wreath_order_formula():
         assert w.order == d ** top.degree * top.order
 
 
+def wreath_lifts_by_hand(base, top):
+    """wreath_product's generator lifts as hand-indexed loops, before
+    permkit.block_map: the reference its lifts must reproduce."""
+    n, d = base.degree, top.degree
+    gens = []
+    for b in range(d):
+        for g in base.generators:
+            lift = list(range(n * d))
+            for i in range(n):
+                lift[b * n + i] = b * n + g[i]
+            gens.append(tuple(lift))
+    for t in top.generators:
+        gens.append(tuple(t[b] * n + i for b in range(d) for i in range(n)))
+    return gens
+
+
+@pytest.mark.parametrize("base,top", [
+    (cyclic_group(2), trivial_group(1)),
+    (cyclic_group(2), symmetric_group(2)),
+    (cyclic_group(2), symmetric_group(3)),
+    (cyclic_group(3), symmetric_group(2)),
+    (symmetric_group(3), cyclic_group(2)),
+    (symmetric_group(2), trivial_group(3)),
+    (wreath_product(cyclic_group(2), symmetric_group(2)), cyclic_group(2)),
+])
+def test_wreath_lifts_match_the_hand_indexed_lifts(base, top):
+    reference = enumerate_group(wreath_lifts_by_hand(base, top), degree=base.degree * top.degree)
+    assert wreath_product(base, top).elements == reference.elements
+
+
 def test_wreath_bound():
     # order 10^5 * 5! = 12,000,000, refused before any enumeration
     with pytest.raises(GroupTooLarge, match="wreath order 12000000 exceeds bound 2000000"):

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from galwalk.permkit import cyclic_group, symmetric_group, cycle_type
+from galwalk.permkit import cyclic_group, cycle_type, enumerate_group, symmetric_group
 from galwalk.picatalog import (
     pi_restriction_of_scalars,
     pi_sl_n,
@@ -100,3 +101,73 @@ def test_every_element_type_has_positive_frequency():
         for g in pg.group.elements:
             assert dist[cycle_type(g)] > 0
         assert pg.N == pg.group.degree
+
+
+# The constructors' generators as they were written before permkit.block_map,
+# one hand-indexed loop per block action: the reference the block map must
+# reproduce, element for element.
+def doubled_by_hand(n):
+    return [tuple(list(g) + [n + g[i] for i in range(n)]) for g in symmetric_group(n).generators]
+
+
+def tau_reciprocal_by_hand(n):
+    r = n // 2
+    size = 4 * r
+
+    def idx(j, letter, sign):
+        return 4 * j + 2 * letter + sign
+
+    gens = []
+    flip_all = list(range(size))
+    for j in range(r):
+        for letter in range(2):
+            a, b = idx(j, letter, 0), idx(j, letter, 1)
+            flip_all[a], flip_all[b] = flip_all[b], flip_all[a]
+    gens.append(tuple(flip_all))
+    for j in range(r):
+        g = list(range(size))
+        for s in range(2):
+            g[idx(j, 0, s)], g[idx(j, 1, s)] = g[idx(j, 1, s)], g[idx(j, 0, s)]
+        gens.append(tuple(g))
+    for j in range(r - 1):
+        g = list(range(size))
+        for off in range(4):
+            g[4 * j + off], g[4 * (j + 1) + off] = g[4 * (j + 1) + off], g[4 * j + off]
+        gens.append(tuple(g))
+    return gens
+
+
+def power_cyclic_by_hand(n, d):
+    size = n * d
+    gens = []
+    for j in range(n - 1):
+        g = list(range(size))
+        for i in range(d):
+            g[d * j + i] = d * j + (i + 1) % d
+            g[d * (n - 1) + i] = d * (n - 1) + (i - 1) % d
+        gens.append(tuple(g))
+    for j in range(n - 1):
+        g = list(range(size))
+        for i in range(d):
+            g[d * j + i], g[d * (j + 1) + i] = g[d * (j + 1) + i], g[d * j + i]
+        gens.append(tuple(g))
+    for a in range(2, d):
+        if gcd(a, d) == 1:
+            g = list(range(size))
+            for j in range(n):
+                for i in range(d):
+                    g[d * j + i] = d * j + (a * i) % d
+            gens.append(tuple(g))
+    return gens
+
+
+@pytest.mark.parametrize("build,by_hand,args", [
+    *[(pi_sl_n_doubled, doubled_by_hand, (n,)) for n in (2, 3, 4)],
+    *[(pi_sl_n_tau_reciprocal, tau_reciprocal_by_hand, (n,)) for n in (2, 4)],
+    *[(pi_sl_power_cyclic, power_cyclic_by_hand, nd)
+      for nd in ((2, 2), (2, 3), (3, 2), (2, 4), (2, 5))],
+])
+def test_block_map_constructors_match_the_hand_indexed_generators(build, by_hand, args):
+    pg = build(*args)
+    reference = enumerate_group(by_hand(*args), degree=pg.N)
+    assert pg.group.elements == reference.elements
