@@ -149,8 +149,6 @@ def main(argv=None) -> int:
             rows, fields, metadata = catalog_rows()
         else:
             config = _build_config(settings, args.verb)
-            if config.scenario not in builtin_scenarios():
-                raise ValueError(f"unknown scenario {config.scenario!r}")
             if args.verb == "run":
                 rows, fields, metadata = run_convergence(config)
             elif args.verb == "finfield":

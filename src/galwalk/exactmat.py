@@ -4,8 +4,8 @@ univariate polynomials over Q, and coefficientwise reduction mod p.
 Everything here is arbitrary-precision and exact.  A matrix is integer rows
 over one common denominator and a polynomial is integer coefficients over
 one, so products, characteristic polynomials, determinants and inverses
-all run on integers.  Matrices and polynomials are immutable; all
-operations are pure functions, safe to share across workers.
+all run on integers.  Matrices and polynomials are immutable, and all
+operations are pure functions.
 """
 from __future__ import annotations
 

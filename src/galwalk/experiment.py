@@ -40,7 +40,7 @@ from .galois_id import (
 )
 from .modpoly import exact_poly_root, primes_in_window
 from .permkit import MAX_ORDER, GroupTooLarge
-from .scenarios import Scenario, builtin_scenarios
+from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
 
 CONVERGENCE_FIELDS = (
@@ -206,7 +206,7 @@ def run_convergence(config: ExperimentConfig):
     Returns (rows, fieldnames, metadata).  For the scenario without
     predictions the rows carry exact quadratic outcomes instead.
     """
-    scenario = builtin_scenarios()[config.scenario]
+    scenario = get_scenario(config.scenario)
     if not scenario.has_predictions:
         return _run_quadratic_outcomes(scenario, config)
 
@@ -277,11 +277,13 @@ def _report_decay_fit(rows) -> None:
 
 def run_finite_field(config: ExperimentConfig):
     """Census rows over the configured prime list (see finfield)."""
-    scenario = builtin_scenarios()[config.scenario]
+    scenario = get_scenario(config.scenario)
     if scenario.dimension > 4:
         raise ValueError("finite-field mode supports dimension <= 4 only")
     primes = primes_in_window(config.prime_min, config.prime_max)
-    # fail before any enumeration when some prime's closure must overflow
+    # usable: p - 1 >= n (n distinct nonzero roots) and the generators reduce;
+    # fail before any enumeration when a usable prime's closure must overflow
+    usable = set()
     for p in primes:
         if p <= scenario.dimension:
             continue
@@ -295,15 +297,14 @@ def run_finite_field(config: ExperimentConfig):
                 f"closure at p={p} has at least {order} elements, "
                 f"exceeds bound {config.bound}"
             )
+        usable.add(p)
     rows = []
     for p in primes:
         try:
-            if p <= scenario.dimension:
-                raise BadPrimeError(
-                    "a full split into n distinct nonzero roots needs p - 1 >= n"
-                )
-            cosets = enumerate_mod_p(scenario, p, bound=config.bound)
-        except BadPrimeError:
+            cosets = enumerate_mod_p(scenario, p, bound=config.bound) if p in usable else None
+        except BadPrimeError:  # a label collision
+            cosets = None
+        if cosets is None:
             rows.append(
                 {
                     "p": p, "coset": -1, "status": "bad_prime", "cycle_type": "-",
@@ -368,7 +369,7 @@ def run_oracle(config: ExperimentConfig):
     letters is odd, for odd k iff it is even.  Each k extends the previous
     (smaller or equal) k's census, so one pass serves every k.
     """
-    scenario = builtin_scenarios()[config.scenario]
+    scenario = get_scenario(config.scenario)
     if scenario.has_predictions:
         raise ValueError("oracle mode applies to the counterexample scenario")
     rows = []

@@ -32,11 +32,10 @@ class PredictedGroup:
 
     name: str
     group: EnumeratedGroup
-    N: int
 
-    def __post_init__(self):
-        if self.N != self.group.degree:
-            raise ValueError("N must equal the permutation degree")
+    @property
+    def N(self) -> int:
+        return self.group.degree
 
 # ---------------------------------------------------------------------------
 # permutation-group constructors
@@ -46,7 +45,7 @@ def pi_sl_n(n: int) -> PredictedGroup:
     """Full symmetric group on the n eigenvalues (the split connected case)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return PredictedGroup(f"sym{n}", symmetric_group(n), n)
+    return PredictedGroup(f"sym{n}", symmetric_group(n))
 
 def pi_sl_n_doubled(n: int) -> PredictedGroup:
     """S_n acting simultaneously on eigenvalues and their inverses.
@@ -58,7 +57,7 @@ def pi_sl_n_doubled(n: int) -> PredictedGroup:
     gens = [block_map((0, 1), [g, g]) for g in sym.generators]
     group = enumerate_group(gens, degree=2 * n)
     assert group.order == sym.order
-    return PredictedGroup(f"sym{n}_doubled", group, 2 * n)
+    return PredictedGroup(f"sym{n}_doubled", group)
 
 def pi_sl_n_tau(n: int) -> PredictedGroup:
     """Sign-flip wreath over r = n/2 letter pairs, acting on 4r points.
@@ -72,10 +71,9 @@ def pi_sl_n_tau(n: int) -> PredictedGroup:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("only even n is supported")
-    r = n // 2
-    signed_pairs = wreath_product(cyclic_group(2), symmetric_group(r))
+    signed_pairs = wreath_product(cyclic_group(2), symmetric_group(n // 2))
     group = wreath_product(cyclic_group(2), signed_pairs)
-    return PredictedGroup(f"signflip_wreath_{n}", group, 4 * r)
+    return PredictedGroup(f"signflip_wreath_{n}", group)
 
 def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
     """Subgroup of pi_sl_n_tau cut out by the square-root product relations.
@@ -94,15 +92,14 @@ def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
     if n < 2 or n % 2 != 0:
         raise ValueError("only even n is supported")
     r = n // 2
-    size = 4 * r
     letters = identity_perm(2 * r)  # letter 2j + l of pair j, a 2-point block
     gens = [block_map(letters, [(1, 0)] * (2 * r))]  # negate every square root
     # letter swaps and rigid pair permutations, signs carried along
     signed_pairs = wreath_product(cyclic_group(2), symmetric_group(r))
     gens += [block_map(g, [(0, 1)] * (2 * r)) for g in signed_pairs.generators]
-    group = enumerate_group(gens, degree=size)
+    group = enumerate_group(gens, degree=4 * r)
     assert group.order == 2 ** (r + 1) * factorial(r)
-    return PredictedGroup(f"reciprocal_wreath_{n}", group, size)
+    return PredictedGroup(f"reciprocal_wreath_{n}", group)
 
 def pi_sl_power_identity(n: int, d: int) -> PredictedGroup:
     """Direct product of d symmetric groups, one per factor block.
@@ -111,7 +108,7 @@ def pi_sl_power_identity(n: int, d: int) -> PredictedGroup:
     eigenvalues of the b-th factor.
     """
     group = wreath_product(symmetric_group(n), trivial_group(d))
-    return PredictedGroup(f"sym{n}_power{d}", group, n * d)
+    return PredictedGroup(f"sym{n}_power{d}", group)
 
 def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
     """Coset group for d cyclically permuted factors: rotations with trivial
@@ -125,7 +122,6 @@ def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
-    size = n * d
     blocks = identity_perm(n)
 
     def affine(a, s):  # slot i -> a*i + s mod d
@@ -141,10 +137,10 @@ def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
     units = [a for a in range(2, d) if gcd(a, d) == 1]
     # unit action on every block simultaneously
     gens += [block_map(blocks, [affine(a, 0)] * n) for a in units]
-    group = enumerate_group(gens, degree=size)
+    group = enumerate_group(gens, degree=n * d)
     phi = 1 + len(units)
     assert group.order == d ** (n - 1) * factorial(n) * phi
-    return PredictedGroup(f"cycshift_{n}x{d}", group, size)
+    return PredictedGroup(f"cycshift_{n}x{d}", group)
 
 def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> PredictedGroup:
     """S_n wr gal in its imprimitive action on n * gal.degree points.
@@ -154,6 +150,4 @@ def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> PredictedGroup:
     if gal.orbit_lengths() != (gal.degree,):
         raise ValueError("gal must act transitively")
     group = wreath_product(symmetric_group(n), gal)
-    return PredictedGroup(
-        f"sym{n}_wr_{gal.order}on{gal.degree}", group, n * gal.degree
-    )
+    return PredictedGroup(f"sym{n}_wr_{gal.order}on{gal.degree}", group)

@@ -4,15 +4,17 @@ predicted group bound to each coset.
 A scenario owns the embedding conventions (block matrices, the quadratic
 ring embedding) and declares, per coset, the generic eigenvalue
 multiplicity of its characteristic polynomials and the permutation group
-its Frobenius statistics are matched against.  Where two candidate
+its samples are decided against (galois_id's exact rules first, Frobenius
+statistics where they leave a sample open).  Where two candidate
 predictions exist, `predicted` is the one validated by the exact oracles
 and `upper` the larger reference group that soundly bounds every sample.
+get_scenario(name) builds a scenario on its first use and keeps it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactmat import RationalMatrix, mat_inverse
 from .picatalog import (
@@ -70,8 +72,13 @@ class Scenario:
             if c.predicted is not None and c.predicted.N != self.dimension:
                 raise ValueError("predicted group degree mismatch")
 
-    def admissible(self) -> GeneratorSet:
+    @cached_property
+    def _admissible(self) -> GeneratorSet:
         return make_admissible(self.raw_generators, self.component_group)
+
+    def admissible(self) -> GeneratorSet:
+        """The walk's admissible generator set, built on the first call."""
+        return self._admissible
 
     def coset(self, label: int) -> CosetSpec:
         for c in self.cosets:
@@ -268,18 +275,28 @@ def _diag_antidiag_scenario() -> Scenario:
     )
 
 
-@lru_cache(maxsize=1)
+_BUILDERS = {
+    "sl2": lambda: _sl_scenario(2),
+    "sl3": lambda: _sl_scenario(3),
+    "sl4": lambda: _sl_scenario(4),
+    "sltau2": lambda: _sl_tau_scenario(2),
+    "sltau4": lambda: _sl_tau_scenario(4),
+    "slcyc2x2": lambda: _sl_power_cyclic_scenario(2, 2),
+    "slcyc2x3": lambda: _sl_power_cyclic_scenario(2, 3),
+    "res_sqrt2": _sqrt2_scenario,
+    "diag_antidiag": _diag_antidiag_scenario,
+}
+
+
+@lru_cache(maxsize=None)
+def get_scenario(name: str) -> Scenario:
+    """The built-in scenario `name`, built on its first use and then kept
+    (scenarios are immutable); ValueError for any other name."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return _BUILDERS[name]()
+
+
 def builtin_scenarios() -> dict[str, Scenario]:
-    """Name -> scenario registry (built once; scenarios are immutable)."""
-    scenarios = [
-        _sl_scenario(2),
-        _sl_scenario(3),
-        _sl_scenario(4),
-        _sl_tau_scenario(2),
-        _sl_tau_scenario(4),
-        _sl_power_cyclic_scenario(2, 2),
-        _sl_power_cyclic_scenario(2, 3),
-        _sqrt2_scenario(),
-        _diag_antidiag_scenario(),
-    ]
-    return {s.name: s for s in scenarios}
+    """Name -> scenario for every built-in one, in listing order."""
+    return {name: get_scenario(name) for name in _BUILDERS}

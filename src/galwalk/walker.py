@@ -7,7 +7,7 @@ it under inverses and padding with the identity (the lazy-walk device);
 steps are then drawn uniformly from the resulting multiset.  Each
 sample's randomness comes from its own splitmix64 stream keyed by (seed,
 sample index), so batches are reproducible bit-for-bit regardless of
-scheduling or worker count.
+evaluation order.
 """
 from __future__ import annotations
 
@@ -74,25 +74,11 @@ class GeneratorSet:
     """Admissible generating multiset: inverse-closed and identity-padded.
 
     Uniform sampling over `generators` defines the walk step distribution.
+    Built by make_admissible only.
     """
 
     generators: tuple[tuple[RationalMatrix, int], ...]
     component_group: ComponentGroup
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("empty generator set")
-        dim = self.generators[0][0].n
-        if any(g.n != dim for g, _ in self.generators):
-            raise ValueError("generators must share one dimension")
-        pairs = set(self.generators)
-        ident = RationalMatrix.identity(dim)
-        if (ident, 0) not in pairs:
-            raise ValueError("identity pair missing (set is not admissible)")
-        for g, lab in self.generators:
-            inv_pair = (mat_inverse(g), self.component_group.inv(lab))
-            if inv_pair not in pairs:
-                raise ValueError("set is not closed under inverses")
 
     @property
     def dimension(self) -> int:
@@ -106,12 +92,15 @@ class GeneratorSet:
 def make_admissible(raw, component_group: ComponentGroup) -> GeneratorSet:
     """Close the raw (matrix, label) pairs under inverses and add identity.
 
-    Raises on an empty input, a singular generator, or a label outside the
-    component group.
+    Raises on an empty input, generators of different dimensions, a
+    singular generator, or a label outside the component group.
     """
     pairs = list(raw)
     if not pairs:
         raise ValueError("empty generating set")
+    dim = pairs[0][0].n
+    if any(g.n != dim for g, _ in pairs):
+        raise ValueError("generators must share one dimension")
     m = component_group.order
     out: list[tuple[RationalMatrix, int]] = []
     seen = set()
@@ -131,7 +120,7 @@ def make_admissible(raw, component_group: ComponentGroup) -> GeneratorSet:
             raise ValueError("singular generator") from None
         push(g, lab)
         push(ginv, component_group.inv(lab))
-    push(RationalMatrix.identity(pairs[0][0].n), 0)
+    push(RationalMatrix.identity(dim), 0)
     return GeneratorSet(tuple(out), component_group)
 
 

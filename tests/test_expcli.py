@@ -16,7 +16,7 @@ from galwalk.exactmat import (
     is_rational_square,
     mat_mul,
 )
-from galwalk import experiment
+from galwalk import experiment, scenarios
 from galwalk.experiment import (
     CONVERGENCE_FIELDS,
     ExperimentConfig,
@@ -386,6 +386,39 @@ def test_cli_scenarios_and_errors(tmp_path):
     assert is_dir.returncode == 2
     assert "is a directory" in is_dir.stderr
     assert "mismatch decay fit" not in is_dir.stderr
+
+
+@pytest.mark.parametrize("verb", ["run", "finfield", "oracle"])
+def test_cli_unknown_scenario_fails_before_any_output(tmp_path, capsys, verb):
+    out = tmp_path / "x.csv"
+    assert main([verb, "--scenario", "nope", "--out", str(out)]) == 2
+    assert "error: unknown scenario 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["run", "--scenario", "sl4", "--k", "1", "--samples", "1"], ["sl4"]),
+    (["finfield", "--scenario", "sltau2", "--primes-max", "5"], ["sltau2"]),
+    (["oracle", "--scenario", "diag_antidiag", "--k", "1"], ["diag_antidiag"]),
+    (["catalog"], list(scenarios._BUILDERS)),
+])
+def test_cli_builds_only_the_scenarios_it_reads(tmp_path, monkeypatch, argv, built):
+    calls = []
+
+    def counted(name, build):
+        def wrapper():
+            calls.append(name)
+            return build()
+        return wrapper
+
+    builders = {name: counted(name, b) for name, b in scenarios._BUILDERS.items()}
+    monkeypatch.setattr(scenarios, "_BUILDERS", builders)
+    scenarios.get_scenario.cache_clear()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+    finally:
+        scenarios.get_scenario.cache_clear()
+    assert calls == built
 
 
 def test_cli_empty_k_has_its_own_message(tmp_path, capsys):

@@ -208,7 +208,7 @@ def test_certify_sn():
 
 
 def trivial_of_degree(n):
-    return PredictedGroup("trivial", enumerate_group([tuple(range(n))]), n)
+    return PredictedGroup("trivial", enumerate_group([tuple(range(n))]))
 
 
 def test_collect_samples_stops_at_a_settled_kind():
@@ -227,7 +227,7 @@ def test_collect_samples_stops_at_a_settled_kind():
     assert match_verdict(sym, pi_sl_n(2)).kind == match_verdict(full, pi_sl_n(2)).kind
     assert exact_verdict(f, pi_sl_n(2), 1, PRIMES).kind == KIND_CERTIFIED_EXACT
     # multiplicity 2: judged on the doubled types (1,1,1,1) and (2,2)
-    doubled = PredictedGroup("order2", enumerate_group([(1, 0, 3, 2)]), 4)
+    doubled = PredictedGroup("order2", enumerate_group([(1, 0, 3, 2)]))
     kept = collect_samples(f, budget=300, target=doubled, multiplicity=2)
     assert kept.good_count == 300
     cut = collect_samples(f, budget=300, target=trivial_of_degree(4), multiplicity=2)
@@ -241,7 +241,7 @@ def test_match_verdict_consistent_and_certified():
     # the scan's verdict is a threshold statement, for S_2 as for any
     # target of the same types
     assert match_verdict(s, pi_sl_n(2)).kind == KIND_CONSISTENT
-    paired = PredictedGroup("order2", enumerate_group([(1, 0)]), 2)
+    paired = PredictedGroup("order2", enumerate_group([(1, 0)]))
     v2 = match_verdict(s, paired)
     assert v2.kind == KIND_CONSISTENT
     # the certificate is rule (c)'s, proved before any prime is scanned
@@ -257,7 +257,7 @@ def test_match_verdict_degree_mismatch():
 
 def test_match_verdict_hard_rejection():
     s = summary_from(2, {(2,): F(1, 2), (1, 1): F(1, 2)})
-    target = PredictedGroup("trivial2", enumerate_group([], degree=2), 2)
+    target = PredictedGroup("trivial2", enumerate_group([], degree=2))
     v = match_verdict(s, target)
     assert v.kind == KIND_REJECTED  # observed (2) impossible for the trivial group
 
@@ -319,7 +319,7 @@ def test_rejection_soundness_calibration():
 def test_thresholds_are_used():
     # the thresholds are fixed: tv at most 1/10, at full coverage
     assert (TV_MAX, COVERAGE_MIN) == (F(1, 10), 1)
-    target = PredictedGroup("order2", enumerate_group([(1, 0)]), 2)
+    target = PredictedGroup("order2", enumerate_group([(1, 0)]))
     at_bound = summary_from(2, {(2,): F(3, 5), (1, 1): F(2, 5)})  # tv 1/10
     assert match_verdict(at_bound, target).kind == KIND_CONSISTENT
     beyond = summary_from(2, {(2,): F(2, 3), (1, 1): F(1, 3)})  # tv 1/6
@@ -355,7 +355,7 @@ def test_quartic_distribution_table_matches_enumeration():
 
 
 def transitive_v4():
-    return PredictedGroup("v4", enumerate_group([(1, 0, 3, 2), (2, 3, 0, 1)]), 4)
+    return PredictedGroup("v4", enumerate_group([(1, 0, 3, 2), (2, 3, 0, 1)]))
 
 
 def test_exact_quartic_verdict():
@@ -379,7 +379,7 @@ def test_reducible_quartic_is_never_certified_against_transitive_v4():
     v = exact_verdict(pprod((-2, 0, 1), (-3, 0, 1)), transitive_v4(), 1, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
     # the intransitive V4 target is certified
-    s2xs2 = PredictedGroup("s2xs2", enumerate_group([(1, 0, 2, 3), (0, 1, 3, 2)]), 4)
+    s2xs2 = PredictedGroup("s2xs2", enumerate_group([(1, 0, 2, 3), (0, 1, 3, 2)]))
     assert exact_verdict(pprod((-2, 0, 1), (-3, 0, 1)), s2xs2, 1, PRIMES).kind == (
         KIND_CERTIFIED_EXACT
     )
@@ -416,7 +416,7 @@ def test_rule_b_rejects_square_discriminant_above_degree_4():
     f = P((12, -5, 0, 0, 0, 1))
     v = exact_verdict(f, pi_sl_n(5), 1, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (b)")
-    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 5)
+    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
     assert exact_verdict(f, a5, 1, PRIMES) is None
 
 
@@ -460,7 +460,7 @@ def test_identify_scans_only_what_the_rules_leave_open(monkeypatch):
     assert verdict.kind == KIND_CERTIFIED_EXACT and scans == []
     # x^5 - 5x + 12 (D5) against A5: the rules leave it open, and the scan
     # never sees A5's 3-cycles
-    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 5)
+    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
     verdict = identify(P((12, -5, 0, 0, 0, 1)), a5)
     assert verdict.kind == KIND_INCONCLUSIVE and verdict.detail == ""
     (summary,) = scans

@@ -2,7 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from galwalk.exactmat import RationalMatrix, RationalPolynomial, char_poly, det, mat_mul
+from galwalk import scenarios
+from galwalk.exactmat import (
+    RationalMatrix,
+    RationalPolynomial,
+    char_poly,
+    det,
+    mat_inverse,
+    mat_mul,
+)
 from galwalk.modpoly import mul
 from galwalk.permkit import enumerate_group
 from galwalk.scenarios import (
@@ -10,6 +18,7 @@ from galwalk.scenarios import (
     builtin_scenarios,
     dual_pair_embed,
     elementary,
+    get_scenario,
     sqrt2_embed,
 )
 
@@ -34,6 +43,25 @@ def test_registry_contents():
         assert scen.dimension == dim
         assert len(scen.cosets) == cosets
         assert scen.component_group.order == cosets
+
+
+def test_scenario_lookup_by_name():
+    for name in scenarios._BUILDERS:
+        assert get_scenario(name).name == name
+        assert get_scenario(name) is builtin_scenarios()[name]  # built once
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+        get_scenario("nope")
+
+
+def test_admissible_sets_are_inverse_closed_and_identity_padded():
+    for scen in builtin_scenarios().values():
+        gens = scen.admissible()
+        assert scen.admissible() is gens  # built on the first call only
+        pairs = set(gens.generators)
+        assert (RationalMatrix.identity(scen.dimension), 0) in pairs
+        for g, lab in gens.generators:
+            assert g.n == scen.dimension
+            assert (mat_inverse(g), -lab % scen.component_group.order) in pairs, scen.name
 
 
 def test_predicted_group_bindings():

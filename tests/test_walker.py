@@ -84,6 +84,8 @@ def test_make_admissible_errors():
         make_admissible([(RationalMatrix([[1, 2], [2, 4]]), 0)], Z2)
     with pytest.raises(ValueError):
         make_admissible([(A, 5)], Z2)
+    with pytest.raises(ValueError, match="one dimension"):
+        make_admissible([(A, 0), (RationalMatrix.identity(3), 0)], Z2)
 
 
 def test_walk_k0_and_identity_only():
