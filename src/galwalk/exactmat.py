@@ -1,11 +1,11 @@
 """Exact rational linear algebra: matrices, characteristic polynomials,
-univariate polynomials over Q, and coefficientwise reduction mod p.
+determinants, inverses, and coefficientwise reduction mod p.
 
 Everything here is arbitrary-precision and exact.  A matrix is integer rows
-over one common denominator and a polynomial is integer coefficients over
-one, so products, characteristic polynomials, determinants and inverses
-all run on integers.  Matrices and polynomials are immutable, and all
-operations are pure functions.
+over one common denominator, so products, characteristic polynomials,
+determinants and inverses all run on integers.  A characteristic
+polynomial is a monic integer coefficient list (see char_poly).  Matrices
+are immutable, and all operations are pure functions.
 """
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ class SingularMatrix(ValueError):
     pass
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class RationalMatrix:
     """Square matrix over Q, stored as integer rows over one denominator.
 
@@ -40,7 +36,7 @@ class RationalMatrix:
     __slots__ = ("n", "den", "num")
 
     def __new__(cls, rows: Iterable[Iterable]):
-        rows = [[_frac(e) for e in row] for row in rows]
+        rows = [[e if isinstance(e, Fraction) else Fraction(e) for e in row] for row in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
@@ -107,66 +103,6 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     )
 
 
-class RationalPolynomial:
-    """Univariate polynomial over Q, stored as integer coefficients over one
-    denominator.
-
-    The coefficient of T^i is num[i] / den (degree-indexed, num[-1] != 0; the
-    zero polynomial has num = ()).  den >= 1 and gcd(den, every num entry) =
-    1, as for RationalMatrix, so equality and hashing compare integers.
-    """
-
-    __slots__ = ("den", "num")
-
-    def __new__(cls, coeffs: Iterable):
-        cs = [_frac(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return cls.from_int([c.numerator * (den // c.denominator) for c in cs], den)
-
-    @staticmethod
-    def from_int(num: Iterable[int], den: int = 1) -> "RationalPolynomial":
-        """The polynomial num[i] / den (den nonzero), in lowest terms."""
-        num = list(num)
-        while num and num[-1] == 0:
-            num.pop()
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        f = object.__new__(RationalPolynomial)
-        object.__setattr__(f, "den", den // g)
-        object.__setattr__(f, "num", tuple(c // g for c in num))
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPolynomial is immutable")
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions; a read-only view, rebuilt on each access."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    @property
-    def degree(self) -> int:
-        return len(self.num) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.num) and self.num[-1] == self.den
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalPolynomial)
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.num))
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*T^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "Poly(" + (" + ".join(terms) or "0") + ")"
-
-
 def is_rational_square(x: int) -> bool:
     """Exact test: the integer x is the square of a rational, so of an integer."""
     return x >= 0 and isqrt(x) ** 2 == x
@@ -204,17 +140,17 @@ def int_char_poly(rows) -> list[int]:
     return coeffs
 
 
-def char_poly(a: RationalMatrix) -> RationalPolynomial:
-    """Characteristic polynomial det(T*I - a), monic of degree n.
+def char_poly(a: RationalMatrix) -> list[int]:
+    """det(T*I - num) for a = num / d: monic integer coefficients of degree
+    n, degree-indexed.
 
-    With a = num / d, the integer kernel gives det(T*I - num) = d^n *
-    det((T/d)*I - a), so the coefficient of T^i over Q is the integer one
-    times d^i over d^n.
+    This is d^n * chi_a(T / d), so its roots are d times a's eigenvalues.
+    Scaling every root by the same nonzero rational d keeps the splitting
+    field, so the Galois group, the factor degrees over Q and the shape
+    q^e with q squarefree are chi_a's, and the discriminant differs from
+    chi_a's by d^(n(n-1)), a square: all that the verdict reads.
     """
-    d = a.den
-    return RationalPolynomial.from_int(
-        (c * d ** i for i, c in enumerate(int_char_poly(a.num))), d ** a.n
-    )
+    return int_char_poly(a.num)
 
 
 def det(a: RationalMatrix) -> Fraction:
@@ -257,14 +193,14 @@ class PrimeFieldPolynomial:
             raise ValueError("coefficients must be reduced residues")
 
 
-def reduce_poly_mod_p(f: RationalPolynomial, p: int) -> PrimeFieldPolynomial | None:
-    """Coefficientwise reduction of f mod p.
+def reduce_poly_mod_p(f: Sequence[int], p: int) -> PrimeFieldPolynomial:
+    """Coefficientwise reduction of a monic integer f mod p.
 
-    None marks a bad prime (zero polynomial, p dividing the denominator, or
-    a leading coefficient that vanishes mod p); Frobenius sampling skips
-    such primes.
+    Monic, so the degree survives at every prime.  Where the reduction is
+    squarefree, p does not divide disc(f), so p is unramified in f's
+    splitting field and the factor degrees mod p are a Frobenius cycle type
+    (Dedekind).
     """
-    if not f.num or f.den % p == 0 or f.num[-1] % p == 0:
-        return None
-    inv = pow(f.den, -1, p)
-    return PrimeFieldPolynomial(p, tuple(c * inv % p for c in f.num))
+    if not f or f[-1] != 1:
+        raise ValueError("expected a monic polynomial")
+    return PrimeFieldPolynomial(p, tuple(c % p for c in f))

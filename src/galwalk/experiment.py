@@ -38,7 +38,7 @@ from .galois_id import (
     identify,
     quadratic_galois,
 )
-from .modpoly import exact_poly_root, primes_in_window
+from .modpoly import power_root, primes_in_window
 from .permkit import MAX_ORDER, GroupTooLarge
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
@@ -163,7 +163,7 @@ def identify_sample(sample, spec, config: ExperimentConfig) -> Verdict | None:
     """The verdict on one walk sample against its coset's predicted group,
     or None when the sample is not regular semisimple: the exact rules
     first, the prime scan only if they leave it undecided."""
-    q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
+    q = power_root(char_poly(sample.element), spec.multiplicity)
     if q is None:
         return None
     return identify(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 from operator import add
 
-from .exactmat import det, int_char_poly, mat_inverse
+from .exactmat import det, int_char_poly, mat_inverse, reduce_poly_mod_p
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
 from .permkit import MAX_ORDER, GroupTooLarge, LabelCollision, closure
 
@@ -60,7 +60,7 @@ class _RowTimes(dict):
 
 def charpoly_mod_p(a: PFMatrix, p: int) -> PrimeFieldPolynomial:
     """Characteristic polynomial over F_p: the integer one, reduced."""
-    return PrimeFieldPolynomial(p, tuple(c % p for c in int_char_poly(a)))
+    return reduce_poly_mod_p(int_char_poly(a), p)
 
 
 def _sl_order(n: int, p: int) -> int:

@@ -32,13 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
-from .exactmat import RationalPolynomial, is_rational_square
+from .exactmat import is_rational_square
 from .modpoly import (
     CycleType,
     discriminant,
     frobenius_cycle_type,
-    integral_monic,
     primes_in_window,
     repeat_parts,
     resolvent_cubic,
@@ -81,17 +81,17 @@ class Verdict:
 
 
 def collect_samples(
-    f: RationalPolynomial,
+    f: Sequence[int],
     prime_window: tuple[int, int] = PRIME_WINDOW,
     budget: int = BUDGET,
     target: PredictedGroup | None = None,
     multiplicity: int = 1,
 ) -> SampleSummary:
-    """Cycle types of the monic squarefree f at ascending primes in the
-    window, up to budget good ones.
+    """Cycle types of the monic squarefree integer f at ascending primes in
+    the window, up to budget good ones.
 
-    Bad primes (denominator or leading-term collisions) and non-squarefree
-    reductions are skipped and counted, never classified.
+    Primes where f is not squarefree mod p (the ramified ones among them)
+    are skipped and counted, never classified.
 
     With a target, the scan stops at the first type that, with every part
     repeated multiplicity times, the target never attains: no later type
@@ -100,8 +100,6 @@ def collect_samples(
     kind match_verdict gives equals the full budget's.  Without a target
     the whole budget is scanned.
     """
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
     counts: dict[CycleType, int] = {}
     good = bad = 0
     for p in primes_in_window(*prime_window):
@@ -121,7 +119,7 @@ def collect_samples(
     empirical = {
         ct: Fraction(counts[ct], good) for ct in sorted(counts, reverse=True)
     }
-    return SampleSummary(f.degree, good, bad, empirical)
+    return SampleSummary(len(f) - 1, good, bad, empirical)
 
 
 def expand_summary(summary: SampleSummary, multiplicity: int) -> SampleSummary:
@@ -180,7 +178,7 @@ def match_verdict(summary: SampleSummary, target: PredictedGroup) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def identify(
-    q: RationalPolynomial,
+    q: Sequence[int],
     target: PredictedGroup,
     multiplicity: int = 1,
     prime_window: tuple[int, int] = PRIME_WINDOW,
@@ -188,7 +186,7 @@ def identify(
 ) -> Verdict:
     """Verdict on a sample whose characteristic polynomial is q**multiplicity.
 
-    q is monic and squarefree.  The exact rules decide first
+    q is a monic squarefree integer list.  The exact rules decide first
     (exact_verdict); only what they leave undecided scans the window's
     primes (collect_samples, match_verdict).
     """
@@ -202,16 +200,17 @@ def identify(
 
 
 def exact_verdict(
-    q: RationalPolynomial, target: PredictedGroup, multiplicity: int, primes
+    q: Sequence[int], target: PredictedGroup, multiplicity: int, primes
 ) -> Verdict | None:
-    """The verdict rules (a)-(c) prove for a monic squarefree q, or None.
+    """The verdict rules (a)-(c) prove for a monic squarefree integer q, or
+    None.
 
     primes feed Musser's filter in factor_degrees; a cycle type already
     seen there that is odd proves the discriminant is not a square, so
     rule (b) above degree 4 computes no discriminant then.  The detail
     names the rule that fired.
     """
-    n = q.degree
+    n = len(q) - 1
     if n * multiplicity != target.N:
         raise ValueError(
             f"degree mismatch: {n} x {multiplicity} vs target {target.N}"
@@ -228,15 +227,14 @@ def exact_verdict(
     odd_target = any(_is_odd(ct) for ct in target.group.type_distribution)
     if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
         return None
-    ints = integral_monic(q)
-    disc = discriminant(ints)
+    disc = discriminant(q)
     if odd_target and is_rational_square(disc):
         return _rejected(
             target, "rule (b): square discriminant, target has odd permutations"
         )
     if n > 4:
         return None
-    name = _small_group_name(ints, found.degrees, disc)
+    name = _small_group_name(q, found.degrees, disc)
     exact = small_group_distribution(name, found.degrees, multiplicity)
     if exact == target.group.type_distribution:
         return Verdict(
@@ -328,13 +326,13 @@ def _small_group_name(ints, orbits, disc) -> str:
 # exact low-degree classification
 # ---------------------------------------------------------------------------
 
-def quadratic_galois(f: RationalPolynomial) -> str | None:
-    """"trivial" iff the monic quadratic f's discriminant is a nonzero
-    rational square, "order2" iff it is not a square, and None iff it is 0,
-    that is iff f has a repeated root; decided on f's integral form."""
-    if f.degree != 2:
+def quadratic_galois(f: Sequence[int]) -> str | None:
+    """"trivial" iff the monic integer quadratic f's discriminant is a
+    nonzero square, "order2" iff it is not a square, and None iff it is 0,
+    that is iff f has a repeated root."""
+    if len(f) != 3:
         raise ValueError("need degree 2")
-    disc = discriminant(integral_monic(f))
+    disc = discriminant(f)
     if disc == 0:
         return None
     return "trivial" if is_rational_square(disc) else "order2"

@@ -4,6 +4,8 @@ cycle types.
 A polynomial is a degree-indexed list of ints with a nonzero leading entry
 (the zero polynomial is []).  The arithmetic below is the one home of that
 representation: over Z, over Z/m and over F_p, each operation written once.
+A walk sample's chi is exactmat.char_poly's monic integer list, and chi and
+q stay such lists from the walk to the verdict.
 
 Over Z and over F_p it proves "chi = q^e with q squarefree" (power_root),
 and over Z it computes discriminants.  Over F_p, the observable extracted
@@ -22,12 +24,7 @@ from itertools import compress
 from math import gcd
 from typing import Sequence
 
-from .exactmat import (
-    PrimeFieldPolynomial,
-    RationalPolynomial,
-    int_char_poly,
-    reduce_poly_mod_p,
-)
+from .exactmat import PrimeFieldPolynomial, int_char_poly, reduce_poly_mod_p
 
 # A cycle type is a weakly decreasing tuple of positive parts.
 CycleType = tuple[int, ...]
@@ -51,7 +48,7 @@ def repeat_parts(ct: CycleType, e: int) -> CycleType:
 class FrobeniusSample:
     p: int
     cycle_type: CycleType | None
-    status: str  # "good" | "bad_prime" | "not_squarefree"
+    status: str  # "good" | "not_squarefree" (a monic f reduces at every p)
 
     def __post_init__(self):
         if (self.status == "good") != (self.cycle_type is not None):
@@ -275,45 +272,9 @@ def power_root(f: Sequence[int], e: int, m: int = 0) -> list[int] | None:
     return q if power == list(f) else None
 
 
-def integral_monic(f: RationalPolynomial) -> list[int]:
-    """Integer coefficients of D^n f(T / D) for a monic f of degree n, D = f.den.
-
-    The coefficient of T^i is num[i] * D^(n-1-i), where f = num / D.  The
-    roots are D times f's, so squarefreeness, e-th powers, the factor
-    degrees over Q, the Galois group and the discriminant's square class are
-    f's own.
-    """
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
-    d, num = f.den, f.num
-    n = len(num) - 1
-    return [c * d ** (n - 1 - i) for i, c in enumerate(num[:-1])] + [1]
-
-
-def exact_poly_root(f: RationalPolynomial, e: int) -> RationalPolynomial | None:
-    """If monic f = q**e with q monic squarefree, return q; otherwise None.
-
-    Used to recognize characteristic polynomials whose eigenvalues all carry
-    the same multiplicity e.  Decided by power_root on f's integral form:
-    D^n f(T/D) = (D^m q(T/D))^e, so q's coefficient of T^i is the root's
-    times D^i over D^m.
-    """
-    if not f.is_monic():
-        return None
-    q = power_root(integral_monic(f), e)
-    if q is None:
-        return None
-    d = f.den
-    return RationalPolynomial.from_int(
-        [c * d ** i for i, c in enumerate(q)], d ** (len(q) - 1)
-    )
-
-
-def squarefree_over_q(f: RationalPolynomial) -> bool:
-    """True iff the monic f has no repeated root: power_root at e = 1."""
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
-    return power_root(integral_monic(f), 1) is not None
+def squarefree_over_q(f: Sequence[int]) -> bool:
+    """True iff the monic integer f has no repeated root: power_root at e = 1."""
+    return power_root(f, 1) is not None
 
 
 def resolvent_cubic(f: Sequence[int]) -> list[int]:
@@ -375,14 +336,10 @@ def distinct_degree_pattern(g: PrimeFieldPolynomial, e: int = 1) -> CycleType | 
     ), e)
 
 
-def frobenius_cycle_type(f: RationalPolynomial, p: int) -> FrobeniusSample:
-    """Factorization degree pattern of f mod p, with bad primes flagged."""
-    if not f.is_monic():
-        raise ValueError("expected a monic polynomial")
-    reduced = reduce_poly_mod_p(f, p)
-    if reduced is None:
-        return FrobeniusSample(p, None, "bad_prime")
-    pattern = distinct_degree_pattern(reduced)
+def frobenius_cycle_type(f: Sequence[int], p: int) -> FrobeniusSample:
+    """Factorization degree pattern of the monic integer f mod p; a
+    reduction that is not squarefree is flagged, not classified."""
+    pattern = distinct_degree_pattern(reduce_poly_mod_p(f, p))
     if pattern is None:
         return FrobeniusSample(p, None, "not_squarefree")
     return FrobeniusSample(p, pattern, "good")

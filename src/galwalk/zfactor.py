@@ -16,7 +16,6 @@ from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
-from .exactmat import RationalPolynomial
 from .modpoly import (
     CycleType,
     add,
@@ -26,7 +25,6 @@ from .modpoly import (
     evaluate,
     exact_quotient,
     frobenius_cycle_type,
-    integral_monic,
     make_cycle_type,
     mod,
     mul,
@@ -105,8 +103,8 @@ class FactorDegrees:
     types: frozenset
 
 
-def factor_degrees(f: RationalPolynomial, primes) -> FactorDegrees | None:
-    """Exact factor degrees of a monic squarefree f over Q.
+def factor_degrees(f: Sequence[int], primes) -> FactorDegrees | None:
+    """Exact factor degrees over Q of a monic squarefree integer f.
 
     Rational roots come first, found exactly.  Without a linear factor a
     cofactor of degree <= 3 is irreducible.  Above that, the cycle types at
@@ -118,9 +116,8 @@ def factor_degrees(f: RationalPolynomial, primes) -> FactorDegrees | None:
     exact division over Z, so the result never depends on chance.  None
     only when `primes` holds no good odd prime and the degrees need one.
     """
-    ints = integral_monic(f)
-    roots = integer_roots(ints)
-    g = ints
+    roots = integer_roots(f)
+    g = f
     for r in roots:
         g = exact_quotient(g, [-r, 1])
     degrees = [1] * len(roots)

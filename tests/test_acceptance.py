@@ -33,7 +33,7 @@ from galwalk.galois_id import (
     expand_summary,
     identify,
 )
-from galwalk.modpoly import exact_poly_root, primes_in_window, squarefree_over_q
+from galwalk.modpoly import power_root, primes_in_window, squarefree_over_q
 from galwalk.output import render_csv
 from galwalk.permkit import symmetric_group, cyclic_group, wreath_product
 from galwalk.picatalog import (
@@ -151,7 +151,7 @@ def test_criterion_4_coset_dependence():
     for s in samples:
         chi = char_poly(s.element)
         if s.label == 0:
-            q = exact_poly_root(chi, id_spec.multiplicity)
+            q = power_root(chi, id_spec.multiplicity)
             if q is None or not squarefree_over_q(q):
                 continue
             id_rs += 1
@@ -227,8 +227,8 @@ def test_criterion_5_subquotient_invariant():
         for s in batch_sample(gens, 25, 200, batch_seed(SEED, 25)):
             spec = scen.coset(s.label)
             chi = char_poly(s.element)
-            q = exact_poly_root(chi, spec.multiplicity)
-            if q is None or q.degree == 0 or not squarefree_over_q(q):
+            q = power_root(chi, spec.multiplicity)
+            if q is None or len(q) == 1 or not squarefree_over_q(q):
                 continue
             summary = expand_summary(
                 collect_samples(q, WINDOW, 40), spec.multiplicity

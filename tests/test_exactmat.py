@@ -9,7 +9,6 @@ from galwalk.exactmat import (
     DimensionMismatch,
     PrimeFieldPolynomial,
     RationalMatrix,
-    RationalPolynomial,
     SingularMatrix,
     char_poly,
     det,
@@ -43,7 +42,7 @@ def det_leibniz(a: RationalMatrix) -> F:
     return total
 
 
-def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
+def char_poly_cofactor(a: RationalMatrix) -> list:
     """Slow oracle: expand det(T*I - a) by cofactors over Q[T], on lists of
     Fraction coefficients."""
 
@@ -62,7 +61,13 @@ def char_poly_cofactor(a: RationalMatrix) -> RationalPolynomial:
         return total
 
     idx = tuple(range(a.n))
-    return RationalPolynomial(minor_det(idx, idx))
+    return minor_det(idx, idx)
+
+
+def roots_scaled(f, d) -> list:
+    """d^n f(T / d) for a monic f of degree n: the roots of f times d."""
+    n = len(f) - 1
+    return [c * d ** (n - i) for i, c in enumerate(f)]
 
 
 def mat_mul_fractions(a: RationalMatrix, b: RationalMatrix) -> tuple:
@@ -171,7 +176,7 @@ def test_mat_inverse_canonical():
         a = rand_rational_matrix(rng, n)
         if det(a) == 0:
             continue
-        negative += char_poly(a).coeffs[0] < 0
+        negative += char_poly(a)[0] < 0  # chi_a(0) times a.den^n
         inv = mat_inverse(a)
         assert_canonical(inv)
         assert inv == RationalMatrix(inv.rows)
@@ -208,18 +213,22 @@ def test_reduce_matrix_matches_entrywise_reference():
 
 
 def test_char_poly_examples():
-    assert char_poly(I2) == RationalPolynomial((1, -2, 1))
-    assert char_poly(RationalMatrix.diagonal([2, 3])) == RationalPolynomial((6, -5, 1))
+    assert char_poly(I2) == [1, -2, 1]
+    assert char_poly(RationalMatrix.diagonal([2, 3])) == [6, -5, 1]
     companion = RationalMatrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
-    assert char_poly(companion) == RationalPolynomial((-2, 0, 0, 1))
+    assert char_poly(companion) == [-2, 0, 0, 1]
+    # den 6: the roots 1/2 and 1/3, each times 6
+    assert char_poly(RationalMatrix.diagonal([F(1, 2), F(1, 3)])) == [6, -5, 1]
 
 
 def test_char_poly_monic_and_degree():
     rng = random.Random(7)
     for _ in range(20):
         n = rng.choice([2, 3, 4])
-        p = char_poly(rand_matrix(rng, n))
-        assert p.degree == n and p.is_monic()
+        for m in (rand_matrix(rng, n), rand_rational_matrix(rng, n)):
+            p = char_poly(m)
+            assert len(p) == n + 1 and p[-1] == 1
+            assert all(type(c) is int for c in p)
 
 
 def test_char_poly_against_cofactor_expansion():
@@ -229,11 +238,14 @@ def test_char_poly_against_cofactor_expansion():
         n = rng.choice([1, 2, 3, 4, 5])
         m = rand_matrix(rng, n)
         assert char_poly(m) == char_poly_cofactor(m)
-    # denominators 1..6 take the common-denominator path into the integer kernel
+    # denominators 1..6: d^n det(T*I - a) at T/d, d the common denominator
+    dens = set()
     for _ in range(60):
         n = rng.choice([1, 2, 3, 4, 5])
         m = rand_rational_matrix(rng, n)
-        assert char_poly(m) == char_poly_cofactor(m)
+        dens.add(m.den)
+        assert char_poly(m) == roots_scaled(char_poly_cofactor(m), m.den)
+    assert max(dens) > 1
 
 
 def test_char_poly_conjugation_invariance():
@@ -245,7 +257,7 @@ def test_char_poly_conjugation_invariance():
         if det(a) == 0:
             continue
         conj = mat_mul(mat_mul(a, b), mat_inverse(a))
-        assert char_poly(conj) == char_poly(b)
+        assert char_poly(conj) == roots_scaled(char_poly(b), conj.den)
         checked += 1
 
 
@@ -262,37 +274,23 @@ def test_det_against_leibniz_expansion():
 
 
 def test_reduce_poly_mod_p_examples():
-    assert reduce_poly_mod_p(RationalPolynomial((6, -5, 1)), 7) == PrimeFieldPolynomial(
-        7, (6, 2, 1)
-    )
-    assert reduce_poly_mod_p(RationalPolynomial((0, F(-1, 2), 1)), 2) is None
-    assert reduce_poly_mod_p(RationalPolynomial((1, 0, 1)), 5) == PrimeFieldPolynomial(
-        5, (1, 0, 1)
-    )
+    assert reduce_poly_mod_p([6, -5, 1], 7) == PrimeFieldPolynomial(7, (6, 2, 1))
+    assert reduce_poly_mod_p([0, -1, 1], 2) == PrimeFieldPolynomial(2, (0, 1, 1))
+    assert reduce_poly_mod_p([1, 0, 1], 5) == PrimeFieldPolynomial(5, (1, 0, 1))
 
 
 def test_reduce_poly_mod_p_denominator():
-    # T^2 / 2 + 1: the leading numerator is a unit mod 2, the denominator is not
-    f = RationalPolynomial((1, 0, F(1, 2)))
-    assert (f.den, f.num) == (2, (2, 0, 1))
-    assert reduce_poly_mod_p(f, 2) is None
-    assert reduce_poly_mod_p(f, 3) == PrimeFieldPolynomial(3, (1, 0, 2))
+    # diag(1/2, 3/2): chi's integral form (T - 1)(T - 3) reduces at p = 2 too
+    a = RationalMatrix.diagonal([F(1, 2), F(3, 2)])
+    assert a.den == 2 and char_poly(a) == [3, -4, 1]
+    assert reduce_poly_mod_p(char_poly(a), 2) == PrimeFieldPolynomial(2, (1, 0, 1))
+    assert reduce_poly_mod_p(char_poly(a), 3) == PrimeFieldPolynomial(3, (0, 2, 1))
 
 
-def test_polynomial_canonical_form():
-    f = RationalPolynomial((F(1, 2), F(-2, 3), 1, 0))
-    assert (f.den, f.num) == (6, (3, -4, 6)) and f.degree == 2 and f.is_monic()
-    assert f.coeffs == (F(1, 2), F(-2, 3), F(1))
-    assert f == RationalPolynomial.from_int((-6, 8, -12), -12)
-    assert hash(f) == hash(RationalPolynomial.from_int((-6, 8, -12), -12))
-    assert RationalPolynomial.from_int((4, 2)) != RationalPolynomial((2, 1))
-    zero = RationalPolynomial((0, 0))
-    assert (zero.den, zero.num, zero.degree, zero.is_monic()) == (1, (), -1, False)
-
-
-def test_reduce_poly_leading_drop():
-    f = RationalPolynomial((1, 1, 5))  # leading coefficient 5
-    assert reduce_poly_mod_p(f, 5) is None
+def test_reduce_poly_mod_p_needs_monic():
+    for f in ([1, 1, 5], [1, 0, -1], []):  # leading 5 would vanish mod 5
+        with pytest.raises(ValueError):
+            reduce_poly_mod_p(f, 5)
 
 
 def test_is_rational_square():

@@ -38,7 +38,7 @@ from galwalk.galois_id import (
     expand_summary,
     match_verdict,
 )
-from galwalk.modpoly import exact_poly_root
+from galwalk.modpoly import power_root
 from galwalk.output import dec6, emit, render_csv, render_json
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
@@ -156,7 +156,7 @@ def test_early_stop_keeps_the_full_budget_kind():
             cfg = ExperimentConfig(scenario=name, k_values=(k,), seed=seed)
             for sample in batch_sample(scen.admissible(), k, 4, batch_seed(seed, k)):
                 spec = scen.coset(sample.label)
-                q = exact_poly_root(char_poly(sample.element), spec.multiplicity)
+                q = power_root(char_poly(sample.element), spec.multiplicity)
                 if q is None:
                     continue
                 kind = _scan(q, spec, cfg, early=True)[0]

@@ -27,7 +27,6 @@ from galwalk.modpoly import (
     derivative,
     distinct_degree_pattern,
     divmod_poly,
-    exact_poly_root,
     frobenius_cycle_type,
     make_cycle_type,
     mod,
@@ -388,7 +387,7 @@ def test_cross_check_with_global_reduction():
             for p in (5, 7, 11, 13):
                 reduced = reduce_matrix(s.element, p)
                 c = census([reduced], p, s.label, spec.multiplicity)
-                q = exact_poly_root(chi, spec.multiplicity)
+                q = power_root(chi, spec.multiplicity)
                 if q is None or not squarefree_over_q(q):
                     continue
                 fs = frobenius_cycle_type(q, p)

@@ -1,14 +1,20 @@
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
 
 from galwalk import galois_id
-from galwalk.exactmat import RationalPolynomial as P
-from galwalk.exactmat import RationalMatrix, char_poly, is_rational_square
+from galwalk.exactmat import (
+    RationalMatrix,
+    char_poly,
+    is_rational_square,
+    mat_inverse,
+    mat_mul,
+)
 from galwalk.galois_id import (
     BUDGET,
     COVERAGE_MIN,
@@ -30,13 +36,12 @@ from galwalk.galois_id import (
 )
 from galwalk.modpoly import (
     discriminant,
-    exact_poly_root,
-    integral_monic,
     make_cycle_type,
     mul,
+    power_root,
     primes_in_window,
 )
-from galwalk.experiment import batch_seed
+from galwalk.experiment import ExperimentConfig, batch_seed, identify_sample
 from galwalk.permkit import enumerate_group, symmetric_group
 from galwalk.picatalog import (
     PredictedGroup,
@@ -57,17 +62,16 @@ PRIMES = primes_in_window(*PRIME_WINDOW)
 
 
 def pprod(*factors):
-    """The polynomial whose coefficients are the product of the given lists."""
-    return P(reduce(mul, factors))
+    """The product of the given coefficient lists."""
+    return reduce(mul, factors)
 
 
 def rule_c_group(f):
-    """Gal(f) for a monic squarefree f of degree 2 to 4 as rule (c) names
-    it, with its orbit lengths (the factor degrees); the tests below pin
-    that naming to known answers."""
-    ints = integral_monic(f)
+    """Gal(f) for a monic squarefree integer f of degree 2 to 4 as rule (c)
+    names it, with its orbit lengths (the factor degrees); the tests below
+    pin that naming to known answers."""
     orbits = factor_degrees(f, PRIMES).degrees
-    return galois_id._small_group_name(ints, orbits, discriminant(ints)), orbits
+    return galois_id._small_group_name(f, orbits, discriminant(f)), orbits
 
 
 def group_name(f):
@@ -102,12 +106,17 @@ def summary_from(n, freqs):
 
 
 def test_quadratic_galois():
-    assert quadratic_galois(P((-6, 0, 1))) == "order2"  # T^2 - 6 = T^2 - 2*3
-    assert quadratic_galois(P((-4, 0, 1))) == "trivial"
-    assert quadratic_galois(P((6, -5, 1))) == "trivial"
+    assert quadratic_galois([-6, 0, 1]) == "order2"  # T^2 - 6 = T^2 - 2*3
+    assert quadratic_galois([-4, 0, 1]) == "trivial"
+    assert quadratic_galois([6, -5, 1]) == "trivial"
     # a zero discriminant is a repeated root: no Galois verdict
-    assert quadratic_galois(P((1, -2, 1))) is None
-    assert quadratic_galois(P((F(1, 4), -1, 1))) is None  # (T - 1/2)^2
+    assert quadratic_galois([1, -2, 1]) is None
+    # diag(1/2, 1/2): chi = (T - 1/2)^2, whose integral form is (T - 1)^2
+    assert quadratic_galois(char_poly(RationalMatrix.diagonal([F(1, 2)] * 2))) is None
+    # diag(1/2, 1/3): the roots 3 and 2, rational
+    assert quadratic_galois(char_poly(RationalMatrix.diagonal([F(1, 2), F(1, 3)]))) == (
+        "trivial"
+    )
 
 
 # classification table from Cohen's standard examples
@@ -123,25 +132,25 @@ QUARTIC_TABLE = [
 
 def test_quartic_galois_exact_irreducible_table():
     for coeffs, want in QUARTIC_TABLE:
-        assert group_name(P(coeffs)) == want
-        assert sympy_galois_name(P(coeffs)) == want
+        assert group_name(list(coeffs)) == want
+        assert sympy_galois_name(list(coeffs)) == want
 
 
 def test_quartic_galois_exact_reducible():
-    assert rule_c_group(pprod((-2, 0, 1), (-3, 0, 1))) == ("V4", (2, 2))
-    assert rule_c_group(pprod((-2, 0, 1), (-8, 0, 1))) == ("C2", (2, 2))
+    assert rule_c_group(pprod([-2, 0, 1], [-3, 0, 1])) == ("V4", (2, 2))
+    assert rule_c_group(pprod([-2, 0, 1], [-8, 0, 1])) == ("C2", (2, 2))
     assert (
-        group_name(pprod((-1, 1), (-2, 1), (-3, 1), (-5, 1))) == "1"
+        group_name(pprod([-1, 1], [-2, 1], [-3, 1], [-5, 1])) == "1"
     )
-    assert group_name(pprod((-2, 1), (2, 0, 0, 1))) == "S3"
-    assert group_name(pprod((-1, 1), (1, -3, 0, 1))) == "C3"
-    assert group_name(pprod((-7, 1), (-11, 1), (1, 1, 1))) == "C2"
+    assert group_name(pprod([-2, 1], [2, 0, 0, 1])) == "S3"
+    assert group_name(pprod([-1, 1], [1, -3, 0, 1])) == "C3"
+    assert group_name(pprod([-7, 1], [-11, 1], [1, 1, 1])) == "C2"
     # a repeated root never reaches rule (c): chi = (x^2 - 2)^2 is not
     # squarefree, and at e = 2 rule (c) sees q = x^2 - 2
-    square = pprod((-2, 0, 1), (-2, 0, 1))
-    assert discriminant(integral_monic(square)) == 0
-    assert exact_poly_root(square, 1) is None
-    assert exact_poly_root(square, 2) == P((-2, 0, 1))
+    square = pprod([-2, 0, 1], [-2, 0, 1])
+    assert discriminant(square) == 0
+    assert power_root(square, 1) is None
+    assert power_root(square, 2) == [-2, 0, 1]
 
 
 def test_quartic_reciprocal_family():
@@ -149,7 +158,7 @@ def test_quartic_reciprocal_family():
     # C2 when it splits into two quadratics sharing a field
     for t in (3, 5, 12, 99, -3, 10**12 + 7):
         want = "C2" if (is_rational_square(t - 2) or is_rational_square(t + 2)) else "V4"
-        assert group_name(P((1, 0, -t, 0, 1))) == want
+        assert group_name([1, 0, -t, 0, 1]) == want
 
 
 def test_quartic_oracle_agrees_with_frobenius_statistics():
@@ -166,7 +175,7 @@ def test_quartic_oracle_agrees_with_frobenius_statistics():
         "C4": 4, "V4": 4, "D4": 8, "A4": 12, "S4": 24,
     }
     for coeffs, name in QUARTIC_TABLE[:5]:
-        f = P(coeffs)
+        f = list(coeffs)
         assert group_name(f) == name
         summary = collect_samples(f, (1_000, 200_000), 500)
         assert summary.good_count == 500
@@ -175,16 +184,16 @@ def test_quartic_oracle_agrees_with_frobenius_statistics():
 
 
 def test_collect_samples_examples():
-    s = collect_samples(P((1, 0, 1)), budget=500)
+    s = collect_samples([1, 0, 1], budget=500)
     assert s.good_count == 500 and s.degree == 2
     assert abs(s.empirical[(1, 1)] - F(1, 2)) <= F(5, 100)
     assert abs(s.empirical[(2,)] - F(1, 2)) <= F(5, 100)
-    rational = collect_samples(P((2, -3, 1)), budget=50)  # (T-1)(T-2)
+    rational = collect_samples([2, -3, 1], budget=50)  # (T-1)(T-2)
     assert set(rational.empirical) == {(1, 1)}
-    # a repeated root never reaches the scan (exact_poly_root proves q
+    # a repeated root never reaches the scan (power_root proves q
     # squarefree first), and the scan classifies none of its reductions
-    square = P((1, -2, 1))
-    assert exact_poly_root(square, 1) is None
+    square = [1, -2, 1]
+    assert power_root(square, 1) is None
     window = (1_000, 1_100)
     never = collect_samples(square, window, budget=50)
     assert never.good_count == 0 and never.empirical == {}
@@ -212,7 +221,7 @@ def trivial_of_degree(n):
 
 
 def test_collect_samples_stops_at_a_settled_kind():
-    f = P((1, 0, 1))  # split iff p = 1 mod 4
+    f = [1, 0, 1]  # split iff p = 1 mod 4
     full = collect_samples(f, budget=300)
     # only the identity type: the first inert prime settles "rejected"
     trivial = trivial_of_degree(2)
@@ -235,7 +244,7 @@ def test_collect_samples_stops_at_a_settled_kind():
 
 
 def test_match_verdict_consistent_and_certified():
-    f = P((1, 0, 1))
+    f = [1, 0, 1]
     s = collect_samples(f, budget=300)
     assert certify_sn(s.empirical, 2)
     # the scan's verdict is a threshold statement, for S_2 as for any
@@ -360,27 +369,27 @@ def transitive_v4():
 
 def test_exact_quartic_verdict():
     target = pi_sl_n_tau_reciprocal(2)  # transitive V4
-    v = exact_verdict(P((1, 0, -5, 0, 1)), target, 1, PRIMES)
+    v = exact_verdict([1, 0, -5, 0, 1], target, 1, PRIMES)
     assert v.kind == KIND_CERTIFIED_EXACT
     assert v.detail == "rule (c): exact group V4 on orbits (4,)"
-    v2 = exact_verdict(P((-2, 0, 0, 0, 1)), target, 1, PRIMES)
+    v2 = exact_verdict([-2, 0, 0, 0, 1], target, 1, PRIMES)
     assert v2.kind == KIND_REJECTED and v2.detail.startswith("rule (c): exact group D4")
     # two quadratics: two orbits against a transitive target
-    v3 = exact_verdict(pprod((-2, 0, 1), (-8, 0, 1)), target, 1, PRIMES)
+    v3 = exact_verdict(pprod([-2, 0, 1], [-8, 0, 1]), target, 1, PRIMES)
     assert v3.kind == KIND_REJECTED and v3.detail.startswith("rule (a)")
     with pytest.raises(ValueError):
-        exact_verdict(P((1, 0, -5, 0, 1)), pi_sl_n(3), 1, PRIMES)
+        exact_verdict([1, 0, -5, 0, 1], pi_sl_n(3), 1, PRIMES)
 
 
 def test_reducible_quartic_is_never_certified_against_transitive_v4():
     # (x^2 - 2)(x^2 - 3) has Galois group V4 acting on two orbits of 2; the
     # old quartic oracle named it "V4" and certified it against the
     # transitive V4
-    v = exact_verdict(pprod((-2, 0, 1), (-3, 0, 1)), transitive_v4(), 1, PRIMES)
+    v = exact_verdict(pprod([-2, 0, 1], [-3, 0, 1]), transitive_v4(), 1, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
     # the intransitive V4 target is certified
     s2xs2 = PredictedGroup("s2xs2", enumerate_group([(1, 0, 2, 3), (0, 1, 3, 2)]))
-    assert exact_verdict(pprod((-2, 0, 1), (-3, 0, 1)), s2xs2, 1, PRIMES).kind == (
+    assert exact_verdict(pprod([-2, 0, 1], [-3, 0, 1]), s2xs2, 1, PRIMES).kind == (
         KIND_CERTIFIED_EXACT
     )
 
@@ -390,7 +399,7 @@ def test_huge_resolvent_constant_needs_no_trial_division():
     # a^2 d - 4 b d + c^2 above 2^120: a divisor search would never end
     a, b, c, d = 3, 10**20 + 7, 10**31 + 3, 5 * 10**29 + 1
     assert a * a * d - 4 * b * d + c * c > 2**120
-    f = P((d, c, b, a, 1))
+    f = [d, c, b, a, 1]
     start = time.perf_counter()
     name, orbits = rule_c_group(f)
     assert time.perf_counter() - start < 1
@@ -402,7 +411,7 @@ def test_worst_res_sqrt2_sample_is_fast():
     # chi of res_sqrt2's slowest walk sample at k = 35 (seed 1, sample 23
     # of 40): the old quartic oracle's divisor search on its resolvent ran
     # for minutes
-    chi = P((1, 19316, 11228916, 19316, 1))
+    chi = [1, 19316, 11228916, 19316, 1]
     target = pi_restriction_of_scalars(2, symmetric_group(2))
     start = time.perf_counter()
     v = exact_verdict(chi, target, 1, PRIMES)
@@ -413,7 +422,7 @@ def test_worst_res_sqrt2_sample_is_fast():
 def test_rule_b_rejects_square_discriminant_above_degree_4():
     # x^5 - 5x + 12 has Galois group D5 inside A5: irreducible, square
     # discriminant, so S5 is rejected by (b) and A5 is left open
-    f = P((12, -5, 0, 0, 0, 1))
+    f = [12, -5, 0, 0, 0, 1]
     v = exact_verdict(f, pi_sl_n(5), 1, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (b)")
     a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
@@ -423,24 +432,24 @@ def test_rule_b_rejects_square_discriminant_above_degree_4():
 def test_exact_verdict_at_multiplicity_2_by_rules_a_and_c():
     # q = x^2 - 2 with multiplicity 2: orbits (2, 2); its splitting field
     # is q's, so Gal is C2 acting on both orbits at once
-    q = P((-2, 0, 1))
+    q = [-2, 0, 1]
     v = exact_verdict(q, pi_sl_n_doubled(2), 2, PRIMES)
     assert v.kind == KIND_CERTIFIED_EXACT
     assert v.detail == "rule (c): exact group C2 on orbits (2, 2)"
     v = exact_verdict(q, pi_sl_n_tau_reciprocal(2), 2, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
     # a split q gives orbits (1, 1, 1, 1): rule (a)
-    v = exact_verdict(P((2, -3, 1)), pi_sl_n_doubled(2), 2, PRIMES)
+    v = exact_verdict([2, -3, 1], pi_sl_n_doubled(2), 2, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
     # degree-4 q against the doubled S4 on 8 points: S4 is certified, D4
     # and A4 are rejected by rule (c); no doubled type is odd, so rule (b)
     # cannot fire on the square discriminant of the A4 quartic
     doubled = pi_sl_n_doubled(4)
-    assert exact_verdict(P((1, 1, 0, 0, 1)), doubled, 2, PRIMES).kind == (
+    assert exact_verdict([1, 1, 0, 0, 1], doubled, 2, PRIMES).kind == (
         KIND_CERTIFIED_EXACT
     )
     for coeffs, name in (((-2, 0, 0, 0, 1), "D4"), ((12, 8, 0, 0, 1), "A4")):
-        v = exact_verdict(P(coeffs), doubled, 2, PRIMES)
+        v = exact_verdict(list(coeffs), doubled, 2, PRIMES)
         assert v.kind == KIND_REJECTED
         assert v.detail.startswith(f"rule (c): exact group {name} on orbits (4, 4)")
 
@@ -454,14 +463,14 @@ def test_identify_scans_only_what_the_rules_leave_open(monkeypatch):
         return summary
 
     monkeypatch.setattr(galois_id, "collect_samples", counting)
-    verdict = identify(P((-2, 0, 1)), pi_sl_n_doubled(2), 2)
+    verdict = identify([-2, 0, 1], pi_sl_n_doubled(2), 2)
     assert verdict.kind == KIND_CERTIFIED_EXACT and scans == []
-    verdict = identify(P((1, 1, 0, 0, 1)), pi_sl_n(4))
+    verdict = identify([1, 1, 0, 0, 1], pi_sl_n(4))
     assert verdict.kind == KIND_CERTIFIED_EXACT and scans == []
     # x^5 - 5x + 12 (D5) against A5: the rules leave it open, and the scan
     # never sees A5's 3-cycles
     a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
-    verdict = identify(P((12, -5, 0, 0, 0, 1)), a5)
+    verdict = identify([12, -5, 0, 0, 0, 1], a5)
     assert verdict.kind == KIND_INCONCLUSIVE and verdict.detail == ""
     (summary,) = scans
     assert summary.good_count == BUDGET and (3, 1, 1) not in summary.empirical
@@ -470,7 +479,7 @@ def test_identify_scans_only_what_the_rules_leave_open(monkeypatch):
 def test_identify_without_a_good_prime_is_inconclusive():
     # factor_degrees needs a good prime for an irreducible quartic, and the
     # window (4, 4) holds none, so the rules and the scan both come up empty
-    verdict = identify(P((1, 1, 0, 0, 1)), pi_sl_n(4), prime_window=(4, 4))
+    verdict = identify([1, 1, 0, 0, 1], pi_sl_n(4), prime_window=(4, 4))
     assert verdict.kind == KIND_INCONCLUSIVE
     assert verdict.detail == "no good prime in the window"
 
@@ -486,7 +495,7 @@ def random_squarefree(rng, n):
             parts.append([rng.randint(-6, 6) for _ in range(d)] + [1])
             left -= d
         f = pprod(*parts)
-        if discriminant(integral_monic(f)) != 0:
+        if discriminant(f) != 0:
             return f
 
 
@@ -524,7 +533,7 @@ def test_walk_samples_of_degree_at_most_4_scan_no_prime():
             for sample in batch_sample(scen.admissible(), k, 6, batch_seed(seed, k)):
                 spec = scen.coset(sample.label)
                 e = spec.multiplicity
-                q = exact_poly_root(char_poly(sample.element), e)
+                q = power_root(char_poly(sample.element), e)
                 if q is None:
                     continue
                 verdict = identify(q, spec.predicted, e)
@@ -533,6 +542,56 @@ def test_walk_samples_of_degree_at_most_4_scan_no_prime():
                 assert verdict.kind in (KIND_CERTIFIED_EXACT, KIND_REJECTED)
                 decided[e] += 1
     assert decided[1] >= 60 and decided[2] >= 5
+
+
+def conjugate_by_scaling(m: RationalMatrix) -> RationalMatrix:
+    """c^-1 m c for c = diag(1/2, ..., 1/(n+1)): m's chi, with denominators."""
+    c = RationalMatrix.diagonal([F(1, i + 2) for i in range(m.n)])
+    return mat_mul(mat_mul(mat_inverse(c), m), c)
+
+
+def discriminant_class(m: RationalMatrix) -> str | None:
+    """quadratic_galois's answer from the rational chi of a 2x2 m itself:
+    disc = tr^2 - 4 det, a square iff its numerator times denominator is."""
+    (a, b), (c, d) = m.rows
+    disc = (a + d) ** 2 - 4 * (a * d - b * c)
+    if disc == 0:
+        return None
+    return "trivial" if is_rational_square(disc.numerator * disc.denominator) else "order2"
+
+
+def test_rational_conjugate_keeps_its_verdict():
+    # char_poly scales a non-integral chi's roots by the denominator, which
+    # keeps the splitting field: c^-1 g c (den > 1) gets g's verdict.
+    # sltau2's identity coset has e = 2; slcyc2x3 (degree 6) scans primes.
+    reg = builtin_scenarios()
+    scaled = Counter()
+    for name in ("sl4", "sltau2", "slcyc2x3"):
+        scen = reg[name]
+        cfg = ExperimentConfig(scenario=name, k_values=(20,), samples=8, seed=1)
+        for sample in batch_sample(scen.admissible(), 20, 8, batch_seed(1, 20)):
+            spec = scen.coset(sample.label)
+            conj = conjugate_by_scaling(sample.element)
+            assert sample.element.den == 1 and conj.den > 1
+            want = identify_sample(sample, spec, cfg)
+            got = identify_sample(replace(sample, element=conj), spec, cfg)
+            assert got == want, (name, sample.seed_path, want, got)
+            scaled[name, spec.multiplicity, None if want is None else want.kind] += 1
+    assert {(name, e) for name, e, kind in scaled if kind is not None} >= {
+        ("sl4", 1), ("sltau2", 1), ("sltau2", 2), ("slcyc2x3", 1),
+    }
+    # diag_antidiag's samples are non-integral already (diag(2, 3)^-1 is a
+    # letter); quadratic_galois on the integral form matches the rational
+    # chi's discriminant class, and so does the conjugate's
+    scen = reg["diag_antidiag"]
+    non_integral = 0
+    for sample in batch_sample(scen.admissible(), 9, 24, batch_seed(1, 9)):
+        m = sample.element
+        non_integral += m.den > 1
+        want = discriminant_class(m)
+        assert quadratic_galois(char_poly(m)) == want, m
+        assert quadratic_galois(char_poly(conjugate_by_scaling(m))) == want, m
+    assert non_integral >= 12
 
 
 def test_catalog_orbit_lengths():
@@ -549,5 +608,5 @@ def test_quadratic_galois_antidiagonal_example():
     # splitting field of antidiag(2, 3) is the quadratic field of sqrt(6)
     m = RationalMatrix([[0, 2], [3, 0]])
     chi = char_poly(m)
-    assert chi == P((-6, 0, 1))
+    assert chi == [-6, 0, 1]
     assert quadratic_galois(chi) == "order2"

@@ -4,13 +4,13 @@ from functools import reduce
 
 import pytest
 
-from galwalk.exactmat import PrimeFieldPolynomial, RationalMatrix, RationalPolynomial, char_poly
+from galwalk.exactmat import PrimeFieldPolynomial, RationalMatrix, char_poly
 from galwalk.modpoly import (
     derivative,
     discriminant,
+    FrobeniusSample,
     distinct_degree_pattern,
     divmod_poly,
-    exact_poly_root,
     frobenius_cycle_type,
     make_cycle_type,
     mod,
@@ -37,36 +37,37 @@ def test_cycle_type_canonical():
 
 
 def test_squarefree_over_q():
-    assert squarefree_over_q(RationalPolynomial((6, -5, 1)))
-    assert not squarefree_over_q(RationalPolynomial((1, -2, 1)))
-    assert squarefree_over_q(RationalPolynomial((1, 0, 1)))
-    # (T - 1/2)^2 (T + 1/3): decided on the integral form (T - 6)^2 (T + 4), D = 12
-    assert not squarefree_over_q(RationalPolynomial((F(1, 12), F(-1, 12), F(-2, 3), 1)))
-    with pytest.raises(ValueError):
-        squarefree_over_q(RationalPolynomial((1, 0, 2)))
+    assert squarefree_over_q([6, -5, 1])
+    assert not squarefree_over_q([1, -2, 1])
+    assert squarefree_over_q([1, 0, 1])
+    # diag(1/2, 1/2, -1/3), den 6: chi = (T - 1/2)^2 (T + 1/3) is decided on
+    # its integral form (T - 3)^2 (T + 2)
+    a = RationalMatrix.diagonal([F(1, 2), F(1, 2), F(-1, 3)])
+    assert char_poly(a) == pprod([-3, 1], [-3, 1], [2, 1])
+    assert not squarefree_over_q(char_poly(a))
+    assert squarefree_over_q(char_poly(RationalMatrix.diagonal([F(1, 2), F(-1, 3)])))
 
 
 def pprod(*factors):
-    return RationalPolynomial(reduce(mul, factors))
+    return reduce(mul, factors)
 
 
-def test_exact_poly_root():
-    q = (1, -3, 1)
-    assert exact_poly_root(pprod(q, q), 2) == RationalPolynomial(q)
-    assert exact_poly_root(pprod(q, q, q), 3) == RationalPolynomial(q)
-    assert exact_poly_root(pprod(q, q, (-5, 1)), 2) is None
-    line = (-1, 1)
-    assert exact_poly_root(pprod(line, line, line, line), 2) is None  # radical^2 != f
+def test_power_root_of_integral_forms():
+    q = [1, -3, 1]
+    assert power_root(pprod(q, q), 2) == q
+    assert power_root(pprod(q, q, q), 3) == q
+    assert power_root(pprod(q, q, [-5, 1]), 2) is None
+    line = [-1, 1]
+    assert power_root(pprod(line, line, line, line), 2) is None  # radical^2 != f
     # the radical (T - 1)(T - 2) has the right degree, but its square is not f
-    assert exact_poly_root(pprod(line, line, line, (-2, 1)), 2) is None
-    assert exact_poly_root(RationalPolynomial(q), 1) == RationalPolynomial(q)
-    assert exact_poly_root(RationalPolynomial((1, -2, 1)), 1) is None  # (T-1)^2
-    assert exact_poly_root(RationalPolynomial((1, 0, 2)), 1) is None  # not monic
-    # a denominator-6 root: q = (T - 1/2)(T + 1/3)
-    half_third = (F(-1, 6), F(-1, 6), 1)
-    square = pprod(half_third, half_third)
-    assert exact_poly_root(square, 2) == RationalPolynomial(half_third)
-    assert exact_poly_root(square, 1) is None
+    assert power_root(pprod(line, line, line, [-2, 1]), 2) is None
+    assert power_root(q, 1) == q
+    assert power_root([1, -2, 1], 1) is None  # (T-1)^2
+    # diag(1/2, 1/2, -1/3, -1/3), den 6: chi = ((T - 1/2)(T + 1/3))^2, whose
+    # integral form is ((T - 3)(T + 2))^2
+    a = RationalMatrix.diagonal([F(1, 2), F(1, 2), F(-1, 3), F(-1, 3)])
+    assert power_root(char_poly(a), 2) == [-6, -1, 1]
+    assert power_root(char_poly(a), 1) is None
 
 
 def test_power_root_and_prs_gcd():
@@ -212,17 +213,21 @@ def test_ddf_by_composition_against_powering():
 
 
 def test_frobenius_cycle_type_examples():
-    f = RationalPolynomial((6, -5, 1))
-    s = frobenius_cycle_type(f, 7)
+    s = frobenius_cycle_type([6, -5, 1], 7)
     assert s.status == "good" and s.cycle_type == (1, 1)
     # T^3 - 2 at p=7: 2 is not a cube mod 7 (cubes are {0,1,6}), so the
     # cubic is irreducible and the pattern is (3)
     assert {x**3 % 7 for x in range(7)} == {0, 1, 6}
-    s3 = frobenius_cycle_type(RationalPolynomial((-2, 0, 0, 1)), 7)
+    s3 = frobenius_cycle_type([-2, 0, 0, 1], 7)
     assert s3.cycle_type == (3,)
     assert s3.cycle_type == brute_force_pattern([-2, 0, 0, 1], 7)
-    bad = frobenius_cycle_type(RationalPolynomial((0, F(-1, 7), 1)), 7)
-    assert bad.status == "bad_prime" and bad.cycle_type is None
+    # chi = T^2 - T/7 of diag(0, 1/7): at p = 7, which divides the
+    # denominator, its integral form T^2 - T splits, the true type 1+1
+    f = char_poly(RationalMatrix.diagonal([0, F(1, 7)]))
+    assert f == [0, -1, 1]
+    assert frobenius_cycle_type(f, 7) == FrobeniusSample(7, (1, 1), "good")
+    square = frobenius_cycle_type([1, -2, 1], 7)
+    assert square.status == "not_squarefree" and square.cycle_type is None
 
 
 def test_sum_of_parts_equals_degree():
@@ -254,7 +259,7 @@ def test_skipped_prime_density_small():
 def test_equidistribution_t2_plus_1():
     # split vs inert for T^2+1 is p mod 4; direct count oracle over the
     # first 500 good odd primes
-    f = RationalPolynomial((1, 0, 1))
+    f = [1, 0, 1]
     counts = {"split": 0, "inert": 0}
     direct = 0
     used = 0

@@ -7,7 +7,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from galwalk.exactmat import RationalPolynomial
 from galwalk.finfield import charpoly_mod_p
 from galwalk.modpoly import frobenius_cycle_type
 
@@ -30,6 +29,6 @@ def test_probe_targets_resolve():
 
 def test_probed_return_values_keep_their_fields():
     # Tracer counts good primes from .status and distinct chi from (.p, .coeffs)
-    assert frobenius_cycle_type(RationalPolynomial((6, -5, 1)), 7).status == "good"
+    assert frobenius_cycle_type([6, -5, 1], 7).status == "good"
     chi = charpoly_mod_p(((1, 2), (3, 4)), 5)
     assert (chi.p, chi.coeffs) == (5, (3, 0, 1))

@@ -5,7 +5,6 @@ import pytest
 from galwalk import scenarios
 from galwalk.exactmat import (
     RationalMatrix,
-    RationalPolynomial,
     char_poly,
     det,
     mat_inverse,
@@ -130,10 +129,10 @@ def test_sltau_multiplicity_profile():
             # chi is the square of the top block's quadratic, always
             block = RationalMatrix([row[:2] for row in s.element.rows[:2]])
             q = char_poly(block)
-            assert RationalPolynomial(mul(q.coeffs, q.coeffs)) == chi
+            assert mul(q, q) == chi
         else:
             # reciprocal quartic: T^4 - t T^2 + 1
-            assert chi.coeffs[0] == 1 and chi.coeffs[1] == 0 and chi.coeffs[3] == 0
+            assert chi[0] == 1 and chi[1] == 0 and chi[3] == 0
     # and the larger scenario has multiplicity one on both cosets
     scen4 = builtin_scenarios()["sltau4"]
     assert scen4.coset(0).multiplicity == 1
@@ -148,7 +147,7 @@ def test_sqrt2_embed():
 
     w = sample_walk(scen.admissible(), 12, 8, 1)
     chi = char_poly(w.element)
-    assert chi.degree == 4 and chi.is_monic()
+    assert len(chi) == 5 and chi[-1] == 1
     assert det(w.element) == 1
 
 

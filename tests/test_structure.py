@@ -4,26 +4,17 @@ golden cases reach."""
 import ast
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import galwalk
-from galwalk import exactmat, modpoly, zfactor
+from galwalk import exactmat, experiment, galois_id, modpoly, zfactor
 from galwalk.cli import main
-from galwalk.exactmat import char_poly
-from galwalk.experiment import batch_seed
-from galwalk.galois_id import PRIME_WINDOW
-from galwalk.modpoly import (
-    discriminant,
-    exact_poly_root,
-    frobenius_cycle_type,
-    integral_monic,
-    primes_in_window,
-)
+from galwalk.experiment import ExperimentConfig, batch_seed, identify_sample
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
-from galwalk.zfactor import factor_degrees
 from test_golden import CASES
 
 PACKAGE = Path(galwalk.__file__).parent
@@ -47,46 +38,46 @@ def test_no_module_imports_another_modules_private_name():
     assert private == []
 
 
+# the prime scan's frequencies and distances are rational by nature
+RATIONAL_BY_NATURE = {"collect_samples", "tv_distance"}
+
+
 def test_characteristic_polynomial_path_builds_no_fraction(monkeypatch):
-    # integral walk samples: sl4, sltau2 (e = 2 on its identity coset), sltau4
+    # integral walk samples: sl4, sltau2 (e = 2 on its identity coset), and
+    # sltau4, whose degree-8 swap coset goes on to the prime scan
     work = []
     for name in ("sl4", "sltau2", "sltau4"):
         scen = builtin_scenarios()[name]
+        cfg = ExperimentConfig(scenario=name, k_values=(10,))
         for sample in batch_sample(scen.admissible(), 10, 12, batch_seed(1, 10)):
             assert sample.element.den == 1
-            work.append((sample.element, scen.coset(sample.label).multiplicity))
-    primes = primes_in_window(*PRIME_WINDOW)
+            work.append((sample, scen.coset(sample.label), cfg))
+    real = Fraction
+    scanned = []
 
     class NoFraction:
         def __new__(cls, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            code = frame.f_code
+            if code.co_filename == galois_id.__file__ and code.co_name in RATIONAL_BY_NATURE:
+                scanned.append(code.co_name)
+                return real(*args, **kwargs)
             raise AssertionError("a Fraction was built on the integer path")
 
-    for module in (exactmat, modpoly, zfactor):
+    for module in (exactmat, modpoly, zfactor, galois_id, experiment):
         monkeypatch.setattr(module, "Fraction", NoFraction, raising=False)
     with pytest.raises(AssertionError):
-        exactmat.RationalPolynomial((1, 2))  # the stub is in place
-    roots = 0
-    for element, e in work:
-        q = exact_poly_root(char_poly(element), e)
-        if q is None:
-            continue
-        roots += 1
-        factor_degrees(q, primes)
-        discriminant(integral_monic(q))
-        frobenius_cycle_type(q, primes[0])
-    assert roots >= len(work) // 2
+        exactmat.det(exactmat.RationalMatrix.identity(2))  # the stub is in place
+    decided = sum(identify_sample(*args) is not None for args in work)
+    assert decided >= len(work) // 2 and "collect_samples" in scanned
 
 
 # functions no golden case calls, kept on purpose
 UNREACHED_ON_PURPOSE = {
     "exactmat.RationalMatrix.__setattr__": "immutability guard",
-    "exactmat.RationalPolynomial.__setattr__": "immutability guard",
     "exactmat.RationalMatrix.__repr__": "debugging aid",
-    "exactmat.RationalPolynomial.__repr__": "debugging aid",
-    "exactmat.RationalPolynomial.__new__": "construction API used by tests",
-    "exactmat.RationalPolynomial.coeffs": "construction API used by tests",
-    "exactmat.RationalPolynomial.__eq__": "construction API used by tests",
-    "exactmat.RationalPolynomial.__hash__": "construction API used by tests",
     "modpoly.squarefree_over_q": "benchmark probe target",
 }
 

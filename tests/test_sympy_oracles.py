@@ -9,8 +9,7 @@ import sympy
 from sympy import QQ, Poly, Rational, factor_list, symbols
 from sympy.polys.numberfields.galoisgroups import galois_group
 
-from galwalk.exactmat import RationalPolynomial as P
-from galwalk.exactmat import char_poly
+from galwalk.exactmat import RationalMatrix, char_poly
 from galwalk.experiment import ExperimentConfig, batch_seed, identify_sample
 from galwalk.galois_id import (
     KIND_CERTIFIED_EXACT,
@@ -19,8 +18,8 @@ from galwalk.galois_id import (
 )
 from galwalk.modpoly import (
     discriminant,
-    exact_poly_root,
     mul,
+    power_root,
     primes_in_window,
     squarefree_over_q,
 )
@@ -36,47 +35,60 @@ SYMPY_NAMES = {"S2": "C2", "S3": "S3", "A3": "C3", "S4": "S4", "A4": "A4",
                "D4": "D4", "C4": "C4", "V": "V4"}
 
 
-def sympy_poly(f: P) -> Poly:
-    return Poly([Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], X)
+def sympy_poly(f) -> Poly:
+    """f's degree-indexed coefficients, ints or Fractions, as a sympy Poly."""
+    return Poly([Rational(F(c).numerator, F(c).denominator) for c in reversed(f)], X)
 
 
-def sympy_degrees(f: P) -> tuple:
+def companion(f) -> RationalMatrix:
+    """The companion matrix of a monic f over Q: its chi is f."""
+    n = len(f) - 1
+    return RationalMatrix(
+        [[int(i == j + 1) for j in range(n - 1)] + [-f[i]] for i in range(n)]
+    )
+
+
+def sympy_degrees(f) -> tuple:
     _, factors = factor_list(sympy_poly(f).as_expr(), X)
     return tuple(sorted((Poly(g, X).degree() for g, e in factors for _ in range(e)),
                         reverse=True))
 
 
-def sympy_galois_name(f: P) -> str | None:
+def sympy_galois_name(f) -> str | None:
     """sympy's Gal(f) for an irreducible f of degree 2 to 4, named as in
     SYMPY_NAMES; None for a reducible f (sympy names transitive groups
     only)."""
-    if sympy_degrees(f) != (f.degree,):
+    if sympy_degrees(f) != (len(f) - 1,):
         return None
     group, _ = galois_group(sympy_poly(f), by_name=True)
     return SYMPY_NAMES[group.name]
 
 
-def random_factor(rng: random.Random, d: int) -> P:
+def random_factor(rng: random.Random, d: int) -> list:
     size = 10 ** rng.randint(1, 8)
     coeffs = [rng.randint(-size, size) for _ in range(d)]
     if rng.random() < 0.2:  # a non-integral factor exercises the scaling
         coeffs[0] = F(coeffs[0], rng.choice((2, 3, 4, 9)))
-    return P(coeffs + [1])
+    return coeffs + [1]
 
 
 def test_factor_degrees_match_sympy_factor_list():
     rng = random.Random(11)
     splits = [(2, 2), (2, 4), (3, 3), (4, 4), (1, 3), (1, 1, 2), (2, 2, 2),
               (3, 5), (2, 3, 3), (8,), (6,), (4,), (1, 1, 1, 1)]
-    checked = 0
+    checked = scaled = 0
     for trial in range(130):
         split = splits[trial % len(splits)]
-        f = P(reduce(mul, (random_factor(rng, d).coeffs for d in split)))
-        if sympy_poly(f).sqf_part().degree() != f.degree:
+        f = reduce(mul, (random_factor(rng, d) for d in split))
+        if sympy_poly(f).sqf_part().degree() != len(f) - 1:
             continue
         checked += 1
-        assert factor_degrees(f, PRIMES).degrees == sympy_degrees(f), f
-    assert checked >= 120
+        # sympy factors f over Q; factor_degrees sees f's integral form,
+        # the chi of f's companion matrix
+        a = companion(f)
+        scaled += a.den > 1
+        assert factor_degrees(char_poly(a), PRIMES).degrees == sympy_degrees(f), f
+    assert checked >= 120 and scaled >= 20
 
 
 def test_exact_verdicts_match_sympy_on_sl3_and_sl4_walks():
@@ -87,18 +99,18 @@ def test_exact_verdicts_match_sympy_on_sl3_and_sl4_walks():
         cfg = ExperimentConfig(scenario=name, k_values=(20, 30), samples=60, seed=1)
         for k in cfg.k_values:
             for sample in batch_sample(scen.admissible(), k, 60, batch_seed(1, k)):
-                q = exact_poly_root(char_poly(sample.element), 1)
+                q = power_root(char_poly(sample.element), 1)
                 if q is None:
                     continue
                 out = identify_sample(sample, spec, cfg)
                 detail = out.detail
                 degrees = sympy_degrees(q)
-                if degrees != (q.degree,):
+                if degrees != (len(q) - 1,):
                     assert out.kind == KIND_REJECTED and detail.startswith("rule (a)")
                     continue
                 group, alternating = galois_group(sympy_poly(q), by_name=True)
                 sym = SYMPY_NAMES[group.name]
-                if sym == f"S{q.degree}":
+                if sym == f"S{len(q) - 1}":
                     assert out.kind == KIND_CERTIFIED_EXACT, (q, detail)
                     continue
                 assert out.kind == KIND_REJECTED, (q, sym, detail)
@@ -119,7 +131,7 @@ def test_exact_verdicts_match_sympy_on_the_sltau2_identity_coset():
         for sample in batch_sample(scen.admissible(), k, 20, batch_seed(1, k)):
             if sample.label != 0:
                 continue
-            q = exact_poly_root(char_poly(sample.element), 2)
+            q = power_root(char_poly(sample.element), 2)
             if q is None:
                 continue
             out = identify_sample(sample, spec, cfg)
@@ -133,20 +145,21 @@ def test_exact_verdicts_match_sympy_on_the_sltau2_identity_coset():
     assert KIND_CERTIFIED_EXACT in kinds
 
 
-def sympy_power_root(f: P, e: int) -> P | None:
+def sympy_power_root(f, e: int) -> list | None:
     """q with f = q**e and q monic squarefree, read off sympy's sqf_list."""
     _, factors = Poly(sympy_poly(f), X, domain=QQ).sqf_list()
     if any(m != e for _, m in factors):
         return None
     q = reduce(lambda a, b: a * b, (g for g, _ in factors), Poly(1, X, domain=QQ))
     q = q.monic()
-    return P(F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs()))
+    return [F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())]
 
 
-def check_kernel(f: P, e: int) -> bool:
-    """exact_poly_root and squarefree_over_q against sqf_list; True iff f = q**e."""
+def check_kernel(f: list, e: int) -> bool:
+    """power_root and squarefree_over_q against sqf_list, for a monic
+    integer f; True iff f = q**e."""
     want = sympy_power_root(f, e)
-    assert exact_poly_root(f, e) == want, (f, e)
+    assert power_root(f, e) == want, (f, e)
     assert squarefree_over_q(f) == (sympy_power_root(f, 1) is not None), f
     return want is not None
 
@@ -171,7 +184,7 @@ def test_kernel_matches_sympy_sqf_list_on_random_products():
             continue
         checked += 1
         repeated += repeat
-        powers += check_kernel(P(f), e)
+        powers += check_kernel(f, e)
     assert powers >= 20 and repeated >= 10
 
 
@@ -189,10 +202,15 @@ def test_kernel_matches_sympy_sqf_list_on_walk_samples():
 
 
 def test_kernel_matches_sympy_on_denominator_6():
-    q = (F(-1, 6), F(-1, 6), 1)  # (T - 1/2)(T + 1/3)
-    f = P(mul(q, q))
-    assert f.den == 36 and check_kernel(f, 2) and not check_kernel(f, 1)
-    assert exact_poly_root(f, 2) == P(q)
+    q = [F(-1, 6), F(-1, 6), 1]  # (T - 1/2)(T + 1/3)
+    f = mul(q, q)
+    # sympy on the rational f itself: a square, not squarefree
+    assert sympy_power_root(f, 2) == q and sympy_power_root(f, 1) is None
+    # the companion matrix has den 36, so chi's roots scale to 18 and -12
+    a = companion(f)
+    chi = char_poly(a)
+    assert a.den == 36 and check_kernel(chi, 2) and not check_kernel(chi, 1)
+    assert power_root(chi, 2) == [-216, -6, 1]
 
 
 def test_discriminant_matches_sympy_above_degree_4():

@@ -1,10 +1,7 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from galwalk.exactmat import RationalPolynomial
-from galwalk.modpoly import integral_monic
+from galwalk.exactmat import RationalMatrix, char_poly
 from galwalk.zfactor import integer_roots
 
 
@@ -35,12 +32,9 @@ def test_integer_roots_against_known_roots():
     assert integer_roots([1, -10**60, 3 * 10**59, 7, 1]) == []
 
 
-def test_integral_monic_scales_roots():
-    # (T - 1/2)(T + 2/3) = T^2 + T/6 - 1/3 -> (T - 3)(T + 4) with D = 6
-    f = RationalPolynomial((F(-1, 3), F(1, 6), 1))
-    assert (f.den, f.num) == (6, (-2, 1, 6))
-    ints = integral_monic(f)
-    assert ints == _int_mul([-3, 1], [4, 1])
+def test_char_poly_scales_roots_to_integers():
+    # diag(1/2, -2/3), den 6: chi = (T - 1/2)(T + 2/3) -> (T - 3)(T + 4)
+    a = RationalMatrix.diagonal([F(1, 2), F(-2, 3)])
+    ints = char_poly(a)
+    assert a.den == 6 and ints == _int_mul([-3, 1], [4, 1])
     assert integer_roots(ints) == [-4, 3]
-    with pytest.raises(ValueError):
-        integral_monic(RationalPolynomial((1, 2)))
