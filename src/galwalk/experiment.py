@@ -20,7 +20,7 @@ from .finfield import (
     BadPrimeError,
     census,
     closure_order_bound,
-    conjugation_steps,
+    conjugacy_classes,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -314,15 +314,20 @@ def run_finite_field(config: ExperimentConfig):
                 }
             )
             continue
-        conjugators = conjugation_steps(scenario, p)
         censuses = []
         targets = {}
         for spec in scenario.cosets:
             censuses.append(
-                census(cosets[spec.label], p, spec.label, spec.multiplicity, conjugators)
+                census(conjugacy_classes(cosets[spec.label]), p, spec.label, spec.multiplicity)
             )
             if spec.predicted is not None:
                 targets[spec.label] = spec.predicted.group.types()
+        print(
+            f"# finfield p={p}: {sum(map(len, cosets.values()))} elements, "
+            f"{sum(c.classes for c in censuses)} conjugacy classes, "
+            f"{len(set().union(*(c.chi_counts for c in censuses)))} distinct chi",
+            file=sys.stderr,
+        )
         prows, _ = density_report(censuses, targets)
         rows.extend(prows)
     return rows, FINFIELD_FIELDS, metadata("finfield", config)

@@ -5,24 +5,28 @@ generate together with coset labels (permkit.closure, one row-product memo
 per generator), and classifies every coset element by the factorization
 pattern of its characteristic polynomial as q**e with q squarefree
 (modpoly.distinct_degree_pattern).  The characteristic polynomial is a
-class function, so the census splits each coset into conjugacy classes
-(permkit.closure again, under conjugation by the raw generators) and
-computes it once per class, weighted by the class size; elements with the
-same characteristic polynomial share a pattern, so it factors once per
-distinct polynomial.  This is the ground-truth census that the per-class
-density claims are checked against.
+class function, so the census splits each coset into conjugacy classes and
+computes it once per class, weighted by the class size.  The classes are
+orbits of index permutations read off the closure's Cayley table: the
+closure numbers the elements and records each generator's column, and
+conjugation by a generator is a column composed with left multiplication
+by its inverse, carried down the closure's spanning tree, so no matrix is
+multiplied after enumeration.  Elements with the same characteristic
+polynomial share a pattern, so it factors once per distinct polynomial.
+This is the ground-truth census that the per-class density claims are
+checked against.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from operator import add
 
-from .exactmat import det, int_char_poly, mat_inverse, reduce_poly_mod_p
+from .exactmat import det, int_char_poly, reduce_poly_mod_p
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
-from .permkit import MAX_ORDER, GroupTooLarge, LabelCollision, closure
+from .permkit import MAX_ORDER, Closure, GroupTooLarge, LabelCollision, closure
 
 PFMatrix = tuple[tuple[int, ...], ...]
 
@@ -97,10 +101,12 @@ def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
     return [(reduce_matrix(mat, p), lab) for mat, lab in scenario.raw_generators]
 
 
-def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, list[PFMatrix]]:
-    """Closure of the scenario's reduced raw generators, split by coset.
+def closure_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> Closure:
+    """Closure of the scenario's reduced raw generators from the identity.
 
-    Raises BadPrimeError when p is unusable for the scenario (see
+    Step j is right multiplication by raw generator g_j through its row
+    memo, so images[j] is g_j's column of the Cayley table.  Raises
+    BadPrimeError when p is unusable for the scenario (see
     reduce_generators, or an element reached with two different labels)
     and GroupTooLarge past bound.
     """
@@ -110,67 +116,94 @@ def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, list[
     ]
     n = scenario.dimension
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    group = scenario.component_group
     try:
-        labels = closure(ident, steps, group.mul, bound)
+        return closure(ident, steps, scenario.component_group.mul, bound)
     except LabelCollision:
         raise BadPrimeError(f"label collision mod {p}") from None
     except GroupTooLarge:
         raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}") from None
-    cosets: dict[int, list[PFMatrix]] = {lab: [] for lab in range(group.order)}
-    for mat, lab in labels.items():
-        cosets[lab].append(mat)
-    return cosets
 
 
-def conjugation_steps(scenario, p: int) -> list:
-    """One closure step x -> g^-1 x g mod p per raw generator g, label 0.
+def conjugation_tables(group: Closure) -> tuple[array, ...]:
+    """Per step j, the index permutation i -> index of g_j^-1 x_i g_j.
 
-    x g is a row map by g; g^-1 y is a row map by g^-T on the transpose of
-    y.  Call after enumerate_mod_p (or reduce_generators) has accepted p:
-    that check covers the inverse-closed admissible set, so g^-1 reduces.
+    group is a closure from the identity under right multiplications by
+    g_0, g_1, ...  Left multiplication by g_j^-1 commutes with them, so it
+    is carried down the spanning tree: x_k = x_parent g_via gives
+    L[k] = images[via][L[parent]], from L[0], the index of g_j^-1, which
+    is the one element that g_j's column sends to the identity.  Then
+    g_j^-1 x_i g_j has index images[j][L[i]]: no matrix is multiplied or
+    inverted.
     """
-    steps = []
-    for mat, _ in scenario.raw_generators:
-        right = _RowTimes(reduce_matrix(mat, p), p).__getitem__
-        left_t = _RowTimes(tuple(zip(*reduce_matrix(mat_inverse(mat), p))), p).__getitem__
-        steps.append(
-            (lambda a, right=right, left_t=left_t:
-                tuple(zip(*map(left_t, zip(*map(right, a))))), 0)
-        )
-    return steps
+    images, parent, via = group.images, group.parent, group.via
+    tables = []
+    for image in images:
+        left = array("i", [image.index(0)]) * len(group.elements)
+        for k in range(1, len(left)):
+            left[k] = images[via[k]][left[parent[k]]]
+        tables.append(array("i", map(image.__getitem__, left)))
+    return tuple(tables)
 
 
-def conjugacy_classes(elements, conjugators):
-    """(representative, class size) for each class of a coset's elements.
+class Coset:
+    """One coset of an enumerated mod-p group: members are its element
+    indices, and elements and conjugations (see conjugation_tables) are
+    shared by the group's cosets."""
 
-    Each class is the closure of its first element under the conjugators
-    (see conjugation_steps and permkit.closure).  Coset labels lie in the
-    abelian Z/m, so conjugation keeps them and a class of the group lies
-    inside one coset.  With no conjugators each element is its own class.
-    Raises ValueError when a conjugate is not among elements or the class
-    sizes do not sum to len(elements) (a repeated element, say), so a wrong
-    coset list is never miscounted.
+    __slots__ = ("elements", "conjugations", "members")
+
+    def __init__(self, elements: list, conjugations: tuple, members: array):
+        self.elements = elements
+        self.conjugations = conjugations
+        self.members = members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, Coset]:
+    """The mod-p closure (closure_mod_p, same errors) split by coset label."""
+    group = closure_mod_p(scenario, p, bound)
+    conjugations = conjugation_tables(group)
+    members = {lab: array("i") for lab in range(scenario.component_group.order)}
+    for i, lab in enumerate(group.labels):
+        members[lab].append(i)
+    return {lab: Coset(group.elements, conjugations, idx) for lab, idx in members.items()}
+
+
+def conjugacy_classes(coset: Coset):
+    """(representative, class size) for each conjugacy class in a coset.
+
+    A class is an orbit of the coset's conjugation tables, one per raw
+    generator.  The conjugations by raw generators generate the image of
+    the group in its inner automorphisms, and each table permutes a finite
+    set, so following the tables forward reaches whole classes.  Coset
+    labels lie in the abelian Z/m, so conjugation keeps them and a class
+    lies inside one coset.  Raises ValueError when a conjugate is not a
+    member or the class sizes do not sum to len(coset) (a repeated member,
+    say), so a wrong table is never miscounted.
     """
-    index = {m: i for i, m in enumerate(elements)}
-    seen = bytearray(len(elements))
+    state = bytearray(len(coset.elements))  # 1: unseen member, 2: seen member
+    for i in coset.members:
+        state[i] = 1
     total = 0
-    for i, rep in enumerate(elements):
-        if seen[i]:
+    for i in coset.members:
+        if state[i] != 1:
             continue
-        try:
-            orbit = closure(rep, conjugators, add, len(elements))
-        except GroupTooLarge:
-            raise ValueError("a conjugacy class is larger than its coset") from None
-        for x in orbit:
-            j = index.get(x)
-            if j is None:
-                raise ValueError("a conjugate lies outside the coset")
-            seen[j] = 1
+        state[i] = 2
+        orbit = [i]
+        for x in orbit:  # orbit grows as the search runs
+            for table in coset.conjugations:
+                y = table[x]
+                if state[y] == 1:
+                    state[y] = 2
+                    orbit.append(y)
+                elif not state[y]:
+                    raise ValueError("a conjugate lies outside the coset")
         total += len(orbit)
-        yield rep, len(orbit)
-    if total != len(elements):
-        raise ValueError(f"class sizes sum to {total}, not {len(elements)}")
+        yield coset.elements[i], len(orbit)
+    if total != len(coset):
+        raise ValueError(f"class sizes sum to {total}, not {len(coset)}")
 
 
 @dataclass(frozen=True)
@@ -182,6 +215,8 @@ class CosetCensus:
     total: int
     rs_count: int
     type_counts: dict = field(compare=False)
+    classes: int = field(compare=False)  # conjugacy classes censused
+    chi_counts: dict = field(compare=False)  # chi coefficients -> element count
 
     def density_rs(self, ct: CycleType) -> Fraction:
         if self.rs_count == 0:
@@ -192,22 +227,22 @@ class CosetCensus:
         return Fraction(self.type_counts.get(ct, 0), self.total)
 
 
-def census(elements, p: int, coset: int, multiplicity: int = 1,
-           conjugators=()) -> CosetCensus:
-    """Classify one coset's elements by characteristic polynomial pattern.
+def census(classes, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
+    """Classify one coset by characteristic polynomial pattern.
 
+    classes yields (representative, class size) pairs covering the coset,
+    as conjugacy_classes does; the characteristic polynomial is a class
+    function, so it is computed once per class and weighted by its size.
     An element counts as regular semisimple iff its characteristic
     polynomial mod p is q**multiplicity with q squarefree (the operational
     proxy; multiplicity is the coset's generic eigenvalue multiplicity).
-    The characteristic polynomial is computed once per class of
-    conjugacy_classes(elements, conjugators) and weighted by its size; with
-    conjugation_steps that is once per conjugacy class, with no conjugators
-    once per element.  An inconsistent coset list raises ValueError.  The
-    pattern is computed once per distinct characteristic polynomial.
+    The pattern is computed once per distinct characteristic polynomial.
     """
     chis: Counter = Counter()
-    for rep, size in conjugacy_classes(elements, conjugators):
+    n_classes = 0
+    for rep, size in classes:
         chis[charpoly_mod_p(rep, p).coeffs] += size
+        n_classes += 1
     counts: dict[CycleType, int] = {}
     rs = 0
     for coeffs, count in chis.items():
@@ -217,7 +252,7 @@ def census(elements, p: int, coset: int, multiplicity: int = 1,
         rs += count
         counts[pattern] = counts.get(pattern, 0) + count
     ordered = {ct: counts[ct] for ct in sorted(counts, reverse=True)}
-    return CosetCensus(p, coset, len(elements), rs, ordered)
+    return CosetCensus(p, coset, sum(chis.values()), rs, ordered, n_classes, chis)
 
 
 def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]):

@@ -5,16 +5,21 @@ imprimitive product constructions.
 Groups here are small enough (order <= MAX_ORDER) that breadth-first
 closure beats anything clever, and it yields exact class data for free.
 `closure` also enumerates the mod-p matrix groups of finfield, with a coset
-label carried along each element, and their conjugacy classes; orbits and
-cycle types are read off the enumerated elements.
+label carried along each element.  It numbers the elements in the order
+found and records, as typed index arrays, each step's image of each
+element (a column of the Cayley table) and the edge each element was
+first reached by; finfield reads conjugation off these tables, and its
+conjugacy classes are orbits of those index permutations.  Orbits and
+cycle types of permutation groups are read off the enumerated elements.
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import add
+from typing import NamedTuple
 
 from .modpoly import CycleType, make_cycle_type
 
@@ -32,8 +37,27 @@ class LabelCollision(ValueError):
     """Closure reached one element with two different labels."""
 
 
-def closure(start, steps, mul, bound: int) -> dict:
-    """Breadth-first closure from start: element -> label, start labelled 0.
+class Closure(NamedTuple):
+    """A closure on element indices, numbered in the order found.
+
+    elements[i] is element i (0 is the start) and labels[i] its label.
+    images[j][i] is the index of step j applied to element i, so each
+    images[j] is one column of the Cayley table when the steps are right
+    multiplications by generators.  Element i > 0 was first reached as
+    step via[i] applied to element parent[i] < i: a spanning tree, rooted
+    at the start, along which any map that commutes with the steps can be
+    carried from element 0 to every other element.
+    """
+
+    elements: list
+    labels: array
+    images: tuple[array, ...]
+    parent: array
+    via: array
+
+
+def closure(start, steps, mul, bound: int) -> Closure:
+    """Breadth-first closure from start, start labelled 0 (labels are ints).
 
     A step (times, label) maps an element x to times(x) and its label l to
     mul(l, label).  Steps by the raw generators are enough: in a finite
@@ -42,32 +66,36 @@ def closure(start, steps, mul, bound: int) -> dict:
     label(x g^-1) * label(g) = label(x).  So inverses and the identity
     would find no new element and no new label collision.
 
-    start need not be the identity.  With one step x -> g^-1 x g per raw
-    generator g (and every label 0) the closure from x is x's conjugacy
-    class: the conjugations form a finite group, the image of the group in
-    its inner automorphisms, so the monoid the raw ones generate is all of
-    it and the orbit of x is {g^-1 x g : g in the group}.
-
     Raises GroupTooLarge past bound elements, and LabelCollision when one
     element is reached with two different labels.
     """
-    labels = {start: 0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        cur_label = labels[cur]
-        for times, lab in steps:
+    index = {start: 0}
+    elements = [start]
+    labels = array("i", [0])
+    parent = array("i", [-1])
+    via = array("i", [-1])
+    images = tuple(array("i") for _ in steps)
+    edges = [(j, times, lab, image.append)
+             for j, ((times, lab), image) in enumerate(zip(steps, images))]
+    for i, cur in enumerate(elements):  # elements grows as the search runs
+        cur_label = labels[i]
+        for j, times, lab, record in edges:
             nxt = times(cur)
             nxt_label = mul(cur_label, lab)
-            known = labels.get(nxt)
-            if known is None:
-                if len(labels) >= bound:
+            k = index.get(nxt)
+            if k is None:
+                k = len(elements)
+                if k >= bound:
                     raise GroupTooLarge(f"closure exceeds bound {bound}")
-                labels[nxt] = nxt_label
-                queue.append(nxt)
-            elif known != nxt_label:
-                raise LabelCollision(f"one element has labels {known} and {nxt_label}")
-    return labels
+                index[nxt] = k
+                elements.append(nxt)
+                labels.append(nxt_label)
+                parent.append(i)
+                via.append(j)
+            elif labels[k] != nxt_label:
+                raise LabelCollision(f"one element has labels {labels[k]} and {nxt_label}")
+            record(k)
+    return Closure(elements, labels, images, parent, via)
 
 
 def identity_perm(n: int) -> Permutation:
@@ -162,7 +190,7 @@ def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
     if any(not is_permutation(g) for g in gens):
         raise ValueError("generator is not a bijection")
     steps = [(partial(compose, b=g), 0) for g in gens]
-    elements = tuple(sorted(closure(identity_perm(degree), steps, add, MAX_ORDER)))
+    elements = tuple(sorted(closure(identity_perm(degree), steps, add, MAX_ORDER).elements))
     return EnumeratedGroup(degree, elements, _distribution(elements), tuple(gens))
 
 

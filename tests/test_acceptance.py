@@ -21,7 +21,7 @@ from galwalk.experiment import ExperimentConfig, batch_seed, run_convergence, ru
 from galwalk.finfield import (
     census,
     charpoly_mod_p,
-    conjugation_steps,
+    conjugacy_classes,
     enumerate_mod_p,
     reduce_matrix,
 )
@@ -310,11 +310,10 @@ def test_criterion_7_finite_field_densities():
         scen = builtin_scenarios()[name]
         for p in (5, 7, 11, 13):
             cosets = enumerate_mod_p(scen, p)
-            conjugators = conjugation_steps(scen, p)
             rs_total = 0
             total = 0
             for spec in scen.cosets:
-                c = census(cosets[spec.label], p, spec.label, spec.multiplicity, conjugators)
+                c = census(conjugacy_classes(cosets[spec.label]), p, spec.label, spec.multiplicity)
                 rs_total += c.rs_count
                 total += c.total
                 family, multiplicity = CHI_FAMILIES[(name, spec.name)]

@@ -207,6 +207,23 @@ def test_run_finite_field_rows():
         assert r["rs_count"] <= r["total"]
 
 
+def test_run_finite_field_reports_counts_per_prime(tmp_path, capsys):
+    # per censused prime: |G(F_p)| = 2 p (p^2 - 1), 2 (p + 4) classes (p + 4
+    # per coset) and the distinct chi over both cosets, on stderr only
+    out = tmp_path / "census.csv"
+    assert main(["finfield", "--scenario", "sltau2", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    distinct = {5: 7, 7: 10, 11: 16, 13: 19, 17: 25}
+    want = [
+        f"# finfield p={p}: {2 * p * (p * p - 1)} elements, "
+        f"{2 * (p + 4)} conjugacy classes, {chis} distinct chi"
+        for p, chis in distinct.items()
+    ]
+    assert [line for line in err.splitlines() if line.startswith("# finfield")] == want
+    assert want[-1] == "# finfield p=17: 9792 elements, 42 conjugacy classes, 25 distinct chi"
+    assert "conjugacy" not in out.read_text() and "elements" not in out.read_text()
+
+
 def test_run_finite_field_rejects_large_dimension():
     cfg = ExperimentConfig(scenario="slcyc2x3", k_values=(1,), samples=1)
     with pytest.raises(ValueError):

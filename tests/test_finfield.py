@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import deque
 from fractions import Fraction as F
 
@@ -8,15 +9,17 @@ from galwalk.exactmat import (
     PrimeFieldPolynomial,
     RationalMatrix,
     char_poly,
+    mat_inverse,
     reduce_poly_mod_p,
 )
 from galwalk.finfield import (
     BadPrimeError,
+    Coset,
     census,
     charpoly_mod_p,
+    closure_mod_p,
     closure_order_bound,
     conjugacy_classes,
-    conjugation_steps,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -52,6 +55,11 @@ CLOSURE_BOUNDS = {3: 6000, 5: 6000, 7: 1000}
 
 def sl2_order(p):
     return p * (p * p - 1)
+
+
+def matrices(coset):
+    """A coset's elements as matrices, in closure order."""
+    return [coset.elements[i] for i in coset.members]
 
 
 def test_enumerate_sl2_orders():
@@ -124,7 +132,7 @@ def test_enumerate_matches_closure_by_all_generators():
                     enumerate_mod_p(scen, p, bound=bound)
                 continue
             cosets = enumerate_mod_p(scen, p, bound=bound)
-            got = {mat: lab for lab, mats in cosets.items() for mat in mats}
+            got = {mat: lab for lab, mats in cosets.items() for mat in matrices(mats)}
             assert sum(map(len, cosets.values())) == len(got)
             assert got == want, (name, p)
             compared += 1
@@ -166,9 +174,9 @@ def test_closure_order_bound_below_enumerated_order():
 def test_census_identity_not_rs():
     scen = builtin_scenarios()["sl2"]
     elems = enumerate_mod_p(scen, 5)[0]
-    c = census(elems, 5, 0)
+    c = census(conjugacy_classes(elems), 5, 0)
     ident = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
-    assert ident in set(elems)
+    assert ident in set(matrices(elems))
     # identity char poly (T-1)^2 is not squarefree, so rs_count < total
     assert c.rs_count < c.total
     assert sum(c.type_counts.values()) == c.rs_count
@@ -179,25 +187,25 @@ def test_census_rs_fraction_formula_sl2():
     # non-rs elements of SL_2(F_p) are exactly those with trace +-2
     scen = builtin_scenarios()["sl2"]
     for p in (5, 13):
-        c = census(enumerate_mod_p(scen, p)[0], p, 0)
+        c = census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0)
         assert F(c.rs_count, c.total) == 1 - F(2 * p, p * p - 1)
 
 
 def test_census_diagonal_example():
     diag = tuple((tuple((2 if i == j == 0 else 3 if i == j == 1 else 0) for j in range(2))) for i in range(2))
-    c = census([diag], 7, 0)
+    c = census([(diag, 1)], 7, 0)
     assert c.type_counts == {(1, 1): 1}
 
 
 def test_census_multiplicity_profile():
     scen = builtin_scenarios()["sltau2"]
     cosets = enumerate_mod_p(scen, 5)
-    c0 = census(cosets[0], 5, 0, multiplicity=2)
+    c0 = census(conjugacy_classes(cosets[0]), 5, 0, multiplicity=2)
     # doubled patterns only
     assert set(c0.type_counts) <= {(1, 1, 1, 1), (2, 2)}
     assert c0.rs_count == 70  # same rs set as SL_2(F_5) itself
     # wrong multiplicity declaration finds nothing regular
-    c_wrong = census(cosets[0], 5, 0, multiplicity=1)
+    c_wrong = census(conjugacy_classes(cosets[0]), 5, 0, multiplicity=1)
     assert c_wrong.rs_count == 0
 
 
@@ -269,11 +277,10 @@ def test_fp_power_root_matches_reference_on_sltau2_chis():
     # chi is a class function: the class representatives carry every chi
     scen = builtin_scenarios()["sltau2"]
     for p in primes_in_window(5, 17):
-        conjugators = conjugation_steps(scen, p)
         chis = {
             charpoly_mod_p(rep, p).coeffs
             for coset in enumerate_mod_p(scen, p).values()
-            for rep, _ in conjugacy_classes(coset, conjugators)
+            for rep, _ in conjugacy_classes(coset)
         }
         found = 0
         for coeffs in chis:
@@ -314,13 +321,13 @@ def test_census_per_distinct_chi_matches_per_element():
             cosets = enumerate_mod_p(scen, p, bound=bound)
         except (BadPrimeError, GroupTooLarge):
             continue
-        conjugators = conjugation_steps(scen, p)
         for spec in scen.cosets:
+            coset = cosets[spec.label]
             # multiplicity 1 on a doubled coset is a wrong input
             for mult in sorted({1, spec.multiplicity}):
-                want = census_per_element(cosets[spec.label], p, mult)
-                for conj in ((), conjugators):
-                    c = census(cosets[spec.label], p, spec.label, mult, conj)
+                want = census_per_element(matrices(coset), p, mult)
+                for classes in ([(m, 1) for m in matrices(coset)], conjugacy_classes(coset)):
+                    c = census(classes, p, spec.label, mult)
                     assert (c.total, c.rs_count, c.type_counts) == want, (name, p, mult)
                     assert list(c.type_counts) == sorted(c.type_counts, reverse=True)
         compared.add((name, p))
@@ -346,13 +353,12 @@ def test_conjugacy_class_counts_follow_the_class_number():
     reg = builtin_scenarios()
     for p in (3, 5, 7, 11, 13):
         coset = enumerate_mod_p(reg["sl2"], p)[0]
-        sizes = sorted(s for _, s in conjugacy_classes(coset, conjugation_steps(reg["sl2"], p)))
+        sizes = sorted(s for _, s in conjugacy_classes(coset))
         assert len(sizes) == p + 4, p
         assert sizes == sl2_class_sizes(p), p
     for p in primes_in_window(5, 17):
-        conjugators = conjugation_steps(reg["sltau2"], p)
         classes = sum(
-            len(list(conjugacy_classes(coset, conjugators)))
+            len(list(conjugacy_classes(coset)))
             for coset in enumerate_mod_p(reg["sltau2"], p).values()
         )
         assert classes == 2 * (p + 4), p
@@ -361,18 +367,64 @@ def test_conjugacy_class_counts_follow_the_class_number():
 def test_census_refuses_an_inconsistent_coset_list():
     scen = builtin_scenarios()["sl2"]
     coset = enumerate_mod_p(scen, 5)[0]
-    conjugators = conjugation_steps(scen, 5)
     unipotent = ((1, 1), (0, 1))
-    assert unipotent in coset
+    u = coset.elements.index(unipotent)
+    assert u in coset.members
+
+    def census_of(bad):
+        return census(conjugacy_classes(bad), 5, 0, 1)
+
+    def with_members(members, conjugations=coset.conjugations):
+        return Coset(coset.elements, conjugations, array("i", members))
+
     with pytest.raises(ValueError, match="outside the coset"):
-        census([m for m in coset if m != unipotent], 5, 0, 1, conjugators)
-    with pytest.raises(ValueError, match="larger than its coset"):
-        census([unipotent], 5, 0, 1, conjugators)
+        census_of(with_members(i for i in coset.members if i != u))
+    with pytest.raises(ValueError, match="outside the coset"):
+        census_of(with_members([u]))
     with pytest.raises(ValueError, match="not 121"):
-        census(coset + [unipotent], 5, 0, 1, conjugators)
-    # with no conjugators every element is its own class; a repeat still raises
+        census_of(with_members([*coset.members, u]))
+    # with no conjugation tables every member is its own class; a repeat still raises
     with pytest.raises(ValueError, match="not 121"):
-        census(coset + [unipotent], 5, 0)
+        census_of(with_members([*coset.members, u], conjugations=()))
+    # a conjugation table sending an identity-coset member into the swap coset
+    cosets = enumerate_mod_p(builtin_scenarios()["sltau2"], 5)
+    identity = cosets[0]
+    corrupt = identity.conjugations[0][:]
+    corrupt[identity.members[3]] = cosets[1].members[0]
+    bad = Coset(identity.elements, (corrupt,) + identity.conjugations[1:], identity.members)
+    with pytest.raises(ValueError, match="outside the coset"):
+        census(conjugacy_classes(bad), 5, 0, 2)
+
+
+def mat_mul_mod(a, b, p):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a
+    )
+
+
+def test_cayley_and_conjugation_tables_match_matrix_products():
+    # x g and g^-1 x g for every element x and raw generator g, with g^-1
+    # inverted over Q and reduced, against the index tables
+    reg = builtin_scenarios()
+    cases = [("sl2", 5), ("sl2", 7), ("sltau2", 5), ("diag_antidiag", 5),
+             ("diag_antidiag", 7), ("slcyc2x2", 3), ("res_sqrt2", 3)]
+    for name, p in cases:
+        scen = reg[name]
+        group = closure_mod_p(scen, p)
+        cosets = enumerate_mod_p(scen, p)
+        elements = group.elements
+        assert all(c.elements == elements for c in cosets.values())
+        conjugations = cosets[0].conjugations
+        position = {x: i for i, x in enumerate(elements)}
+        assert len(position) == len(elements)
+        assert len(group.images) == len(conjugations) == len(scen.raw_generators)
+        for j, (g, _) in enumerate(scen.raw_generators):
+            right = reduce_matrix(g, p)
+            inverse = reduce_matrix(mat_inverse(g), p)
+            image, conj = group.images[j], conjugations[j]
+            for i, x in enumerate(elements):
+                assert image[i] == position[mat_mul_mod(x, right, p)], (name, p, j)
+                assert conj[i] == position[mat_mul_mod(mat_mul_mod(inverse, x, p), right, p)], (name, p, j)
 
 
 def test_cross_check_with_global_reduction():
@@ -386,7 +438,7 @@ def test_cross_check_with_global_reduction():
             chi = char_poly(s.element)
             for p in (5, 7, 11, 13):
                 reduced = reduce_matrix(s.element, p)
-                c = census([reduced], p, s.label, spec.multiplicity)
+                c = census([(reduced, 1)], p, s.label, spec.multiplicity)
                 q = power_root(chi, spec.multiplicity)
                 if q is None or not squarefree_over_q(q):
                     continue
@@ -413,7 +465,7 @@ def test_charpoly_mod_p_at_small_primes():
 
 def test_density_report_rows_and_flags():
     scen = builtin_scenarios()["sl2"]
-    censuses = [census(enumerate_mod_p(scen, p)[0], p, 0) for p in (5, 7)]
+    censuses = [census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0) for p in (5, 7)]
     types = scen.coset(0).predicted.group.types()
     rows, flagged = density_report(censuses, {0: types})
     assert not flagged
@@ -448,10 +500,10 @@ def test_swap_coset_density_truth():
     }
     for p, want in expected_swap.items():
         cosets = enumerate_mod_p(scen, p)
-        c1 = census(cosets[1], p, 1, multiplicity=1)
+        c1 = census(conjugacy_classes(cosets[1]), p, 1, multiplicity=1)
         assert c1.type_counts == want, (p, dict(c1.type_counts))
         assert set(c1.type_counts) == attainable_types(sltau2_swap_chi, 1, p)
-        c0 = census(cosets[0], p, 0, multiplicity=2)
+        c0 = census(conjugacy_classes(cosets[0]), p, 0, multiplicity=2)
         assert c0.type_counts[(1, 1, 1, 1)] > 0
         assert c0.type_counts[(2, 2)] > 0
         assert set(c0.type_counts) == attainable_types(sltau2_identity_chi, 2, p)
@@ -465,7 +517,7 @@ def test_rs_fraction_fit_reported():
     scen = builtin_scenarios()["sl2"]
     fractions = {}
     for p in (5, 7, 11, 13, 17):
-        c = census(enumerate_mod_p(scen, p)[0], p, 0)
+        c = census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0)
         fractions[p] = F(c.rs_count, c.total)
     cfit = max(p * (1 - frac) for p, frac in fractions.items())
     assert cfit > 0
@@ -481,6 +533,6 @@ def test_sl2_type_densities_at_small_primes():
     # default prime (frozen from the enumeration)
     scen = builtin_scenarios()["sl2"]
     for p in (5, 7, 11, 13):
-        c = census(enumerate_mod_p(scen, p)[0], p, 0)
+        c = census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0)
         for ct in ((1, 1), (2,)):
             assert c.density_coset(ct) >= F(1, 4), (p, ct, c.density_coset(ct))

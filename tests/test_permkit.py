@@ -86,24 +86,44 @@ Z12_STEPS = [(lambda x: (x + 1) % 12, 0), (lambda x: (x + 5) % 12, 0)]
 
 
 def test_closure_bound():
-    assert len(closure(0, Z12_STEPS, add, 12)) == 12
+    assert len(closure(0, Z12_STEPS, add, 12).elements) == 12
     with pytest.raises(GroupTooLarge, match="closure exceeds bound 11"):
         closure(0, Z12_STEPS, add, 11)
 
 
+def labelled(found):
+    """A closure as element -> label."""
+    return dict(zip(found.elements, found.labels))
+
+
 def test_closure_all_labels_0():
-    assert closure(0, Z12_STEPS, add, 100) == {x: 0 for x in range(12)}
+    assert labelled(closure(0, Z12_STEPS, add, 100)) == {x: 0 for x in range(12)}
     # enumerate_group is this closure on permutations: S_3's elements
     gens = [(1, 0, 2), (1, 2, 0)]
     steps = [((lambda x, g=g: compose(x, g)), 0) for g in gens]
-    labels = closure(identity_perm(3), steps, add, 100)
+    labels = labelled(closure(identity_perm(3), steps, add, 100))
     assert set(labels.values()) == {0}
     assert tuple(sorted(labels)) == symmetric_group(3).elements
 
 
+def test_closure_indices_images_and_spanning_tree():
+    # elements are numbered in breadth-first order from the start
+    found = closure(0, Z12_STEPS, add, 100)
+    assert found.elements == [0, 1, 5, 2, 6, 10, 3, 7, 11, 4, 8, 9]
+    position = {x: i for i, x in enumerate(found.elements)}
+    assert len(set(position)) == len(found.elements) == 12
+    for j, (times, _) in enumerate(Z12_STEPS):
+        assert list(found.images[j]) == [position[times(x)] for x in found.elements]
+    # each element after the start is its parent's image under its step
+    assert (found.parent[0], found.via[0]) == (-1, -1)
+    for i in range(1, len(found.elements)):
+        assert found.parent[i] < i
+        assert found.images[found.via[i]][found.parent[i]] == i
+
+
 def test_closure_labels_and_collision():
     # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
-    assert closure(0, [(lambda x: (x + 1) % 12, 1)], z2_mul, 100) == {
+    assert labelled(closure(0, [(lambda x: (x + 1) % 12, 1)], z2_mul, 100)) == {
         x: x % 2 for x in range(12)
     }
     # ... but on Z/9 the ninth step returns to 0 with label 1
