@@ -343,6 +343,7 @@ def exact_word_census(scenario: Scenario, k: int, start: tuple | None = None):
     letter whose matrix is the identity keeps m, without a product.
     """
     gens = scenario.admissible()
+    coset_count = gens.coset_count
     ident = RationalMatrix.identity(scenario.dimension)
     k0, states = start or (0, {(ident, 0, 0): 1})
     if k0 > k:
@@ -357,7 +358,7 @@ def exact_word_census(scenario: Scenario, k: int, start: tuple | None = None):
             for g, glab, is_id in steps:
                 key = (
                     m if g is None else mat_mul(m, g),
-                    scenario.component_group.mul(lab, glab),
+                    (lab + glab) % coset_count,
                     parity ^ is_id,
                 )
                 nxt[key] = nxt.get(key, 0) + count

@@ -1,20 +1,21 @@
 """Brute-force verification over small prime fields.
 
 Reduces a scenario's generators mod p, enumerates the finite group they
-generate together with coset labels (permkit.closure, one row-product memo
-per generator), and classifies every coset element by the factorization
-pattern of its characteristic polynomial as q**e with q squarefree
-(modpoly.distinct_degree_pattern).  The characteristic polynomial is a
-class function, so the census splits each coset into conjugacy classes and
-computes it once per class, weighted by the class size.  The classes are
-orbits of index permutations read off the closure's Cayley table: the
-closure numbers the elements and records each generator's column, and
-conjugation by a generator is a column composed with left multiplication
-by its inverse, carried down the closure's spanning tree, so no matrix is
-multiplied after enumeration.  Elements with the same characteristic
-polynomial share a pattern, so it factors once per distinct polynomial.
-This is the ground-truth census that the per-class density claims are
-checked against.
+generate (permkit.closure, one row-product memo per generator), labels
+each element with its coset, an integer mod the coset count, along the
+closure's spanning tree (checked on every Cayley edge), and classifies
+every coset element by the factorization pattern of its characteristic
+polynomial as q**e with q squarefree (modpoly.distinct_degree_pattern).
+The characteristic polynomial is a class function, so the census splits
+each coset into conjugacy classes and computes it once per class, weighted
+by the class size.  The classes are orbits of index permutations read off
+the closure's Cayley table: the closure numbers the elements and records
+each generator's column, and conjugation by a generator is a column
+composed with left multiplication by its inverse, carried down the
+closure's spanning tree, so no matrix is multiplied after enumeration.
+Elements with the same characteristic polynomial share a pattern, so it
+factors once per distinct polynomial.  This is the ground-truth census
+that the per-class density claims are checked against.
 """
 from __future__ import annotations
 
@@ -22,11 +23,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import prod
 
 from .exactmat import det, int_char_poly, reduce_poly_mod_p
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
-from .permkit import MAX_ORDER, Closure, GroupTooLarge, LabelCollision, closure
+from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure
 
 PFMatrix = tuple[tuple[int, ...], ...]
 
@@ -77,10 +79,10 @@ def closure_order_bound(scenario, p: int) -> int:
 
     Elementary matrices generate SL_n over a field, so the identity coset
     contains a copy of SL_n(F_p) for each entry of scenario.sl_factors, and
-    the built-in generators reach every label of the component group, each
-    by a coset of that size.  Holds at every prime enumerate_mod_p accepts.
+    the built-in generators reach every coset label, each by a coset of
+    that size.  Holds at every prime enumerate_mod_p accepts.
     """
-    order = scenario.component_group.order
+    order = len(scenario.cosets)
     for n in scenario.sl_factors:
         order *= _sl_order(n, p)
     return order
@@ -107,21 +109,39 @@ def closure_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> Closure:
     Step j is right multiplication by raw generator g_j through its row
     memo, so images[j] is g_j's column of the Cayley table.  Raises
     BadPrimeError when p is unusable for the scenario (see
-    reduce_generators, or an element reached with two different labels)
-    and GroupTooLarge past bound.
+    reduce_generators) and GroupTooLarge past bound.
     """
     steps = [
-        (lambda a, row_times=_RowTimes(g, p).__getitem__: tuple(map(row_times, a)), lab)
-        for g, lab in reduce_generators(scenario, p)
+        lambda a, row_times=_RowTimes(g, p).__getitem__: tuple(map(row_times, a))
+        for g, _ in reduce_generators(scenario, p)
     ]
     n = scenario.dimension
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     try:
-        return closure(ident, steps, scenario.component_group.mul, bound)
-    except LabelCollision:
-        raise BadPrimeError(f"label collision mod {p}") from None
+        return closure(ident, steps, bound)
     except GroupTooLarge:
         raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}") from None
+
+
+def coset_labels(group: Closure, steps: list[int], m: int, p: int) -> list[int]:
+    """Each element's coset label mod m, for a closure from the identity
+    under right multiplications by generators labelled steps[j].
+
+    Labels add along the spanning tree, from 0 at the identity; then
+    every Cayley edge x_i -> x_i g_j must add steps[j], or one element
+    would carry two labels and p is a BadPrimeError.  At m = 1 every
+    label is 0 and nothing is checked.
+    """
+    if m == 1:
+        return [0] * len(group.elements)
+    plus = [[(lab + step) % m for lab in range(m)] for step in steps]
+    labels = [0]
+    for i, j in zip(islice(group.parent, 1, None), islice(group.via, 1, None)):
+        labels.append(plus[j][labels[i]])
+    for image, plus_step in zip(group.images, plus):
+        if list(map(labels.__getitem__, image)) != list(map(plus_step.__getitem__, labels)):
+            raise BadPrimeError(f"label collision mod {p}")
+    return labels
 
 
 def conjugation_tables(group: Closure) -> tuple[array, ...]:
@@ -162,11 +182,14 @@ class Coset:
 
 
 def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, Coset]:
-    """The mod-p closure (closure_mod_p, same errors) split by coset label."""
+    """The mod-p closure (closure_mod_p, same errors) split by coset label
+    (coset_labels, which raises BadPrimeError on a label collision)."""
     group = closure_mod_p(scenario, p, bound)
+    m = len(scenario.cosets)
+    labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
     conjugations = conjugation_tables(group)
-    members = {lab: array("i") for lab in range(scenario.component_group.order)}
-    for i, lab in enumerate(group.labels):
+    members = {lab: array("i") for lab in range(m)}
+    for i, lab in enumerate(labels):
         members[lab].append(i)
     return {lab: Coset(group.elements, conjugations, idx) for lab, idx in members.items()}
 

@@ -76,7 +76,6 @@ class Verdict:
     """How a sample relates to its target; the detail gives the reason."""
 
     kind: str
-    target: str
     detail: str = ""
 
 
@@ -163,14 +162,12 @@ def match_verdict(summary: SampleSummary, target: PredictedGroup) -> Verdict:
     observed = summary.empirical
     outside = [ct for ct in observed if ct not in tdist]
     if outside:
-        return _rejected(target, f"type {outside[0]} impossible for target")
+        return Verdict(KIND_REJECTED, f"type {outside[0]} impossible for target")
     if not all(ct in observed for ct in tdist):
-        return Verdict(KIND_INCONCLUSIVE, target.name)
+        return Verdict(KIND_INCONCLUSIVE)
     if tv_distance(observed, tdist) <= TV_MAX:
-        return Verdict(KIND_CONSISTENT, target.name)
-    return Verdict(
-        KIND_INCONCLUSIVE, target.name, "distribution mismatch at complete coverage"
-    )
+        return Verdict(KIND_CONSISTENT)
+    return Verdict(KIND_INCONCLUSIVE, "distribution mismatch at complete coverage")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def identify(
         return verdict
     summary = collect_samples(q, prime_window, budget, target, multiplicity)
     if summary.good_count == 0:
-        return Verdict(KIND_INCONCLUSIVE, target.name, "no good prime in the window")
+        return Verdict(KIND_INCONCLUSIVE, "no good prime in the window")
     return match_verdict(expand_summary(summary, multiplicity), target)
 
 
@@ -221,16 +218,16 @@ def exact_verdict(
     orbits = repeat_parts(found.degrees, multiplicity)
     want = target.group.orbit_lengths()
     if orbits != want:
-        return _rejected(
-            target, f"rule (a): factor degrees give orbits {orbits}, target {want}"
+        return Verdict(
+            KIND_REJECTED, f"rule (a): factor degrees give orbits {orbits}, target {want}"
         )
     odd_target = any(_is_odd(ct) for ct in target.group.type_distribution)
     if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
         return None
     disc = discriminant(q)
     if odd_target and is_rational_square(disc):
-        return _rejected(
-            target, "rule (b): square discriminant, target has odd permutations"
+        return Verdict(
+            KIND_REJECTED, "rule (b): square discriminant, target has odd permutations"
         )
     if n > 4:
         return None
@@ -238,16 +235,11 @@ def exact_verdict(
     exact = small_group_distribution(name, found.degrees, multiplicity)
     if exact == target.group.type_distribution:
         return Verdict(
-            KIND_CERTIFIED_EXACT, target.name,
-            f"rule (c): exact group {name} on orbits {orbits}",
+            KIND_CERTIFIED_EXACT, f"rule (c): exact group {name} on orbits {orbits}"
         )
-    return _rejected(
-        target, f"rule (c): exact group {name} on orbits {orbits} is not the target"
+    return Verdict(
+        KIND_REJECTED, f"rule (c): exact group {name} on orbits {orbits} is not the target"
     )
-
-
-def _rejected(target: PredictedGroup, detail: str) -> Verdict:
-    return Verdict(KIND_REJECTED, target.name, detail)
 
 
 def _is_odd(ct: CycleType) -> bool:

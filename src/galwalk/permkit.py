@@ -4,13 +4,13 @@ imprimitive product constructions.
 
 Groups here are small enough (order <= MAX_ORDER) that breadth-first
 closure beats anything clever, and it yields exact class data for free.
-`closure` also enumerates the mod-p matrix groups of finfield, with a coset
-label carried along each element.  It numbers the elements in the order
-found and records, as typed index arrays, each step's image of each
-element (a column of the Cayley table) and the edge each element was
-first reached by; finfield reads conjugation off these tables, and its
-conjugacy classes are orbits of those index permutations.  Orbits and
-cycle types of permutation groups are read off the enumerated elements.
+`closure` also enumerates the mod-p matrix groups of finfield.  It numbers
+the elements in the order found and records, as typed index arrays, each
+step's image of each element (a column of the Cayley table) and the edge
+each element was first reached by; finfield reads coset labels and
+conjugation off these tables, and its conjugacy classes are orbits of
+those index permutations.  Orbits and cycle types of permutation groups
+are read off the enumerated elements.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from operator import add
 from typing import NamedTuple
 
 from .modpoly import CycleType, make_cycle_type
@@ -33,55 +32,40 @@ class GroupTooLarge(RuntimeError):
     """Closure exceeded the element bound; raise the bound to proceed."""
 
 
-class LabelCollision(ValueError):
-    """Closure reached one element with two different labels."""
-
-
 class Closure(NamedTuple):
     """A closure on element indices, numbered in the order found.
 
-    elements[i] is element i (0 is the start) and labels[i] its label.
-    images[j][i] is the index of step j applied to element i, so each
-    images[j] is one column of the Cayley table when the steps are right
-    multiplications by generators.  Element i > 0 was first reached as
-    step via[i] applied to element parent[i] < i: a spanning tree, rooted
-    at the start, along which any map that commutes with the steps can be
-    carried from element 0 to every other element.
+    elements[i] is element i (0 is the start).  images[j][i] is the index
+    of step j applied to element i, so each images[j] is one column of the
+    Cayley table when the steps are right multiplications by generators.
+    Element i > 0 was first reached as step via[i] applied to element
+    parent[i] < i: a spanning tree, rooted at the start, along which any
+    map that commutes with the steps can be carried from element 0 to
+    every other element.
     """
 
     elements: list
-    labels: array
     images: tuple[array, ...]
     parent: array
     via: array
 
 
-def closure(start, steps, mul, bound: int) -> Closure:
-    """Breadth-first closure from start, start labelled 0 (labels are ints).
+def closure(start, steps, bound: int) -> Closure:
+    """Breadth-first closure of start under the step callables.
 
-    A step (times, label) maps an element x to times(x) and its label l to
-    mul(l, label).  Steps by the raw generators are enough: in a finite
-    group the monoid they generate is the whole group, and labels that
-    agree on every g-edge agree on every g^-1-edge, since
-    label(x g^-1) * label(g) = label(x).  So inverses and the identity
-    would find no new element and no new label collision.
-
-    Raises GroupTooLarge past bound elements, and LabelCollision when one
-    element is reached with two different labels.
+    Steps by the raw generators are enough: in a finite group the monoid
+    they generate is the whole group, so inverses and the identity would
+    find no new element.  Raises GroupTooLarge past bound elements.
     """
     index = {start: 0}
     elements = [start]
-    labels = array("i", [0])
     parent = array("i", [-1])
     via = array("i", [-1])
     images = tuple(array("i") for _ in steps)
-    edges = [(j, times, lab, image.append)
-             for j, ((times, lab), image) in enumerate(zip(steps, images))]
+    edges = [(j, times, image.append) for j, (times, image) in enumerate(zip(steps, images))]
     for i, cur in enumerate(elements):  # elements grows as the search runs
-        cur_label = labels[i]
-        for j, times, lab, record in edges:
+        for j, times, record in edges:
             nxt = times(cur)
-            nxt_label = mul(cur_label, lab)
             k = index.get(nxt)
             if k is None:
                 k = len(elements)
@@ -89,13 +73,10 @@ def closure(start, steps, mul, bound: int) -> Closure:
                     raise GroupTooLarge(f"closure exceeds bound {bound}")
                 index[nxt] = k
                 elements.append(nxt)
-                labels.append(nxt_label)
                 parent.append(i)
                 via.append(j)
-            elif labels[k] != nxt_label:
-                raise LabelCollision(f"one element has labels {labels[k]} and {nxt_label}")
             record(k)
-    return Closure(elements, labels, images, parent, via)
+    return Closure(elements, images, parent, via)
 
 
 def identity_perm(n: int) -> Permutation:
@@ -175,7 +156,7 @@ def _distribution(elements) -> dict:
 
 
 def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
-    """Closure of the generators under composition, every label 0.
+    """Closure of the generators under composition.
 
     The empty generator list yields the trivial group (degree must then be
     supplied).  Raises GroupTooLarge past MAX_ORDER elements.
@@ -189,8 +170,8 @@ def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
         raise ValueError("generators must share one degree")
     if any(not is_permutation(g) for g in gens):
         raise ValueError("generator is not a bijection")
-    steps = [(partial(compose, b=g), 0) for g in gens]
-    elements = tuple(sorted(closure(identity_perm(degree), steps, add, MAX_ORDER).elements))
+    steps = [partial(compose, b=g) for g in gens]
+    elements = tuple(sorted(closure(identity_perm(degree), steps, MAX_ORDER).elements))
     return EnumeratedGroup(degree, elements, _distribution(elements), tuple(gens))
 
 

@@ -1,6 +1,10 @@
 """Built-in walk scenarios: generator sets with coset labels and the
 predicted group bound to each coset.
 
+A scenario with m cosets labels them 0..m-1, lists one spec per label in
+that order, and adds labels mod m (every component group here is the
+cyclic Z/m); a walk's coset is the sum of its generators' labels.
+
 A scenario owns the embedding conventions (block matrices, the quadratic
 ring embedding) and declares, per coset, the generic eigenvalue
 multiplicity of its characteristic polynomials and the permutation group
@@ -28,7 +32,7 @@ from .picatalog import (
     pi_sl_power_identity,
 )
 from .permkit import symmetric_group
-from .walker import ComponentGroup, GeneratorSet, make_admissible
+from .walker import GeneratorSet, make_admissible
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,6 @@ class Scenario:
     name: str
     dimension: int
     raw_generators: tuple
-    component_group: ComponentGroup
     cosets: tuple[CosetSpec, ...]
     description: str
     # n for each SL_n(F_p) the mod-p identity coset contains (see
@@ -62,9 +65,8 @@ class Scenario:
     sl_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        labels = {c.label for c in self.cosets}
-        if labels != set(range(self.component_group.order)):
-            raise ValueError("every coset label needs a spec")
+        if not self.cosets or any(c.label != i for i, c in enumerate(self.cosets)):
+            raise ValueError("cosets must be nonempty and labelled 0, 1, ... in order")
         for mat, _ in self.raw_generators:
             if mat.n != self.dimension:
                 raise ValueError("generator dimension mismatch")
@@ -74,17 +76,16 @@ class Scenario:
 
     @cached_property
     def _admissible(self) -> GeneratorSet:
-        return make_admissible(self.raw_generators, self.component_group)
+        return make_admissible(self.raw_generators, len(self.cosets))
 
     def admissible(self) -> GeneratorSet:
         """The walk's admissible generator set, built on the first call."""
         return self._admissible
 
     def coset(self, label: int) -> CosetSpec:
-        for c in self.cosets:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        if not 0 <= label < len(self.cosets):
+            raise KeyError(label)
+        return self.cosets[label]
 
     @property
     def has_predictions(self) -> bool:
@@ -172,7 +173,6 @@ def _sl_scenario(n: int) -> Scenario:
         name=f"sl{n}",
         dimension=n,
         raw_generators=raw,
-        component_group=ComponentGroup(1),
         cosets=(CosetSpec(0, "identity", pi_sl_n(n)),),
         description=f"integer unimodular walks in dimension {n}; "
         f"expected full symmetric group on {n} eigenvalues",
@@ -187,7 +187,6 @@ def _sl_tau_scenario(n: int) -> Scenario:
         name=f"sltau{n}",
         dimension=2 * n,
         raw_generators=tuple(raw),
-        component_group=ComponentGroup(2),
         cosets=(
             CosetSpec(
                 0,
@@ -220,7 +219,6 @@ def _sl_power_cyclic_scenario(n: int, d: int) -> Scenario:
         name=f"slcyc{n}x{d}",
         dimension=n * d,
         raw_generators=tuple(raw),
-        component_group=ComponentGroup(d),
         cosets=tuple(cosets),
         description=f"{d} dimension-{n} factors permuted cyclically; "
         "shifted cosets pick up root-of-unity structure",
@@ -241,7 +239,6 @@ def _sqrt2_scenario() -> Scenario:
         name="res_sqrt2",
         dimension=4,
         raw_generators=raw,
-        component_group=ComponentGroup(1),
         cosets=(
             CosetSpec(
                 0,
@@ -264,7 +261,6 @@ def _diag_antidiag_scenario() -> Scenario:
         name="diag_antidiag",
         dimension=2,
         raw_generators=((a, 0), (j, 1)),
-        component_group=ComponentGroup(2),
         cosets=(
             CosetSpec(0, "diagonal", None),
             CosetSpec(1, "antidiagonal", None),

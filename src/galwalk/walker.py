@@ -1,13 +1,13 @@
 """Random walks on finitely generated matrix groups with coset labels.
 
-Each generator carries a label in the component group Z/m (every
-scenario's component group is cyclic), and a walk's label is the sum of
-its letters' labels mod m.  A generator set is made admissible by closing
-it under inverses and padding with the identity (the lazy-walk device);
-steps are then drawn uniformly from the resulting multiset.  Each
-sample's randomness comes from its own splitmix64 stream keyed by (seed,
-sample index), so batches are reproducible bit-for-bit regardless of
-evaluation order.
+Each generator carries a coset label, an integer mod the coset count m
+(every scenario's component group is the cyclic Z/m), and a walk's label
+is the sum of its letters' labels mod m.  A generator set is made
+admissible by closing it under inverses and padding with the identity
+(the lazy-walk device); steps are then drawn uniformly from the resulting
+multiset.  Each sample's randomness comes from its own splitmix64 stream
+keyed by (seed, sample index), so batches are reproducible bit-for-bit
+regardless of evaluation order.
 """
 from __future__ import annotations
 
@@ -53,32 +53,15 @@ def stream_for(seed: int, index: int) -> SplitMix64:
 
 
 @dataclass(frozen=True)
-class ComponentGroup:
-    """The label group Z/order: labels 0..order-1 under addition mod order."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def inv(self, a: int) -> int:
-        return -a % self.order
-
-
-@dataclass(frozen=True)
 class GeneratorSet:
     """Admissible generating multiset: inverse-closed and identity-padded.
 
-    Uniform sampling over `generators` defines the walk step distribution.
-    Built by make_admissible only.
+    Uniform sampling over `generators` defines the walk step distribution,
+    and labels add mod coset_count.  Built by make_admissible only.
     """
 
     generators: tuple[tuple[RationalMatrix, int], ...]
-    component_group: ComponentGroup
+    coset_count: int
 
     @property
     def dimension(self) -> int:
@@ -89,11 +72,12 @@ class GeneratorSet:
         return len(self.generators)
 
 
-def make_admissible(raw, component_group: ComponentGroup) -> GeneratorSet:
-    """Close the raw (matrix, label) pairs under inverses and add identity.
+def make_admissible(raw, coset_count: int) -> GeneratorSet:
+    """Close the raw (matrix, label) pairs under inverses and add identity;
+    the inverse of a generator labelled lab is labelled -lab mod coset_count.
 
     Raises on an empty input, generators of different dimensions, a
-    singular generator, or a label outside the component group.
+    singular generator, or a label outside range(coset_count).
     """
     pairs = list(raw)
     if not pairs:
@@ -101,7 +85,6 @@ def make_admissible(raw, component_group: ComponentGroup) -> GeneratorSet:
     dim = pairs[0][0].n
     if any(g.n != dim for g, _ in pairs):
         raise ValueError("generators must share one dimension")
-    m = component_group.order
     out: list[tuple[RationalMatrix, int]] = []
     seen = set()
 
@@ -112,16 +95,16 @@ def make_admissible(raw, component_group: ComponentGroup) -> GeneratorSet:
             out.append(key)
 
     for g, lab in pairs:
-        if not (0 <= lab < m):
-            raise ValueError(f"label {lab} outside the component group")
+        if not (0 <= lab < coset_count):
+            raise ValueError(f"label {lab} outside range({coset_count})")
         try:
             ginv = mat_inverse(g)
         except SingularMatrix:
             raise ValueError("singular generator") from None
         push(g, lab)
-        push(ginv, component_group.inv(lab))
+        push(ginv, -lab % coset_count)
     push(RationalMatrix.identity(dim), 0)
-    return GeneratorSet(tuple(out), component_group)
+    return GeneratorSet(tuple(out), coset_count)
 
 
 @dataclass(frozen=True)
@@ -151,7 +134,7 @@ def sample_walk(gens: GeneratorSet, k: int, seed: int, index: int) -> WalkSample
     for i in word:
         g, lab = gens.generators[i]
         element = mat_mul(element, g)
-        label = gens.component_group.mul(label, lab)
+        label = (label + lab) % gens.coset_count
     return WalkSample(element, label, k, (seed, index))
 
 

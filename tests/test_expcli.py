@@ -278,7 +278,7 @@ def census_by_products(scenario, k):
             for g, glab in gens.generators:
                 key = (
                     mat_mul(m, g),
-                    scenario.component_group.mul(lab, glab),
+                    (lab + glab) % len(scenario.cosets),
                     parity ^ (1 if (g == ident and glab == 0) else 0),
                 )
                 nxt[key] = nxt.get(key, 0) + count

@@ -20,6 +20,7 @@ from galwalk.finfield import (
     closure_mod_p,
     closure_order_bound,
     conjugacy_classes,
+    coset_labels,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -41,9 +42,9 @@ from galwalk.modpoly import (
     repeat_parts,
     squarefree_over_q,
 )
-from galwalk.permkit import GroupTooLarge
+from galwalk.permkit import GroupTooLarge, closure
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
-from galwalk.walker import ComponentGroup, batch_sample
+from galwalk.walker import batch_sample
 
 from fp_brute import attainable_types, sltau2_identity_chi, sltau2_swap_chi
 
@@ -97,7 +98,7 @@ def closure_by_all_generators(scenario, p, bound):
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     labels = {ident: 0}
     queue = deque([ident])
-    group = scenario.component_group
+    m = len(scenario.cosets)
     while queue:
         cur = queue.popleft()
         for g, lab in gens:
@@ -106,7 +107,7 @@ def closure_by_all_generators(scenario, p, bound):
                 tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
                 for row in cur
             )
-            nxt_label = group.mul(labels[cur], lab)
+            nxt_label = (labels[cur] + lab) % m
             known = labels.get(nxt)
             if known is None:
                 if len(labels) >= bound:
@@ -149,13 +150,36 @@ def test_enumerate_label_collision_is_a_bad_prime():
         name="collide",
         dimension=2,
         raw_generators=((u, 1), (low, 0)),
-        component_group=ComponentGroup(2),
         cosets=(CosetSpec(0, "even", None), CosetSpec(1, "odd", None)),
         description="u labelled 1 and l labelled 0 in C2",
     )
     for p in (3, 5, 7):
-        with pytest.raises(BadPrimeError, match="label collision"):
+        with pytest.raises(BadPrimeError, match=f"label collision mod {p}"):
             enumerate_mod_p(scen, p)
+        # the closure stops at the group's order, and the labels are
+        # checked after it: still a collision
+        with pytest.raises(BadPrimeError, match=f"label collision mod {p}"):
+            enumerate_mod_p(scen, p, bound=sl2_order(p))
+
+
+def test_coset_labels_and_collision():
+    # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
+    found = closure(0, [lambda x: (x + 1) % 12], 100)
+    labels = coset_labels(found, [1], 2, 13)
+    assert dict(zip(found.elements, labels)) == {x: x % 2 for x in range(12)}
+    # ... and mod 3 on x -> x + 1 labelled 2, x -> x + 5 labelled 1
+    found = closure(0, [lambda x: (x + 1) % 12, lambda x: (x + 5) % 12], 100)
+    labels = coset_labels(found, [2, 1], 3, 13)
+    assert dict(zip(found.elements, labels)) == {x: 2 * x % 3 for x in range(12)}
+    # ... but on Z/9 the ninth step returns to 0 with label 1
+    with pytest.raises(BadPrimeError, match="label collision mod 13"):
+        coset_labels(closure(0, [lambda x: (x + 1) % 9], 100), [1], 2, 13)
+    # the bound is checked on new elements only, so a closure whose bound
+    # is the group's order completes, and its collision is still found
+    with pytest.raises(BadPrimeError, match="label collision mod 13"):
+        coset_labels(closure(0, [lambda x: (x + 1) % 9], 9), [1], 2, 13)
+    # one coset: every label is 0, with nothing to check
+    assert set(coset_labels(closure(0, [lambda x: (x + 1) % 9], 9), [0], 1, 13)) == {0}
 
 
 def test_closure_order_bound_below_enumerated_order():

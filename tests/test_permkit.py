@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from operator import add
 
 import pytest
 
@@ -10,7 +9,6 @@ from galwalk.modpoly import make_cycle_type
 from galwalk.permkit import (
     EnumeratedGroup,
     GroupTooLarge,
-    LabelCollision,
     closure,
     compose,
     cycle_type,
@@ -77,62 +75,39 @@ def test_enumerate_rejects_junk(monkeypatch):
         enumerate_group(s8)
 
 
-def z2_mul(a, b):
-    return (a + b) % 2
-
-
-# Z/12 under x -> x + 1 and x -> x + 5, every label 0
-Z12_STEPS = [(lambda x: (x + 1) % 12, 0), (lambda x: (x + 5) % 12, 0)]
+# Z/12 under x -> x + 1 and x -> x + 5
+Z12_STEPS = [lambda x: (x + 1) % 12, lambda x: (x + 5) % 12]
 
 
 def test_closure_bound():
-    assert len(closure(0, Z12_STEPS, add, 12).elements) == 12
+    assert len(closure(0, Z12_STEPS, 12).elements) == 12
     with pytest.raises(GroupTooLarge, match="closure exceeds bound 11"):
-        closure(0, Z12_STEPS, add, 11)
+        closure(0, Z12_STEPS, 11)
 
 
-def labelled(found):
-    """A closure as element -> label."""
-    return dict(zip(found.elements, found.labels))
-
-
-def test_closure_all_labels_0():
-    assert labelled(closure(0, Z12_STEPS, add, 100)) == {x: 0 for x in range(12)}
+def test_closure_elements():
+    assert sorted(closure(0, Z12_STEPS, 100).elements) == list(range(12))
     # enumerate_group is this closure on permutations: S_3's elements
     gens = [(1, 0, 2), (1, 2, 0)]
-    steps = [((lambda x, g=g: compose(x, g)), 0) for g in gens]
-    labels = labelled(closure(identity_perm(3), steps, add, 100))
-    assert set(labels.values()) == {0}
-    assert tuple(sorted(labels)) == symmetric_group(3).elements
+    steps = [(lambda x, g=g: compose(x, g)) for g in gens]
+    found = closure(identity_perm(3), steps, 100).elements
+    assert len(found) == 6
+    assert tuple(sorted(found)) == symmetric_group(3).elements
 
 
 def test_closure_indices_images_and_spanning_tree():
     # elements are numbered in breadth-first order from the start
-    found = closure(0, Z12_STEPS, add, 100)
+    found = closure(0, Z12_STEPS, 100)
     assert found.elements == [0, 1, 5, 2, 6, 10, 3, 7, 11, 4, 8, 9]
     position = {x: i for i, x in enumerate(found.elements)}
     assert len(set(position)) == len(found.elements) == 12
-    for j, (times, _) in enumerate(Z12_STEPS):
+    for j, times in enumerate(Z12_STEPS):
         assert list(found.images[j]) == [position[times(x)] for x in found.elements]
     # each element after the start is its parent's image under its step
     assert (found.parent[0], found.via[0]) == (-1, -1)
     for i in range(1, len(found.elements)):
         assert found.parent[i] < i
         assert found.images[found.via[i]][found.parent[i]] == i
-
-
-def test_closure_labels_and_collision():
-    # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
-    assert labelled(closure(0, [(lambda x: (x + 1) % 12, 1)], z2_mul, 100)) == {
-        x: x % 2 for x in range(12)
-    }
-    # ... but on Z/9 the ninth step returns to 0 with label 1
-    with pytest.raises(LabelCollision):
-        closure(0, [(lambda x: (x + 1) % 9, 1)], z2_mul, 100)
-    # the bound is checked on new elements only, so a collision found
-    # after the last new element is still a collision
-    with pytest.raises(LabelCollision):
-        closure(0, [(lambda x: (x + 1) % 9, 1)], z2_mul, 9)
 
 
 def test_distribution_sums_to_one():

@@ -13,6 +13,8 @@ from galwalk.exactmat import (
 from galwalk.modpoly import mul
 from galwalk.permkit import enumerate_group
 from galwalk.scenarios import (
+    CosetSpec,
+    Scenario,
     block_shift_matrix,
     builtin_scenarios,
     dual_pair_embed,
@@ -41,7 +43,8 @@ def test_registry_contents():
         scen = reg[name]
         assert scen.dimension == dim
         assert len(scen.cosets) == cosets
-        assert scen.component_group.order == cosets
+        assert scen.admissible().coset_count == cosets
+        assert [c.label for c in scen.cosets] == list(range(cosets))
 
 
 def test_scenario_lookup_by_name():
@@ -60,7 +63,7 @@ def test_admissible_sets_are_inverse_closed_and_identity_padded():
         assert (RationalMatrix.identity(scen.dimension), 0) in pairs
         for g, lab in gens.generators:
             assert g.n == scen.dimension
-            assert (mat_inverse(g), -lab % scen.component_group.order) in pairs, scen.name
+            assert (mat_inverse(g), -lab % len(scen.cosets)) in pairs, scen.name
 
 
 def test_predicted_group_bindings():
@@ -154,8 +157,22 @@ def test_sqrt2_embed():
 def test_scenario_coset_lookup():
     scen = builtin_scenarios()["sltau2"]
     assert scen.coset(1).name == "swap"
-    with pytest.raises(KeyError):
-        scen.coset(7)
+    for label in (7, 2, -1):
+        with pytest.raises(KeyError):
+            scen.coset(label)
+
+
+def test_scenario_requires_cosets_labelled_in_order():
+    raw = ((elementary(2, 0, 1), 0), (elementary(2, 1, 0), 1))
+
+    def build(cosets):
+        return Scenario("t", 2, raw, cosets, "labels 0 and 1")
+
+    even, odd = CosetSpec(0, "even", None), CosetSpec(1, "odd", None)
+    assert build((even, odd)).admissible().coset_count == 2
+    for cosets in ((), (odd, even), (even, CosetSpec(2, "two", None)), (odd,)):
+        with pytest.raises(ValueError, match="labelled 0, 1, ... in order"):
+            build(cosets)
 
 
 def test_catalog_groups_close_from_their_generators():

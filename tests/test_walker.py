@@ -6,7 +6,6 @@ import pytest
 from galwalk.exactmat import RationalMatrix, mat_mul
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import (
-    ComponentGroup,
     SplitMix64,
     batch_sample,
     draw_word,
@@ -17,25 +16,25 @@ from galwalk.walker import (
 
 A = RationalMatrix.diagonal([2, 3])
 J = RationalMatrix([[0, 1], [1, 0]])
-Z2 = ComponentGroup(2)
+U = RationalMatrix([[1, 1], [0, 1]])
 
 
-def test_component_group_validation():
-    assert Z2.order == 2 and Z2.mul(1, 1) == 0 and Z2.inv(1) == 1
-    for order in (0, -2):
-        with pytest.raises(ValueError):
-            ComponentGroup(order)
-    cg3 = ComponentGroup(3)
-    assert cg3.inv(1) == 2 and cg3.inv(0) == 0
-    # the group laws of Z/5: identity 0, inverses, associativity
-    z5 = ComponentGroup(5)
-    for a in range(5):
-        assert z5.mul(0, a) == z5.mul(a, 0) == a
-        assert z5.mul(a, z5.inv(a)) == 0
-        for b in range(5):
-            assert 0 <= z5.mul(a, b) < 5
-            for c in range(5):
-                assert z5.mul(z5.mul(a, b), c) == z5.mul(a, z5.mul(b, c))
+def test_make_admissible_labels_mod_coset_count():
+    # a label outside range(m) is refused, whatever m
+    for m in (1, 2, 3):
+        for lab in (-1, m, m + 4):
+            with pytest.raises(ValueError, match=rf"label {lab} outside range\({m}\)"):
+                make_admissible([(U, lab)], m)
+    # the inverse of a generator labelled lab is labelled -lab mod m
+    for m in (3, 5):
+        for lab in range(m):
+            gs = make_admissible([(U, lab)], m)
+            assert gs.coset_count == m
+            assert gs.generators == (
+                (U, lab),
+                (RationalMatrix([[1, -1], [0, 1]]), -lab % m),
+                (RationalMatrix.identity(2), 0),
+            )
 
 
 def test_splitmix_reference_stream():
@@ -58,7 +57,7 @@ def test_randbelow_range():
 
 
 def test_make_admissible_counterexample_set():
-    gs = make_admissible([(A, 0), (J, 1)], Z2)
+    gs = make_admissible([(A, 0), (J, 1)], 2)
     expected = {
         (A, 0),
         (RationalMatrix.diagonal([F(1, 2), F(1, 3)]), 0),
@@ -70,7 +69,7 @@ def test_make_admissible_counterexample_set():
 
 
 def test_make_admissible_symmetrization():
-    gs = make_admissible([(RationalMatrix([[1, 1], [0, 1]]), 0)], ComponentGroup(1))
+    gs = make_admissible([(RationalMatrix([[1, 1], [0, 1]]), 0)], 1)
     mats = {g for g, _ in gs.generators}
     assert RationalMatrix([[1, -1], [0, 1]]) in mats
     assert RationalMatrix.identity(2) in mats
@@ -79,28 +78,28 @@ def test_make_admissible_symmetrization():
 
 def test_make_admissible_errors():
     with pytest.raises(ValueError):
-        make_admissible([], Z2)
+        make_admissible([], 2)
     with pytest.raises(ValueError):
-        make_admissible([(RationalMatrix([[1, 2], [2, 4]]), 0)], Z2)
+        make_admissible([(RationalMatrix([[1, 2], [2, 4]]), 0)], 2)
     with pytest.raises(ValueError):
-        make_admissible([(A, 5)], Z2)
+        make_admissible([(A, 5)], 2)
     with pytest.raises(ValueError, match="one dimension"):
-        make_admissible([(A, 0), (RationalMatrix.identity(3), 0)], Z2)
+        make_admissible([(A, 0), (RationalMatrix.identity(3), 0)], 2)
 
 
 def test_walk_k0_and_identity_only():
-    gs = make_admissible([(A, 0), (J, 1)], Z2)
+    gs = make_admissible([(A, 0), (J, 1)], 2)
     s = sample_walk(gs, 0, 1, 0)
     assert s.element == RationalMatrix.identity(2) and s.label == 0
     only_id = make_admissible(
-        [(RationalMatrix.identity(2), 0)], ComponentGroup(1)
+        [(RationalMatrix.identity(2), 0)], 1
     )
     s1 = sample_walk(only_id, 1, 9, 4)
     assert s1.element == RationalMatrix.identity(2)
 
 
 def test_walk_determinism():
-    gs = make_admissible([(A, 0), (J, 1)], Z2)
+    gs = make_admissible([(A, 0), (J, 1)], 2)
     assert sample_walk(gs, 17, 42, 3) == sample_walk(gs, 17, 42, 3)
     batch = batch_sample(gs, 9, 6, 123)
     assert batch == [sample_walk(gs, 9, 123, i) for i in range(6)]
@@ -108,7 +107,7 @@ def test_walk_determinism():
 
 
 def test_label_homomorphism():
-    gs = make_admissible([(A, 0), (J, 1)], Z2)
+    gs = make_admissible([(A, 0), (J, 1)], 2)
     for idx in range(60):
         word = draw_word(gs, 12, 99, idx)
         m = RationalMatrix.identity(2)
@@ -116,7 +115,7 @@ def test_label_homomorphism():
         for i in word:
             g, gl = gs.generators[i]
             m = mat_mul(m, g)
-            lab = Z2.mul(lab, gl)
+            lab = (lab + gl) % 2
         s = sample_walk(gs, 12, 99, idx)
         assert s.element == m and s.label == lab and s.length == 12
         assert s.seed_path == (99, idx)
