@@ -125,9 +125,9 @@ def main(argv=None) -> int:
     if args.verb == "scenarios":
         for name, scenario in builtin_scenarios().items():
             cosets = ", ".join(
-                f"{c.label}:{c.name}"
+                f"{lab}:{c.name}"
                 + (f" -> {c.predicted.name}" if c.predicted else " (no prediction)")
-                for c in scenario.cosets
+                for lab, c in enumerate(scenario.cosets)
             )
             print(f"{name}  dim={scenario.dimension}  cosets[{cosets}]")
             print(f"    {scenario.description}")

@@ -20,7 +20,6 @@ from .finfield import (
     BadPrimeError,
     census,
     closure_order_bound,
-    conjugacy_classes,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -38,7 +37,7 @@ from .galois_id import (
     identify,
     quadratic_galois,
 )
-from .modpoly import power_root, primes_in_window
+from .modpoly import SIEVE_MAX, power_root, primes_in_window
 from .permkit import MAX_ORDER, GroupTooLarge
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
@@ -139,6 +138,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.prime_min > self.prime_max:
             raise ValueError("empty prime window")
+        if self.prime_max > SIEVE_MAX:
+            raise ValueError(f"prime_max must be at most {SIEVE_MAX:,}")
 
 
 def metadata(verb: str, config: ExperimentConfig | None = None) -> dict:
@@ -281,6 +282,8 @@ def run_finite_field(config: ExperimentConfig):
     if scenario.dimension > 4:
         raise ValueError("finite-field mode supports dimension <= 4 only")
     primes = primes_in_window(config.prime_min, config.prime_max)
+    if not primes:
+        raise ValueError(f"no prime in [{config.prime_min}, {config.prime_max}]")
     # usable: p - 1 >= n (n distinct nonzero roots) and the generators reduce;
     # fail before any enumeration when a usable prime's closure must overflow
     usable = set()
@@ -298,13 +301,18 @@ def run_finite_field(config: ExperimentConfig):
                 f"exceeds bound {config.bound}"
             )
         usable.add(p)
+    targets = {
+        lab: spec.predicted.group.types()
+        for lab, spec in enumerate(scenario.cosets)
+        if spec.predicted is not None
+    }
     rows = []
     for p in primes:
         try:
-            cosets = enumerate_mod_p(scenario, p, bound=config.bound) if p in usable else None
-        except BadPrimeError:  # a label collision
-            cosets = None
-        if cosets is None:
+            if p not in usable:
+                raise BadPrimeError(f"p={p} is unusable")
+            cosets = enumerate_mod_p(scenario, p, bound=config.bound)
+        except BadPrimeError:  # unusable, or a label collision
             rows.append(
                 {
                     "p": p, "coset": -1, "status": "bad_prime", "cycle_type": "-",
@@ -314,22 +322,17 @@ def run_finite_field(config: ExperimentConfig):
                 }
             )
             continue
-        censuses = []
-        targets = {}
-        for spec in scenario.cosets:
-            censuses.append(
-                census(conjugacy_classes(cosets[spec.label]), p, spec.label, spec.multiplicity)
-            )
-            if spec.predicted is not None:
-                targets[spec.label] = spec.predicted.group.types()
+        censuses = [
+            census(coset.classes, p, lab, scenario.coset(lab).multiplicity)
+            for lab, coset in cosets.items()
+        ]
         print(
             f"# finfield p={p}: {sum(map(len, cosets.values()))} elements, "
             f"{sum(c.classes for c in censuses)} conjugacy classes, "
             f"{len(set().union(*(c.chi_counts for c in censuses)))} distinct chi",
             file=sys.stderr,
         )
-        prows, _ = density_report(censuses, targets)
-        rows.extend(prows)
+        rows.extend(density_report(censuses, targets))
     return rows, FINFIELD_FIELDS, metadata("finfield", config)
 
 
@@ -415,7 +418,7 @@ def catalog_rows():
     """One row per (scenario, coset, group, cycle type) with exact frequencies."""
     rows = []
     for name, scenario in builtin_scenarios().items():
-        for spec in scenario.cosets:
+        for lab, spec in enumerate(scenario.cosets):
             groups = []
             if spec.predicted is not None:
                 groups.append(("predicted", spec.predicted))
@@ -426,7 +429,7 @@ def catalog_rows():
                     rows.append(
                         {
                             "scenario": name,
-                            "coset": spec.label,
+                            "coset": lab,
                             "group": f"{pg.name}({role})",
                             "degree": pg.N,
                             "order": pg.group.order,

@@ -2,20 +2,18 @@
 
 Reduces a scenario's generators mod p, enumerates the finite group they
 generate (permkit.closure, one row-product memo per generator), labels
-each element with its coset, an integer mod the coset count, along the
-closure's spanning tree (checked on every Cayley edge), and classifies
-every coset element by the factorization pattern of its characteristic
-polynomial as q**e with q squarefree (modpoly.distinct_degree_pattern).
-The characteristic polynomial is a class function, so the census splits
-each coset into conjugacy classes and computes it once per class, weighted
-by the class size.  The classes are orbits of index permutations read off
-the closure's Cayley table: the closure numbers the elements and records
-each generator's column, and conjugation by a generator is a column
-composed with left multiplication by its inverse, carried down the
-closure's spanning tree, so no matrix is multiplied after enumeration.
-Elements with the same characteristic polynomial share a pattern, so it
-factors once per distinct polynomial.  This is the ground-truth census
-that the per-class density claims are checked against.
+each element with its coset, an integer mod the coset count, carried down
+the closure's spanning tree (checked on every Cayley edge), and splits the
+group into conjugacy classes in one orbit pass that files each class under
+its coset.  The classes are orbits of index permutations read off the
+Cayley table: conjugation by a generator is its column composed with left
+multiplication by its inverse, also carried down the spanning tree, so no
+matrix is multiplied after enumeration.  The census classifies a coset's
+elements by the factorization pattern of the characteristic polynomial as
+q**e with q squarefree (modpoly.distinct_degree_pattern), computed once
+per class (it is a class function) and weighted by the class size; the
+pattern is factored once per distinct polynomial.  This is the
+ground-truth census that the per-class density claims are checked against.
 """
 from __future__ import annotations
 
@@ -23,7 +21,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import prod
 
 from .exactmat import det, int_char_poly, reduce_poly_mod_p
@@ -91,16 +88,17 @@ def closure_order_bound(scenario, p: int) -> int:
 def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
     """The scenario's raw generators mod p, with their labels.
 
-    Checks the whole admissible set first: raises BadPrimeError for p = 2,
-    a denominator divisible by p, or a generator that degenerates mod p.
+    Raises BadPrimeError for p = 2, a denominator divisible by p, or a
+    generator that degenerates mod p.  The rest of the admissible set needs
+    no check: g^-1 = adj(g) / det(g) reduces whenever g does and p does not
+    divide det g, and the identity always reduces.
     """
     if p == 2:
         raise BadPrimeError("p = 2 is excluded")
-    for mat, _ in scenario.admissible().generators:
-        reduce_matrix(mat, p)
-        if det(mat).numerator % p == 0:
-            raise BadPrimeError(f"generator degenerates mod {p}")
-    return [(reduce_matrix(mat, p), lab) for mat, lab in scenario.raw_generators]
+    reduced = [(reduce_matrix(mat, p), lab) for mat, lab in scenario.raw_generators]
+    if any(det(mat).numerator % p == 0 for mat, _ in scenario.raw_generators):
+        raise BadPrimeError(f"generator degenerates mod {p}")
+    return reduced
 
 
 def closure_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> Closure:
@@ -135,9 +133,7 @@ def coset_labels(group: Closure, steps: list[int], m: int, p: int) -> list[int]:
     if m == 1:
         return [0] * len(group.elements)
     plus = [[(lab + step) % m for lab in range(m)] for step in steps]
-    labels = [0]
-    for i, j in zip(islice(group.parent, 1, None), islice(group.via, 1, None)):
-        labels.append(plus[j][labels[i]])
+    labels = group.carry(0, [plus_step.__getitem__ for plus_step in plus])
     for image, plus_step in zip(group.images, plus):
         if list(map(labels.__getitem__, image)) != list(map(plus_step.__getitem__, labels)):
             raise BadPrimeError(f"label collision mod {p}")
@@ -149,84 +145,67 @@ def conjugation_tables(group: Closure) -> tuple[array, ...]:
 
     group is a closure from the identity under right multiplications by
     g_0, g_1, ...  Left multiplication by g_j^-1 commutes with them, so it
-    is carried down the spanning tree: x_k = x_parent g_via gives
-    L[k] = images[via][L[parent]], from L[0], the index of g_j^-1, which
-    is the one element that g_j's column sends to the identity.  Then
-    g_j^-1 x_i g_j has index images[j][L[i]]: no matrix is multiplied or
-    inverted.
+    is carried down the spanning tree from the index of g_j^-1, the one
+    element that g_j's column sends to the identity.  Then g_j^-1 x_i g_j
+    has index images[j][L[i]]: no matrix is multiplied or inverted.
     """
-    images, parent, via = group.images, group.parent, group.via
-    tables = []
-    for image in images:
-        left = array("i", [image.index(0)]) * len(group.elements)
-        for k in range(1, len(left)):
-            left[k] = images[via[k]][left[parent[k]]]
-        tables.append(array("i", map(image.__getitem__, left)))
-    return tuple(tables)
+    rights = [image.__getitem__ for image in group.images]
+    return tuple(
+        array("i", map(right, group.carry(image.index(0), rights)))
+        for image, right in zip(group.images, rights)
+    )
 
 
+def conjugacy_classes(elements: list, tables, labels: list[int]):
+    """Yield (label, representative, class size) for each conjugacy class.
+
+    A class is an orbit of the conjugation tables (conjugation_tables), one
+    per raw generator: these generate the group's inner automorphisms, and
+    each permutes a finite set, so following them forward reaches whole
+    classes.  Labels lie in the abelian Z/m, so conjugation keeps them; a
+    conjugate labelled otherwise than its representative raises ValueError.
+    """
+    seen = bytearray(len(elements))
+    for i, lab in enumerate(labels):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for x in orbit:  # orbit grows as the search runs
+            for table in tables:
+                y = table[x]
+                if labels[y] != lab:
+                    raise ValueError(f"a conjugate leaves coset {lab} for {labels[y]}")
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        yield lab, elements[i], len(orbit)
+
+
+@dataclass
 class Coset:
-    """One coset of an enumerated mod-p group: members are its element
-    indices, and elements and conjugations (see conjugation_tables) are
-    shared by the group's cosets."""
+    """One coset of an enumerated mod-p group: its conjugacy classes as
+    (representative, class size) pairs, and its element count."""
 
-    __slots__ = ("elements", "conjugations", "members")
-
-    def __init__(self, elements: list, conjugations: tuple, members: array):
-        self.elements = elements
-        self.conjugations = conjugations
-        self.members = members
+    classes: list = field(default_factory=list)
+    size: int = 0
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.size
 
 
 def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, Coset]:
     """The mod-p closure (closure_mod_p, same errors) split by coset label
-    (coset_labels, which raises BadPrimeError on a label collision)."""
+    (coset_labels, which raises BadPrimeError on a label collision) into
+    conjugacy classes (conjugacy_classes)."""
     group = closure_mod_p(scenario, p, bound)
     m = len(scenario.cosets)
     labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
-    conjugations = conjugation_tables(group)
-    members = {lab: array("i") for lab in range(m)}
-    for i, lab in enumerate(labels):
-        members[lab].append(i)
-    return {lab: Coset(group.elements, conjugations, idx) for lab, idx in members.items()}
-
-
-def conjugacy_classes(coset: Coset):
-    """(representative, class size) for each conjugacy class in a coset.
-
-    A class is an orbit of the coset's conjugation tables, one per raw
-    generator.  The conjugations by raw generators generate the image of
-    the group in its inner automorphisms, and each table permutes a finite
-    set, so following the tables forward reaches whole classes.  Coset
-    labels lie in the abelian Z/m, so conjugation keeps them and a class
-    lies inside one coset.  Raises ValueError when a conjugate is not a
-    member or the class sizes do not sum to len(coset) (a repeated member,
-    say), so a wrong table is never miscounted.
-    """
-    state = bytearray(len(coset.elements))  # 1: unseen member, 2: seen member
-    for i in coset.members:
-        state[i] = 1
-    total = 0
-    for i in coset.members:
-        if state[i] != 1:
-            continue
-        state[i] = 2
-        orbit = [i]
-        for x in orbit:  # orbit grows as the search runs
-            for table in coset.conjugations:
-                y = table[x]
-                if state[y] == 1:
-                    state[y] = 2
-                    orbit.append(y)
-                elif not state[y]:
-                    raise ValueError("a conjugate lies outside the coset")
-        total += len(orbit)
-        yield coset.elements[i], len(orbit)
-    if total != len(coset):
-        raise ValueError(f"class sizes sum to {total}, not {len(coset)}")
+    cosets = {lab: Coset() for lab in range(m)}
+    for lab, rep, size in conjugacy_classes(group.elements, conjugation_tables(group), labels):
+        cosets[lab].classes.append((rep, size))
+        cosets[lab].size += size
+    return cosets
 
 
 @dataclass(frozen=True)
@@ -254,7 +233,7 @@ def census(classes, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     """Classify one coset by characteristic polynomial pattern.
 
     classes yields (representative, class size) pairs covering the coset,
-    as conjugacy_classes does; the characteristic polynomial is a class
+    as a Coset's classes list does; the characteristic polynomial is a class
     function, so it is computed once per class and weighted by its size.
     An element counts as regular semisimple iff its characteristic
     polynomial mod p is q**multiplicity with q squarefree (the operational
@@ -278,8 +257,8 @@ def census(classes, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     return CosetCensus(p, coset, sum(chis.values()), rs, ordered, n_classes, chis)
 
 
-def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]):
-    """Per-(p, coset, type) densities plus zero-density flags.
+def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]) -> list[dict]:
+    """Per-(p, coset, type) density rows, with zero-density flags.
 
     target_types maps coset label -> the cycle types its predicted group
     attains; a target type with zero census count is flagged.  That
@@ -287,22 +266,15 @@ def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]):
     constant-field extension (Q(i) on the sltau2 swap coset) to be split by
     Frobenius at p, so a flag alone does not mean the census is wrong; the
     acceptance test of the finite-field density law is what tells the two
-    apart.  Returns (rows, flagged) where each row is a dict and flagged
-    collects the flagged (p, coset, type) triples.
+    apart.  Each row is a dict; flagged is 1 on a flagged row.
     """
     if not censuses:
         raise ValueError("no censuses supplied")
     rows = []
-    flagged = []
     for c in censuses:
         targets = target_types.get(c.coset, ())
-        seen = set(c.type_counts) | set(targets)
-        for ct in sorted(seen, reverse=True):
+        for ct in sorted(set(c.type_counts) | set(targets), reverse=True):
             count = c.type_counts.get(ct, 0)
-            is_target = ct in targets
-            flag = 1 if (is_target and count == 0) else 0
-            if flag:
-                flagged.append((c.p, c.coset, ct))
             rows.append(
                 {
                     "p": c.p,
@@ -314,7 +286,7 @@ def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]):
                     "total": c.total,
                     "density_rs": c.density_rs(ct),
                     "density_coset": c.density_coset(ct),
-                    "flagged": flag,
+                    "flagged": int(ct in targets and count == 0),
                 }
             )
-    return rows, flagged
+    return rows

@@ -7,10 +7,10 @@ closure beats anything clever, and it yields exact class data for free.
 `closure` also enumerates the mod-p matrix groups of finfield.  It numbers
 the elements in the order found and records, as typed index arrays, each
 step's image of each element (a column of the Cayley table) and the edge
-each element was first reached by; finfield reads coset labels and
-conjugation off these tables, and its conjugacy classes are orbits of
-those index permutations.  Orbits and cycle types of permutation groups
-are read off the enumerated elements.
+each element was first reached by; finfield carries coset labels and left
+multiplications down that spanning tree (`Closure.carry`), and its
+conjugacy classes are orbits of the resulting index permutations.  Orbits
+and cycle types of permutation groups are read off the enumerated elements.
 """
 from __future__ import annotations
 
@@ -48,6 +48,15 @@ class Closure(NamedTuple):
     images: tuple[array, ...]
     parent: array
     via: array
+
+    def carry(self, start, maps) -> list:
+        """A value per element carried down the spanning tree: start at
+        element 0, and maps[via[k]] of the value at parent[k] at k."""
+        values = [start]
+        append = values.append
+        for i, step in zip(self.parent[1:], map(maps.__getitem__, self.via[1:])):
+            append(step(values[i]))
+        return values
 
 
 def closure(start, steps, bound: int) -> Closure:

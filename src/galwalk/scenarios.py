@@ -1,9 +1,10 @@
 """Built-in walk scenarios: generator sets with coset labels and the
 predicted group bound to each coset.
 
-A scenario with m cosets labels them 0..m-1, lists one spec per label in
-that order, and adds labels mod m (every component group here is the
-cyclic Z/m); a walk's coset is the sum of its generators' labels.
+A scenario with m cosets lists one spec per coset; a coset's label is its
+position 0..m-1 in that list, and labels add mod m (every component group
+here is the cyclic Z/m); a walk's coset is the sum of its generators'
+labels.
 
 A scenario owns the embedding conventions (block matrices, the quadratic
 ring embedding) and declares, per coset, the generic eigenvalue
@@ -46,7 +47,6 @@ class CosetSpec:
     counterexample scenario reports exact quadratic outcomes instead).
     """
 
-    label: int
     name: str
     predicted: PredictedGroup | None
     upper: PredictedGroup | None = None
@@ -65,8 +65,8 @@ class Scenario:
     sl_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.cosets or any(c.label != i for i, c in enumerate(self.cosets)):
-            raise ValueError("cosets must be nonempty and labelled 0, 1, ... in order")
+        if not self.cosets:
+            raise ValueError("cosets must be nonempty")
         for mat, _ in self.raw_generators:
             if mat.n != self.dimension:
                 raise ValueError("generator dimension mismatch")
@@ -173,7 +173,7 @@ def _sl_scenario(n: int) -> Scenario:
         name=f"sl{n}",
         dimension=n,
         raw_generators=raw,
-        cosets=(CosetSpec(0, "identity", pi_sl_n(n)),),
+        cosets=(CosetSpec("identity", pi_sl_n(n)),),
         description=f"integer unimodular walks in dimension {n}; "
         f"expected full symmetric group on {n} eigenvalues",
         sl_factors=(n,),
@@ -189,13 +189,11 @@ def _sl_tau_scenario(n: int) -> Scenario:
         raw_generators=tuple(raw),
         cosets=(
             CosetSpec(
-                0,
                 "identity",
                 pi_sl_n_doubled(n),
                 multiplicity=2 if n == 2 else 1,
             ),
             CosetSpec(
-                1,
                 "swap",
                 pi_sl_n_tau_reciprocal(n),
                 upper=pi_sl_n_tau(n),
@@ -211,10 +209,10 @@ def _sl_tau_scenario(n: int) -> Scenario:
 def _sl_power_cyclic_scenario(n: int, d: int) -> Scenario:
     raw = [(factor_embed(g, 0, d), 0) for g in _sl_generators(n)]
     raw.append((block_shift_matrix(n, d), 1))
-    cosets = [CosetSpec(0, "identity", pi_sl_power_identity(n, d))]
+    cosets = [CosetSpec("identity", pi_sl_power_identity(n, d))]
     shifted = pi_sl_power_cyclic(n, d)
     for j in range(1, d):
-        cosets.append(CosetSpec(j, f"shift{j}", shifted))
+        cosets.append(CosetSpec(f"shift{j}", shifted))
     return Scenario(
         name=f"slcyc{n}x{d}",
         dimension=n * d,
@@ -241,7 +239,6 @@ def _sqrt2_scenario() -> Scenario:
         raw_generators=raw,
         cosets=(
             CosetSpec(
-                0,
                 "identity",
                 pi_restriction_of_scalars(2, symmetric_group(2)),
             ),
@@ -262,8 +259,8 @@ def _diag_antidiag_scenario() -> Scenario:
         dimension=2,
         raw_generators=((a, 0), (j, 1)),
         cosets=(
-            CosetSpec(0, "diagonal", None),
-            CosetSpec(1, "antidiagonal", None),
+            CosetSpec("diagonal", None),
+            CosetSpec("antidiagonal", None),
         ),
         description="diagonal/antidiagonal walks whose closure has a central "
         "torus: no typical Galois behaviour exists off the identity coset, "

@@ -21,7 +21,6 @@ from galwalk.experiment import ExperimentConfig, batch_seed, run_convergence, ru
 from galwalk.finfield import (
     census,
     charpoly_mod_p,
-    conjugacy_classes,
     enumerate_mod_p,
     reduce_matrix,
 )
@@ -312,8 +311,8 @@ def test_criterion_7_finite_field_densities():
             cosets = enumerate_mod_p(scen, p)
             rs_total = 0
             total = 0
-            for spec in scen.cosets:
-                c = census(conjugacy_classes(cosets[spec.label]), p, spec.label, spec.multiplicity)
+            for lab, spec in enumerate(scen.cosets):
+                c = census(cosets[lab].classes, p, lab, spec.multiplicity)
                 rs_total += c.rs_count
                 total += c.total
                 family, multiplicity = CHI_FAMILIES[(name, spec.name)]

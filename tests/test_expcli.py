@@ -458,6 +458,30 @@ def test_cli_finfield_fails_fast_past_the_bound(tmp_path, capsys):
         assert f"closure at p={top} has at least" in capsys.readouterr().err
 
 
+def test_cli_finfield_refuses_a_window_with_no_prime(tmp_path, capsys, monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("a census began")
+
+    monkeypatch.setattr(experiment, "enumerate_mod_p", enumerate_nothing)
+    out = tmp_path / "x.csv"
+    code = main(["finfield", "--scenario", "sl2", "--primes-min", "14", "--primes-max", "16",
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert "error: no prime in [14, 16]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "finfield"])
+def test_cli_refuses_a_prime_window_past_the_sieve_bound(tmp_path, capsys, verb):
+    # sieving to 10**8 would take seconds and hundreds of MB first
+    out = tmp_path / "x.csv"
+    t0 = time.perf_counter()
+    code = main([verb, "--scenario", "sl3", "--primes-max", "100000000", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and not out.exists()
+    assert "error: prime_max must be at most 10,000,000" in capsys.readouterr().err
+    ExperimentConfig(scenario="sl3", prime_max=10_000_000)  # the bound itself is allowed
+
+
 def test_cli_run_reproducible_and_config_precedence(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(

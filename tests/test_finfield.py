@@ -1,5 +1,4 @@
 import random
-from array import array
 from collections import deque
 from fractions import Fraction as F
 
@@ -9,17 +8,18 @@ from galwalk.exactmat import (
     PrimeFieldPolynomial,
     RationalMatrix,
     char_poly,
+    det,
     mat_inverse,
     reduce_poly_mod_p,
 )
 from galwalk.finfield import (
     BadPrimeError,
-    Coset,
     census,
     charpoly_mod_p,
     closure_mod_p,
     closure_order_bound,
     conjugacy_classes,
+    conjugation_tables,
     coset_labels,
     density_report,
     enumerate_mod_p,
@@ -42,7 +42,7 @@ from galwalk.modpoly import (
     repeat_parts,
     squarefree_over_q,
 )
-from galwalk.permkit import GroupTooLarge, closure
+from galwalk.permkit import MAX_ORDER, GroupTooLarge, closure
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
 from galwalk.walker import batch_sample
 
@@ -58,9 +58,16 @@ def sl2_order(p):
     return p * (p * p - 1)
 
 
-def matrices(coset):
-    """A coset's elements as matrices, in closure order."""
-    return [coset.elements[i] for i in coset.members]
+def coset_matrices(scenario, p, bound=MAX_ORDER):
+    """Label -> that coset's elements as matrices, in closure order, split
+    by coset_labels on closure_mod_p."""
+    group = closure_mod_p(scenario, p, bound)
+    m = len(scenario.cosets)
+    labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
+    split = {lab: [] for lab in range(m)}
+    for x, lab in zip(group.elements, labels):
+        split[lab].append(x)
+    return split
 
 
 def test_enumerate_sl2_orders():
@@ -87,6 +94,28 @@ def test_enumerate_bad_and_too_large():
     counter = builtin_scenarios()["diag_antidiag"]
     with pytest.raises(BadPrimeError):
         enumerate_mod_p(counter, 3)  # 1/3 does not reduce
+
+
+def test_raw_generator_check_finds_every_admissible_bad_prime():
+    # reference: reduce and check the determinant of every admissible
+    # generator, inverses and identity padding included
+    bad = {}
+    for name, scen in builtin_scenarios().items():
+        gens = [(g, det(g)) for g, _ in scen.admissible().generators]
+        want = {2} | {
+            p for p in primes_in_window(3, 299)
+            if any(g.den % p == 0 or d.numerator % p == 0 for g, d in gens)
+        }
+        got = set()
+        for p in primes_in_window(2, 299):
+            try:
+                reduce_generators(scen, p)
+            except BadPrimeError:
+                got.add(p)
+        assert got == want, name
+        bad[name] = got
+    # diag(2, 3) degenerates mod 3, and its inverse does not reduce there
+    assert bad["diag_antidiag"] == {2, 3} and bad["sl2"] == {2}
 
 
 def closure_by_all_generators(scenario, p, bound):
@@ -133,9 +162,13 @@ def test_enumerate_matches_closure_by_all_generators():
                     enumerate_mod_p(scen, p, bound=bound)
                 continue
             cosets = enumerate_mod_p(scen, p, bound=bound)
-            got = {mat: lab for lab, mats in cosets.items() for mat in matrices(mats)}
-            assert sum(map(len, cosets.values())) == len(got)
+            split = coset_matrices(scen, p, bound)
+            got = {mat: lab for lab, mats in split.items() for mat in mats}
+            assert sum(map(len, split.values())) == len(got)
             assert got == want, (name, p)
+            assert {lab: len(c) for lab, c in cosets.items()} == {
+                lab: len(mats) for lab, mats in split.items()
+            }, (name, p)
             compared += 1
     # sl2, sltau2 at 3, 5, 7; sl3, slcyc2x2, res_sqrt2 at 3; diag_antidiag at 5, 7
     assert compared == 11
@@ -150,7 +183,7 @@ def test_enumerate_label_collision_is_a_bad_prime():
         name="collide",
         dimension=2,
         raw_generators=((u, 1), (low, 0)),
-        cosets=(CosetSpec(0, "even", None), CosetSpec(1, "odd", None)),
+        cosets=(CosetSpec("even", None), CosetSpec("odd", None)),
         description="u labelled 1 and l labelled 0 in C2",
     )
     for p in (3, 5, 7):
@@ -197,10 +230,9 @@ def test_closure_order_bound_below_enumerated_order():
 
 def test_census_identity_not_rs():
     scen = builtin_scenarios()["sl2"]
-    elems = enumerate_mod_p(scen, 5)[0]
-    c = census(conjugacy_classes(elems), 5, 0)
+    c = census(enumerate_mod_p(scen, 5)[0].classes, 5, 0)
     ident = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
-    assert ident in set(matrices(elems))
+    assert ident in coset_matrices(scen, 5)[0]
     # identity char poly (T-1)^2 is not squarefree, so rs_count < total
     assert c.rs_count < c.total
     assert sum(c.type_counts.values()) == c.rs_count
@@ -211,7 +243,7 @@ def test_census_rs_fraction_formula_sl2():
     # non-rs elements of SL_2(F_p) are exactly those with trace +-2
     scen = builtin_scenarios()["sl2"]
     for p in (5, 13):
-        c = census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0)
+        c = census(enumerate_mod_p(scen, p)[0].classes, p, 0)
         assert F(c.rs_count, c.total) == 1 - F(2 * p, p * p - 1)
 
 
@@ -224,12 +256,12 @@ def test_census_diagonal_example():
 def test_census_multiplicity_profile():
     scen = builtin_scenarios()["sltau2"]
     cosets = enumerate_mod_p(scen, 5)
-    c0 = census(conjugacy_classes(cosets[0]), 5, 0, multiplicity=2)
+    c0 = census(cosets[0].classes, 5, 0, multiplicity=2)
     # doubled patterns only
     assert set(c0.type_counts) <= {(1, 1, 1, 1), (2, 2)}
     assert c0.rs_count == 70  # same rs set as SL_2(F_5) itself
     # wrong multiplicity declaration finds nothing regular
-    c_wrong = census(conjugacy_classes(cosets[0]), 5, 0, multiplicity=1)
+    c_wrong = census(cosets[0].classes, 5, 0, multiplicity=1)
     assert c_wrong.rs_count == 0
 
 
@@ -304,7 +336,7 @@ def test_fp_power_root_matches_reference_on_sltau2_chis():
         chis = {
             charpoly_mod_p(rep, p).coeffs
             for coset in enumerate_mod_p(scen, p).values()
-            for rep, _ in conjugacy_classes(coset)
+            for rep, _ in coset.classes
         }
         found = 0
         for coeffs in chis:
@@ -345,13 +377,13 @@ def test_census_per_distinct_chi_matches_per_element():
             cosets = enumerate_mod_p(scen, p, bound=bound)
         except (BadPrimeError, GroupTooLarge):
             continue
-        for spec in scen.cosets:
-            coset = cosets[spec.label]
+        split = coset_matrices(scen, p, bound)
+        for lab, spec in enumerate(scen.cosets):
             # multiplicity 1 on a doubled coset is a wrong input
             for mult in sorted({1, spec.multiplicity}):
-                want = census_per_element(matrices(coset), p, mult)
-                for classes in ([(m, 1) for m in matrices(coset)], conjugacy_classes(coset)):
-                    c = census(classes, p, spec.label, mult)
+                want = census_per_element(split[lab], p, mult)
+                for classes in ([(m, 1) for m in split[lab]], cosets[lab].classes):
+                    c = census(classes, p, lab, mult)
                     assert (c.total, c.rs_count, c.type_counts) == want, (name, p, mult)
                     assert list(c.type_counts) == sorted(c.type_counts, reverse=True)
         compared.add((name, p))
@@ -377,47 +409,30 @@ def test_conjugacy_class_counts_follow_the_class_number():
     reg = builtin_scenarios()
     for p in (3, 5, 7, 11, 13):
         coset = enumerate_mod_p(reg["sl2"], p)[0]
-        sizes = sorted(s for _, s in conjugacy_classes(coset))
+        sizes = sorted(s for _, s in coset.classes)
         assert len(sizes) == p + 4, p
         assert sizes == sl2_class_sizes(p), p
     for p in primes_in_window(5, 17):
-        classes = sum(
-            len(list(conjugacy_classes(coset)))
-            for coset in enumerate_mod_p(reg["sltau2"], p).values()
-        )
+        classes = sum(len(c.classes) for c in enumerate_mod_p(reg["sltau2"], p).values())
         assert classes == 2 * (p + 4), p
 
 
-def test_census_refuses_an_inconsistent_coset_list():
-    scen = builtin_scenarios()["sl2"]
-    coset = enumerate_mod_p(scen, 5)[0]
-    unipotent = ((1, 1), (0, 1))
-    u = coset.elements.index(unipotent)
-    assert u in coset.members
-
-    def census_of(bad):
-        return census(conjugacy_classes(bad), 5, 0, 1)
-
-    def with_members(members, conjugations=coset.conjugations):
-        return Coset(coset.elements, conjugations, array("i", members))
-
-    with pytest.raises(ValueError, match="outside the coset"):
-        census_of(with_members(i for i in coset.members if i != u))
-    with pytest.raises(ValueError, match="outside the coset"):
-        census_of(with_members([u]))
-    with pytest.raises(ValueError, match="not 121"):
-        census_of(with_members([*coset.members, u]))
-    # with no conjugation tables every member is its own class; a repeat still raises
-    with pytest.raises(ValueError, match="not 121"):
-        census_of(with_members([*coset.members, u], conjugations=()))
-    # a conjugation table sending an identity-coset member into the swap coset
-    cosets = enumerate_mod_p(builtin_scenarios()["sltau2"], 5)
-    identity = cosets[0]
-    corrupt = identity.conjugations[0][:]
-    corrupt[identity.members[3]] = cosets[1].members[0]
-    bad = Coset(identity.elements, (corrupt,) + identity.conjugations[1:], identity.members)
-    with pytest.raises(ValueError, match="outside the coset"):
-        census(conjugacy_classes(bad), 5, 0, 2)
+def test_conjugacy_classes_refuse_a_table_that_leaves_the_coset():
+    # a conjugation table sending an identity-coset element into the swap
+    # coset: the class pass raises instead of miscounting
+    scen = builtin_scenarios()["sltau2"]
+    group = closure_mod_p(scen, 5)
+    labels = coset_labels(group, [lab for _, lab in scen.raw_generators], 2, 5)
+    tables = conjugation_tables(group)
+    assert sum(size for _, _, size in conjugacy_classes(group.elements, tables, labels)) == 240
+    identity = [i for i, lab in enumerate(labels) if lab == 0]
+    swap = labels.index(1)
+    for victim in (identity[0], identity[3], identity[-1]):
+        corrupt = tables[0][:]
+        corrupt[victim] = swap
+        bad = (corrupt,) + tables[1:]
+        with pytest.raises(ValueError, match="a conjugate leaves coset 0 for 1"):
+            list(conjugacy_classes(group.elements, bad, labels))
 
 
 def mat_mul_mod(a, b, p):
@@ -435,10 +450,8 @@ def test_cayley_and_conjugation_tables_match_matrix_products():
     for name, p in cases:
         scen = reg[name]
         group = closure_mod_p(scen, p)
-        cosets = enumerate_mod_p(scen, p)
         elements = group.elements
-        assert all(c.elements == elements for c in cosets.values())
-        conjugations = cosets[0].conjugations
+        conjugations = conjugation_tables(group)
         position = {x: i for i, x in enumerate(elements)}
         assert len(position) == len(elements)
         assert len(group.images) == len(conjugations) == len(scen.raw_generators)
@@ -489,16 +502,17 @@ def test_charpoly_mod_p_at_small_primes():
 
 def test_density_report_rows_and_flags():
     scen = builtin_scenarios()["sl2"]
-    censuses = [census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0) for p in (5, 7)]
+    censuses = [census(enumerate_mod_p(scen, p)[0].classes, p, 0) for p in (5, 7)]
     types = scen.coset(0).predicted.group.types()
-    rows, flagged = density_report(censuses, {0: types})
-    assert not flagged
+    rows = density_report(censuses, {0: types})
+    assert not any(r["flagged"] for r in rows)
     assert {r["p"] for r in rows} == {5, 7}
     for r in rows:
         assert r["density_rs"] == F(r["count"], r["rs_count"])
     # a target type that never occurs gets flagged
-    rows2, flagged2 = density_report(censuses, {0: ((3,),) + types})
-    assert (5, 0, (3,)) in flagged2 and (7, 0, (3,)) in flagged2
+    rows2 = density_report(censuses, {0: ((3,),) + types})
+    flagged2 = {(r["p"], r["coset"], r["cycle_type"]) for r in rows2 if r["flagged"]}
+    assert flagged2 == {(5, 0, (3,)), (7, 0, (3,))}
     with pytest.raises(ValueError):
         density_report([], {})
 
@@ -524,10 +538,10 @@ def test_swap_coset_density_truth():
     }
     for p, want in expected_swap.items():
         cosets = enumerate_mod_p(scen, p)
-        c1 = census(conjugacy_classes(cosets[1]), p, 1, multiplicity=1)
+        c1 = census(cosets[1].classes, p, 1, multiplicity=1)
         assert c1.type_counts == want, (p, dict(c1.type_counts))
         assert set(c1.type_counts) == attainable_types(sltau2_swap_chi, 1, p)
-        c0 = census(conjugacy_classes(cosets[0]), p, 0, multiplicity=2)
+        c0 = census(cosets[0].classes, p, 0, multiplicity=2)
         assert c0.type_counts[(1, 1, 1, 1)] > 0
         assert c0.type_counts[(2, 2)] > 0
         assert set(c0.type_counts) == attainable_types(sltau2_identity_chi, 2, p)
@@ -541,7 +555,7 @@ def test_rs_fraction_fit_reported():
     scen = builtin_scenarios()["sl2"]
     fractions = {}
     for p in (5, 7, 11, 13, 17):
-        c = census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0)
+        c = census(enumerate_mod_p(scen, p)[0].classes, p, 0)
         fractions[p] = F(c.rs_count, c.total)
     cfit = max(p * (1 - frac) for p, frac in fractions.items())
     assert cfit > 0
@@ -557,6 +571,6 @@ def test_sl2_type_densities_at_small_primes():
     # default prime (frozen from the enumeration)
     scen = builtin_scenarios()["sl2"]
     for p in (5, 7, 11, 13):
-        c = census(conjugacy_classes(enumerate_mod_p(scen, p)[0]), p, 0)
+        c = census(enumerate_mod_p(scen, p)[0].classes, p, 0)
         for ct in ((1, 1), (2,)):
             assert c.density_coset(ct) >= F(1, 4), (p, ct, c.density_coset(ct))

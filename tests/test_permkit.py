@@ -110,6 +110,27 @@ def test_closure_indices_images_and_spanning_tree():
         assert found.images[found.via[i]][found.parent[i]] == i
 
 
+def test_closure_carry_walks_the_spanning_tree():
+    # on Z/12 the steps themselves carry the start to every element, from
+    # 7 they carry x -> 7 + x, and labels x mod 3 add 1 and 2 along them
+    found = closure(0, Z12_STEPS, 100)
+    assert found.carry(0, Z12_STEPS) == found.elements
+    assert found.carry(7, Z12_STEPS) == [(7 + x) % 12 for x in found.elements]
+    mod3 = [lambda v: (v + 1) % 3, lambda v: (v + 2) % 3]
+    assert found.carry(0, mod3) == [x % 3 for x in found.elements]
+    # on S_3, right multiplications carry left multiplication by h, as
+    # values and as element indices read off the Cayley table
+    gens = [(1, 0, 2), (1, 2, 0)]
+    steps = [(lambda x, g=g: compose(x, g)) for g in gens]
+    found = closure(identity_perm(3), steps, 100)
+    position = {x: i for i, x in enumerate(found.elements)}
+    by_index = [image.__getitem__ for image in found.images]
+    for h in found.elements:
+        left = [compose(h, x) for x in found.elements]
+        assert found.carry(h, steps) == left
+        assert found.carry(position[h], by_index) == [position[y] for y in left]
+
+
 def test_distribution_sums_to_one():
     b2 = wreath_product(cyclic_group(2), symmetric_group(2))
     for g in (symmetric_group(4), cyclic_group(6), b2):
