@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,6 +156,14 @@ def metadata(verb: str, config: ExperimentConfig | None = None) -> dict:
     return meta
 
 
+def _window_primes(config: ExperimentConfig) -> tuple[int, ...]:
+    """The primes in the configured window; ValueError when it holds none."""
+    primes = primes_in_window(config.prime_min, config.prime_max)
+    if not primes:
+        raise ValueError(f"no prime in [{config.prime_min}, {config.prime_max}]")
+    return primes
+
+
 def batch_seed(seed: int, k: int) -> int:
     """Per-k sub-seed so adding k values never disturbs existing batches."""
     return stream_for(seed, k).next_uint64()
@@ -208,6 +217,7 @@ def run_convergence(config: ExperimentConfig):
     predictions the rows carry exact quadratic outcomes instead.
     """
     scenario = get_scenario(config.scenario)
+    _window_primes(config)
     if not scenario.has_predictions:
         return _run_quadratic_outcomes(scenario, config)
 
@@ -281,9 +291,7 @@ def run_finite_field(config: ExperimentConfig):
     scenario = get_scenario(config.scenario)
     if scenario.dimension > 4:
         raise ValueError("finite-field mode supports dimension <= 4 only")
-    primes = primes_in_window(config.prime_min, config.prime_max)
-    if not primes:
-        raise ValueError(f"no prime in [{config.prime_min}, {config.prime_max}]")
+    primes = _window_primes(config)
     # usable: p - 1 >= n (n distinct nonzero roots) and the generators reduce;
     # fail before any enumeration when a usable prime's closure must overflow
     usable = set()
@@ -336,35 +344,76 @@ def run_finite_field(config: ExperimentConfig):
     return rows, FINFIELD_FIELDS, metadata("finfield", config)
 
 
-def exact_word_census(scenario: Scenario, k: int, start: tuple | None = None):
+class WordTable:
+    """The walk's matrices as element indices, grown one BFS layer at a time.
+
+    elements[i] is element i in the order found (0 is the identity), and
+    images[j][i] the index of elements[i] times factors[j], the j-th
+    non-identity letter, for every element of word length below `depth`
+    (like permkit.Closure.images).  steps holds (column, coset label, parity
+    flip) per letter, with column None (i maps to i) for the identity.
+    """
+
+    def __init__(self, scenario: Scenario):
+        gens = scenario.admissible()
+        ident = RationalMatrix.identity(scenario.dimension)
+        self.coset_count = gens.coset_count
+        self.elements = [ident]
+        self.factors = [g for g, _ in gens.generators if g != ident]
+        self.images = tuple(array("i") for _ in self.factors)
+        columns = iter(self.images)
+        self.steps = [
+            (None, lab, int(lab == 0)) if g == ident else (next(columns), lab, 0)
+            for g, lab in gens.generators
+        ]
+        self.depth = 0
+        self._expanded = 0
+        self._index = {ident: 0}
+
+    def grow(self, depth: int) -> None:
+        """Extend the images to every element of word length below depth,
+        one layer per step: each element times each letter, once."""
+        elements, index = self.elements, self._index
+        while self.depth < depth:
+            layer = elements[self._expanded:]
+            self._expanded += len(layer)
+            for m in layer:
+                for g, column in zip(self.factors, self.images):
+                    nxt = mat_mul(m, g)
+                    j = index.setdefault(nxt, len(elements))
+                    if j == len(elements):
+                        elements.append(nxt)
+                    column.append(j)
+            self.depth += 1
+
+
+def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
     """Exact distribution over all |gens|^k words of the walk at step k.
 
-    Dynamic programming over (element, coset label, identity-letter parity)
-    states with exact word counts; equivalent to enumerating every word.
-    Returns {(matrix, label, parity): count} with counts summing to gens^k.
-    From `start`, an earlier call's (k0, states), only k - k0 steps run.  A
-    letter whose matrix is the identity keeps m, without a product.
+    Dynamic programming over (element index into `table`, coset label,
+    identity-letter parity) states with exact word counts; equivalent to
+    enumerating every word.  Returns {(index, label, parity): count} with
+    counts summing to gens^k.  From `start`, an earlier call's (k0, states)
+    on the same table, only k - k0 steps run.  Each step reads the table's
+    index columns, so a matrix product happens once per (element, letter)
+    over all calls, when the table grows; the identity letter keeps i.
     """
-    gens = scenario.admissible()
-    coset_count = gens.coset_count
-    ident = RationalMatrix.identity(scenario.dimension)
-    k0, states = start or (0, {(ident, 0, 0): 1})
+    k0, states = start or (0, {(0, 0, 0): 1})
     if k0 > k:
         raise ValueError(f"cannot extend the census at k={k0} back to k={k}")
-    steps = [
-        (None, lab, int(lab == 0)) if g == ident else (g, lab, 0)
-        for g, lab in gens.generators
-    ]
+    table.grow(k)
+    steps, coset_count = table.steps, table.coset_count
     for _ in range(k - k0):
         nxt: dict[tuple, int] = {}
-        for (m, lab, parity), count in states.items():
-            for g, glab, is_id in steps:
+        get = nxt.get
+        for (i, lab, parity), count in states.items():
+            for column, glab, flip in steps:
                 key = (
-                    m if g is None else mat_mul(m, g),
+                    i if column is None else column[i],
                     (lab + glab) % coset_count,
-                    parity ^ is_id,
+                    parity ^ flip,
                 )
-                nxt[key] = nxt.get(key, 0) + count
+                nxt[key] = get(key, 0) + count
         states = nxt
     return states
 
@@ -375,26 +424,32 @@ def run_oracle(config: ExperimentConfig):
     For each k, reports the exact off-coset count, the exact frequency of a
     trivial quadratic splitting field, and whether the parity law holds for
     every word: for even k the field is trivial iff the number of identity
-    letters is odd, for odd k iff it is even.  Each k extends the previous
-    (smaller or equal) k's census, so one pass serves every k.
+    letters is odd, for odd k iff it is even.  One WordTable serves the
+    run: each k extends the previous (smaller or equal) k's census on it,
+    and χ is computed and classified once per off-coset element index.
     """
     scenario = get_scenario(config.scenario)
     if scenario.has_predictions:
         raise ValueError("oracle mode applies to the counterexample scenario")
+    table = WordTable(scenario)
+    trivial_field: dict[int, bool] = {}  # element index -> its χ splits over Q
     rows = []
     last = None
     for k in config.k_values:
-        states = exact_word_census(scenario, k, last)
+        states = exact_word_census(table, k, last)
         last = (k, states)
         words = sum(states.values())
         off = trivial = 0
         parity_exact = 1
-        for (m, lab, parity), count in states.items():
+        for (i, lab, parity), count in states.items():
             if lab == 0:
                 continue
             off += count
-            # a repeated root (None) is rational: the field is trivial
-            is_trivial = quadratic_galois(char_poly(m)) != "order2"
+            is_trivial = trivial_field.get(i)
+            if is_trivial is None:
+                # a repeated root (None) is rational: the field is trivial
+                is_trivial = quadratic_galois(char_poly(table.elements[i])) != "order2"
+                trivial_field[i] = is_trivial
             if is_trivial:
                 trivial += count
             expected = (parity == 1) if k % 2 == 0 else (parity == 0)

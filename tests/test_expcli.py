@@ -21,6 +21,7 @@ from galwalk.experiment import (
     CONVERGENCE_FIELDS,
     ExperimentConfig,
     QUADRATIC_FIELDS,
+    WordTable,
     batch_seed,
     catalog_rows,
     exact_word_census,
@@ -286,21 +287,28 @@ def census_by_products(scenario, k):
     return states
 
 
+def by_matrix(table, states):
+    """Census states keyed by matrix: each element index read back through the table."""
+    return {(table.elements[i], lab, parity): count for (i, lab, parity), count in states.items()}
+
+
 @pytest.mark.parametrize("name,k_max", [("diag_antidiag", 12), ("sl2", 6)])
 def test_chained_word_census_equals_fresh(name, k_max):
     scen = builtin_scenarios()[name]
+    table = WordTable(scen)
     last = None
     for k in range(k_max + 1):
-        states = exact_word_census(scen, k, last)
-        assert states == exact_word_census(scen, k), (name, k)
+        states = exact_word_census(table, k, last)
+        fresh = WordTable(scen)
+        assert by_matrix(table, states) == by_matrix(fresh, exact_word_census(fresh, k)), (name, k)
         last = (k, states)
     # a start beyond k cannot be extended back
     with pytest.raises(ValueError):
-        exact_word_census(scen, k_max - 1, last)
+        exact_word_census(table, k_max - 1, last)
 
 
 def test_word_census_skips_identity_products_exactly():
-    # the identity letter keeps m as it is; the states and the word totals
+    # the identity letter keeps i as it is; the states and the word totals
     # |S|^k are those of the census that multiplies every letter in
     for name, k_max in (("diag_antidiag", 6), ("sl2", 4)):
         scen = builtin_scenarios()[name]
@@ -308,9 +316,63 @@ def test_word_census_skips_identity_products_exactly():
         ident = RationalMatrix.identity(scen.dimension)
         assert any(g == ident for g, _ in gens.generators)
         for k in range(k_max + 1):
-            states = exact_word_census(scen, k)
+            table = WordTable(scen)
+            states = exact_word_census(table, k)
             assert sum(states.values()) == len(gens.generators) ** k
-            assert states == census_by_products(scen, k), (name, k)
+            assert by_matrix(table, states) == census_by_products(scen, k), (name, k)
+
+
+@pytest.mark.parametrize("name,k", [("diag_antidiag", 9), ("sl2", 4)])
+def test_word_table_columns_are_right_products(name, k):
+    scen = builtin_scenarios()[name]
+    table = WordTable(scen)
+    exact_word_census(table, k)
+    assert table.depth == k
+    ident = RationalMatrix.identity(scen.dimension)
+    letters = [g for g, _ in scen.admissible().generators]
+    assert table.factors == [g for g in letters if g != ident]
+    # every element of word length below k is expanded, by every letter
+    expanded = len(table.images[0])
+    assert all(len(column) == expanded for column in table.images)
+    assert expanded < len(table.elements) == len(set(table.elements))
+    for g, column in zip(table.factors, table.images):
+        for i in range(expanded):
+            assert table.elements[column[i]] == mat_mul(table.elements[i], g), (name, i)
+    # the steps follow the letters: the identity letter's column is None
+    for (g, lab), (column, slab, flip) in zip(scen.admissible().generators, table.steps):
+        assert slab == lab and (column is None) == (g == ident)
+        assert flip == int(g == ident and lab == 0)
+
+
+def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
+    # one product per (expanded element, non-identity letter) over the whole
+    # run, and χ at most once per distinct off-coset element, across all k
+    counts = {"mat_mul": 0, "char_poly": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(experiment, "mat_mul", counting("mat_mul", mat_mul))
+    monkeypatch.setattr(experiment, "char_poly", counting("char_poly", char_poly))
+    calls = []
+
+    def recording(table, k, start=None):
+        calls.append((table, exact_word_census(table, k, start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiment, "exact_word_census", recording)
+    rows, _, _ = run_oracle(ExperimentConfig(scenario="diag_antidiag", k_values=(10, 16, 22)))
+    table = calls[0][0]
+    assert all(t is table for t, _ in calls) and len(calls) == 3
+    assert table.depth == 22 and len(table.factors) == 3
+    assert len(table.images[0]) == 1606 and len(table.elements) == 1770
+    assert counts["mat_mul"] == 3 * 1606 == 4818
+    off_elements = {i for _, states in calls for i, lab, _ in states if lab != 0}
+    assert counts["char_poly"] <= len(off_elements) == 925
+    assert [row["off_count"] for row in rows] == [(4**k - 2**k) // 2 for k in (10, 16, 22)]
 
 
 def test_oracle_multi_k_equals_single_k_calls():
@@ -327,8 +389,8 @@ def test_oracle_multi_k_equals_single_k_calls():
 def test_oracle_repeated_k_and_one_census_call_per_k(monkeypatch):
     calls = []
 
-    def recording(scenario, k, start=None):
-        states = exact_word_census(scenario, k, start)
+    def recording(table, k, start=None):
+        states = exact_word_census(table, k, start)
         calls.append((k, start[0] if start else None, sum(states.values())))
         return states
 
@@ -466,6 +528,18 @@ def test_cli_finfield_refuses_a_window_with_no_prime(tmp_path, capsys, monkeypat
     out = tmp_path / "x.csv"
     code = main(["finfield", "--scenario", "sl2", "--primes-min", "14", "--primes-max", "16",
                  "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert "error: no prime in [14, 16]" in capsys.readouterr().err
+
+
+def test_cli_run_refuses_a_window_with_no_prime(tmp_path, capsys, monkeypatch):
+    def sample_nothing(*args, **kwargs):
+        raise AssertionError("a walk began")
+
+    monkeypatch.setattr(experiment, "batch_sample", sample_nothing)
+    out = tmp_path / "x.csv"
+    code = main(["run", "--scenario", "sltau4", "--k", "10", "--samples", "4",
+                 "--primes-min", "14", "--primes-max", "16", "--out", str(out)])
     assert code == 2 and not out.exists()
     assert "error: no prime in [14, 16]" in capsys.readouterr().err
 
