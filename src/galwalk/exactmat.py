@@ -3,7 +3,9 @@ determinants, inverses, and coefficientwise reduction mod p.
 
 Everything here is arbitrary-precision and exact.  A matrix is integer rows
 over one common denominator, so products, characteristic polynomials,
-determinants and inverses all run on integers.  A characteristic
+determinants and inverses all run on integers.  A walk's product is
+formed by column updates instead (right_action, product_of): each letter
+rewrites only the columns where it differs from I.  A characteristic
 polynomial is a monic integer coefficient list (see char_poly).  Matrices
 are immutable, and all operations are pure functions.
 """
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -101,6 +103,49 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return _from_int(
         [[sum(map(mul, row, col)) for col in cols] for row in a.num], a.den * b.den
     )
+
+
+def right_action(g: RationalMatrix) -> tuple:
+    """Right multiplication by g as column updates: (g.den, changes).
+
+    changes holds (j, terms) for each column j of g.num other than the unit
+    column e_j, terms being its nonzero (r, value) entries: column j of
+    x * g is the sum of value * (column r of x), divided by g.den.  With
+    g.den > 1 every column changes, since each is scaled.
+    """
+    changes = []
+    for j, col in enumerate(zip(*g.num)):
+        if g.den > 1 or any(v != (r == j) for r, v in enumerate(col)):
+            changes.append((j, tuple((r, v) for r, v in enumerate(col) if v)))
+    return g.den, tuple(changes)
+
+
+def product_of(actions: Iterable[tuple], n: int) -> RationalMatrix:
+    """The n x n product of the right_action letters, left to right.
+
+    The product is integer columns over one denominator.  A letter
+    rebuilds only the columns it changes, and every other column object
+    is kept, so an identity letter does nothing; the result is put in
+    lowest terms once, at the end.
+    """
+    cols = list(RationalMatrix.identity(n).num)
+    den = 1
+    for d, changes in actions:
+        den *= d
+        new = [(j, _combine(cols, terms)) for j, terms in changes]
+        for j, col in new:
+            cols[j] = col
+    return _from_int(tuple(zip(*cols)), den)
+
+
+def _combine(cols: list, terms: tuple) -> tuple:
+    """The column sum of value * cols[row] over the (row, value) terms;
+    one term of value 1 returns that column object itself."""
+    acc = None
+    for r, v in terms:
+        col = cols[r] if v == 1 else map(mul, repeat(v), cols[r])
+        acc = col if acc is None else map(add, acc, col)
+    return (0,) * len(cols) if acc is None else tuple(acc)
 
 
 def is_rational_square(x: int) -> bool:

@@ -11,9 +11,15 @@ regardless of evaluation order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .exactmat import RationalMatrix, SingularMatrix, mat_inverse, mat_mul
+from .exactmat import (
+    RationalMatrix,
+    SingularMatrix,
+    mat_inverse,
+    product_of,
+    right_action,
+)
 
 RNG_ALGORITHM = "splitmix64"
 
@@ -57,11 +63,14 @@ class GeneratorSet:
     """Admissible generating multiset: inverse-closed and identity-padded.
 
     Uniform sampling over `generators` defines the walk step distribution,
-    and labels add mod coset_count.  Built by make_admissible only.
+    and labels add mod coset_count.  actions[i] is generators[i]'s matrix
+    as an exactmat.right_action, which walk products run on.  Built by
+    make_admissible only.
     """
 
     generators: tuple[tuple[RationalMatrix, int], ...]
     coset_count: int
+    actions: tuple = field(compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -104,7 +113,7 @@ def make_admissible(raw, coset_count: int) -> GeneratorSet:
         push(g, lab)
         push(ginv, -lab % coset_count)
     push(RationalMatrix.identity(dim), 0)
-    return GeneratorSet(tuple(out), coset_count)
+    return GeneratorSet(tuple(out), coset_count, tuple(right_action(g) for g, _ in out))
 
 
 @dataclass(frozen=True)
@@ -129,12 +138,8 @@ def draw_word(gens: GeneratorSet, k: int, seed: int, index: int) -> tuple[int, .
 def sample_walk(gens: GeneratorSet, k: int, seed: int, index: int) -> WalkSample:
     """Ordered product of k uniform generator draws; deterministic in (seed, index)."""
     word = draw_word(gens, k, seed, index)
-    element = RationalMatrix.identity(gens.dimension)
-    label = 0
-    for i in word:
-        g, lab = gens.generators[i]
-        element = mat_mul(element, g)
-        label = (label + lab) % gens.coset_count
+    element = product_of([gens.actions[i] for i in word], gens.dimension)
+    label = sum(gens.generators[i][1] for i in word) % gens.coset_count
     return WalkSample(element, label, k, (seed, index))
 
 

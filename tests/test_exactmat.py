@@ -15,7 +15,9 @@ from galwalk.exactmat import (
     is_rational_square,
     mat_inverse,
     mat_mul,
+    product_of,
     reduce_poly_mod_p,
+    right_action,
 )
 from galwalk.modpoly import add, mul, neg
 
@@ -149,6 +151,34 @@ def test_mat_mul_matches_fraction_reference():
             ref = mat_mul_fractions(a, b)
             assert ab.rows == ref
             assert ab == RationalMatrix(ref) and hash(ab) == hash(RationalMatrix(ref))
+
+
+def test_column_action_products_match_mat_mul_on_dense_matrices():
+    # dense rational letters, zero entries and zero columns included, so
+    # every column changes and sums of several scaled columns are formed
+    rng = random.Random(11)
+    for n in range(1, 6):
+        assert product_of([], n) == RationalMatrix.identity(n)
+        for _ in range(10):
+            letters = [rand_rational_matrix(rng, n, -3, 3) for _ in range(rng.randint(1, 4))]
+            fold = RationalMatrix.identity(n)
+            for m in letters:
+                fold = mat_mul(fold, m)
+            product = product_of([right_action(m) for m in letters], n)
+            assert_canonical(product)
+            assert product == fold and hash(product) == hash(fold)
+        zero_column = RationalMatrix([[int(j != 0) * (i + j) for j in range(n)] for i in range(n)])
+        assert product_of([right_action(zero_column)], n) == zero_column
+
+
+def test_right_action_lists_only_the_columns_that_differ_from_the_identity():
+    for n in range(1, 5):
+        assert right_action(RationalMatrix.identity(n)) == (1, ())
+    u = RationalMatrix([[1, 0, 0], [0, 1, 0], [-2, 5, 1]])
+    assert right_action(u) == (1, ((0, ((0, 1), (2, -2))), (1, ((1, 1), (2, 5)))))
+    # over a denominator every column is scaled, so every column changes
+    half = RationalMatrix.diagonal([F(1, 2), 1])
+    assert right_action(half) == (2, ((0, ((0, 1),)), (1, ((1, 2),))))
 
 
 def test_equal_matrices_hash_equal():

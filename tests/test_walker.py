@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from galwalk.exactmat import RationalMatrix, mat_mul
+import galwalk
+from galwalk.exactmat import RationalMatrix, mat_mul, right_action
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import (
     SplitMix64,
@@ -139,3 +140,45 @@ def test_coset_equidistribution():
         counts = Counter(s.label for s in batch_sample(gens, 30, 2000, 77))
         for label in range(m):
             assert abs(counts[label] / 2000 - 1 / m) < 0.05
+
+
+def mat_mul_fold(gens, word):
+    """Reference walk value: the left fold of mat_mul over the word's letters."""
+    m = RationalMatrix.identity(gens.dimension)
+    for i in word:
+        m = mat_mul(m, gens.generators[i][0])
+    return m, sum(gens.generators[i][1] for i in word) % gens.coset_count
+
+
+def test_batch_samples_equal_the_mat_mul_fold():
+    # sltau4's 8x8 generators and diag_antidiag's denominator-6 inverse included
+    for name, scen in builtin_scenarios().items():
+        gens = scen.admissible()
+        for k in (0, 1, 7, 30, 60):
+            for seed in (1, 2, 3):
+                for s in batch_sample(gens, k, 4, seed):
+                    word = draw_word(gens, k, seed, s.seed_path[1])
+                    assert (s.element, s.label) == mat_mul_fold(gens, word), (name, k, seed)
+
+
+def test_walk_products_make_no_dense_product(monkeypatch):
+    gens = builtin_scenarios()["sl4"].admissible()
+    want = [mat_mul_fold(gens, draw_word(gens, 30, 5, i)) for i in range(20)]
+
+    def refuse(*args):
+        raise AssertionError("a walk product called mat_mul")
+
+    for module in vars(galwalk).values():
+        if getattr(module, "mat_mul", None) is mat_mul:
+            monkeypatch.setattr(module, "mat_mul", refuse)
+    with pytest.raises(AssertionError):
+        galwalk.exactmat.mat_mul(gens.generators[0][0], gens.generators[0][0])
+    samples = batch_sample(gens, 30, 20, 5)
+    assert [(s.element, s.label) for s in samples] == want
+    # each letter rewrites only the columns where it differs from I, and
+    # the identity letter none
+    ident = RationalMatrix.identity(4)
+    for g, _ in gens.generators:
+        differ = [j for j in range(4) if [row[j] for row in g.num] != [row[j] for row in ident.num]]
+        assert [j for j, _ in right_action(g)[1]] == differ
+    assert right_action(ident) == (1, ())
