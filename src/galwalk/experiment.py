@@ -279,9 +279,10 @@ def _report_decay_fit(rows) -> None:
     if denom == 0:
         return
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
+    sign = "-" if slope < 0 else "+"
     print(
         f"# mismatch decay fit (descriptive): "
-        f"log(mismatch) ~ {ybar - slope * xbar:.3f} + {slope:.4f} * k",
+        f"log(mismatch) ~ {ybar - slope * xbar:.3f} {sign} {abs(slope):.4f} * k",
         file=sys.stderr,
     )
 

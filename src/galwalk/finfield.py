@@ -1,19 +1,26 @@
 """Brute-force verification over small prime fields.
 
-Reduces a scenario's generators mod p, enumerates the finite group they
-generate (permkit.closure, one row-product memo per generator), labels
-each element with its coset, an integer mod the coset count, carried down
-the closure's spanning tree (checked on every Cayley edge), and splits the
-group into conjugacy classes in one orbit pass that files each class under
-its coset.  The classes are orbits of index permutations read off the
-Cayley table: conjugation by a generator is its column composed with left
-multiplication by its inverse, also carried down the spanning tree, so no
-matrix is multiplied after enumeration.  The census classifies a coset's
-elements by the factorization pattern of the characteristic polynomial as
-q**e with q squarefree (modpoly.distinct_degree_pattern), computed once
-per class (it is a class function) and weighted by the class size; the
-pattern is factored once per distinct polynomial.  This is the
-ground-truth census that the per-class density claims are checked against.
+Reduces a scenario's generators mod p and enumerates the finite group
+they generate with permkit.closure.  Each distinct row is interned once,
+and an element is the tuple of its rows' ids; a generator acts on row ids
+through its own memo, which on a miss rewrites only the entries at the
+columns where the generator differs from I (exactmat.right_action's
+change list, reduced mod p), so a block step is a few C-level maps over
+the block's columns of row ids.  Each element is labelled with its coset,
+an integer mod the coset count, carried down the closure's spanning tree
+one run at a time (checked on every Cayley edge), and the group is split
+into conjugacy classes in one orbit pass that files each class under its
+coset; each class representative is decoded back to its matrix.  The
+classes are orbits of index permutations read off the Cayley table:
+conjugation by a generator is its column composed with left
+multiplication by its inverse, also carried down the spanning tree, so
+no matrix is multiplied after enumeration.  The census classifies a
+coset's elements by the factorization pattern of the characteristic
+polynomial as q**e with q squarefree (modpoly.distinct_degree_pattern),
+computed once per class (it is a class function) and weighted by the
+class size; the pattern is factored once per distinct polynomial.  This
+is the ground-truth census that the per-class density claims are checked
+against.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .exactmat import det, int_char_poly, reduce_poly_mod_p
+from .exactmat import RationalMatrix, det, int_char_poly, reduce_poly_mod_p, right_action
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
 from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure
 
@@ -43,22 +50,30 @@ def reduce_matrix(mat, p: int) -> PFMatrix:
 
 
 class _RowTimes(dict):
-    """row -> row * g mod p for one fixed matrix g, each computed once.
+    """row id -> id of row * g mod p for one fixed matrix g, each computed
+    once; rows[r] is the row with id r and ids the inverse map, shared by
+    every generator's memo.
 
-    Right multiplication by g acts on each row separately, so a product
-    a * g is tuple(map(memo.__getitem__, a)), and products share row tuples.
+    Right multiplication by g acts on each row separately, and changes only
+    the entries at the columns where g differs from I: each is the sum of
+    value * row[r] over that column's (r, value) terms (right_action).
     """
 
-    def __init__(self, g: PFMatrix, p: int):
+    def __init__(self, g: PFMatrix, p: int, rows: list, ids: dict):
         super().__init__()
-        self.cols = tuple(zip(*g))
-        self.p = p
+        self.changes = right_action(RationalMatrix(g))[1]
+        self.p, self.rows, self.ids = p, rows, ids
 
-    def __missing__(self, row):
-        image = self[row] = tuple(
-            sum(x * y for x, y in zip(row, col)) % self.p for col in self.cols
-        )
-        return image
+    def __missing__(self, r):
+        row = self.rows[r]
+        image = list(row)
+        for j, terms in self.changes:
+            image[j] = sum(row[k] * v for k, v in terms) % self.p
+        image = tuple(image)
+        image_id = self[r] = self.ids.setdefault(image, len(self.rows))
+        if image_id == len(self.rows):
+            self.rows.append(image)
+        return image_id
 
 
 def charpoly_mod_p(a: PFMatrix, p: int) -> PrimeFieldPolynomial:
@@ -101,22 +116,27 @@ def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
     return reduced
 
 
-def closure_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> Closure:
-    """Closure of the scenario's reduced raw generators from the identity.
+def closure_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> tuple[Closure, list]:
+    """Closure of the scenario's reduced raw generators from the identity,
+    and rows: an element is the tuple of its rows' ids, rows[r] the row
+    with id r, so element x is the matrix tuple(map(rows.__getitem__, x)).
 
-    Step j is right multiplication by raw generator g_j through its row
-    memo, so images[j] is g_j's column of the Cayley table.  Raises
-    BadPrimeError when p is unusable for the scenario (see
+    Step j is right multiplication by raw generator g_j, a block at a time
+    through g_j's row-id memo, so images[j] is g_j's column of the Cayley
+    table.  Raises BadPrimeError when p is unusable for the scenario (see
     reduce_generators) and GroupTooLarge past bound.
     """
+    n = scenario.dimension
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    ids = {row: i for i, row in enumerate(rows)}
     steps = [
-        lambda a, row_times=_RowTimes(g, p).__getitem__: tuple(map(row_times, a))
+        lambda block, row_times=_RowTimes(g, p, rows, ids).__getitem__: list(
+            zip(*[map(row_times, col) for col in zip(*block)])
+        )
         for g, _ in reduce_generators(scenario, p)
     ]
-    n = scenario.dimension
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     try:
-        return closure(ident, steps, bound)
+        return closure(tuple(range(n)), steps, bound), rows
     except GroupTooLarge:
         raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}") from None
 
@@ -197,13 +217,14 @@ class Coset:
 def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, Coset]:
     """The mod-p closure (closure_mod_p, same errors) split by coset label
     (coset_labels, which raises BadPrimeError on a label collision) into
-    conjugacy classes (conjugacy_classes)."""
-    group = closure_mod_p(scenario, p, bound)
+    conjugacy classes (conjugacy_classes), each representative decoded
+    from row ids back to its matrix."""
+    group, rows = closure_mod_p(scenario, p, bound)
     m = len(scenario.cosets)
     labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
     cosets = {lab: Coset() for lab in range(m)}
     for lab, rep, size in conjugacy_classes(group.elements, conjugation_tables(group), labels):
-        cosets[lab].classes.append((rep, size))
+        cosets[lab].classes.append((tuple(map(rows.__getitem__, rep)), size))
         cosets[lab].size += size
     return cosets
 

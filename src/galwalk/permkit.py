@@ -4,13 +4,17 @@ imprimitive product constructions.
 
 Groups here are small enough (order <= MAX_ORDER) that breadth-first
 closure beats anything clever, and it yields exact class data for free.
-`closure` also enumerates the mod-p matrix groups of finfield.  It numbers
-the elements in the order found and records, as typed index arrays, each
-step's image of each element (a column of the Cayley table) and the edge
-each element was first reached by; finfield carries coset labels and left
-multiplications down that spanning tree (`Closure.carry`), and its
-conjugacy classes are orbits of the resulting index permutations.  Orbits
-and cycle types of permutation groups are read off the enumerated elements.
+`closure` also enumerates the mod-p matrix groups of finfield.  Its steps
+map blocks of up to BLOCK consecutive elements at once, so per block and
+step the images already numbered are found by one C-level dict lookup
+pass and only new elements meet the interpreter.  It numbers the
+elements in the order found and records, as typed index arrays, each
+step's image of each element (a column of the Cayley table) and each
+element's parent, with the runs of consecutive elements first reached by
+one step; finfield carries coset labels and left multiplications down
+that spanning tree one run at a time (`Closure.carry`), and its conjugacy
+classes are orbits of the resulting index permutations.  Orbits and cycle
+types of permutation groups are read off the enumerated elements.
 """
 from __future__ import annotations
 
@@ -18,6 +22,8 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import compress, count, repeat
+from operator import is_
 from typing import NamedTuple
 
 from .modpoly import CycleType, make_cycle_type
@@ -26,6 +32,11 @@ Permutation = tuple[int, ...]
 
 # element bound of every closure; finfield's --bound defaults to it
 MAX_ORDER = 2_000_000
+
+# elements per closure step call; a block's new tuples must die young:
+# much larger blocks keep them alive across young garbage collections,
+# which then promote them and force slow full collections and more memory
+BLOCK = 256
 
 
 class GroupTooLarge(RuntimeError):
@@ -38,29 +49,37 @@ class Closure(NamedTuple):
     elements[i] is element i (0 is the start).  images[j][i] is the index
     of step j applied to element i, so each images[j] is one column of the
     Cayley table when the steps are right multiplications by generators.
-    Element i > 0 was first reached as step via[i] applied to element
-    parent[i] < i: a spanning tree, rooted at the start, along which any
-    map that commutes with the steps can be carried from element 0 to
-    every other element.
+    Element i > 0 was first reached from element parent[i] < i: a spanning
+    tree, rooted at the start, along which any map that commutes with the
+    steps can be carried from element 0 to every other element.  runs
+    lists (start, stop, j) in order: elements start..stop-1 were first
+    reached by step j, and every one of their parents lies below start.
     """
 
     elements: list
     images: tuple[array, ...]
     parent: array
-    via: array
+    runs: tuple[tuple[int, int, int], ...]
 
     def carry(self, start, maps) -> list:
         """A value per element carried down the spanning tree: start at
-        element 0, and maps[via[k]] of the value at parent[k] at k."""
+        element 0, and maps[j] of the value at parent[k] at each k of a
+        run of step j, one run at a time."""
         values = [start]
-        append = values.append
-        for i, step in zip(self.parent[1:], map(maps.__getitem__, self.via[1:])):
-            append(step(values[i]))
+        extend, value = values.extend, values.__getitem__
+        for lo, hi, j in self.runs:
+            extend(map(maps[j], map(value, self.parent[lo:hi])))
         return values
 
 
 def closure(start, steps, bound: int) -> Closure:
-    """Breadth-first closure of start under the step callables.
+    """Breadth-first closure of start under the block steps.
+
+    steps[j](block) maps a list of consecutive elements to the list of
+    their images under step j.  The elements are taken BLOCK at a time;
+    per block and step the known images are looked up in one pass, and
+    only the new ones are numbered one by one, in (block, step, position)
+    order, the parent of each being its preimage in the block.
 
     Steps by the raw generators are enough: in a finite group the monoid
     they generate is the whole group, so inverses and the identity would
@@ -69,23 +88,31 @@ def closure(start, steps, bound: int) -> Closure:
     index = {start: 0}
     elements = [start]
     parent = array("i", [-1])
-    via = array("i", [-1])
     images = tuple(array("i") for _ in steps)
-    edges = [(j, times, image.append) for j, (times, image) in enumerate(zip(steps, images))]
-    for i, cur in enumerate(elements):  # elements grows as the search runs
-        for j, times, record in edges:
-            nxt = times(cur)
-            k = index.get(nxt)
-            if k is None:
-                k = len(elements)
-                if k >= bound:
-                    raise GroupTooLarge(f"closure exceeds bound {bound}")
-                index[nxt] = k
-                elements.append(nxt)
-                parent.append(i)
-                via.append(j)
-            record(k)
-    return Closure(elements, images, parent, via)
+    runs = []
+    add, grow, new_parent = index.setdefault, elements.append, parent.append
+    edges = list(enumerate(zip(steps, images)))
+    lo = 0
+    while lo < len(elements):  # elements grows as the search runs
+        block = elements[lo:lo + BLOCK]
+        for j, (step, image) in edges:
+            found = step(block)
+            known = list(map(index.get, found))
+            if None in known:
+                first = len(elements)
+                for pos in list(compress(count(), map(is_, known, repeat(None)))):
+                    nxt, k = found[pos], len(elements)
+                    known[pos] = add(nxt, k)  # a step may reach one element twice
+                    if known[pos] == k:
+                        if k >= bound:
+                            raise GroupTooLarge(f"closure exceeds bound {bound}")
+                        grow(nxt)
+                        new_parent(lo + pos)
+                if len(elements) > first:
+                    runs.append((first, len(elements), j))
+            image.extend(known)
+        lo += len(block)
+    return Closure(elements, images, parent, tuple(runs))
 
 
 def identity_perm(n: int) -> Permutation:
@@ -179,7 +206,7 @@ def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
         raise ValueError("generators must share one degree")
     if any(not is_permutation(g) for g in gens):
         raise ValueError("generator is not a bijection")
-    steps = [partial(compose, b=g) for g in gens]
+    steps = [lambda block, times=partial(compose, b=g): list(map(times, block)) for g in gens]
     elements = tuple(sorted(closure(identity_perm(degree), steps, MAX_ORDER).elements))
     return EnumeratedGroup(degree, elements, _distribution(elements), tuple(gens))
 

@@ -467,6 +467,20 @@ def test_cli_scenarios_and_errors(tmp_path):
     assert "mismatch decay fit" not in is_dir.stderr
 
 
+def test_decay_fit_line_signs_its_slope(capsys):
+    # the sl4 walk's mismatch decays, so the slope is printed after a minus
+    run_convergence(ExperimentConfig(scenario="sl4", k_values=(20, 60, 120), samples=100, seed=1))
+    fits = [ln for ln in capsys.readouterr().err.splitlines() if "decay fit" in ln]
+    assert fits == ["# mismatch decay fit (descriptive): log(mismatch) ~ 0.684 - 0.0882 * k"]
+    # log(1/8) at k = 10 and log(1/2) at k = 20: slope log(4) / 10
+    experiment._report_decay_fit(
+        [{"k": 10, "mismatch_fraction": F(1, 8)}, {"k": 20, "mismatch_fraction": F(1, 2)}]
+    )
+    assert capsys.readouterr().err == (
+        "# mismatch decay fit (descriptive): log(mismatch) ~ -3.466 + 0.1386 * k\n"
+    )
+
+
 @pytest.mark.parametrize("verb", ["run", "finfield", "oracle"])
 def test_cli_unknown_scenario_fails_before_any_output(tmp_path, capsys, verb):
     out = tmp_path / "x.csv"

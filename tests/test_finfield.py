@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import deque
 from fractions import Fraction as F
 
@@ -58,14 +59,19 @@ def sl2_order(p):
     return p * (p * p - 1)
 
 
+def matrices(group, rows):
+    """A closure_mod_p closure's elements as matrices, in closure order."""
+    return [tuple(map(rows.__getitem__, x)) for x in group.elements]
+
+
 def coset_matrices(scenario, p, bound=MAX_ORDER):
     """Label -> that coset's elements as matrices, in closure order, split
     by coset_labels on closure_mod_p."""
-    group = closure_mod_p(scenario, p, bound)
+    group, rows = closure_mod_p(scenario, p, bound)
     m = len(scenario.cosets)
     labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
     split = {lab: [] for lab in range(m)}
-    for x, lab in zip(group.elements, labels):
+    for x, lab in zip(matrices(group, rows), labels):
         split[lab].append(x)
     return split
 
@@ -195,24 +201,60 @@ def test_enumerate_label_collision_is_a_bad_prime():
             enumerate_mod_p(scen, p, bound=sl2_order(p))
 
 
+def shift(a, n):
+    """The block step x -> x + a on Z/n."""
+    return lambda block: [(x + a) % n for x in block]
+
+
 def test_coset_labels_and_collision():
     # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
-    found = closure(0, [lambda x: (x + 1) % 12], 100)
+    found = closure(0, [shift(1, 12)], 100)
     labels = coset_labels(found, [1], 2, 13)
     assert dict(zip(found.elements, labels)) == {x: x % 2 for x in range(12)}
     # ... and mod 3 on x -> x + 1 labelled 2, x -> x + 5 labelled 1
-    found = closure(0, [lambda x: (x + 1) % 12, lambda x: (x + 5) % 12], 100)
+    found = closure(0, [shift(1, 12), shift(5, 12)], 100)
     labels = coset_labels(found, [2, 1], 3, 13)
     assert dict(zip(found.elements, labels)) == {x: 2 * x % 3 for x in range(12)}
     # ... but on Z/9 the ninth step returns to 0 with label 1
     with pytest.raises(BadPrimeError, match="label collision mod 13"):
-        coset_labels(closure(0, [lambda x: (x + 1) % 9], 100), [1], 2, 13)
+        coset_labels(closure(0, [shift(1, 9)], 100), [1], 2, 13)
     # the bound is checked on new elements only, so a closure whose bound
     # is the group's order completes, and its collision is still found
     with pytest.raises(BadPrimeError, match="label collision mod 13"):
-        coset_labels(closure(0, [lambda x: (x + 1) % 9], 9), [1], 2, 13)
+        coset_labels(closure(0, [shift(1, 9)], 9), [1], 2, 13)
     # one coset: every label is 0, with nothing to check
-    assert set(coset_labels(closure(0, [lambda x: (x + 1) % 9], 9), [0], 1, 13)) == {0}
+    assert set(coset_labels(closure(0, [shift(1, 9)], 9), [0], 1, 13)) == {0}
+
+
+def carry_by_element(group, start, maps):
+    """Closure.carry as one step per element: k gets maps[via[k]] of the
+    value at parent[k], via[k] being the step of k's run."""
+    via = [-1] * len(group.elements)
+    for lo, hi, j in group.runs:
+        via[lo:hi] = [j] * (hi - lo)
+    values = [start]
+    for k in range(1, len(group.elements)):
+        values.append(maps[via[k]](values[group.parent[k]]))
+    return values
+
+
+def test_run_wise_carry_matches_the_element_loop():
+    reg = builtin_scenarios()
+    for name in ("sltau2", "slcyc2x2"):
+        scen = reg[name]
+        step_labels = [lab for _, lab in scen.raw_generators]
+        m = len(scen.cosets)
+        plus = [[(lab + step) % m for lab in range(m)] for step in step_labels]
+        for p in (5, 7):
+            group, _ = closure_mod_p(scen, p)
+            labels = carry_by_element(group, 0, [t.__getitem__ for t in plus])
+            assert coset_labels(group, step_labels, m, p) == labels, (name, p)
+            assert set(labels) == set(range(m))
+            rights = [image.__getitem__ for image in group.images]
+            assert conjugation_tables(group) == tuple(
+                array("i", map(right, carry_by_element(group, image.index(0), rights)))
+                for image, right in zip(group.images, rights)
+            ), (name, p)
 
 
 def test_closure_order_bound_below_enumerated_order():
@@ -421,7 +463,7 @@ def test_conjugacy_classes_refuse_a_table_that_leaves_the_coset():
     # a conjugation table sending an identity-coset element into the swap
     # coset: the class pass raises instead of miscounting
     scen = builtin_scenarios()["sltau2"]
-    group = closure_mod_p(scen, 5)
+    group, _ = closure_mod_p(scen, 5)
     labels = coset_labels(group, [lab for _, lab in scen.raw_generators], 2, 5)
     tables = conjugation_tables(group)
     assert sum(size for _, _, size in conjugacy_classes(group.elements, tables, labels)) == 240
@@ -449,8 +491,8 @@ def test_cayley_and_conjugation_tables_match_matrix_products():
              ("diag_antidiag", 7), ("slcyc2x2", 3), ("res_sqrt2", 3)]
     for name, p in cases:
         scen = reg[name]
-        group = closure_mod_p(scen, p)
-        elements = group.elements
+        group, rows = closure_mod_p(scen, p)
+        elements = matrices(group, rows)
         conjugations = conjugation_tables(group)
         position = {x: i for i, x in enumerate(elements)}
         assert len(position) == len(elements)

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from galwalk import permkit
+from galwalk.finfield import closure_mod_p, reduce_matrix
 from galwalk.galois_id import SMALL_GROUPS
 from galwalk.modpoly import make_cycle_type
 from galwalk.permkit import (
+    MAX_ORDER,
     EnumeratedGroup,
     GroupTooLarge,
     closure,
@@ -75,8 +77,84 @@ def test_enumerate_rejects_junk(monkeypatch):
         enumerate_group(s8)
 
 
-# Z/12 under x -> x + 1 and x -> x + 5
-Z12_STEPS = [lambda x: (x + 1) % 12, lambda x: (x + 5) % 12]
+def blockwise(step):
+    """The block step of a one-element step."""
+    return lambda block: [step(x) for x in block]
+
+
+def plain_closure(start, steps, bound):
+    """Reference closure: one element and one step at a time."""
+    order = [start]
+    seen = {start}
+    for x in order:  # order grows as the search runs
+        for step in steps:
+            y = step(x)
+            if y not in seen:
+                if len(order) >= bound:
+                    raise GroupTooLarge(f"closure exceeds bound {bound}")
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def assert_closure_contract(found, elements, steps, run_closure):
+    """found, a closure whose elements decode to elements, against the
+    plain closure under steps (one element at a time); run_closure(bound)
+    closes again under another bound."""
+    want = plain_closure(elements[0], steps, len(elements))
+    assert set(elements) == set(want) and len(elements) == len(want)
+    position = {x: i for i, x in enumerate(elements)}
+    for j, step in enumerate(steps):
+        assert list(found.images[j]) == [position[step(x)] for x in elements]
+    # the runs cover 1, 2, ... in order, each element's parent lying below
+    # its run and reaching it by the run's step
+    assert found.parent[0] == -1
+    covered = 1
+    for lo, hi, j in found.runs:
+        assert lo == covered < hi
+        covered = hi
+        for k in range(lo, hi):
+            assert found.parent[k] < lo
+            assert found.images[j][found.parent[k]] == k
+    assert covered == len(elements)
+    # a bound of |G| holds; any lower bound is crossed, also inside a block
+    assert len(run_closure(len(elements)).elements) == len(elements)
+    for bound in {len(elements) - 1, min(permkit.BLOCK + 7, len(elements) - 1), 3}:
+        with pytest.raises(GroupTooLarge, match=f"exceeds bound {bound}"):
+            run_closure(bound)
+
+
+def test_closure_contract_on_a_wreath_product():
+    # S_3 wr S_3 (1,296 elements): several blocks of BLOCK elements
+    gens = wreath_product(symmetric_group(3), symmetric_group(3)).generators
+    steps = [(lambda x, g=g: compose(x, g)) for g in gens]
+    start = identity_perm(9)
+    found = closure(start, list(map(blockwise, steps)), MAX_ORDER)
+    assert len(found.elements) == 1296 > 4 * permkit.BLOCK
+    assert_closure_contract(found, found.elements, steps,
+                            lambda bound: closure(start, list(map(blockwise, steps)), bound))
+
+
+def test_closure_contract_on_sltau2_mod_7():
+    # elements are row-id tuples; the plain closure multiplies matrices
+    scen = builtin_scenarios()["sltau2"]
+    found, rows = closure_mod_p(scen, 7)
+    elements = [tuple(map(rows.__getitem__, x)) for x in found.elements]
+    assert len(elements) == 2 * 7 * 48
+
+    def times(g):
+        cols = tuple(zip(*reduce_matrix(g, 7)))
+        return lambda x: tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) % 7 for col in cols) for row in x
+        )
+
+    steps = [times(g) for g, _ in scen.raw_generators]
+    assert_closure_contract(found, elements, steps, lambda bound: closure_mod_p(scen, 7, bound)[0])
+
+
+# Z/12 under x -> x + 1 and x -> x + 5, one element and a block at a time
+Z12_ONE = [lambda x: (x + 1) % 12, lambda x: (x + 5) % 12]
+Z12_STEPS = list(map(blockwise, Z12_ONE))
 
 
 def test_closure_bound():
@@ -89,40 +167,54 @@ def test_closure_elements():
     assert sorted(closure(0, Z12_STEPS, 100).elements) == list(range(12))
     # enumerate_group is this closure on permutations: S_3's elements
     gens = [(1, 0, 2), (1, 2, 0)]
-    steps = [(lambda x, g=g: compose(x, g)) for g in gens]
+    steps = [blockwise(lambda x, g=g: compose(x, g)) for g in gens]
     found = closure(identity_perm(3), steps, 100).elements
     assert len(found) == 6
     assert tuple(sorted(found)) == symmetric_group(3).elements
 
 
 def test_closure_indices_images_and_spanning_tree():
-    # elements are numbered in breadth-first order from the start
+    # elements are numbered in (block, step, position) order from the start
     found = closure(0, Z12_STEPS, 100)
     assert found.elements == [0, 1, 5, 2, 6, 10, 3, 7, 11, 4, 8, 9]
     position = {x: i for i, x in enumerate(found.elements)}
     assert len(set(position)) == len(found.elements) == 12
-    for j, times in enumerate(Z12_STEPS):
+    for j, times in enumerate(Z12_ONE):
         assert list(found.images[j]) == [position[times(x)] for x in found.elements]
-    # each element after the start is its parent's image under its step
-    assert (found.parent[0], found.via[0]) == (-1, -1)
-    for i in range(1, len(found.elements)):
-        assert found.parent[i] < i
-        assert found.images[found.via[i]][found.parent[i]] == i
+    # each element after the start is its parent's image under its run's step
+    assert found.parent[0] == -1
+    assert found.runs == ((1, 2, 0), (2, 3, 1), (3, 5, 0), (5, 6, 1), (6, 9, 0),
+                          (9, 11, 0), (11, 12, 0))
+    for lo, hi, j in found.runs:
+        for i in range(lo, hi):
+            assert found.parent[i] < lo
+            assert found.images[j][found.parent[i]] == i
+
+
+def test_closure_numbers_an_image_reached_twice_once():
+    # the second block is [1, 2], and the third step sends both to 7
+    steps = [lambda x: (x + 1) % 8, lambda x: (x + 2) % 8, lambda x: 7 if x in (1, 2) else x]
+    found = closure(0, list(map(blockwise, steps)), 100)
+    assert found.elements[:3] == [0, 1, 2]
+    assert sorted(found.elements) == list(range(8))
+    assert found.elements.index(7) == 5 and list(found.parent[5:6]) == [1]
+    assert_closure_contract(found, found.elements, steps,
+                            lambda bound: closure(0, list(map(blockwise, steps)), bound))
 
 
 def test_closure_carry_walks_the_spanning_tree():
     # on Z/12 the steps themselves carry the start to every element, from
     # 7 they carry x -> 7 + x, and labels x mod 3 add 1 and 2 along them
     found = closure(0, Z12_STEPS, 100)
-    assert found.carry(0, Z12_STEPS) == found.elements
-    assert found.carry(7, Z12_STEPS) == [(7 + x) % 12 for x in found.elements]
+    assert found.carry(0, Z12_ONE) == found.elements
+    assert found.carry(7, Z12_ONE) == [(7 + x) % 12 for x in found.elements]
     mod3 = [lambda v: (v + 1) % 3, lambda v: (v + 2) % 3]
     assert found.carry(0, mod3) == [x % 3 for x in found.elements]
     # on S_3, right multiplications carry left multiplication by h, as
     # values and as element indices read off the Cayley table
     gens = [(1, 0, 2), (1, 2, 0)]
     steps = [(lambda x, g=g: compose(x, g)) for g in gens]
-    found = closure(identity_perm(3), steps, 100)
+    found = closure(identity_perm(3), list(map(blockwise, steps)), 100)
     position = {x: i for i, x in enumerate(found.elements)}
     by_index = [image.__getitem__ for image in found.images]
     for h in found.elements:
