@@ -162,6 +162,12 @@ def int_char_poly(rows) -> list[int]:
     polynomial over F_p at every prime.  Validated against cofactor
     expansion in the test suite.
     """
+    return _faddeev_leverrier(rows)[0]
+
+
+def _faddeev_leverrier(rows) -> tuple[list[int], list]:
+    """int_char_poly's coefficients c and a M_(n-1), where M_0 = 0 and
+    M_k = a M_(k-1) + c_(n-k+1) I: the recurrence's last matrix."""
     n = len(rows)
     coeffs = [0] * n + [1]
     m = rows
@@ -178,11 +184,11 @@ def int_char_poly(rows) -> list[int]:
     # k = n reads only tr(a (m + c I)) = sum_ij a_ij m_ji + c tr(a)
     trace_a = sum(rows[i][i] for i in range(n))
     if n == 1:
-        coeffs[0] = -trace_a
+        coeffs[0], m = -trace_a, [[0]]  # a M_0
     else:
         trace_am = sum(sum(map(mul, row, col)) for row, col in zip(rows, zip(*m)))
         coeffs[0] = -((trace_am + coeffs[1] * trace_a) // n)
-    return coeffs
+    return coeffs, m
 
 
 def char_poly(a: RationalMatrix) -> list[int]:
@@ -204,24 +210,18 @@ def det(a: RationalMatrix) -> Fraction:
 
 
 def mat_inverse(a: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Cayley-Hamilton; raises SingularMatrix.
+    """Exact inverse from the Faddeev-LeVerrier pass; raises SingularMatrix.
 
-    With a = b / d, b integral and c = int_char_poly(b), b^n + c_(n-1) b^(n-1)
-    + ... + c_0 I = 0, so b^-1 = -(b^(n-1) + c_(n-1) b^(n-2) + ... + c_1 I) / c_0
-    (evaluated by Horner) and a^-1 = d * b^-1.  c_0 = 0 iff a is singular.
+    With a = b / d, b integral, c = int_char_poly(b) and m = b M_(n-1) the
+    pass's last matrix, M_n = m + c_1 I is the adjugate up to sign:
+    b M_n + c_0 I = 0 by Cayley-Hamilton, so b^-1 = -M_n / c_0 and
+    a^-1 = -d M_n / c_0.  c_0 = 0 iff a is singular.
     """
-    b = a.num
-    c = int_char_poly(b)
+    c, m = _faddeev_leverrier(a.num)
     if c[0] == 0:
         raise SingularMatrix("matrix is singular")
-    cols = list(zip(*b))
-    acc = [[int(i == j) for j in range(a.n)] for i in range(a.n)]
-    for ci in reversed(c[1:a.n]):
-        acc = [
-            [sum(map(mul, row, col)) + ci * (i == j) for j, col in enumerate(cols)]
-            for i, row in enumerate(acc)
-        ]
-    return _from_int([[-a.den * e for e in row] for row in acc], c[0])
+    adj = [[e + c[1] * (i == j) for j, e in enumerate(row)] for i, row in enumerate(m)]
+    return _from_int([[-a.den * e for e in row] for row in adj], c[0])
 
 
 @dataclass(frozen=True)

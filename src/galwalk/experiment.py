@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .exactmat import RationalMatrix, char_poly, mat_mul
@@ -39,7 +39,7 @@ from .galois_id import (
     quadratic_galois,
 )
 from .modpoly import SIEVE_MAX, power_root, primes_in_window
-from .permkit import MAX_ORDER, GroupTooLarge
+from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
 
@@ -345,47 +345,34 @@ def run_finite_field(config: ExperimentConfig):
     return rows, FINFIELD_FIELDS, metadata("finfield", config)
 
 
-class WordTable:
-    """The walk's matrices as element indices, grown one BFS layer at a time.
+class WordTable(NamedTuple):
+    """The walk's matrices up to word length `depth` as element indices:
+    permkit's closure from the identity under the non-identity letters,
+    stopped after `depth` layers, so closure.images[j] is the j-th such
+    letter's column on every element of word length below depth.  steps
+    holds (column, coset label, parity flip) per letter, with column None
+    (i maps to i) for the identity."""
 
-    elements[i] is element i in the order found (0 is the identity), and
-    images[j][i] the index of elements[i] times factors[j], the j-th
-    non-identity letter, for every element of word length below `depth`
-    (like permkit.Closure.images).  steps holds (column, coset label, parity
-    flip) per letter, with column None (i maps to i) for the identity.
-    """
+    closure: Closure
+    steps: list
+    coset_count: int
+    depth: int
 
-    def __init__(self, scenario: Scenario):
-        gens = scenario.admissible()
-        ident = RationalMatrix.identity(scenario.dimension)
-        self.coset_count = gens.coset_count
-        self.elements = [ident]
-        self.factors = [g for g, _ in gens.generators if g != ident]
-        self.images = tuple(array("i") for _ in self.factors)
-        columns = iter(self.images)
-        self.steps = [
-            (None, lab, int(lab == 0)) if g == ident else (next(columns), lab, 0)
-            for g, lab in gens.generators
-        ]
-        self.depth = 0
-        self._expanded = 0
-        self._index = {ident: 0}
 
-    def grow(self, depth: int) -> None:
-        """Extend the images to every element of word length below depth,
-        one layer per step: each element times each letter, once."""
-        elements, index = self.elements, self._index
-        while self.depth < depth:
-            layer = elements[self._expanded:]
-            self._expanded += len(layer)
-            for m in layer:
-                for g, column in zip(self.factors, self.images):
-                    nxt = mat_mul(m, g)
-                    j = index.setdefault(nxt, len(elements))
-                    if j == len(elements):
-                        elements.append(nxt)
-                    column.append(j)
-            self.depth += 1
+def word_table(scenario: Scenario, depth: int) -> WordTable:
+    """The table of every matrix the walk reaches in at most depth letters;
+    each element of word length below depth is multiplied by each letter once."""
+    gens = scenario.admissible()
+    ident = RationalMatrix.identity(scenario.dimension)
+    factors = [g for g, _ in gens.generators if g != ident]
+    times = [lambda block, g=g: [mat_mul(m, g) for m in block] for g in factors]
+    found = closure(ident, times, MAX_ORDER, depth)
+    columns = iter(found.images)
+    steps = [
+        (None, lab, int(lab == 0)) if g == ident else (next(columns), lab, 0)
+        for g, lab in gens.generators
+    ]
+    return WordTable(found, steps, gens.coset_count, depth)
 
 
 def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
@@ -396,13 +383,14 @@ def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
     enumerating every word.  Returns {(index, label, parity): count} with
     counts summing to gens^k.  From `start`, an earlier call's (k0, states)
     on the same table, only k - k0 steps run.  Each step reads the table's
-    index columns, so a matrix product happens once per (element, letter)
-    over all calls, when the table grows; the identity letter keeps i.
+    index columns, built before any call; the identity letter keeps i.
+    Raises ValueError for k above the table's depth.
     """
     k0, states = start or (0, {(0, 0, 0): 1})
     if k0 > k:
         raise ValueError(f"cannot extend the census at k={k0} back to k={k}")
-    table.grow(k)
+    if k > table.depth:
+        raise ValueError(f"k={k} exceeds the word table's depth {table.depth}")
     steps, coset_count = table.steps, table.coset_count
     for _ in range(k - k0):
         nxt: dict[tuple, int] = {}
@@ -425,14 +413,15 @@ def run_oracle(config: ExperimentConfig):
     For each k, reports the exact off-coset count, the exact frequency of a
     trivial quadratic splitting field, and whether the parity law holds for
     every word: for even k the field is trivial iff the number of identity
-    letters is odd, for odd k iff it is even.  One WordTable serves the
-    run: each k extends the previous (smaller or equal) k's census on it,
-    and χ is computed and classified once per off-coset element index.
+    letters is odd, for odd k iff it is even.  One word table to the
+    largest k serves the run: each k extends the previous (smaller or
+    equal) k's census on it, and χ is computed and classified once per
+    off-coset element index.
     """
     scenario = get_scenario(config.scenario)
     if scenario.has_predictions:
         raise ValueError("oracle mode applies to the counterexample scenario")
-    table = WordTable(scenario)
+    table = word_table(scenario, max(config.k_values))
     trivial_field: dict[int, bool] = {}  # element index -> its χ splits over Q
     rows = []
     last = None
@@ -449,7 +438,7 @@ def run_oracle(config: ExperimentConfig):
             is_trivial = trivial_field.get(i)
             if is_trivial is None:
                 # a repeated root (None) is rational: the field is trivial
-                is_trivial = quadratic_galois(char_poly(table.elements[i])) != "order2"
+                is_trivial = quadratic_galois(char_poly(table.closure.elements[i])) != "order2"
                 trivial_field[i] = is_trivial
             if is_trivial:
                 trivial += count

@@ -5,16 +5,18 @@ imprimitive product constructions.
 Groups here are small enough (order <= MAX_ORDER) that breadth-first
 closure beats anything clever, and it yields exact class data for free.
 `closure` also enumerates the mod-p matrix groups of finfield.  Its steps
-map blocks of up to BLOCK consecutive elements at once, so per block and
-step the images already numbered are found by one C-level dict lookup
-pass and only new elements meet the interpreter.  It numbers the
-elements in the order found and records, as typed index arrays, each
-step's image of each element (a column of the Cayley table) and each
-element's parent, with the runs of consecutive elements first reached by
-one step; finfield carries coset labels and left multiplications down
-that spanning tree one run at a time (`Closure.carry`), and its conjugacy
-classes are orbits of the resulting index permutations.  Orbits and cycle
-types of permutation groups are read off the enumerated elements.
+map blocks of up to BLOCK consecutive elements of one breadth-first
+layer, so per block and step the images already numbered are found by
+one C-level dict lookup pass and only new elements meet the interpreter.
+It numbers the elements layer by layer (with a depth, it stops after that
+many: the oracle's words in an infinite matrix group) and records, as
+typed index arrays, each step's image of each element (a column of the
+Cayley table) and each element's parent, with the runs of consecutive
+elements first reached by one step; finfield carries coset labels and
+left multiplications down that spanning tree one run at a time
+(`Closure.carry`), and its conjugacy classes are orbits of the resulting
+index permutations.  Orbits and cycle types of permutation groups are
+read off the enumerated elements.
 """
 from __future__ import annotations
 
@@ -44,10 +46,11 @@ class GroupTooLarge(RuntimeError):
 
 
 class Closure(NamedTuple):
-    """A closure on element indices, numbered in the order found.
+    """A closure on element indices, numbered in breadth-first order.
 
-    elements[i] is element i (0 is the start).  images[j][i] is the index
-    of step j applied to element i, so each images[j] is one column of the
+    elements[i] is element i (0 is the start), its distance from the start
+    never falling as i grows.  images[j][i] is the index of step j applied
+    to each expanded element i, so each images[j] is one column of the
     Cayley table when the steps are right multiplications by generators.
     Element i > 0 was first reached from element parent[i] < i: a spanning
     tree, rooted at the start, along which any map that commutes with the
@@ -72,14 +75,17 @@ class Closure(NamedTuple):
         return values
 
 
-def closure(start, steps, bound: int) -> Closure:
+def closure(start, steps, bound: int, depth: int | None = None) -> Closure:
     """Breadth-first closure of start under the block steps.
 
     steps[j](block) maps a list of consecutive elements to the list of
-    their images under step j.  The elements are taken BLOCK at a time;
-    per block and step the known images are looked up in one pass, and
-    only the new ones are numbered one by one, in (block, step, position)
-    order, the parent of each being its preimage in the block.
+    their images under step j.  Each layer is taken BLOCK elements at a
+    time, no block reaching into the next; per block and step the known
+    images are looked up in one pass, and only the new ones are numbered
+    one by one, in (block, step, position) order, the parent of each being
+    its preimage in the block.  With a depth d only layers 0..d-1 are
+    expanded (all elements are expanded without one), so the elements
+    are layers 0..d and the images cover the expanded prefix.
 
     Steps by the raw generators are enough: in a finite group the monoid
     they generate is the whole group, so inverses and the identity would
@@ -92,26 +98,30 @@ def closure(start, steps, bound: int) -> Closure:
     runs = []
     add, grow, new_parent = index.setdefault, elements.append, parent.append
     edges = list(enumerate(zip(steps, images)))
-    lo = 0
-    while lo < len(elements):  # elements grows as the search runs
-        block = elements[lo:lo + BLOCK]
-        for j, (step, image) in edges:
-            found = step(block)
-            known = list(map(index.get, found))
-            if None in known:
-                first = len(elements)
-                for pos in list(compress(count(), map(is_, known, repeat(None)))):
-                    nxt, k = found[pos], len(elements)
-                    known[pos] = add(nxt, k)  # a step may reach one element twice
-                    if known[pos] == k:
-                        if k >= bound:
-                            raise GroupTooLarge(f"closure exceeds bound {bound}")
-                        grow(nxt)
-                        new_parent(lo + pos)
-                if len(elements) > first:
-                    runs.append((first, len(elements), j))
-            image.extend(known)
-        lo += len(block)
+    frontier = 0  # the next layer to expand is elements[frontier:]
+    for _ in count() if depth is None else range(depth):
+        end = len(elements)
+        if frontier == end:
+            break
+        for lo in range(frontier, end, BLOCK):
+            block = elements[lo:min(lo + BLOCK, end)]
+            for j, (step, image) in edges:
+                found = step(block)
+                known = list(map(index.get, found))
+                if None in known:
+                    first = len(elements)
+                    for pos in list(compress(count(), map(is_, known, repeat(None)))):
+                        nxt, k = found[pos], len(elements)
+                        known[pos] = add(nxt, k)  # a step may reach one element twice
+                        if known[pos] == k:
+                            if k >= bound:
+                                raise GroupTooLarge(f"closure exceeds bound {bound}")
+                            grow(nxt)
+                            new_parent(lo + pos)
+                    if len(elements) > first:
+                        runs.append((first, len(elements), j))
+                image.extend(known)
+        frontier = end
     return Closure(elements, images, parent, tuple(runs))
 
 

@@ -110,6 +110,7 @@ def test_mat_mul_dimension_mismatch():
 
 def test_mat_inverse_examples():
     assert mat_inverse(RationalMatrix.identity(4)) == RationalMatrix.identity(4)
+    assert mat_inverse(RationalMatrix([[F(-2, 3)]])) == RationalMatrix([[F(-3, 2)]])
     assert mat_inverse(RationalMatrix.diagonal([2, 3])) == RationalMatrix.diagonal(
         [F(1, 2), F(1, 3)]
     )
@@ -127,7 +128,7 @@ def test_mat_inverse_involution_random():
     rng = random.Random(101)
     singular = 0
     for _ in range(40):
-        n = rng.choice([2, 3, 4])
+        n = rng.choice([1, 2, 3, 4, 5])
         for m in (rand_matrix(rng, n), rand_rational_matrix(rng, n, -1, 1)):
             # SingularMatrix is raised exactly when the independent det is 0
             if det_leibniz(m) == 0:

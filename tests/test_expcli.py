@@ -21,7 +21,6 @@ from galwalk.experiment import (
     CONVERGENCE_FIELDS,
     ExperimentConfig,
     QUADRATIC_FIELDS,
-    WordTable,
     batch_seed,
     catalog_rows,
     exact_word_census,
@@ -29,6 +28,7 @@ from galwalk.experiment import (
     run_convergence,
     run_finite_field,
     run_oracle,
+    word_table,
 )
 from galwalk.galois_id import (
     KIND_CERTIFIED_EXACT,
@@ -289,22 +289,27 @@ def census_by_products(scenario, k):
 
 def by_matrix(table, states):
     """Census states keyed by matrix: each element index read back through the table."""
-    return {(table.elements[i], lab, parity): count for (i, lab, parity), count in states.items()}
+    elements = table.closure.elements
+    return {(elements[i], lab, parity): count for (i, lab, parity), count in states.items()}
 
 
 @pytest.mark.parametrize("name,k_max", [("diag_antidiag", 12), ("sl2", 6)])
 def test_chained_word_census_equals_fresh(name, k_max):
     scen = builtin_scenarios()[name]
-    table = WordTable(scen)
+    table = word_table(scen, k_max)
     last = None
     for k in range(k_max + 1):
         states = exact_word_census(table, k, last)
-        fresh = WordTable(scen)
+        fresh = word_table(scen, k)
         assert by_matrix(table, states) == by_matrix(fresh, exact_word_census(fresh, k)), (name, k)
         last = (k, states)
-    # a start beyond k cannot be extended back
+    # a start beyond k cannot be extended back, nor a k beyond the table's depth
     with pytest.raises(ValueError):
         exact_word_census(table, k_max - 1, last)
+    with pytest.raises(ValueError, match="depth"):
+        exact_word_census(table, k_max + 1, last)
+    with pytest.raises(ValueError, match="depth"):
+        exact_word_census(word_table(scen, k_max - 1), k_max)
 
 
 def test_word_census_skips_identity_products_exactly():
@@ -316,7 +321,7 @@ def test_word_census_skips_identity_products_exactly():
         ident = RationalMatrix.identity(scen.dimension)
         assert any(g == ident for g, _ in gens.generators)
         for k in range(k_max + 1):
-            table = WordTable(scen)
+            table = word_table(scen, k)
             states = exact_word_census(table, k)
             assert sum(states.values()) == len(gens.generators) ** k
             assert by_matrix(table, states) == census_by_products(scen, k), (name, k)
@@ -325,19 +330,21 @@ def test_word_census_skips_identity_products_exactly():
 @pytest.mark.parametrize("name,k", [("diag_antidiag", 9), ("sl2", 4)])
 def test_word_table_columns_are_right_products(name, k):
     scen = builtin_scenarios()[name]
-    table = WordTable(scen)
+    table = word_table(scen, k)
     exact_word_census(table, k)
     assert table.depth == k
     ident = RationalMatrix.identity(scen.dimension)
     letters = [g for g, _ in scen.admissible().generators]
-    assert table.factors == [g for g in letters if g != ident]
+    factors = [g for g in letters if g != ident]
+    elements, images = table.closure.elements, table.closure.images
+    assert len(images) == len(factors)
     # every element of word length below k is expanded, by every letter
-    expanded = len(table.images[0])
-    assert all(len(column) == expanded for column in table.images)
-    assert expanded < len(table.elements) == len(set(table.elements))
-    for g, column in zip(table.factors, table.images):
+    expanded = len(images[0])
+    assert all(len(column) == expanded for column in images)
+    assert expanded < len(elements) == len(set(elements))
+    for g, column in zip(factors, images):
         for i in range(expanded):
-            assert table.elements[column[i]] == mat_mul(table.elements[i], g), (name, i)
+            assert elements[column[i]] == mat_mul(elements[i], g), (name, i)
     # the steps follow the letters: the identity letter's column is None
     for (g, lab), (column, slab, flip) in zip(scen.admissible().generators, table.steps):
         assert slab == lab and (column is None) == (g == ident)
@@ -367,8 +374,8 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
     rows, _, _ = run_oracle(ExperimentConfig(scenario="diag_antidiag", k_values=(10, 16, 22)))
     table = calls[0][0]
     assert all(t is table for t, _ in calls) and len(calls) == 3
-    assert table.depth == 22 and len(table.factors) == 3
-    assert len(table.images[0]) == 1606 and len(table.elements) == 1770
+    assert table.depth == 22 and len(table.closure.images) == 3
+    assert len(table.closure.images[0]) == 1606 and len(table.closure.elements) == 1770
     assert counts["mat_mul"] == 3 * 1606 == 4818
     off_elements = {i for _, states in calls for i, lab, _ in states if lab != 0}
     assert counts["char_poly"] <= len(off_elements) == 925

@@ -1,9 +1,11 @@
 import random
+from array import array
 from fractions import Fraction as F
 
 import pytest
 
 from galwalk import permkit
+from galwalk.exactmat import RationalMatrix, mat_mul
 from galwalk.finfield import closure_mod_p, reduce_matrix
 from galwalk.galois_id import SMALL_GROUPS
 from galwalk.modpoly import make_cycle_type
@@ -97,6 +99,14 @@ def plain_closure(start, steps, bound):
     return order
 
 
+def word_lengths(found):
+    """Each element's number of steps from the start, along its parents."""
+    length = [0]
+    for i in range(1, len(found.elements)):
+        length.append(length[found.parent[i]] + 1)
+    return length
+
+
 def assert_closure_contract(found, elements, steps, run_closure):
     """found, a closure whose elements decode to elements, against the
     plain closure under steps (one element at a time); run_closure(bound)
@@ -117,6 +127,9 @@ def assert_closure_contract(found, elements, steps, run_closure):
             assert found.parent[k] < lo
             assert found.images[j][found.parent[k]] == k
     assert covered == len(elements)
+    # breadth-first: word length (depth along parent) never decreases
+    length = word_lengths(found)
+    assert length == sorted(length)
     # a bound of |G| holds; any lower bound is crossed, also inside a block
     assert len(run_closure(len(elements)).elements) == len(elements)
     for bound in {len(elements) - 1, min(permkit.BLOCK + 7, len(elements) - 1), 3}:
@@ -200,6 +213,37 @@ def test_closure_numbers_an_image_reached_twice_once():
     assert found.elements.index(7) == 5 and list(found.parent[5:6]) == [1]
     assert_closure_contract(found, found.elements, steps,
                             lambda bound: closure(0, list(map(blockwise, steps)), bound))
+
+
+def test_depth_bounded_closure_holds_the_words_up_to_that_length():
+    # diag_antidiag's group is infinite; its words of length <= d are the
+    # products of d letters, and its identity letter adds no new product
+    scen = builtin_scenarios()["diag_antidiag"]
+    ident = RationalMatrix.identity(2)
+    letters = [g for g, _ in scen.admissible().generators if g != ident]
+    steps = [lambda block, g=g: [mat_mul(m, g) for m in block] for g in letters]
+    products = [{ident}]
+    for d in range(1, 8):
+        products.append(products[-1] | {mat_mul(m, g) for m in products[-1] for g in letters})
+    for d in range(8):
+        found = closure(ident, steps, MAX_ORDER, d)
+        assert len(found.elements) == len(products[d]) and set(found.elements) == products[d]
+        expanded = len(found.images[0])
+        assert all(len(image) == expanded for image in found.images)
+        assert set(found.elements[:expanded]) == (products[d - 1] if d else set())
+        length = word_lengths(found)
+        assert length == sorted(length) and length[-1] == d
+        for g, image in zip(letters, found.images):
+            assert [found.elements[i] for i in image] == [
+                mat_mul(m, g) for m in found.elements[:expanded]]
+    # depth 0 is the start alone; the bound holds under a depth too
+    assert closure(0, Z12_STEPS, 100, 0) == ([0], (array("i"), array("i")), array("i", [-1]), ())
+    assert closure(0, Z12_STEPS, 100, 2).elements == [0, 1, 5, 2, 6, 10]
+    assert len(closure(ident, steps, 300, 7).elements) == len(products[7]) <= 300
+    with pytest.raises(GroupTooLarge, match="closure exceeds bound 100"):
+        closure(ident, steps, 100, 7)
+    with pytest.raises(GroupTooLarge, match="closure exceeds bound 11"):
+        closure(0, Z12_STEPS, 11, 5)
 
 
 def test_closure_carry_walks_the_spanning_tree():

@@ -107,21 +107,6 @@ def test_walk_determinism():
     assert batch_sample(gs, 9, 6, 123) == batch
 
 
-def test_label_homomorphism():
-    gs = make_admissible([(A, 0), (J, 1)], 2)
-    for idx in range(60):
-        word = draw_word(gs, 12, 99, idx)
-        m = RationalMatrix.identity(2)
-        lab = 0
-        for i in word:
-            g, gl = gs.generators[i]
-            m = mat_mul(m, g)
-            lab = (lab + gl) % 2
-        s = sample_walk(gs, 12, 99, idx)
-        assert s.element == m and s.label == lab and s.length == 12
-        assert s.seed_path == (99, idx)
-
-
 def test_counterexample_off_coset_iff_antidiagonal():
     scen = builtin_scenarios()["diag_antidiag"]
     gens = scen.admissible()
@@ -156,8 +141,9 @@ def test_batch_samples_equal_the_mat_mul_fold():
         gens = scen.admissible()
         for k in (0, 1, 7, 30, 60):
             for seed in (1, 2, 3):
-                for s in batch_sample(gens, k, 4, seed):
-                    word = draw_word(gens, k, seed, s.seed_path[1])
+                for i, s in enumerate(batch_sample(gens, k, 4, seed)):
+                    assert s.length == k and s.seed_path == (seed, i)
+                    word = draw_word(gens, k, seed, i)
                     assert (s.element, s.label) == mat_mul_fold(gens, word), (name, k, seed)
 
 
