@@ -137,7 +137,9 @@ def main(argv=None) -> int:
         settings = _merged_settings(args)
         if "out" not in settings:
             raise ValueError("--out is required (data goes to files)")
-        out = str(settings["out"])
+        out = settings["out"]
+        if not isinstance(out, str) or not out:
+            raise ValueError(f"out must be a non-empty path string, got {out!r}")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ValueError(f"output directory of {out!r} does not exist")
         if os.path.isdir(out):

@@ -27,6 +27,7 @@ class SingularMatrix(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class RationalMatrix:
     """Square matrix over Q, stored as integer rows over one denominator.
 
@@ -35,7 +36,9 @@ class RationalMatrix:
     The form is canonical, so equality and hashing compare integers.
     """
 
-    __slots__ = ("n", "den", "num")
+    n: int
+    den: int
+    num: tuple[tuple[int, ...], ...]
 
     def __new__(cls, rows: Iterable[Iterable]):
         rows = [[e if isinstance(e, Fraction) else Fraction(e) for e in row] for row in rows]
@@ -46,9 +49,6 @@ class RationalMatrix:
         return _from_int(
             [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -65,19 +65,6 @@ class RationalMatrix:
         return RationalMatrix(
             [[es[i] if i == j else 0 for j in range(len(es))] for i in range(len(es))]
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.num))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
 
     def transpose(self) -> "RationalMatrix":
         return _from_int(tuple(zip(*self.num)), self.den)

@@ -311,7 +311,7 @@ def run_finite_field(config: ExperimentConfig):
             )
         usable.add(p)
     targets = {
-        lab: spec.predicted.group.types()
+        lab: spec.predicted.types()
         for lab, spec in enumerate(scenario.cosets)
         if spec.predicted is not None
     }
@@ -469,15 +469,15 @@ def catalog_rows():
                 groups.append(("predicted", spec.predicted))
             if spec.upper is not None:
                 groups.append(("upper", spec.upper))
-            for role, pg in groups:
-                for ct, freq in pg.group.type_distribution.items():
+            for role, group in groups:
+                for ct, freq in group.type_distribution.items():
                     rows.append(
                         {
                             "scenario": name,
                             "coset": lab,
-                            "group": f"{pg.name}({role})",
-                            "degree": pg.N,
-                            "order": pg.group.order,
+                            "group": f"{group.name}({role})",
+                            "degree": group.degree,
+                            "order": group.order,
                             "cycle_type": ct,
                             "frequency": freq,
                             "frequency_exact": f"{freq.numerator}/{freq.denominator}",

@@ -43,8 +43,7 @@ from .modpoly import (
     repeat_parts,
     resolvent_cubic,
 )
-from .permkit import enumerate_group
-from .picatalog import PredictedGroup
+from .permkit import EnumeratedGroup, enumerate_group
 from .zfactor import factor_degrees, integer_roots
 
 # the prime scan's default window and budget, which run also defaults to
@@ -83,7 +82,7 @@ def collect_samples(
     f: Sequence[int],
     prime_window: tuple[int, int] = PRIME_WINDOW,
     budget: int = BUDGET,
-    target: PredictedGroup | None = None,
+    target: EnumeratedGroup | None = None,
     multiplicity: int = 1,
 ) -> SampleSummary:
     """Cycle types of the monic squarefree integer f at ascending primes in
@@ -112,7 +111,7 @@ def collect_samples(
         ct = sample.cycle_type
         counts[ct] = counts.get(ct, 0) + 1
         if target is not None and counts[ct] == 1 and (
-            repeat_parts(ct, multiplicity) not in target.group.type_distribution
+            repeat_parts(ct, multiplicity) not in target.type_distribution
         ):
             break
     empirical = {
@@ -145,7 +144,7 @@ def tv_distance(observed: dict, target: dict) -> Fraction:
     return Fraction(total, 2)
 
 
-def match_verdict(summary: SampleSummary, target: PredictedGroup) -> Verdict:
+def match_verdict(summary: SampleSummary, target: EnumeratedGroup) -> Verdict:
     """Decide how the sampled distribution relates to the predicted group.
 
     Hard rejection by an observed type the target never attains comes
@@ -154,11 +153,11 @@ def match_verdict(summary: SampleSummary, target: PredictedGroup) -> Verdict:
     nothing, so at complete coverage it is inconclusive with that reason in
     the detail, never rejected.
     """
-    if summary.degree != target.N:
+    if summary.degree != target.degree:
         raise ValueError(
-            f"degree mismatch: summary {summary.degree} vs target {target.N}"
+            f"degree mismatch: summary {summary.degree} vs target {target.degree}"
         )
-    tdist = target.group.type_distribution
+    tdist = target.type_distribution
     observed = summary.empirical
     outside = [ct for ct in observed if ct not in tdist]
     if outside:
@@ -176,7 +175,7 @@ def match_verdict(summary: SampleSummary, target: PredictedGroup) -> Verdict:
 
 def identify(
     q: Sequence[int],
-    target: PredictedGroup,
+    target: EnumeratedGroup,
     multiplicity: int = 1,
     prime_window: tuple[int, int] = PRIME_WINDOW,
     budget: int = BUDGET,
@@ -197,7 +196,7 @@ def identify(
 
 
 def exact_verdict(
-    q: Sequence[int], target: PredictedGroup, multiplicity: int, primes
+    q: Sequence[int], target: EnumeratedGroup, multiplicity: int, primes
 ) -> Verdict | None:
     """The verdict rules (a)-(c) prove for a monic squarefree integer q, or
     None.
@@ -208,20 +207,20 @@ def exact_verdict(
     names the rule that fired.
     """
     n = len(q) - 1
-    if n * multiplicity != target.N:
+    if n * multiplicity != target.degree:
         raise ValueError(
-            f"degree mismatch: {n} x {multiplicity} vs target {target.N}"
+            f"degree mismatch: {n} x {multiplicity} vs target {target.degree}"
         )
     found = factor_degrees(q, primes)
     if found is None:
         return None
     orbits = repeat_parts(found.degrees, multiplicity)
-    want = target.group.orbit_lengths()
+    want = target.orbit_lengths()
     if orbits != want:
         return Verdict(
             KIND_REJECTED, f"rule (a): factor degrees give orbits {orbits}, target {want}"
         )
-    odd_target = any(_is_odd(ct) for ct in target.group.type_distribution)
+    odd_target = any(_is_odd(ct) for ct in target.type_distribution)
     if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
         return None
     disc = discriminant(q)
@@ -233,7 +232,7 @@ def exact_verdict(
         return None
     name = _small_group_name(q, found.degrees, disc)
     exact = small_group_distribution(name, found.degrees, multiplicity)
-    if exact == target.group.type_distribution:
+    if exact == target.type_distribution:
         return Verdict(
             KIND_CERTIFIED_EXACT, f"rule (c): exact group {name} on orbits {orbits}"
         )

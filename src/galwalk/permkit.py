@@ -161,13 +161,16 @@ class EnumeratedGroup:
 
     type_distribution maps each cycle type to its exact frequency
     (#elements of that type / order), a Fraction; frequencies sum to 1.
-    generators are the permutations the elements were closed from.
+    generators are the permutations the elements were closed from.  name
+    is the catalog name of a scenario coset's predicted group (picatalog),
+    empty otherwise.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
     type_distribution: dict = field(compare=False)
     generators: tuple[Permutation, ...] = field(default=(), compare=False)
+    name: str = field(default="", compare=False)
 
     @property
     def order(self) -> int:

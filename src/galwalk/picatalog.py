@@ -1,14 +1,17 @@
 """Catalog of predicted Galois groups as explicit permutation groups.
 
-Each constructor fixes a concrete action on the eigenvalue slots of one
-scenario coset.  The point-labeling conventions are documented per
-constructor; their correctness is established by oracle validation in the
-test suite (sympy's Galois group at degree 4, distribution matching above),
-not derived symbolically.
+Each constructor returns a permkit EnumeratedGroup on the eigenvalue
+slots of one scenario coset, carrying its catalog name; galois_id decides
+a sample against it by exact rules, or by its cycle-type distribution
+where they leave the sample open.  Each constructor fixes a concrete
+action on the slots and documents its point-labeling conventions; their
+correctness is established by oracle validation in the test suite
+(sympy's Galois group at degree 4, distribution matching above), not
+derived symbolically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from math import factorial, gcd
 
 from .permkit import (
@@ -22,32 +25,17 @@ from .permkit import (
     wreath_product,
 )
 
-@dataclass(frozen=True)
-class PredictedGroup:
-    """A named permutation group on the N eigenvalue slots of a scenario.
-
-    A sample is decided against it by the exact rules of galois_id, or by
-    its cycle-type distribution where they leave the sample open.
-    """
-
-    name: str
-    group: EnumeratedGroup
-
-    @property
-    def N(self) -> int:
-        return self.group.degree
-
 # ---------------------------------------------------------------------------
 # permutation-group constructors
 # ---------------------------------------------------------------------------
 
-def pi_sl_n(n: int) -> PredictedGroup:
+def pi_sl_n(n: int) -> EnumeratedGroup:
     """Full symmetric group on the n eigenvalues (the split connected case)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return PredictedGroup(f"sym{n}", symmetric_group(n))
+    return replace(symmetric_group(n), name=f"sym{n}")
 
-def pi_sl_n_doubled(n: int) -> PredictedGroup:
+def pi_sl_n_doubled(n: int) -> EnumeratedGroup:
     """S_n acting simultaneously on eigenvalues and their inverses.
 
     Points 0..n-1 are the eigenvalues, points n..2n-1 the inverse set; a
@@ -57,9 +45,9 @@ def pi_sl_n_doubled(n: int) -> PredictedGroup:
     gens = [block_map((0, 1), [g, g]) for g in sym.generators]
     group = enumerate_group(gens, degree=2 * n)
     assert group.order == sym.order
-    return PredictedGroup(f"sym{n}_doubled", group)
+    return replace(group, name=f"sym{n}_doubled")
 
-def pi_sl_n_tau(n: int) -> PredictedGroup:
+def pi_sl_n_tau(n: int) -> EnumeratedGroup:
     """Sign-flip wreath over r = n/2 letter pairs, acting on 4r points.
 
     Point (pair j, letter in {a, b}, sign in {+, -}) has index
@@ -73,9 +61,9 @@ def pi_sl_n_tau(n: int) -> PredictedGroup:
         raise ValueError("only even n is supported")
     signed_pairs = wreath_product(cyclic_group(2), symmetric_group(n // 2))
     group = wreath_product(cyclic_group(2), signed_pairs)
-    return PredictedGroup(f"signflip_wreath_{n}", group)
+    return replace(group, name=f"signflip_wreath_{n}")
 
-def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
+def pi_sl_n_tau_reciprocal(n: int) -> EnumeratedGroup:
     """Subgroup of pi_sl_n_tau cut out by the square-root product relations.
 
     The two letters of a pair carry square roots of an eigenvalue and of its
@@ -99,18 +87,18 @@ def pi_sl_n_tau_reciprocal(n: int) -> PredictedGroup:
     gens += [block_map(g, [(0, 1)] * (2 * r)) for g in signed_pairs.generators]
     group = enumerate_group(gens, degree=4 * r)
     assert group.order == 2 ** (r + 1) * factorial(r)
-    return PredictedGroup(f"reciprocal_wreath_{n}", group)
+    return replace(group, name=f"reciprocal_wreath_{n}")
 
-def pi_sl_power_identity(n: int, d: int) -> PredictedGroup:
+def pi_sl_power_identity(n: int, d: int) -> EnumeratedGroup:
     """Direct product of d symmetric groups, one per factor block.
 
     Point (block b, slot i) has index n*b + i; block b holds the
     eigenvalues of the b-th factor.
     """
     group = wreath_product(symmetric_group(n), trivial_group(d))
-    return PredictedGroup(f"sym{n}_power{d}", group)
+    return replace(group, name=f"sym{n}_power{d}")
 
-def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
+def pi_sl_power_cyclic(n: int, d: int) -> EnumeratedGroup:
     """Coset group for d cyclically permuted factors: rotations with trivial
     total rotation, block permutations, and the multiplicative unit action.
 
@@ -140,9 +128,9 @@ def pi_sl_power_cyclic(n: int, d: int) -> PredictedGroup:
     group = enumerate_group(gens, degree=n * d)
     phi = 1 + len(units)
     assert group.order == d ** (n - 1) * factorial(n) * phi
-    return PredictedGroup(f"cycshift_{n}x{d}", group)
+    return replace(group, name=f"cycshift_{n}x{d}")
 
-def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> PredictedGroup:
+def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> EnumeratedGroup:
     """S_n wr gal in its imprimitive action on n * gal.degree points.
 
     gal must be transitive (it is a Galois group acting on the embeddings).
@@ -150,4 +138,4 @@ def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> PredictedGroup:
     if gal.orbit_lengths() != (gal.degree,):
         raise ValueError("gal must act transitively")
     group = wreath_product(symmetric_group(n), gal)
-    return PredictedGroup(f"sym{n}_wr_{gal.order}on{gal.degree}", group)
+    return replace(group, name=f"sym{n}_wr_{gal.order}on{gal.degree}")

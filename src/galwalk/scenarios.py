@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exactmat import RationalMatrix, mat_inverse
+from .permkit import EnumeratedGroup, symmetric_group
 from .picatalog import (
-    PredictedGroup,
     pi_restriction_of_scalars,
     pi_sl_n,
     pi_sl_n_doubled,
@@ -32,7 +32,6 @@ from .picatalog import (
     pi_sl_power_cyclic,
     pi_sl_power_identity,
 )
-from .permkit import symmetric_group
 from .walker import GeneratorSet, make_admissible
 
 
@@ -48,8 +47,8 @@ class CosetSpec:
     """
 
     name: str
-    predicted: PredictedGroup | None
-    upper: PredictedGroup | None = None
+    predicted: EnumeratedGroup | None
+    upper: EnumeratedGroup | None = None
     multiplicity: int = 1
 
 
@@ -71,8 +70,12 @@ class Scenario:
             if mat.n != self.dimension:
                 raise ValueError("generator dimension mismatch")
         for c in self.cosets:
-            if c.predicted is not None and c.predicted.N != self.dimension:
-                raise ValueError("predicted group degree mismatch")
+            for group in (c.predicted, c.upper):
+                if group is not None and group.degree != self.dimension:
+                    raise ValueError(
+                        f"coset {c.name!r}: group {group.name} has degree "
+                        f"{group.degree}, not the dimension {self.dimension}"
+                    )
 
     @cached_property
     def _admissible(self) -> GeneratorSet:

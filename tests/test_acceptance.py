@@ -85,21 +85,21 @@ def test_criterion_2_catalog_orders():
     """Wreath and catalog group orders match their closed forms (S_n has n!)."""
     start = time.perf_counter()
     assert wreath_product(cyclic_group(2), symmetric_group(2)).order == 8
-    assert pi_sl_power_cyclic(2, 3).group.order == 12
+    assert pi_sl_power_cyclic(2, 3).order == 12
 
     for n in (2, 3, 4, 5):
-        assert pi_sl_n(n).group.order == factorial(n)
+        assert pi_sl_n(n).order == factorial(n)
     for n in (2, 4):
-        assert pi_sl_n_doubled(n).group.order == factorial(n)
+        assert pi_sl_n_doubled(n).order == factorial(n)
         r = n // 2
-        assert pi_sl_n_tau(n).group.order == 2 ** (2 * r) * 2**r * factorial(r)
-        assert pi_sl_n_tau_reciprocal(n).group.order == 2 ** (r + 1) * factorial(r)
+        assert pi_sl_n_tau(n).order == 2 ** (2 * r) * 2**r * factorial(r)
+        assert pi_sl_n_tau_reciprocal(n).order == 2 ** (r + 1) * factorial(r)
     for n, d in ((2, 2), (2, 3)):
-        assert pi_sl_power_identity(n, d).group.order == factorial(n) ** d
+        assert pi_sl_power_identity(n, d).order == factorial(n) ** d
         phi = sum(1 for a in range(1, d) if gcd(a, d) == 1)
-        assert pi_sl_power_cyclic(n, d).group.order == d ** (n - 1) * factorial(n) * phi
-    assert pi_restriction_of_scalars(2, symmetric_group(2)).group.order == 8
-    assert pi_restriction_of_scalars(2, cyclic_group(3)).group.order == 24
+        assert pi_sl_power_cyclic(n, d).order == d ** (n - 1) * factorial(n) * phi
+    assert pi_restriction_of_scalars(2, symmetric_group(2)).order == 8
+    assert pi_restriction_of_scalars(2, cyclic_group(3)).order == 24
     elapsed = time.perf_counter() - start
     report(2, elapsed < 30, f"all catalog orders exact in {elapsed:.1f}s (< 30s)")
     assert elapsed < 30
@@ -184,9 +184,9 @@ def test_criterion_4_coset_dependence():
         "[criterion 4] adjudication table (swap-coset verdicts vs each target):\n"
         f"    vs identity prediction {id_spec.predicted.name}: {dict(swap_cross)}\n"
         f"    vs adjudicated target {swap_spec.predicted.name} "
-        f"(order {swap_spec.predicted.group.order}): {dict(swap_verdicts)}\n"
+        f"(order {swap_spec.predicted.order}): {dict(swap_verdicts)}\n"
         f"    vs larger reference {swap_spec.upper.name} "
-        f"(order {swap_spec.upper.group.order}): {dict(swap_upper)}\n"
+        f"(order {swap_spec.upper.order}): {dict(swap_upper)}\n"
         f"    sympy quartic oracle on {oracle_pool} swap samples "
         f"({oracle_rs} regular semisimple): {dict(oracle_names)}"
     )
@@ -209,7 +209,7 @@ def test_criterion_4_coset_dependence():
     assert mode_frac >= F(9, 10)
     # the adjudicated group's exact distribution is the oracle group's
     assert mode_name == "V4"
-    assert swap_spec.predicted.group.type_distribution == {
+    assert swap_spec.predicted.type_distribution == {
         (2, 2): F(3, 4),
         (1, 1, 1, 1): F(1, 4),
     }
@@ -232,7 +232,7 @@ def test_criterion_5_subquotient_invariant():
             summary = expand_summary(
                 collect_samples(q, WINDOW, 40), spec.multiplicity
             )
-            allowed = set((spec.upper or spec.predicted).group.type_distribution)
+            allowed = set((spec.upper or spec.predicted).type_distribution)
             checked += 1
             for ct in summary.empirical:
                 if ct not in allowed:
@@ -318,7 +318,7 @@ def test_criterion_7_finite_field_densities():
                 family, multiplicity = CHI_FAMILIES[(name, spec.name)]
                 assert multiplicity == spec.multiplicity
                 attainable = attainable_types(family, multiplicity, p)
-                for ct in spec.predicted.group.types():
+                for ct in spec.predicted.types():
                     if c.type_counts.get(ct, 0) == 0:
                         zero_density.add((name, spec.name, p, ct))
                     if ct not in attainable:

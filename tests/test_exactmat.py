@@ -199,6 +199,20 @@ def test_equal_matrices_hash_equal():
                 assert m == a and hash(m) == hash(a)
 
 
+def test_matrices_are_immutable():
+    m = RationalMatrix([[1, F(1, 2)], [0, 1]])
+    for name, value in (("n", 3), ("den", 1), ("num", ((1, 0), (0, 1)))):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    # no new attribute either: Python 3.11 raises TypeError here (its frozen
+    # slotted dataclass calls super() on the class from before the slots)
+    with pytest.raises((AttributeError, TypeError)):
+        m.extra = 0
+    assert (m.n, m.den, m.num) == (2, 2, ((2, 1), (0, 2)))
+
+
 def test_mat_inverse_canonical():
     rng = random.Random(10)
     negative = 0

@@ -176,8 +176,8 @@ def test_early_stop_keeps_the_full_budget_kind():
                     assert out.kind == KIND_REJECTED
                 # the S_n certificate (the test oracle) on the full budget's
                 # types is a proof rule (c) always reaches first
-                n = spec.predicted.N
-                symmetric = spec.predicted.group.order == math.factorial(n)
+                n = spec.predicted.degree
+                symmetric = spec.predicted.order == math.factorial(n)
                 if symmetric and certify_sn(whole.empirical, n):
                     sn_certified.add(name)
                     assert out.kind == KIND_CERTIFIED_EXACT and by_rule
@@ -621,6 +621,28 @@ def test_cli_config_out_and_format(tmp_path):
     assert r.returncode == 0
     assert not cfg_out.exists()
     assert json.loads(flag_out.read_text())[1:] == rows[1:]
+
+
+@pytest.mark.parametrize("source,value", [
+    ("flag", ""), ("config", ""), ("config", None), ("config", 5),
+])
+def test_cli_refuses_an_out_that_is_not_a_non_empty_string(
+    tmp_path, capsys, monkeypatch, source, value
+):
+    def sample_nothing(*args, **kwargs):
+        raise AssertionError("a walk began")
+
+    monkeypatch.setattr(experiment, "batch_sample", sample_nothing)
+    monkeypatch.chdir(tmp_path)
+    settings = {"scenario": "sl2", "k": "3", "samples": 2}
+    if source == "config":
+        settings["out"] = value
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(settings))
+    flags = ["--out", value] if source == "flag" else []
+    assert main(["run", "--config", str(cfg_file), *flags]) == 2
+    assert f"error: out must be a non-empty path string, got {value!r}" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_identify_sample_is_none_off_the_regular_semisimple_locus():

@@ -545,7 +545,7 @@ def test_charpoly_mod_p_at_small_primes():
 def test_density_report_rows_and_flags():
     scen = builtin_scenarios()["sl2"]
     censuses = [census(enumerate_mod_p(scen, p)[0].classes, p, 0) for p in (5, 7)]
-    types = scen.coset(0).predicted.group.types()
+    types = scen.coset(0).predicted.types()
     rows = density_report(censuses, {0: types})
     assert not any(r["flagged"] for r in rows)
     assert {r["p"] for r in rows} == {5, 7}

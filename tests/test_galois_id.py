@@ -44,7 +44,6 @@ from galwalk.modpoly import (
 from galwalk.experiment import ExperimentConfig, batch_seed, identify_sample
 from galwalk.permkit import enumerate_group, symmetric_group
 from galwalk.picatalog import (
-    PredictedGroup,
     pi_restriction_of_scalars,
     pi_sl_n,
     pi_sl_n_doubled,
@@ -217,7 +216,7 @@ def test_certify_sn():
 
 
 def trivial_of_degree(n):
-    return PredictedGroup("trivial", enumerate_group([tuple(range(n))]))
+    return enumerate_group([tuple(range(n))])
 
 
 def test_collect_samples_stops_at_a_settled_kind():
@@ -236,7 +235,7 @@ def test_collect_samples_stops_at_a_settled_kind():
     assert match_verdict(sym, pi_sl_n(2)).kind == match_verdict(full, pi_sl_n(2)).kind
     assert exact_verdict(f, pi_sl_n(2), 1, PRIMES).kind == KIND_CERTIFIED_EXACT
     # multiplicity 2: judged on the doubled types (1,1,1,1) and (2,2)
-    doubled = PredictedGroup("order2", enumerate_group([(1, 0, 3, 2)]))
+    doubled = enumerate_group([(1, 0, 3, 2)])
     kept = collect_samples(f, budget=300, target=doubled, multiplicity=2)
     assert kept.good_count == 300
     cut = collect_samples(f, budget=300, target=trivial_of_degree(4), multiplicity=2)
@@ -250,7 +249,7 @@ def test_match_verdict_consistent_and_certified():
     # the scan's verdict is a threshold statement, for S_2 as for any
     # target of the same types
     assert match_verdict(s, pi_sl_n(2)).kind == KIND_CONSISTENT
-    paired = PredictedGroup("order2", enumerate_group([(1, 0)]))
+    paired = enumerate_group([(1, 0)])
     v2 = match_verdict(s, paired)
     assert v2.kind == KIND_CONSISTENT
     # the certificate is rule (c)'s, proved before any prime is scanned
@@ -266,7 +265,7 @@ def test_match_verdict_degree_mismatch():
 
 def test_match_verdict_hard_rejection():
     s = summary_from(2, {(2,): F(1, 2), (1, 1): F(1, 2)})
-    target = PredictedGroup("trivial2", enumerate_group([], degree=2))
+    target = enumerate_group([], degree=2)
     v = match_verdict(s, target)
     assert v.kind == KIND_REJECTED  # observed (2) impossible for the trivial group
 
@@ -276,13 +275,13 @@ def test_match_verdict_v4_against_d4():
     # but half the target's types are never seen, so the verdict is
     # inconclusive, with no distance reason
     v4_stats = summary_from(4, {(2, 2): F(3, 4), (1, 1, 1, 1): F(1, 4)})
-    dihedral = pi_sl_n_tau(2).group.type_distribution
+    dihedral = pi_sl_n_tau(2).type_distribution
     assert len(dihedral) == 2 * len(v4_stats.empirical)
     v = match_verdict(v4_stats, pi_sl_n_tau(2))
     assert v.kind == KIND_INCONCLUSIVE and v.detail == ""
     # and against the reciprocal target it is consistent, at tv 0
     reciprocal = pi_sl_n_tau_reciprocal(2)
-    assert tv_distance(v4_stats.empirical, reciprocal.group.type_distribution) == 0
+    assert tv_distance(v4_stats.empirical, reciprocal.type_distribution) == 0
     assert match_verdict(v4_stats, reciprocal).kind == KIND_CONSISTENT
 
 
@@ -290,8 +289,8 @@ def test_match_verdict_tv_mismatch_at_full_coverage_is_inconclusive():
     # a large distance proves nothing: the tv branch never rejects
     skewed = summary_from(4, {(2, 2): F(1, 2), (1, 1, 1, 1): F(1, 2)})
     target = pi_sl_n_tau_reciprocal(2)
-    assert set(skewed.empirical) == set(target.group.type_distribution)
-    assert tv_distance(skewed.empirical, target.group.type_distribution) == F(1, 4)
+    assert set(skewed.empirical) == set(target.type_distribution)
+    assert tv_distance(skewed.empirical, target.type_distribution) == F(1, 4)
     v = match_verdict(skewed, target)
     assert v.kind == KIND_INCONCLUSIVE
     assert v.detail == "distribution mismatch at complete coverage"
@@ -309,7 +308,7 @@ def test_rejection_soundness_calibration():
         pi_sl_n_tau_reciprocal(4),
     ]
     for target in targets:
-        dist = list(target.group.type_distribution.items())
+        dist = list(target.type_distribution.items())
         types = [t for t, _ in dist]
         weights = [float(w) for _, w in dist]
         rejected = 0
@@ -319,7 +318,7 @@ def test_rejection_soundness_calibration():
             for ct in rng.choices(types, weights=weights, k=500):
                 counts[ct] = counts.get(ct, 0) + 1
             emp = {ct: F(c, 500) for ct, c in counts.items()}
-            summary = SampleSummary(target.N, 500, 0, emp)
+            summary = SampleSummary(target.degree, 500, 0, emp)
             if match_verdict(summary, target).kind == KIND_REJECTED:
                 rejected += 1
         assert rejected < trials // 100, (target.name, rejected)
@@ -328,13 +327,13 @@ def test_rejection_soundness_calibration():
 def test_thresholds_are_used():
     # the thresholds are fixed: tv at most 1/10, at full coverage
     assert (TV_MAX, COVERAGE_MIN) == (F(1, 10), 1)
-    target = PredictedGroup("order2", enumerate_group([(1, 0)]))
+    target = enumerate_group([(1, 0)])
     at_bound = summary_from(2, {(2,): F(3, 5), (1, 1): F(2, 5)})  # tv 1/10
     assert match_verdict(at_bound, target).kind == KIND_CONSISTENT
     beyond = summary_from(2, {(2,): F(2, 3), (1, 1): F(1, 3)})  # tv 1/6
     assert match_verdict(beyond, target).kind == KIND_INCONCLUSIVE
     # a distance far below 1/10 is not enough while a target type is unseen
-    s4 = pi_sl_n(4).group.type_distribution
+    s4 = pi_sl_n(4).type_distribution
     most = {ct: freq for ct, freq in s4.items() if ct != (1, 1, 1, 1)}
     assert tv_distance(most, s4) == F(1, 48)
     v = match_verdict(SampleSummary(4, 500, 0, most), pi_sl_n(4))
@@ -364,7 +363,7 @@ def test_quartic_distribution_table_matches_enumeration():
 
 
 def transitive_v4():
-    return PredictedGroup("v4", enumerate_group([(1, 0, 3, 2), (2, 3, 0, 1)]))
+    return enumerate_group([(1, 0, 3, 2), (2, 3, 0, 1)])
 
 
 def test_exact_quartic_verdict():
@@ -388,7 +387,7 @@ def test_reducible_quartic_is_never_certified_against_transitive_v4():
     v = exact_verdict(pprod([-2, 0, 1], [-3, 0, 1]), transitive_v4(), 1, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)")
     # the intransitive V4 target is certified
-    s2xs2 = PredictedGroup("s2xs2", enumerate_group([(1, 0, 2, 3), (0, 1, 3, 2)]))
+    s2xs2 = enumerate_group([(1, 0, 2, 3), (0, 1, 3, 2)])
     assert exact_verdict(pprod([-2, 0, 1], [-3, 0, 1]), s2xs2, 1, PRIMES).kind == (
         KIND_CERTIFIED_EXACT
     )
@@ -425,7 +424,7 @@ def test_rule_b_rejects_square_discriminant_above_degree_4():
     f = [12, -5, 0, 0, 0, 1]
     v = exact_verdict(f, pi_sl_n(5), 1, PRIMES)
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (b)")
-    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
+    a5 = enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
     assert exact_verdict(f, a5, 1, PRIMES) is None
 
 
@@ -469,7 +468,7 @@ def test_identify_scans_only_what_the_rules_leave_open(monkeypatch):
     assert verdict.kind == KIND_CERTIFIED_EXACT and scans == []
     # x^5 - 5x + 12 (D5) against A5: the rules leave it open, and the scan
     # never sees A5's 3-cycles
-    a5 = PredictedGroup("a5", enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]))
+    a5 = enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
     verdict = identify([12, -5, 0, 0, 0, 1], a5)
     assert verdict.kind == KIND_INCONCLUSIVE and verdict.detail == ""
     (summary,) = scans
@@ -505,21 +504,21 @@ def test_degree_at_most_4_is_decided_before_any_scan():
     targets = {}
     for scen in builtin_scenarios().values():
         for spec in scen.cosets:
-            for pg in (spec.predicted, spec.upper):
-                if pg is not None and pg.N <= 4:
-                    targets[pg.name] = pg
-    assert {pg.N for pg in targets.values()} == {2, 3, 4}
+            for group in (spec.predicted, spec.upper):
+                if group is not None and group.degree <= 4:
+                    targets[group.name] = group
+    assert {group.degree for group in targets.values()} == {2, 3, 4}
     rng = random.Random(13)
     reducible = 0
     for n in (2, 3, 4):
         for _ in range(60):
             f = random_squarefree(rng, n)
             reducible += sympy_degrees(f) != (n,)
-            for pg in targets.values():
+            for group in targets.values():
                 # e = 1, and e = 2 for the degree-4 targets at n = 2
                 for e in (1, 2):
-                    if pg.N == n * e:
-                        assert exact_verdict(f, pg, e, PRIMES) is not None, (f, pg.name, e)
+                    if group.degree == n * e:
+                        assert exact_verdict(f, group, e, PRIMES) is not None, (f, group.name, e)
     assert reducible >= 30
 
 
@@ -595,12 +594,12 @@ def test_rational_conjugate_keeps_its_verdict():
 
 
 def test_catalog_orbit_lengths():
-    assert pi_sl_n(4).group.orbit_lengths() == (4,)
-    assert pi_sl_n_doubled(4).group.orbit_lengths() == (4, 4)
-    assert pi_sl_n_tau_reciprocal(2).group.orbit_lengths() == (4,)
-    assert pi_sl_power_identity(2, 2).group.orbit_lengths() == (2, 2)
-    assert pi_sl_power_cyclic(2, 3).group.orbit_lengths() == (6,)
-    assert pi_restriction_of_scalars(2, symmetric_group(2)).group.orbit_lengths() == (4,)
+    assert pi_sl_n(4).orbit_lengths() == (4,)
+    assert pi_sl_n_doubled(4).orbit_lengths() == (4, 4)
+    assert pi_sl_n_tau_reciprocal(2).orbit_lengths() == (4,)
+    assert pi_sl_power_identity(2, 2).orbit_lengths() == (2, 2)
+    assert pi_sl_power_cyclic(2, 3).orbit_lengths() == (6,)
+    assert pi_restriction_of_scalars(2, symmetric_group(2)).orbit_lengths() == (4,)
     assert enumerate_group([], degree=3).orbit_lengths() == (1, 1, 1)
 
 

@@ -350,11 +350,11 @@ def orbit_lengths_by_generators(group: EnumeratedGroup):
 
 def test_orbit_lengths_match_the_generator_search():
     groups = [
-        pg.group
+        group
         for scen in builtin_scenarios().values()
         for spec in scen.cosets
-        for pg in (spec.predicted, spec.upper)
-        if pg is not None
+        for group in (spec.predicted, spec.upper)
+        if group is not None
     ]
     assert len(groups) == 15
     for group in groups:

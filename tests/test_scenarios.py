@@ -12,6 +12,7 @@ from galwalk.exactmat import (
 )
 from galwalk.modpoly import mul
 from galwalk.permkit import enumerate_group
+from galwalk.picatalog import pi_sl_n
 from galwalk.scenarios import (
     CosetSpec,
     Scenario,
@@ -69,15 +70,15 @@ def test_predicted_group_bindings():
     reg = builtin_scenarios()
     sym3 = reg["sl3"].coset(0).predicted
     assert sym3.name == "sym3"
-    assert (sym3.N, sym3.group.order) == (3, 6)  # S_3 in its natural action
-    assert reg["sltau2"].coset(0).predicted.group.order == 2
-    assert reg["sltau2"].coset(1).predicted.group.order == 4
-    assert reg["sltau2"].coset(1).upper.group.order == 8
-    assert reg["sltau4"].coset(1).predicted.group.order == 16
-    assert reg["sltau4"].coset(1).upper.group.order == 128
-    assert reg["slcyc2x3"].coset(1).predicted.group.order == 12
-    assert reg["slcyc2x3"].coset(2).predicted.group.order == 12
-    assert reg["res_sqrt2"].coset(0).predicted.group.order == 8
+    assert (sym3.degree, sym3.order) == (3, 6)  # S_3 in its natural action
+    assert reg["sltau2"].coset(0).predicted.order == 2
+    assert reg["sltau2"].coset(1).predicted.order == 4
+    assert reg["sltau2"].coset(1).upper.order == 8
+    assert reg["sltau4"].coset(1).predicted.order == 16
+    assert reg["sltau4"].coset(1).upper.order == 128
+    assert reg["slcyc2x3"].coset(1).predicted.order == 12
+    assert reg["slcyc2x3"].coset(2).predicted.order == 12
+    assert reg["res_sqrt2"].coset(0).predicted.order == 8
     for c in reg["diag_antidiag"].cosets:
         assert c.predicted is None
     assert not reg["diag_antidiag"].has_predictions
@@ -172,13 +173,26 @@ def test_scenario_requires_a_coset():
         build(())
 
 
+def test_scenario_checks_the_degree_of_every_coset_group():
+    raw = ((elementary(2, 0, 1), 0),)
+
+    def build(predicted, upper=None):
+        return Scenario("t", 2, raw, (CosetSpec("only", predicted, upper),), "one coset")
+
+    assert build(pi_sl_n(2), pi_sl_n(2)).has_predictions
+    wrong = "coset 'only': group sym3 has degree 3, not the dimension 2"
+    with pytest.raises(ValueError, match=wrong):
+        build(pi_sl_n(3))
+    with pytest.raises(ValueError, match=wrong):
+        build(pi_sl_n(2), upper=pi_sl_n(3))
+
+
 def test_catalog_groups_close_from_their_generators():
     # wreath and doubled constructions build on the stored generators
     for scenario in builtin_scenarios().values():
         for spec in scenario.cosets:
-            for pg in (spec.predicted, spec.upper):
-                if pg is None:
+            for group in (spec.predicted, spec.upper):
+                if group is None:
                     continue
-                group = pg.group
                 closed = enumerate_group(group.generators, degree=group.degree)
-                assert closed.elements == group.elements, pg.name
+                assert closed.elements == group.elements, group.name

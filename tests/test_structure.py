@@ -76,8 +76,6 @@ def test_characteristic_polynomial_path_builds_no_fraction(monkeypatch):
 
 # functions no golden case calls, kept on purpose
 UNREACHED_ON_PURPOSE = {
-    "exactmat.RationalMatrix.__setattr__": "immutability guard",
-    "exactmat.RationalMatrix.__repr__": "debugging aid",
     "modpoly.squarefree_over_q": "benchmark probe target",
 }
 
