@@ -39,7 +39,7 @@ from .galois_id import (
     quadratic_galois,
 )
 from .modpoly import SIEVE_MAX, power_root, primes_in_window
-from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure
+from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
 
@@ -349,60 +349,56 @@ class WordTable(NamedTuple):
     """The walk's matrices up to word length `depth` as element indices:
     permkit's closure from the identity under the non-identity letters,
     stopped after `depth` layers, so closure.images[j] is the j-th such
-    letter's column on every element of word length below depth.  steps
-    holds (column, coset label, parity flip) per letter, with column None
-    (i maps to i) for the identity."""
+    letter's column on every element of word length below depth.
+    labels[i] is element i's coset label (permkit.coset_labels)."""
 
     closure: Closure
-    steps: list
-    coset_count: int
+    labels: list
     depth: int
 
 
 def word_table(scenario: Scenario, depth: int) -> WordTable:
     """The table of every matrix the walk reaches in at most depth letters;
-    each element of word length below depth is multiplied by each letter once."""
+    each element of word length below depth is multiplied by each letter once.
+    Raises ValueError unless exactly one letter is the identity, labelled 0,
+    and on a matrix that two words label differently (coset_labels)."""
     gens = scenario.admissible()
     ident = RationalMatrix.identity(scenario.dimension)
-    factors = [g for g, _ in gens.generators if g != ident]
-    times = [lambda block, g=g: [mat_mul(m, g) for m in block] for g in factors]
+    if [lab for g, lab in gens.generators if g == ident] != [0]:
+        raise ValueError("the word census needs one identity letter, labelled 0")
+    letters = [(g, lab) for g, lab in gens.generators if g != ident]
+    times = [lambda block, g=g: [mat_mul(m, g) for m in block] for g, _ in letters]
     found = closure(ident, times, MAX_ORDER, depth)
-    columns = iter(found.images)
-    steps = [
-        (None, lab, int(lab == 0)) if g == ident else (next(columns), lab, 0)
-        for g, lab in gens.generators
-    ]
-    return WordTable(found, steps, gens.coset_count, depth)
+    labels = coset_labels(found, [lab for _, lab in letters], gens.coset_count)
+    return WordTable(found, labels, depth)
 
 
 def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
     """Exact distribution over all |gens|^k words of the walk at step k.
 
-    Dynamic programming over (element index into `table`, coset label,
-    identity-letter parity) states with exact word counts; equivalent to
-    enumerating every word.  Returns {(index, label, parity): count} with
-    counts summing to gens^k.  From `start`, an earlier call's (k0, states)
-    on the same table, only k - k0 steps run.  Each step reads the table's
-    index columns, built before any call; the identity letter keeps i.
+    Dynamic programming over (element index into `table`, identity-letter
+    parity) states with exact word counts; equivalent to enumerating every
+    word.  Returns {(index, parity): count} with counts summing to gens^k.
+    From `start`, an earlier call's (k0, states) on the same table, only
+    k - k0 steps run.  Each step reads the table's index columns, built
+    before any call; the identity letter keeps i and flips the parity.
     Raises ValueError for k above the table's depth.
     """
-    k0, states = start or (0, {(0, 0, 0): 1})
+    k0, states = start or (0, {(0, 0): 1})
     if k0 > k:
         raise ValueError(f"cannot extend the census at k={k0} back to k={k}")
     if k > table.depth:
         raise ValueError(f"k={k} exceeds the word table's depth {table.depth}")
-    steps, coset_count = table.steps, table.coset_count
+    columns = table.closure.images
     for _ in range(k - k0):
         nxt: dict[tuple, int] = {}
         get = nxt.get
-        for (i, lab, parity), count in states.items():
-            for column, glab, flip in steps:
-                key = (
-                    i if column is None else column[i],
-                    (lab + glab) % coset_count,
-                    parity ^ flip,
-                )
+        for (i, parity), count in states.items():
+            for column in columns:
+                key = (column[i], parity)
                 nxt[key] = get(key, 0) + count
+            key = (i, parity ^ 1)
+            nxt[key] = get(key, 0) + count
         states = nxt
     return states
 
@@ -431,8 +427,8 @@ def run_oracle(config: ExperimentConfig):
         words = sum(states.values())
         off = trivial = 0
         parity_exact = 1
-        for (i, lab, parity), count in states.items():
-            if lab == 0:
+        for (i, parity), count in states.items():
+            if table.labels[i] == 0:
                 continue
             off += count
             is_trivial = trivial_field.get(i)
@@ -442,7 +438,7 @@ def run_oracle(config: ExperimentConfig):
                 trivial_field[i] = is_trivial
             if is_trivial:
                 trivial += count
-            expected = (parity == 1) if k % 2 == 0 else (parity == 0)
+            expected = parity != k % 2
             if is_trivial != expected:
                 parity_exact = 0
         frac = Fraction(trivial, off) if off else Fraction(0)

@@ -7,20 +7,19 @@ through its own memo, which on a miss rewrites only the entries at the
 columns where the generator differs from I (exactmat.right_action's
 change list, reduced mod p), so a block step is a few C-level maps over
 the block's columns of row ids.  Each element is labelled with its coset,
-an integer mod the coset count, carried down the closure's spanning tree
-one run at a time (checked on every Cayley edge), and the group is split
-into conjugacy classes in one orbit pass that files each class under its
-coset; each class representative is decoded back to its matrix.  The
-classes are orbits of index permutations read off the Cayley table:
-conjugation by a generator is its column composed with left
-multiplication by its inverse, also carried down the spanning tree, so
-no matrix is multiplied after enumeration.  The census classifies a
-coset's elements by the factorization pattern of the characteristic
-polynomial as q**e with q squarefree (modpoly.distinct_degree_pattern),
-computed once per class (it is a class function) and weighted by the
-class size; the pattern is factored once per distinct polynomial.  This
-is the ground-truth census that the per-class density claims are checked
-against.
+an integer mod the coset count (permkit.coset_labels, a collision making
+p a bad prime), and the group is split into conjugacy classes in one
+orbit pass that files each class under its coset; each class
+representative is decoded back to its matrix.  The classes are orbits of
+index permutations read off the Cayley table: conjugation by a generator
+is its column composed with left multiplication by its inverse, carried
+down the closure's spanning tree, so no matrix is multiplied after
+enumeration.  The census classifies a coset's elements by the
+factorization pattern of the characteristic polynomial as q**e with q
+squarefree (modpoly.distinct_degree_pattern), computed once per class (it
+is a class function) and weighted by the class size; the pattern is
+factored once per distinct polynomial.  This is the ground-truth census
+that the per-class density claims are checked against.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from math import prod
 
 from .exactmat import RationalMatrix, det, int_char_poly, reduce_poly_mod_p, right_action
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
-from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure
+from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 
 PFMatrix = tuple[tuple[int, ...], ...]
 
@@ -100,8 +99,8 @@ def closure_order_bound(scenario, p: int) -> int:
     return order
 
 
-def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
-    """The scenario's raw generators mod p, with their labels.
+def reduce_generators(scenario, p: int) -> list[PFMatrix]:
+    """The scenario's raw generator matrices mod p.
 
     Raises BadPrimeError for p = 2, a denominator divisible by p, or a
     generator that degenerates mod p.  The rest of the admissible set needs
@@ -110,7 +109,7 @@ def reduce_generators(scenario, p: int) -> list[tuple[PFMatrix, int]]:
     """
     if p == 2:
         raise BadPrimeError("p = 2 is excluded")
-    reduced = [(reduce_matrix(mat, p), lab) for mat, lab in scenario.raw_generators]
+    reduced = [reduce_matrix(mat, p) for mat, _ in scenario.raw_generators]
     if any(det(mat).numerator % p == 0 for mat, _ in scenario.raw_generators):
         raise BadPrimeError(f"generator degenerates mod {p}")
     return reduced
@@ -133,31 +132,12 @@ def closure_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> tuple[Closure, li
         lambda block, row_times=_RowTimes(g, p, rows, ids).__getitem__: list(
             zip(*[map(row_times, col) for col in zip(*block)])
         )
-        for g, _ in reduce_generators(scenario, p)
+        for g in reduce_generators(scenario, p)
     ]
     try:
         return closure(tuple(range(n)), steps, bound), rows
     except GroupTooLarge:
         raise GroupTooLarge(f"closure at p={p} exceeds bound {bound}") from None
-
-
-def coset_labels(group: Closure, steps: list[int], m: int, p: int) -> list[int]:
-    """Each element's coset label mod m, for a closure from the identity
-    under right multiplications by generators labelled steps[j].
-
-    Labels add along the spanning tree, from 0 at the identity; then
-    every Cayley edge x_i -> x_i g_j must add steps[j], or one element
-    would carry two labels and p is a BadPrimeError.  At m = 1 every
-    label is 0 and nothing is checked.
-    """
-    if m == 1:
-        return [0] * len(group.elements)
-    plus = [[(lab + step) % m for lab in range(m)] for step in steps]
-    labels = group.carry(0, [plus_step.__getitem__ for plus_step in plus])
-    for image, plus_step in zip(group.images, plus):
-        if list(map(labels.__getitem__, image)) != list(map(plus_step.__getitem__, labels)):
-            raise BadPrimeError(f"label collision mod {p}")
-    return labels
 
 
 def conjugation_tables(group: Closure) -> tuple[array, ...]:
@@ -216,12 +196,15 @@ class Coset:
 
 def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, Coset]:
     """The mod-p closure (closure_mod_p, same errors) split by coset label
-    (coset_labels, which raises BadPrimeError on a label collision) into
-    conjugacy classes (conjugacy_classes), each representative decoded
-    from row ids back to its matrix."""
+    (coset_labels; a label collision is a BadPrimeError) into conjugacy
+    classes (conjugacy_classes), each representative decoded from row ids
+    back to its matrix."""
     group, rows = closure_mod_p(scenario, p, bound)
     m = len(scenario.cosets)
-    labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
+    try:
+        labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m)
+    except ValueError:
+        raise BadPrimeError(f"label collision mod {p}") from None
     cosets = {lab: Coset() for lab in range(m)}
     for lab, rep, size in conjugacy_classes(group.elements, conjugation_tables(group), labels):
         cosets[lab].classes.append((tuple(map(rows.__getitem__, rep)), size))

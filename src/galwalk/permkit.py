@@ -12,11 +12,11 @@ It numbers the elements layer by layer (with a depth, it stops after that
 many: the oracle's words in an infinite matrix group) and records, as
 typed index arrays, each step's image of each element (a column of the
 Cayley table) and each element's parent, with the runs of consecutive
-elements first reached by one step; finfield carries coset labels and
-left multiplications down that spanning tree one run at a time
-(`Closure.carry`), and its conjugacy classes are orbits of the resulting
-index permutations.  Orbits and cycle types of permutation groups are
-read off the enumerated elements.
+elements first reached by one step.  `Closure.carry` takes a map down
+that tree a run at a time: `coset_labels` labels any closure's elements
+with their cosets, and finfield carries left multiplications (its
+conjugacy classes are orbits of the resulting index permutations).
+Orbits and cycle types of permutation groups are read off the elements.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count, repeat
-from operator import is_
+from operator import is_, ne
 from typing import NamedTuple
 
 from .modpoly import CycleType, make_cycle_type
@@ -123,6 +123,26 @@ def closure(start, steps, bound: int, depth: int | None = None) -> Closure:
                 image.extend(known)
         frontier = end
     return Closure(elements, images, parent, tuple(runs))
+
+
+def coset_labels(group: Closure, steps: list[int], m: int) -> list[int]:
+    """Each element's coset label mod m, for a closure from the identity
+    under right multiplications by generators labelled steps[j].
+
+    Labels add along the spanning tree, from 0 at the identity; then each
+    Cayley edge x_i -> x_i g_j of the expanded elements (with a depth, all
+    but the last layer) must add steps[j], or one element would carry two
+    labels: ValueError.  At m = 1 every label is 0 and nothing is checked.
+    """
+    if m == 1:
+        return [0] * len(group.elements)
+    plus = [[(lab + step) % m for lab in range(m)] for step in steps]
+    labels = group.carry(0, [plus_step.__getitem__ for plus_step in plus])
+    for image, plus_step in zip(group.images, plus):
+        # map stops at its shorter input, image: the expanded elements
+        if any(map(ne, map(labels.__getitem__, image), map(plus_step.__getitem__, labels))):
+            raise ValueError("an element carries two coset labels")
+    return labels
 
 
 def identity_perm(n: int) -> Permutation:

@@ -41,7 +41,7 @@ from galwalk.galois_id import (
 )
 from galwalk.modpoly import power_root
 from galwalk.output import dec6, emit, render_csv, render_json
-from galwalk.scenarios import builtin_scenarios
+from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios
 from galwalk.walker import batch_sample
 from test_galois_id import certify_sn
 
@@ -288,9 +288,10 @@ def census_by_products(scenario, k):
 
 
 def by_matrix(table, states):
-    """Census states keyed by matrix: each element index read back through the table."""
-    elements = table.closure.elements
-    return {(elements[i], lab, parity): count for (i, lab, parity), count in states.items()}
+    """Census states keyed by matrix: each element index read back through
+    the table, with the element's coset label."""
+    elements, labels = table.closure.elements, table.labels
+    return {(elements[i], labels[i], parity): count for (i, parity), count in states.items()}
 
 
 @pytest.mark.parametrize("name,k_max", [("diag_antidiag", 12), ("sl2", 6)])
@@ -345,10 +346,42 @@ def test_word_table_columns_are_right_products(name, k):
     for g, column in zip(factors, images):
         for i in range(expanded):
             assert elements[column[i]] == mat_mul(elements[i], g), (name, i)
-    # the steps follow the letters: the identity letter's column is None
-    for (g, lab), (column, slab, flip) in zip(scen.admissible().generators, table.steps):
-        assert slab == lab and (column is None) == (g == ident)
-        assert flip == int(g == ident and lab == 0)
+    # the labels follow the letters: each adds its label mod the coset
+    # count, and the one identity letter is labelled 0
+    m = len(scen.cosets)
+    labels = [lab for g, lab in scen.admissible().generators if g != ident]
+    assert len(table.labels) == len(elements) and table.labels[0] == 0
+    for lab, column in zip(labels, images):
+        for i in range(expanded):
+            assert table.labels[column[i]] == (table.labels[i] + lab) % m, (name, i)
+    assert [lab for g, lab in scen.admissible().generators if g == ident] == [0]
+
+
+ANTIDIAG = RationalMatrix([[0, 1], [1, 0]])
+
+
+def two_coset_scenario(*raw):
+    return Scenario(
+        name="two_labels",
+        dimension=2,
+        raw_generators=raw,
+        cosets=(CosetSpec("even", None), CosetSpec("odd", None)),
+        description="a word census that must be refused",
+    )
+
+
+def test_word_table_refuses_a_matrix_with_two_labels():
+    # the antidiagonal J labelled 1 and 0: two one-letter words reach J
+    # with two labels
+    with pytest.raises(ValueError, match="two coset labels"):
+        word_table(two_coset_scenario((ANTIDIAG, 1), (ANTIDIAG, 0)), 2)
+
+
+def test_word_table_refuses_an_identity_letter_with_a_nonzero_label():
+    # the identity labelled 1 joins the identity letter labelled 0
+    ident = RationalMatrix.identity(2)
+    with pytest.raises(ValueError, match="one identity letter, labelled 0"):
+        word_table(two_coset_scenario((ANTIDIAG, 1), (ident, 1)), 2)
 
 
 def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
@@ -377,7 +410,7 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
     assert table.depth == 22 and len(table.closure.images) == 3
     assert len(table.closure.images[0]) == 1606 and len(table.closure.elements) == 1770
     assert counts["mat_mul"] == 3 * 1606 == 4818
-    off_elements = {i for _, states in calls for i, lab, _ in states if lab != 0}
+    off_elements = {i for _, states in calls for i, _ in states if table.labels[i] != 0}
     assert counts["char_poly"] <= len(off_elements) == 925
     assert [row["off_count"] for row in rows] == [(4**k - 2**k) // 2 for k in (10, 16, 22)]
 

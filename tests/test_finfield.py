@@ -21,7 +21,6 @@ from galwalk.finfield import (
     closure_order_bound,
     conjugacy_classes,
     conjugation_tables,
-    coset_labels,
     density_report,
     enumerate_mod_p,
     reduce_generators,
@@ -43,7 +42,7 @@ from galwalk.modpoly import (
     repeat_parts,
     squarefree_over_q,
 )
-from galwalk.permkit import MAX_ORDER, GroupTooLarge, closure
+from galwalk.permkit import MAX_ORDER, GroupTooLarge, coset_labels
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios, elementary
 from galwalk.walker import batch_sample
 
@@ -69,7 +68,7 @@ def coset_matrices(scenario, p, bound=MAX_ORDER):
     by coset_labels on closure_mod_p."""
     group, rows = closure_mod_p(scenario, p, bound)
     m = len(scenario.cosets)
-    labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m, p)
+    labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m)
     split = {lab: [] for lab in range(m)}
     for x, lab in zip(matrices(group, rows), labels):
         split[lab].append(x)
@@ -201,31 +200,6 @@ def test_enumerate_label_collision_is_a_bad_prime():
             enumerate_mod_p(scen, p, bound=sl2_order(p))
 
 
-def shift(a, n):
-    """The block step x -> x + a on Z/n."""
-    return lambda block: [(x + a) % n for x in block]
-
-
-def test_coset_labels_and_collision():
-    # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
-    found = closure(0, [shift(1, 12)], 100)
-    labels = coset_labels(found, [1], 2, 13)
-    assert dict(zip(found.elements, labels)) == {x: x % 2 for x in range(12)}
-    # ... and mod 3 on x -> x + 1 labelled 2, x -> x + 5 labelled 1
-    found = closure(0, [shift(1, 12), shift(5, 12)], 100)
-    labels = coset_labels(found, [2, 1], 3, 13)
-    assert dict(zip(found.elements, labels)) == {x: 2 * x % 3 for x in range(12)}
-    # ... but on Z/9 the ninth step returns to 0 with label 1
-    with pytest.raises(BadPrimeError, match="label collision mod 13"):
-        coset_labels(closure(0, [shift(1, 9)], 100), [1], 2, 13)
-    # the bound is checked on new elements only, so a closure whose bound
-    # is the group's order completes, and its collision is still found
-    with pytest.raises(BadPrimeError, match="label collision mod 13"):
-        coset_labels(closure(0, [shift(1, 9)], 9), [1], 2, 13)
-    # one coset: every label is 0, with nothing to check
-    assert set(coset_labels(closure(0, [shift(1, 9)], 9), [0], 1, 13)) == {0}
-
-
 def carry_by_element(group, start, maps):
     """Closure.carry as one step per element: k gets maps[via[k]] of the
     value at parent[k], via[k] being the step of k's run."""
@@ -248,7 +222,7 @@ def test_run_wise_carry_matches_the_element_loop():
         for p in (5, 7):
             group, _ = closure_mod_p(scen, p)
             labels = carry_by_element(group, 0, [t.__getitem__ for t in plus])
-            assert coset_labels(group, step_labels, m, p) == labels, (name, p)
+            assert coset_labels(group, step_labels, m) == labels, (name, p)
             assert set(labels) == set(range(m))
             rights = [image.__getitem__ for image in group.images]
             assert conjugation_tables(group) == tuple(
@@ -464,7 +438,7 @@ def test_conjugacy_classes_refuse_a_table_that_leaves_the_coset():
     # coset: the class pass raises instead of miscounting
     scen = builtin_scenarios()["sltau2"]
     group, _ = closure_mod_p(scen, 5)
-    labels = coset_labels(group, [lab for _, lab in scen.raw_generators], 2, 5)
+    labels = coset_labels(group, [lab for _, lab in scen.raw_generators], 2)
     tables = conjugation_tables(group)
     assert sum(size for _, _, size in conjugacy_classes(group.elements, tables, labels)) == 240
     identity = [i for i, lab in enumerate(labels) if lab == 0]

@@ -15,6 +15,7 @@ from galwalk.permkit import (
     GroupTooLarge,
     closure,
     compose,
+    coset_labels,
     cycle_type,
     cyclic_group,
     enumerate_group,
@@ -265,6 +266,44 @@ def test_closure_carry_walks_the_spanning_tree():
         left = [compose(h, x) for x in found.elements]
         assert found.carry(h, steps) == left
         assert found.carry(position[h], by_index) == [position[y] for y in left]
+
+
+def shift(a, n):
+    """The block step x -> x + a on Z/n."""
+    return lambda block: [(x + a) % n for x in block]
+
+
+def test_coset_labels_and_collision():
+    # x -> x + 1 labelled 1 in Z/2: consistent on Z/12 (label x mod 2) ...
+    found = closure(0, [shift(1, 12)], 100)
+    labels = coset_labels(found, [1], 2)
+    assert dict(zip(found.elements, labels)) == {x: x % 2 for x in range(12)}
+    # ... and mod 3 on x -> x + 1 labelled 2, x -> x + 5 labelled 1
+    found = closure(0, [shift(1, 12), shift(5, 12)], 100)
+    labels = coset_labels(found, [2, 1], 3)
+    assert dict(zip(found.elements, labels)) == {x: 2 * x % 3 for x in range(12)}
+    # ... but on Z/9 the ninth step returns to 0 with label 1
+    with pytest.raises(ValueError, match="two coset labels"):
+        coset_labels(closure(0, [shift(1, 9)], 100), [1], 2)
+    # the bound is checked on new elements only, so a closure whose bound
+    # is the group's order completes, and its collision is still found
+    with pytest.raises(ValueError, match="two coset labels"):
+        coset_labels(closure(0, [shift(1, 9)], 9), [1], 2)
+    # one coset: every label is 0, with nothing to check
+    assert set(coset_labels(closure(0, [shift(1, 9)], 9), [0], 1)) == {0}
+
+
+def test_coset_labels_on_a_depth_bounded_closure_check_the_expanded_edges():
+    # Z/9 under x -> x + 1 labelled 1 mod 2: the last layer is labelled but
+    # not expanded, so the edge 8 -> 0 that collides is checked only once
+    # element 8 is expanded
+    found = closure(0, [shift(1, 9)], 100, 3)
+    assert coset_labels(found, [1], 2) == [0, 1, 0, 1]
+    assert len(found.images[0]) == 3
+    assert coset_labels(closure(0, [shift(1, 9)], 100, 8), [1], 2) == [x % 2 for x in range(9)]
+    for depth in (9, None):
+        with pytest.raises(ValueError, match="two coset labels"):
+            coset_labels(closure(0, [shift(1, 9)], 100, depth), [1], 2)
 
 
 def test_distribution_sums_to_one():
