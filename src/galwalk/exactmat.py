@@ -77,8 +77,12 @@ def _from_int(num: Sequence[Sequence[int]], den: int) -> RationalMatrix:
         g = -g
     m = object.__new__(RationalMatrix)
     object.__setattr__(m, "n", len(num))
-    object.__setattr__(m, "den", den // g)
-    object.__setattr__(m, "num", tuple(tuple(e // g for e in row) for row in num))
+    if g == 1:  # already in lowest terms: most products and walk samples
+        object.__setattr__(m, "den", den)
+        object.__setattr__(m, "num", tuple(map(tuple, num)))
+    else:
+        object.__setattr__(m, "den", den // g)
+        object.__setattr__(m, "num", tuple(tuple(map(g.__rfloordiv__, row)) for row in num))
     return m
 
 

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add
 from typing import NamedTuple
 
 from . import __version__
@@ -350,11 +353,17 @@ class WordTable(NamedTuple):
     permkit's closure from the identity under the non-identity letters,
     stopped after `depth` layers, so closure.images[j] is the j-th such
     letter's column on every element of word length below depth.
-    labels[i] is element i's coset label (permkit.coset_labels)."""
+    labels[i] is element i's coset label (permkit.coset_labels).
+    preimages[j][i] is the expanded element that the j-th letter takes to
+    i, or n = len(closure.elements), a slot that always holds count 0,
+    when there is none.  ends[t] is the number of elements within t
+    letters (0 <= t <= depth): breadth-first order makes them a prefix."""
 
     closure: Closure
     labels: list
     depth: int
+    preimages: tuple
+    ends: list
 
 
 def word_table(scenario: Scenario, depth: int) -> WordTable:
@@ -370,7 +379,14 @@ def word_table(scenario: Scenario, depth: int) -> WordTable:
     times = [lambda block, g=g: [mat_mul(m, g) for m in block] for g, _ in letters]
     found = closure(ident, times, MAX_ORDER, depth)
     labels = coset_labels(found, [lab for _, lab in letters], gens.coset_count)
-    return WordTable(found, labels, depth)
+    n = len(found.elements)
+    preimages = tuple([n] * n for _ in letters)
+    for column, pre in zip(found.images, preimages):
+        for x, i in enumerate(column):
+            pre[i] = x
+    distance = found.carry(0, [(1).__add__] * len(letters))
+    ends = [bisect_right(distance, t) for t in range(depth + 1)]
+    return WordTable(found, labels, depth, preimages, ends)
 
 
 def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
@@ -378,10 +394,12 @@ def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
 
     Dynamic programming over (element index into `table`, identity-letter
     parity) states with exact word counts; equivalent to enumerating every
-    word.  Returns {(index, parity): count} with counts summing to gens^k.
-    From `start`, an earlier call's (k0, states) on the same table, only
-    k - k0 steps run.  Each step reads the table's index columns, built
-    before any call; the identity letter keeps i and flips the parity.
+    word.  Returns {(index, parity): count} over the nonzero counts, which
+    sum to gens^k.  From `start`, an earlier call's (k0, states) on the
+    same table, only k - k0 steps run.  The counts are one list per
+    parity, by element index; a step gathers each element's count within
+    t + 1 letters from its preimages under the letters (table.preimages)
+    and, for the identity letter, from its own count at the other parity.
     Raises ValueError for k above the table's depth.
     """
     k0, states = start or (0, {(0, 0): 1})
@@ -389,17 +407,23 @@ def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
         raise ValueError(f"cannot extend the census at k={k0} back to k={k}")
     if k > table.depth:
         raise ValueError(f"k={k} exceeds the word table's depth {table.depth}")
-    columns = table.closure.images
-    for _ in range(k - k0):
-        nxt: dict[tuple, int] = {}
-        get = nxt.get
-        for (i, parity), count in states.items():
-            for column in columns:
-                key = (column[i], parity)
-                nxt[key] = get(key, 0) + count
-            key = (i, parity ^ 1)
-            nxt[key] = get(key, 0) + count
-        states = nxt
+    n = len(table.closure.elements)
+    counts = ([0] * (n + 1), [0] * (n + 1))  # slot n: no preimage
+    for (i, parity), count in states.items():
+        counts[parity][i] = count
+    for t in range(k0, k):
+        m = table.ends[t + 1]
+        even, odd = counts
+        nxt_even, nxt_odd = odd[:m], even[:m]
+        for pre in table.preimages:
+            pre = pre[:m]
+            nxt_even = map(add, nxt_even, map(even.__getitem__, pre))
+            nxt_odd = map(add, nxt_odd, map(odd.__getitem__, pre))
+        zeros = [0] * (n + 1 - m)
+        counts = ([*nxt_even, *zeros], [*nxt_odd, *zeros])
+    states = {}
+    for parity, column in enumerate(counts):
+        states.update(zip(zip(compress(range(n), column), repeat(parity)), filter(None, column)))
     return states
 
 

@@ -10,6 +10,7 @@ from galwalk.exactmat import (
     PrimeFieldPolynomial,
     RationalMatrix,
     SingularMatrix,
+    _from_int,
     char_poly,
     det,
     is_rational_square,
@@ -95,7 +96,23 @@ def test_mat_mul_identity():
 def test_mat_mul_inverse_pair():
     d = RationalMatrix.diagonal([2, 3])
     dinv = RationalMatrix.diagonal([F(1, 2), F(1, 3)])
-    assert mat_mul(d, dinv) == I2
+    # the integer product 6 I over 6 comes out in lowest terms: I over 1
+    product = mat_mul(d, dinv)
+    assert product == I2 and hash(product) == hash(I2)
+    assert (product.den, product.num) == (1, ((1, 0), (0, 1)))
+
+
+def test_from_int_makes_a_negative_denominator_positive():
+    # its sign moves to the numerators, with a gcd of 1 (nothing to divide
+    # out) and of 2 alike
+    for num, den, expected in (
+        ([[1, 2], [3, 5]], -1, (1, ((-1, -2), (-3, -5)))),
+        ([[1, 2], [3, 4]], -3, (3, ((-1, -2), (-3, -4)))),
+        ([[2, 4], [6, 8]], -4, (2, ((-1, -2), (-3, -4)))),
+    ):
+        m = _from_int(num, den)
+        assert (m.den, m.num) == expected
+        assert m == RationalMatrix(m.rows) and hash(m) == hash(RationalMatrix(m.rows))
 
 
 def test_mat_mul_involution():

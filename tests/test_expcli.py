@@ -301,6 +301,7 @@ def test_chained_word_census_equals_fresh(name, k_max):
     last = None
     for k in range(k_max + 1):
         states = exact_word_census(table, k, last)
+        assert all(states.values()), (name, k)  # only the states words reach
         fresh = word_table(scen, k)
         assert by_matrix(table, states) == by_matrix(fresh, exact_word_census(fresh, k)), (name, k)
         last = (k, states)
@@ -315,9 +316,16 @@ def test_chained_word_census_equals_fresh(name, k_max):
 
 def test_word_census_skips_identity_products_exactly():
     # the identity letter keeps i as it is; the states and the word totals
-    # |S|^k are those of the census that multiplies every letter in
-    for name, k_max in (("diag_antidiag", 6), ("sl2", 4)):
-        scen = builtin_scenarios()[name]
+    # |S|^k are those of the census that multiplies every letter in, also
+    # in dimension 4 with two cosets and on a finite group the table fills
+    builtin = builtin_scenarios()
+    for scen, k_max in (
+        (builtin["diag_antidiag"], 6),
+        (builtin["sl2"], 4),
+        (builtin["sltau2"], 3),
+        (two_coset_scenario((ANTIDIAG, 1)), 4),
+    ):
+        name = scen.name
         gens = scen.admissible()
         ident = RationalMatrix.identity(scen.dimension)
         assert any(g == ident for g, _ in gens.generators)
@@ -355,6 +363,36 @@ def test_word_table_columns_are_right_products(name, k):
         for i in range(expanded):
             assert table.labels[column[i]] == (table.labels[i] + lab) % m, (name, i)
     assert [lab for g, lab in scen.admissible().generators if g == ident] == [0]
+
+
+@pytest.mark.parametrize("name,k", [("diag_antidiag", 9), ("sl2", 4), ("sltau2", 3)])
+def test_word_table_preimages_and_layer_ends(name, k):
+    scen = builtin_scenarios()[name]
+    table = word_table(scen, k)
+    n = len(table.closure.elements)
+    # each preimage column inverts its letter's column on the expanded
+    # elements and points at the count-0 slot n everywhere else
+    for column, pre in zip(table.closure.images, table.preimages):
+        assert len(pre) == n
+        back = {i: x for x, i in enumerate(column)}
+        assert pre == [back.get(i, n) for i in range(n)]
+    # ends[t] counts the elements within t letters: a breadth-first search
+    # over the matrices themselves, which the table numbers in its order
+    ident = RationalMatrix.identity(scen.dimension)
+    letters = [g for g, _ in scen.admissible().generators if g != ident]
+    distance = {ident: 0}
+    layer = [ident]
+    for t in range(1, k + 1):
+        nxt = []
+        for x in layer:
+            for g in letters:
+                y = mat_mul(x, g)
+                if y not in distance:
+                    distance[y] = t
+                    nxt.append(y)
+        layer = nxt
+    assert table.ends == [sum(d <= t for d in distance.values()) for t in range(k + 1)]
+    assert [distance[m] for m in table.closure.elements] == sorted(distance.values())
 
 
 ANTIDIAG = RationalMatrix([[0, 1], [1, 0]])
