@@ -25,6 +25,7 @@ from .finfield import (
     census,
     closure_order_bound,
     density_report,
+    density_row,
     enumerate_mod_p,
     reduce_generators,
 )
@@ -45,62 +46,6 @@ from .modpoly import SIEVE_MAX, power_root, primes_in_window
 from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
-
-CONVERGENCE_FIELDS = (
-    "k",
-    "coset",
-    "samples",
-    "n_rs",
-    "n_certified",
-    "n_consistent",
-    "n_rejected",
-    "n_inconclusive",
-    "mismatch_fraction",
-)
-
-QUADRATIC_FIELDS = (
-    "k",
-    "coset",
-    "samples",
-    "n_rs",
-    "n_trivial",
-    "n_order2",
-    "trivial_fraction",
-)
-
-FINFIELD_FIELDS = (
-    "p",
-    "coset",
-    "status",
-    "cycle_type",
-    "count",
-    "rs_count",
-    "total",
-    "density_rs",
-    "density_coset",
-    "flagged",
-)
-
-ORACLE_FIELDS = (
-    "k",
-    "words",
-    "off_count",
-    "trivial_count",
-    "trivial_fraction",
-    "parity_exact",
-)
-
-CATALOG_FIELDS = (
-    "scenario",
-    "coset",
-    "group",
-    "degree",
-    "order",
-    "cycle_type",
-    "frequency",
-    "frequency_exact",
-)
-
 
 # The settings each verb reads, by flag and --config key in --help order,
 # with the verb's default where it differs from the ExperimentConfig field
@@ -216,8 +161,9 @@ def _tally_batches(scenario: Scenario, config: ExperimentConfig, classify, make_
 def run_convergence(config: ExperimentConfig):
     """Sample, identify, and tabulate per (k, coset).
 
-    Returns (rows, fieldnames, metadata).  For the scenario without
-    predictions the rows carry exact quadratic outcomes instead.
+    Returns (rows, fieldnames, metadata), the fieldnames being the rows'
+    key order, as for every verb.  For the scenario without predictions
+    the rows carry exact quadratic outcomes instead.
     """
     scenario = get_scenario(config.scenario)
     _window_primes(config)
@@ -242,7 +188,7 @@ def run_convergence(config: ExperimentConfig):
 
     rows = _tally_batches(scenario, config, classify, make_row)
     _report_decay_fit(rows)
-    return rows, CONVERGENCE_FIELDS, metadata("run", config)
+    return rows, tuple(rows[0]), metadata("run", config)
 
 
 def _run_quadratic_outcomes(scenario: Scenario, config: ExperimentConfig):
@@ -262,7 +208,7 @@ def _run_quadratic_outcomes(scenario: Scenario, config: ExperimentConfig):
         }
 
     rows = _tally_batches(scenario, config, classify, make_row)
-    return rows, QUADRATIC_FIELDS, metadata("run", config)
+    return rows, tuple(rows[0]), metadata("run", config)
 
 
 def _report_decay_fit(rows) -> None:
@@ -325,14 +271,7 @@ def run_finite_field(config: ExperimentConfig):
                 raise BadPrimeError(f"p={p} is unusable")
             cosets = enumerate_mod_p(scenario, p, bound=config.bound)
         except BadPrimeError:  # unusable, or a label collision
-            rows.append(
-                {
-                    "p": p, "coset": -1, "status": "bad_prime", "cycle_type": "-",
-                    "count": 0, "rs_count": 0, "total": 0,
-                    "density_rs": Fraction(0), "density_coset": Fraction(0),
-                    "flagged": 0,
-                }
-            )
+            rows.append(density_row(p, -1, "bad_prime", "-", 0, 0, 0))
             continue
         censuses = [
             census(coset.classes, p, lab, scenario.coset(lab).multiplicity)
@@ -345,14 +284,15 @@ def run_finite_field(config: ExperimentConfig):
             file=sys.stderr,
         )
         rows.extend(density_report(censuses, targets))
-    return rows, FINFIELD_FIELDS, metadata("finfield", config)
+    return rows, tuple(rows[0]), metadata("finfield", config)
 
 
 class WordTable(NamedTuple):
-    """The walk's matrices up to word length `depth` as element indices:
-    permkit's closure from the identity under the non-identity letters,
-    stopped after `depth` layers, so closure.images[j] is the j-th such
-    letter's column on every element of word length below depth.
+    """The walk's matrices up to word length depth = len(ends) - 1 as
+    element indices: permkit's closure from the identity under the
+    non-identity letters, stopped after depth layers, so closure.images[j]
+    is the j-th such letter's column on every element of word length below
+    depth.
     labels[i] is element i's coset label (permkit.coset_labels).
     preimages[j][i] is the expanded element that the j-th letter takes to
     i, or n = len(closure.elements), a slot that always holds count 0,
@@ -361,7 +301,6 @@ class WordTable(NamedTuple):
 
     closure: Closure
     labels: list
-    depth: int
     preimages: tuple
     ends: list
 
@@ -386,7 +325,7 @@ def word_table(scenario: Scenario, depth: int) -> WordTable:
             pre[i] = x
     distance = found.carry(0, [(1).__add__] * len(letters))
     ends = [bisect_right(distance, t) for t in range(depth + 1)]
-    return WordTable(found, labels, depth, preimages, ends)
+    return WordTable(found, labels, preimages, ends)
 
 
 def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
@@ -405,8 +344,9 @@ def exact_word_census(table: WordTable, k: int, start: tuple | None = None):
     k0, states = start or (0, {(0, 0): 1})
     if k0 > k:
         raise ValueError(f"cannot extend the census at k={k0} back to k={k}")
-    if k > table.depth:
-        raise ValueError(f"k={k} exceeds the word table's depth {table.depth}")
+    depth = len(table.ends) - 1
+    if k > depth:
+        raise ValueError(f"k={k} exceeds the word table's depth {depth}")
     n = len(table.closure.elements)
     counts = ([0] * (n + 1), [0] * (n + 1))  # slot n: no preimage
     for (i, parity), count in states.items():
@@ -476,7 +416,7 @@ def run_oracle(config: ExperimentConfig):
                 "parity_exact": parity_exact,
             }
         )
-    return rows, ORACLE_FIELDS, metadata("oracle", config)
+    return rows, tuple(rows[0]), metadata("oracle", config)
 
 
 def catalog_rows():
@@ -503,4 +443,4 @@ def catalog_rows():
                             "frequency_exact": f"{freq.numerator}/{freq.denominator}",
                         }
                     )
-    return rows, CATALOG_FIELDS, metadata("catalog")
+    return rows, tuple(rows[0]), metadata("catalog")

@@ -224,14 +224,6 @@ class CosetCensus:
     classes: int = field(compare=False)  # conjugacy classes censused
     chi_counts: dict = field(compare=False)  # chi coefficients -> element count
 
-    def density_rs(self, ct: CycleType) -> Fraction:
-        if self.rs_count == 0:
-            return Fraction(0)
-        return Fraction(self.type_counts.get(ct, 0), self.rs_count)
-
-    def density_coset(self, ct: CycleType) -> Fraction:
-        return Fraction(self.type_counts.get(ct, 0), self.total)
-
 
 def census(classes, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     """Classify one coset by characteristic polynomial pattern.
@@ -279,18 +271,19 @@ def density_report(censuses, target_types: dict[int, tuple[CycleType, ...]]) -> 
         targets = target_types.get(c.coset, ())
         for ct in sorted(set(c.type_counts) | set(targets), reverse=True):
             count = c.type_counts.get(ct, 0)
-            rows.append(
-                {
-                    "p": c.p,
-                    "coset": c.coset,
-                    "status": "ok",
-                    "cycle_type": ct,
-                    "count": count,
-                    "rs_count": c.rs_count,
-                    "total": c.total,
-                    "density_rs": c.density_rs(ct),
-                    "density_coset": c.density_coset(ct),
-                    "flagged": int(ct in targets and count == 0),
-                }
-            )
+            flagged = int(ct in targets and count == 0)
+            rows.append(density_row(c.p, c.coset, "ok", ct, count, c.rs_count, c.total, flagged))
     return rows
+
+
+def density_row(p, coset, status, cycle_type, count, rs_count, total, flagged=0) -> dict:
+    """One finfield row, its keys the verb's columns in order: count's
+    share of the regular semisimple elements and of the coset, each 0
+    over an empty whole (as on a bad prime's row)."""
+    return {
+        "p": p, "coset": coset, "status": status, "cycle_type": cycle_type,
+        "count": count, "rs_count": rs_count, "total": total,
+        "density_rs": Fraction(count, rs_count) if rs_count else Fraction(0),
+        "density_coset": Fraction(count, total) if total else Fraction(0),
+        "flagged": flagged,
+    }

@@ -2,7 +2,8 @@
 
 A fixed config must produce byte-identical files on every machine, so all
 numeric formatting is done with exact integer arithmetic (no floats, no
-locale) and metadata keys are written in sorted order.
+locale) and metadata keys are written in sorted order.  Every row must have
+exactly the header's keys.
 """
 from __future__ import annotations
 
@@ -41,8 +42,13 @@ def format_value(v) -> str | int:
 
 
 def format_rows(rows, fieldnames) -> list[dict]:
+    """Each row's values in fieldnames order; ValueError on a row whose keys
+    are not exactly the fieldnames, so no column is dropped or left blank."""
+    header = set(fieldnames)
     out = []
     for row in rows:
+        if row.keys() != header:
+            raise ValueError(f"row keys {sorted(row)} differ from the header {list(fieldnames)}")
         out.append({k: format_value(row[k]) for k in fieldnames})
     return out
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,7 @@ from galwalk.exactmat import (
 )
 from galwalk import experiment, scenarios
 from galwalk.experiment import (
-    CONVERGENCE_FIELDS,
     ExperimentConfig,
-    QUADRATIC_FIELDS,
     batch_seed,
     catalog_rows,
     exact_word_census,
@@ -44,6 +43,8 @@ from galwalk.output import dec6, emit, render_csv, render_json
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios
 from galwalk.walker import batch_sample
 from test_galois_id import certify_sn
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_config_validation():
@@ -90,6 +91,14 @@ def test_emit_outputs(tmp_path):
     assert parsed[1] == {"a": 1, "b": "0.333333", "c": "2+1", "d": "x"}
 
 
+@pytest.mark.parametrize("render", [render_csv, render_json])
+@pytest.mark.parametrize("row", [{"a": 1, "b": 2, "c": 3}, {"a": 1}])
+def test_render_refuses_a_row_whose_keys_are_not_the_header(render, row):
+    # an extra key would be a column silently dropped, a missing one a blank
+    with pytest.raises(ValueError, match="differ from the header"):
+        render([{"a": 0, "b": 0}, row], ("a", "b"), {"k": 1})
+
+
 def test_emit_empty_rows(tmp_path):
     path = tmp_path / "empty.csv"
     emit([], ("x", "y"), {"k": 1}, str(path), "csv")
@@ -118,18 +127,44 @@ def test_run_convergence_determinism():
 
 def test_run_convergence_k0():
     cfg = ExperimentConfig(scenario="sl2", k_values=(0,), samples=5, budget=20)
-    rows, fields, _ = run_convergence(cfg)
-    assert fields == CONVERGENCE_FIELDS
-    (row,) = rows
+    (row,) = run_convergence(cfg)[0]
     assert row["n_rs"] == 0 and row["mismatch_fraction"] == 1
 
 
 def test_run_convergence_counterexample_schema():
     cfg = ExperimentConfig(scenario="diag_antidiag", k_values=(6,), samples=40)
-    rows, fields, _ = run_convergence(cfg)
-    assert fields == QUADRATIC_FIELDS
+    rows, _, _ = run_convergence(cfg)
     diag = next(r for r in rows if r["coset"] == 0)
     assert diag["n_order2"] == 0  # diagonal samples have rational eigenvalues
+
+
+@pytest.mark.parametrize("entry,settings,header", [
+    (run_convergence, dict(scenario="sl2", k_values=(0,), samples=5, budget=20), (
+        "k", "coset", "samples", "n_rs", "n_certified", "n_consistent",
+        "n_rejected", "n_inconclusive", "mismatch_fraction",
+    )),
+    (run_convergence, dict(scenario="diag_antidiag", k_values=(6,), samples=40), (
+        "k", "coset", "samples", "n_rs", "n_trivial", "n_order2", "trivial_fraction",
+    )),
+    # p = 2 is a bad prime, so the first row is the bad-prime row
+    (run_finite_field, dict(scenario="sl2", prime_min=2, prime_max=7), (
+        "p", "coset", "status", "cycle_type", "count", "rs_count", "total",
+        "density_rs", "density_coset", "flagged",
+    )),
+    (run_oracle, dict(scenario="diag_antidiag", k_values=(2, 5)), (
+        "k", "words", "off_count", "trivial_count", "trivial_fraction", "parity_exact",
+    )),
+    (catalog_rows, None, (
+        "scenario", "coset", "group", "degree", "order", "cycle_type",
+        "frequency", "frequency_exact",
+    )),
+])
+def test_each_verb_header_is_its_readme_column_list(entry, settings, header):
+    rows, fields, _ = entry() if settings is None else entry(ExperimentConfig(**settings))
+    assert fields == header
+    assert all(tuple(row) == header for row in rows)
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"`{', '.join(header)}`" in readme
 
 
 def _scan(q, spec, cfg, early):
@@ -200,6 +235,7 @@ def test_run_finite_field_rows():
         scenario="sl2", k_values=(1,), prime_min=2, prime_max=7, samples=1
     )
     rows, fields, _ = run_finite_field(cfg)
+    assert rows[0]["status"] == "bad_prime"
     bad = [r for r in rows if r["status"] == "bad_prime"]
     assert {r["p"] for r in bad} == {2}  # p=2 is skipped, logged as a row
     ok = [r for r in rows if r["status"] == "ok"]
@@ -341,7 +377,7 @@ def test_word_table_columns_are_right_products(name, k):
     scen = builtin_scenarios()[name]
     table = word_table(scen, k)
     exact_word_census(table, k)
-    assert table.depth == k
+    assert len(table.ends) - 1 == k
     ident = RationalMatrix.identity(scen.dimension)
     letters = [g for g, _ in scen.admissible().generators]
     factors = [g for g in letters if g != ident]
@@ -445,7 +481,7 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
     rows, _, _ = run_oracle(ExperimentConfig(scenario="diag_antidiag", k_values=(10, 16, 22)))
     table = calls[0][0]
     assert all(t is table for t, _ in calls) and len(calls) == 3
-    assert table.depth == 22 and len(table.closure.images) == 3
+    assert len(table.ends) - 1 == 22 and len(table.closure.images) == 3
     assert len(table.closure.images[0]) == 1606 and len(table.closure.elements) == 1770
     assert counts["mat_mul"] == 3 * 1606 == 4818
     off_elements = {i for _, states in calls for i, _ in states if table.labels[i] != 0}
