@@ -16,10 +16,11 @@ prime scan:
     Gal exactly; it is certified_exact when its type distribution, every
     part repeated e times, is the target's, rejected otherwise.
 
-These decide every sample with n <= 4, at every multiplicity, whose window
-holds a good odd prime.  Only samples the rules leave undecided scan
-primes, for statistical consistency against the target's type
-distribution; the scan stops early only at a type the target never attains.
+These decide every sample with n <= 4, at every multiplicity, with no
+prime: factor degrees below 5 need none (zfactor).  Only samples the
+rules leave undecided scan primes, for statistical consistency against
+the target's type distribution; the scan stops early only at a type the
+target never attains.
 
 A verdict never claims abstract isomorphism beyond what it proves.  A
 rejection is always a proof: an exact rule, or an observed type the target
@@ -41,10 +42,9 @@ from .modpoly import (
     frobenius_cycle_type,
     primes_in_window,
     repeat_parts,
-    resolvent_cubic,
 )
 from .permkit import EnumeratedGroup, enumerate_group
-from .zfactor import factor_degrees, integer_roots
+from .zfactor import factor_degrees
 
 # the prime scan's default window and budget, which run also defaults to
 PRIME_WINDOW = (1_000, 100_000)
@@ -201,10 +201,13 @@ def exact_verdict(
     """The verdict rules (a)-(c) prove for a monic squarefree integer q, or
     None.
 
-    primes feed Musser's filter in factor_degrees; a cycle type already
-    seen there that is odd proves the discriminant is not a square, so
-    rule (b) above degree 4 computes no discriminant then.  The detail
-    names the rule that fired.
+    primes feed Musser's filter in factor_degrees, which runs only when
+    q's cofactor over its linear factors has degree >= 5; every other q
+    is decided with no prime.  A cycle type seen there that is odd proves
+    the discriminant is not a square, so rule (b) above degree 4 computes
+    no discriminant then.  Rule (c) reads the resolvent cubic's integer
+    roots that factor_degrees found.  The detail names the rule that
+    fired.
     """
     n = len(q) - 1
     if n * multiplicity != target.degree:
@@ -230,7 +233,7 @@ def exact_verdict(
         )
     if n > 4:
         return None
-    name = _small_group_name(q, found.degrees, disc)
+    name = _small_group_name(q, found.degrees, disc, found.resolvent_roots)
     exact = small_group_distribution(name, found.degrees, multiplicity)
     if exact == target.type_distribution:
         return Verdict(
@@ -280,9 +283,11 @@ def small_group_distribution(name: str, orbits: CycleType, multiplicity: int = 1
     }
 
 
-def _small_group_name(ints, orbits, disc) -> str:
+def _small_group_name(ints, orbits, disc, resolvent_roots) -> str:
     """Gal of the monic integer polynomial ints, of degree <= 4, from its
-    orbit lengths (factor degrees), discriminant and resolvent cubic.
+    orbit lengths (factor degrees), discriminant and, when it is an
+    irreducible quartic, the integer roots of its resolvent cubic (as
+    factor_degrees found them).
 
     Irreducible quartics follow Kappe and Warren (1989): the resolvent
     cubic's integer roots give S4 or A4 (none, by the discriminant), V4
@@ -293,12 +298,11 @@ def _small_group_name(ints, orbits, disc) -> str:
     """
     square = is_rational_square(disc)
     if orbits == (4,):
-        roots = integer_roots(resolvent_cubic(ints))
-        if not roots:
+        if not resolvent_roots:
             return "A4" if square else "S4"
-        if len(roots) == 3:
+        if len(resolvent_roots) == 3:
             return "V4"
-        t = roots[0]
+        t = resolvent_roots[0]
         d, _, b, a = ints[:4]
 
         def splits(u, v):

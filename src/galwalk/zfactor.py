@@ -2,8 +2,12 @@
 
 The degrees of the irreducible factors of a walk sample's characteristic
 polynomial are the orbit lengths of its Galois group.  They are found
-exactly: integer roots by bisection, Musser's filter over Frobenius cycle
-types, then Zassenhaus's algorithm (Cohen, GTM 138, section 3.5): Hensel
+exactly, by the degree of what is left once the integer roots (found by
+bisection) are divided out.  A cofactor of degree <= 3 is then
+irreducible.  A quartic one is a product of two quadratics or nothing,
+and the integer roots of its resolvent cubic decide which, with no prime.
+From degree 5 on, Musser's filter over Frobenius cycle types comes
+first, then Zassenhaus's algorithm (Cohen, GTM 138, section 3.5): Hensel
 lifting of the factorization at one prime and recombination, each factor
 confirmed by exact division over Z.  The coefficient-list arithmetic over
 Z and F_p is modpoly's.
@@ -31,6 +35,7 @@ from .modpoly import (
     neg,
     pf_gcd,
     pow_mod,
+    resolvent_cubic,
     trim,
 )
 
@@ -87,7 +92,7 @@ def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# factor degrees: rational roots, Musser's filter, then Zassenhaus
+# factor degrees: integer roots, the resolvent cubic, Musser, Zassenhaus
 # ---------------------------------------------------------------------------
 
 # good primes whose patterns Musser's filter intersects before lifting
@@ -96,34 +101,46 @@ MUSSER_PRIMES = 5
 
 @dataclass(frozen=True)
 class FactorDegrees:
-    """Degrees of f's irreducible factors over Q (a partition of deg f), and
-    the Frobenius cycle types of f seen at the primes used to find them."""
+    """Degrees of f's irreducible factors over Q (a partition of deg f), the
+    Frobenius cycle types of f seen at the primes used to find them, and
+    the integer roots, ascending, of the resolvent cubic of f's quartic
+    cofactor when f has one (f over its linear factors, of degree 4)."""
 
     degrees: CycleType
     types: frozenset
+    resolvent_roots: tuple[int, ...] = ()
 
 
 def factor_degrees(f: Sequence[int], primes) -> FactorDegrees | None:
     """Exact factor degrees over Q of a monic squarefree integer f.
 
-    Rational roots come first, found exactly.  Without a linear factor a
-    cofactor of degree <= 3 is irreducible.  Above that, the cycle types at
-    the first MUSSER_PRIMES good odd primes among `primes` bound the
-    possible factor degrees to the subset sums common to all of them
-    (Musser); when no proper degree survives, the cofactor is irreducible.
-    Otherwise the factorization at the prime with the fewest factors is
-    lifted p-adically (Hensel) and recombined, each factor confirmed by
-    exact division over Z, so the result never depends on chance.  None
-    only when `primes` holds no good odd prime and the degrees need one.
+    Integer roots come first, found exactly; the cofactor g left once they
+    are divided out decides the rest by its degree.  Of degree <= 3 it is
+    irreducible.  Of degree 4 it splits into two quadratics or is
+    irreducible, and its resolvent cubic's integer roots decide which
+    (_splits_into_quadratics), with no prime.  From degree 5 on, the cycle
+    types at the first MUSSER_PRIMES good odd primes among `primes` bound
+    the possible factor degrees to the subset sums common to all of them
+    (Musser); when no proper degree survives, g is irreducible.  Otherwise
+    the factorization at the prime with the fewest factors is lifted
+    p-adically (Hensel) and recombined, each factor confirmed by exact
+    division over Z, so the result never depends on chance.  None only
+    when g has degree >= 5 and `primes` holds no good odd prime.
     """
     roots = integer_roots(f)
-    g = f
+    g = list(f)
     for r in roots:
         g = exact_quotient(g, [-r, 1])
     degrees = [1] * len(roots)
     types: set[CycleType] = set()
+    resolvent_roots = ()
     m = len(g) - 1
-    if m >= 4:
+    if m == 4:
+        resolvent_roots = tuple(integer_roots(resolvent_cubic(g)))
+        if _splits_into_quadratics(g, resolvent_roots):
+            degrees += [2, 2]
+            m = 0
+    elif m >= 5:
         sums = None
         best = None  # (factor count, prime)
         good = 0
@@ -152,7 +169,33 @@ def factor_degrees(f: Sequence[int], primes) -> FactorDegrees | None:
             m = 0
     if m > 0:
         degrees.append(m)
-    return FactorDegrees(make_cycle_type(degrees), frozenset(types))
+    return FactorDegrees(make_cycle_type(degrees), frozenset(types), resolvent_roots)
+
+
+def _splits_into_quadratics(g: list[int], thetas) -> bool:
+    """Whether the monic rootless integer quartic g = x^4 + a x^3 + b x^2 +
+    c x + d is a product of two integer quadratics, given the integer roots
+    thetas of its resolvent cubic.
+
+    If g = (x^2 + p1 x + q1)(x^2 + p2 x + q2), which Gauss's lemma allows,
+    then theta = q1 + q2 (x1 x2 + x3 x4) is one of them; q1 and q2 are the
+    roots of z^2 - theta z + d, and p1 and p2 those of z^2 - a z + (b - theta).
+    Each candidate, in both pairings, is confirmed only by exact
+    multiplication, which also rejects the candidate a non-square
+    discriminant gives.
+    """
+    d, _, b, a = g[:4]
+    for theta in thetas:
+        dq = theta * theta - 4 * d
+        dp = a * a - 4 * (b - theta)
+        if dq < 0 or dp < 0:
+            continue
+        rq, rp = isqrt(dq), isqrt(dp)
+        q1, q2 = (theta - rq) // 2, (theta + rq) // 2
+        p1, p2 = (a - rp) // 2, (a + rp) // 2
+        if g in (mul([q1, p1, 1], [q2, p2, 1]), mul([q2, p1, 1], [q1, p2, 1])):
+            return True
+    return False
 
 
 def _zassenhaus(g: list[int], p: int, sums: set[int]) -> list[int]:

@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from galwalk import galois_id
+from galwalk import galois_id, zfactor
 from galwalk.exactmat import (
     RationalMatrix,
     char_poly,
@@ -69,8 +69,11 @@ def rule_c_group(f):
     """Gal(f) for a monic squarefree integer f of degree 2 to 4 as rule (c)
     names it, with its orbit lengths (the factor degrees); the tests below
     pin that naming to known answers."""
-    orbits = factor_degrees(f, PRIMES).degrees
-    return galois_id._small_group_name(f, orbits, discriminant(f)), orbits
+    found = factor_degrees(f, PRIMES)
+    name = galois_id._small_group_name(
+        f, found.degrees, discriminant(f), found.resolvent_roots
+    )
+    return name, found.degrees
 
 
 def group_name(f):
@@ -476,11 +479,25 @@ def test_identify_scans_only_what_the_rules_leave_open(monkeypatch):
 
 
 def test_identify_without_a_good_prime_is_inconclusive():
-    # factor_degrees needs a good prime for an irreducible quartic, and the
+    # factor_degrees needs a good prime for a rootless quintic, and the
     # window (4, 4) holds none, so the rules and the scan both come up empty
-    verdict = identify([1, 1, 0, 0, 1], pi_sl_n(4), prime_window=(4, 4))
+    verdict = identify([-1, -1, 0, 0, 0, 1], pi_sl_n(5), prime_window=(4, 4))
     assert verdict.kind == KIND_INCONCLUSIVE
     assert verdict.detail == "no good prime in the window"
+
+
+def test_identify_a_quartic_scans_no_prime(monkeypatch):
+    # the resolvent cubic settles x^4 + x + 1's factor degrees, so S4 is
+    # certified in a window with no prime at all, and no Frobenius type is
+    # computed on the way
+    def no_frobenius(*args):
+        raise AssertionError("a Frobenius cycle type was computed")
+
+    monkeypatch.setattr(galois_id, "frobenius_cycle_type", no_frobenius)
+    monkeypatch.setattr(zfactor, "frobenius_cycle_type", no_frobenius)
+    verdict = identify([1, 1, 0, 0, 1], pi_sl_n(4), prime_window=(4, 4))
+    assert verdict.kind == KIND_CERTIFIED_EXACT
+    assert verdict.detail == "rule (c): exact group S4 on orbits (4,)"
 
 
 def random_squarefree(rng, n):

@@ -2,6 +2,7 @@
 factor_list, galois_group, sqf_list and discriminant.  Test only; the
 package itself never imports sympy."""
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 
@@ -89,6 +90,57 @@ def test_factor_degrees_match_sympy_factor_list():
         scaled += a.den > 1
         assert factor_degrees(char_poly(a), PRIMES).degrees == sympy_degrees(f), f
     assert checked >= 120 and scaled >= 20
+
+
+# quartics whose factor degrees the resolvent cubic alone settles:
+# (coefficients, sympy's degrees, the resolvent cubic's integer root count)
+NAMED_QUARTICS = (
+    ([1, 0, 0, 0, 1], (4,), 3),  # x^4 + 1
+    ([1, 0, -10, 0, 1], (4,), 3),  # x^4 - 10x^2 + 1, sqrt2 + sqrt3
+    ([-2, 0, 0, 0, 1], (4,), 1),  # x^4 - 2
+    ([2, 0, 4, 0, 1], (4,), 1),  # x^4 + 4x^2 + 2
+    ([4, 0, 0, 0, 1], (2, 2), 3),  # (x^2 + 2x + 2)(x^2 - 2x + 2)
+    ([1, 0, 1, 0, 1], (2, 2), 3),  # (x^2 + x + 1)(x^2 - x + 1)
+    # two rootless factors with constant terms near 10^9
+    (mul([1_000_000_007, 31_623, 1], [999_999_937, -44_721, 1]), (2, 2), 1),
+    # both pairings of q = 3, 5 with p = 1, 3: whichever pairing the split
+    # tries first, one of these two needs the other; the second's theta = 8
+    # is the last of its resolvent's three roots
+    (mul([5, 1, 1], [3, 3, 1]), (2, 2), 1),
+    (mul([3, 1, 1], [5, 3, 1]), (2, 2), 3),
+)
+
+
+def test_quartic_factor_degrees_need_no_prime():
+    for f, degrees, root_count in NAMED_QUARTICS:
+        assert sympy_degrees(f) == degrees, f
+        found = factor_degrees(f, ())
+        assert found.degrees == degrees and found.types == frozenset(), f
+        assert len(found.resolvent_roots) == root_count, f
+    rng = random.Random(31)
+
+    def monic(d, size):
+        return [rng.randint(-size, size) for _ in range(d)] + [1]
+
+    seen = Counter()
+    while sum(seen.values()) < 120:
+        size = 10 ** rng.randint(1, 9)
+        kind = rng.randrange(6)
+        if kind == 0:  # a random quartic: almost always irreducible
+            f = monic(4, size)
+        elif kind == 1:  # a biquadratic x^4 + b x^2 + d
+            f = [rng.randint(-size, size), 0, rng.randint(-size, size), 0, 1]
+        else:  # a product: 2 + 2, a quartic cofactor beside a linear
+            # factor, 1 + 3 or 1 + 1 + 2
+            split = ((2, 2), (1, 4), (1, 3), (1, 1, 2))[kind - 2]
+            f = reduce(mul, (monic(d, size) for d in split))
+        if sympy_poly(f).sqf_part().degree() != len(f) - 1:
+            continue
+        degrees = sympy_degrees(f)
+        assert factor_degrees(f, ()).degrees == degrees, f
+        seen[degrees] += 1
+    for degrees in ((4,), (2, 2), (4, 1), (3, 1), (2, 1, 1)):
+        assert seen[degrees] >= 15, seen
 
 
 def test_exact_verdicts_match_sympy_on_sl3_and_sl4_walks():
