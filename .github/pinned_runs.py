@@ -1,5 +1,6 @@
-"""Pinned end-to-end runs: the largest census, oracle and walk whose output
-bytes, peak memory and diagnostics must not drift.
+"""Pinned end-to-end runs: the largest census, oracle and walk, and a walk in
+the widest prime window, whose output bytes, peak memory and diagnostics
+must not drift.
 
     PYTHONPATH=src python3 .github/pinned_runs.py            # list the names
     PYTHONPATH=src python3 .github/pinned_runs.py NAME DIR   # run one
@@ -53,6 +54,16 @@ PINS = {
         "run sl4 k<=120",
         ("run", "--scenario", "sl4", "--k", "20,60,120", "--samples", "100", "--seed", "1"),
         "f48c580fc75cdd7f020046d9e5a36b1a8002292f8282ce45e5c9684180cb985b",
+        22,
+    ),
+    # the walk_sl4 benchmark's unit in the widest window: no sample reads a
+    # prime, so nothing is sieved; peak RSS (17.5 MB) stays under the cap,
+    # which an eager sieve to 10**7 (53 MB) would pass
+    "walk_wide_window": Pin(
+        "run sl4 primes <= 10^7",
+        ("run", "--scenario", "sl4", "--k", "20,30", "--samples", "60", "--seed", "1",
+         "--primes-max", "10000000"),
+        "31877a46fcd93c81e27a91f2a9ec09d3e04dec3694017dbfe3afeb18eafd5ee3",
         22,
     ),
 }

@@ -42,7 +42,7 @@ from .galois_id import (
     identify,
     quadratic_galois,
 )
-from .modpoly import SIEVE_MAX, power_root, primes_in_window
+from .modpoly import SIEVE_MAX, first_prime, power_root, primes_in_window
 from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, stream_for
@@ -104,12 +104,12 @@ def metadata(verb: str, config: ExperimentConfig | None = None) -> dict:
     return meta
 
 
-def _window_primes(config: ExperimentConfig) -> tuple[int, ...]:
-    """The primes in the configured window; ValueError when it holds none."""
-    primes = primes_in_window(config.prime_min, config.prime_max)
-    if not primes:
+def _check_window(config: ExperimentConfig) -> None:
+    """ValueError when the configured window holds no prime.  Only the
+    least prime >= prime_min is sought, so nothing is sieved: a walk
+    sieves its window only when a sample reads its primes."""
+    if first_prime(config.prime_min) > config.prime_max:
         raise ValueError(f"no prime in [{config.prime_min}, {config.prime_max}]")
-    return primes
 
 
 def batch_seed(seed: int, k: int) -> int:
@@ -166,7 +166,7 @@ def run_convergence(config: ExperimentConfig):
     the rows carry exact quadratic outcomes instead.
     """
     scenario = get_scenario(config.scenario)
-    _window_primes(config)
+    _check_window(config)
     if not scenario.has_predictions:
         return _run_quadratic_outcomes(scenario, config)
 
@@ -241,7 +241,8 @@ def run_finite_field(config: ExperimentConfig):
     scenario = get_scenario(config.scenario)
     if scenario.dimension > 4:
         raise ValueError("finite-field mode supports dimension <= 4 only")
-    primes = _window_primes(config)
+    _check_window(config)
+    primes = primes_in_window(config.prime_min, config.prime_max)
     # usable: p - 1 >= n (n distinct nonzero roots) and the generators reduce;
     # fail before any enumeration when a usable prime's closure must overflow
     usable = set()

@@ -184,9 +184,11 @@ def identify(
 
     q is a monic squarefree integer list.  The exact rules decide first
     (exact_verdict); only what they leave undecided scans the window's
-    primes (collect_samples, match_verdict).
+    primes (collect_samples, match_verdict).  The window is sieved when
+    its first prime is read, so a q the rules decide with no prime sieves
+    nothing.
     """
-    verdict = exact_verdict(q, target, multiplicity, primes_in_window(*prime_window))
+    verdict = exact_verdict(q, target, multiplicity, _sieved_on_first_use(prime_window))
     if verdict is not None:
         return verdict
     summary = collect_samples(q, prime_window, budget, target, multiplicity)
@@ -195,17 +197,23 @@ def identify(
     return match_verdict(expand_summary(summary, multiplicity), target)
 
 
+def _sieved_on_first_use(prime_window: tuple[int, int]):
+    """The window's primes, ascending, sieved when the first is read."""
+    yield from primes_in_window(*prime_window)
+
+
 def exact_verdict(
     q: Sequence[int], target: EnumeratedGroup, multiplicity: int, primes
 ) -> Verdict | None:
     """The verdict rules (a)-(c) prove for a monic squarefree integer q, or
     None.
 
-    primes feed Musser's filter in factor_degrees, which runs only when
-    q's cofactor over its linear factors has degree >= 5; every other q
-    is decided with no prime.  A cycle type seen there that is odd proves
-    the discriminant is not a square, so rule (b) above degree 4 computes
-    no discriminant then.  Rule (c) reads the resolvent cubic's integer
+    primes, any iterable of ascending primes, feed Musser's filter in
+    factor_degrees, which reads them only when q's cofactor over its
+    linear factors has degree >= 5; every other q is decided with no
+    prime read.  A cycle type seen there that is odd proves the
+    discriminant is not a square, so rule (b) above degree 4 computes no
+    discriminant then.  Rule (c) reads the resolvent cubic's integer
     roots that factor_degrees found.  The detail names the rule that
     fired.
     """

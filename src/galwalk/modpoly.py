@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from .exactmat import PrimeFieldPolynomial, int_char_poly, reduce_poly_mod_p
@@ -253,13 +253,17 @@ def power_root(f: Sequence[int], e: int, m: int = 0) -> list[int] | None:
     """q with f = q^e and q squarefree, for a monic f over Z (m = 0) or a
     reduced monic f over F_m (m prime); otherwise None.
 
-    q = f / gcd(f, f') is squarefree over Z and over F_m alike.  Over Z the
-    gcd is primitive and divides the monic f, so by Gauss's lemma the
-    division is exact.  Then q^e = f is checked.
+    Over Z at e = 1 and degree 1 to 4, f is squarefree iff its
+    discriminant, a closed form there, is nonzero.  Otherwise q = f /
+    gcd(f, f') is squarefree over Z and over F_m alike.  Over Z the gcd is
+    primitive and divides the monic f, so by Gauss's lemma the division is
+    exact.  Then q^e = f is checked.
     """
     n = len(f) - 1
     if n % e:
         return None
+    if not m and e == 1 and 1 <= n <= 4:
+        return list(f) if discriminant(f) else None
     if m:
         q = divmod_poly(f, pf_gcd(f, mod(derivative(f), m), m), m)[0]
     else:
@@ -346,8 +350,17 @@ def frobenius_cycle_type(f: Sequence[int], p: int) -> FrobeniusSample:
 
 
 # largest prime window top (experiment.ExperimentConfig): the sieve takes a
-# byte per integer up to it, about 0.4 s and 50 MB at 10**7, 5 s at 10**8
+# byte per integer up to it, about 0.4 s and 50 MB at 10**7, 5 s at 10**8,
+# paid only by a run with a sample that reads the window's primes
 SIEVE_MAX = 10_000_000
+
+
+def first_prime(lo: int) -> int:
+    """The least prime >= lo, by trial division: no sieve."""
+    p = max(lo, 2)
+    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
 
 
 @lru_cache(maxsize=8)

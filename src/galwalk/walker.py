@@ -42,15 +42,19 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def randbelow(self, n: int) -> int:
-        """Uniform draw from range(n) by rejection (no modulo bias)."""
+    def draws(self, n: int, k: int) -> tuple[int, ...]:
+        """k uniform draws from range(n) by rejection (no modulo bias): an
+        output at or above the largest multiple of n below 2^64 is drawn
+        again.  That limit is computed once for all k draws."""
         if n <= 0:
             raise ValueError("n must be positive")
         limit = (1 << 64) - ((1 << 64) % n)
-        while True:
+        out = []
+        while len(out) < k:
             x = self.next_uint64()
             if x < limit:
-                return x % n
+                out.append(x % n)
+        return tuple(out)
 
 
 def stream_for(seed: int, index: int) -> SplitMix64:
@@ -130,9 +134,7 @@ def draw_word(gens: GeneratorSet, k: int, seed: int, index: int) -> tuple[int, .
     """The k generator indices drawn by sample (seed, index)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    rng = stream_for(seed, index)
-    n = gens.size
-    return tuple(rng.randbelow(n) for _ in range(k))
+    return stream_for(seed, index).draws(gens.size, k)
 
 
 def sample_walk(gens: GeneratorSet, k: int, seed: int, index: int) -> WalkSample:

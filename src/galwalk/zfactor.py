@@ -2,10 +2,12 @@
 
 The degrees of the irreducible factors of a walk sample's characteristic
 polynomial are the orbit lengths of its Galois group.  They are found
-exactly, by the degree of what is left once the integer roots (found by
-bisection) are divided out.  A cofactor of degree <= 3 is then
-irreducible.  A quartic one is a product of two quadratics or nothing,
-and the integer roots of its resolvent cubic decide which, with no prime.
+exactly, by the degree of what is left once the integer roots are
+divided out: tested one by one under a tiny root bound, ruled out by a
+prime with no root mod p, and only otherwise found by bisection.  A
+cofactor of degree <= 3 is then irreducible.  A quartic one is a product
+of two quadratics or nothing, and the integer roots of its resolvent
+cubic decide which, with no prime.
 From degree 5 on, Musser's filter over Frobenius cycle types comes
 first, then Zassenhaus's algorithm (Cohen, GTM 138, section 3.5): Hensel
 lifting of the factorization at one prime and recombination, each factor
@@ -40,15 +42,25 @@ from .modpoly import (
 )
 
 
+# primes at which integer_roots looks for a residue class with no root, and
+# the root bound up to which it tests every candidate instead
+RESIDUE_PRIMES = (2, 3, 5, 7, 11, 13)
+DIRECT_BOUND = 8
+
+
 def integer_roots(c: Sequence[int]) -> list[int]:
     """Integer roots, ascending, of a nonzero integer polynomial (degree-indexed).
 
-    Integer bisection between critical points: every root r satisfies
-    |r| <= 1 + max|c_i| (Cauchy) and, when c_0 != 0, |r| <= |c_0|.  The
-    floors of the real roots of c' cut that range into segments on which c
-    is monotone, and bisection finds the one root a segment can hold.  The
-    work is polynomial in the coefficients' bit size, unlike a search over
-    the divisors of c_0.
+    Every root r satisfies |r| <= 1 + max|c_i| (Cauchy) and, when c_0 != 0,
+    |r| <= |c_0|.  Under a bound of at most DIRECT_BOUND, as for every chi
+    of an SL_n walk (c_0 = +-1), each integer in range is tested.  Above
+    it, a prime p in RESIDUE_PRIMES at which c has no root mod p proves
+    there is no integer root, since r mod p would be one.  Only when
+    neither applies does integer bisection between critical points run:
+    the floors of the real roots of c' cut the range into segments on which
+    c is monotone, and bisection finds the one root a segment can hold.
+    The work is polynomial in the coefficients' bit size, unlike a search
+    over the divisors of c_0.
     """
     c = trim(list(c))
     if not c:
@@ -59,8 +71,21 @@ def integer_roots(c: Sequence[int]) -> list[int]:
         while c[0] == 0:
             c.pop(0)
     bound = min(1 + max(map(abs, c)), abs(c[0]))
-    roots += (m for m in _root_floors(c, -bound, bound) if evaluate(c, m) == 0)
+    if bound <= DIRECT_BOUND:
+        candidates = range(-bound, bound + 1)
+    elif any(_rootless_mod(c, p) for p in RESIDUE_PRIMES):
+        candidates = ()
+    else:
+        candidates = _root_floors(c, -bound, bound)
+    roots += (m for m in candidates if evaluate(c, m) == 0)
     return sorted(roots)
+
+
+def _rootless_mod(c: list[int], p: int) -> bool:
+    """Whether c has no root mod the prime p: c(r) is nonzero mod p for
+    every residue r."""
+    reduced = [x % p for x in c]
+    return all(evaluate(reduced, r) % p for r in range(p))
 
 
 def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:

@@ -17,7 +17,7 @@ from galwalk.exactmat import (
     is_rational_square,
     mat_mul,
 )
-from galwalk import experiment, scenarios
+from galwalk import experiment, modpoly, scenarios
 from galwalk.experiment import (
     ExperimentConfig,
     batch_seed,
@@ -670,6 +670,27 @@ def test_cli_run_refuses_a_window_with_no_prime(tmp_path, capsys, monkeypatch):
                  "--primes-min", "14", "--primes-max", "16", "--out", str(out)])
     assert code == 2 and not out.exists()
     assert "error: no prime in [14, 16]" in capsys.readouterr().err
+
+
+class Sieved(Exception):
+    pass
+
+
+def test_decided_samples_never_sieve(monkeypatch):
+    def sieve(limit):
+        raise Sieved(limit)
+
+    monkeypatch.setattr(modpoly, "_sieve", sieve)
+    modpoly.primes_in_window.cache_clear()
+    # the walk_sl4 benchmark's unit: rules (a)-(c) decide every sample
+    rows, _, _ = run_convergence(ExperimentConfig(scenario="sl4", k_values=(20, 30), samples=60))
+    assert sum(row["samples"] for row in rows) == 120
+    assert sum(row["n_certified"] + row["n_rejected"] for row in rows) == sum(
+        row["n_rs"] for row in rows
+    )
+    # sltau4's degree-8 swap coset reaches Musser's filter and the scan
+    with pytest.raises(Sieved):
+        run_convergence(ExperimentConfig(scenario="sltau4", k_values=(10,), samples=4))
 
 
 @pytest.mark.parametrize("verb", ["run", "finfield"])

@@ -18,10 +18,12 @@ from galwalk.galois_id import (
     PRIME_WINDOW,
 )
 from galwalk.modpoly import (
+    derivative,
     discriminant,
     mul,
     power_root,
     primes_in_window,
+    prs_gcd,
     squarefree_over_q,
 )
 from galwalk.scenarios import builtin_scenarios
@@ -251,6 +253,28 @@ def test_kernel_matches_sympy_sqf_list_on_walk_samples():
                 e = scen.coset(sample.label).multiplicity
                 powers += check_kernel(char_poly(sample.element), e)
     assert powers >= 60
+
+
+def test_squarefree_closed_form_matches_prs_and_sympy_to_degree_4():
+    # power_root(f, 1) reads the discriminant at degree <= 4; the primitive
+    # remainder sequence's gcd(f, f') and sympy's sqf_list must agree
+    rng = random.Random(32)
+    fixed = [
+        mul(mul([-1, 1], [-1, 1]), [1, 0, 1]),  # (x - 1)^2 (x^2 + 1)
+        mul([1, 0, 1], [1, 0, 1]),              # (x^2 + 1)^2
+        [0, 0, 0, 0, 1],                        # x^4
+        mul([-1, 1, 1], [-1, 1, 1]),            # (x^2 + x - 1)^2
+        mul([-2, 0, 1], [-2, 0, 1]),            # (x^2 - 2)^2
+        [0, 0, 1], [4, 4, 1], [0, 3, 0, 1], [2, -3, 0, 1],
+    ]
+    randoms = [[rng.randint(-3, 3) for _ in range(d)] + [1]
+               for d in (2, 3, 4) for _ in range(150)]
+    repeated = 0
+    for f in fixed + randoms:
+        prs = prs_gcd(f, derivative(f)) == [1]
+        assert (power_root(f, 1) is not None) == prs == check_kernel(f, 1), f
+        repeated += not prs
+    assert all(power_root(f, 1) is None for f in fixed[:5]) and repeated >= 20
 
 
 def test_kernel_matches_sympy_on_denominator_6():

@@ -50,9 +50,9 @@ def test_splitmix_reference_stream():
     assert stream_for(42, 7).next_uint64() != stream_for(42, 8).next_uint64()
 
 
-def test_randbelow_range():
+def test_draws_range():
     rng = SplitMix64(123)
-    draws = [rng.randbelow(7) for _ in range(2000)]
+    draws = rng.draws(7, 2000)
     assert set(draws) <= set(range(7))
     assert len(set(draws)) == 7
 
