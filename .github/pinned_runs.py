@@ -1,6 +1,6 @@
-"""Pinned end-to-end runs: the largest census, oracle and walk, and a walk in
-the widest prime window, whose output bytes, peak memory and diagnostics
-must not drift.
+"""Pinned end-to-end runs: the largest census, oracle and walk, a walk in
+the widest prime window and the two walks of degree > 4, whose output
+bytes, peak memory and diagnostics must not drift.
 
     PYTHONPATH=src python3 .github/pinned_runs.py            # list the names
     PYTHONPATH=src python3 .github/pinned_runs.py NAME DIR   # run one
@@ -64,6 +64,21 @@ PINS = {
         ("run", "--scenario", "sl4", "--k", "20,30", "--samples", "60", "--seed", "1",
          "--primes-max", "10000000"),
         "31877a46fcd93c81e27a91f2a9ec09d3e04dec3694017dbfe3afeb18eafd5ee3",
+        22,
+    ),
+    # the only walks whose chi have degree > 4 (6 and 8), where the
+    # subresultant sequence gives the squarefree test, the gcd and rule
+    # (b)'s discriminant; peak RSS 17.7-17.9 MB
+    "walk_slcyc2x3": Pin(
+        "run slcyc2x3 k<=30",
+        ("run", "--scenario", "slcyc2x3", "--k", "10,20,30", "--samples", "40", "--seed", "1"),
+        "d1da010b4c2f451daf26d1fefafa695d3aa42ce0946d20be32500eb45bcbffe9",
+        22,
+    ),
+    "walk_sltau4": Pin(
+        "run sltau4 k<=20",
+        ("run", "--scenario", "sltau4", "--k", "10,20", "--samples", "20", "--seed", "1"),
+        "583f49991cb49fc202ef0e6f3ddccd7ea9ba13aeff2bdd1ef2e01ac277cfe976",
         22,
     ),
 }

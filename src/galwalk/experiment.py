@@ -45,7 +45,7 @@ from .galois_id import (
 from .modpoly import SIEVE_MAX, first_prime, power_root, primes_in_window
 from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 from .scenarios import Scenario, builtin_scenarios, get_scenario
-from .walker import RNG_ALGORITHM, batch_sample, stream_for
+from .walker import RNG_ALGORITHM, batch_sample, draws, stream_for
 
 # The settings each verb reads, by flag and --config key in --help order,
 # with the verb's default where it differs from the ExperimentConfig field
@@ -113,8 +113,10 @@ def _check_window(config: ExperimentConfig) -> None:
 
 
 def batch_seed(seed: int, k: int) -> int:
-    """Per-k sub-seed so adding k values never disturbs existing batches."""
-    return stream_for(seed, k).next_uint64()
+    """Per-k sub-seed so adding k values never disturbs existing batches:
+    stream (seed, k)'s first raw output, as no draw from range(2^64) is
+    rejected."""
+    return draws(stream_for(seed, k), 1 << 64, 1)[0]
 
 
 def identify_sample(sample, spec, config: ExperimentConfig) -> Verdict | None:
@@ -275,11 +277,11 @@ def run_finite_field(config: ExperimentConfig):
             rows.append(density_row(p, -1, "bad_prime", "-", 0, 0, 0))
             continue
         censuses = [
-            census(coset.classes, p, lab, scenario.coset(lab).multiplicity)
-            for lab, coset in cosets.items()
+            census(classes, p, lab, scenario.coset(lab).multiplicity)
+            for lab, classes in cosets.items()
         ]
         print(
-            f"# finfield p={p}: {sum(map(len, cosets.values()))} elements, "
+            f"# finfield p={p}: {sum(c.total for c in censuses)} elements, "
             f"{sum(c.classes for c in censuses)} conjugacy classes, "
             f"{len(set().union(*(c.chi_counts for c in censuses)))} distinct chi",
             file=sys.stderr,

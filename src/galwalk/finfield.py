@@ -182,33 +182,20 @@ def conjugacy_classes(elements: list, tables, labels: list[int]):
         yield lab, elements[i], len(orbit)
 
 
-@dataclass
-class Coset:
-    """One coset of an enumerated mod-p group: its conjugacy classes as
-    (representative, class size) pairs, and its element count."""
-
-    classes: list = field(default_factory=list)
-    size: int = 0
-
-    def __len__(self) -> int:
-        return self.size
-
-
-def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, Coset]:
+def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, list]:
     """The mod-p closure (closure_mod_p, same errors) split by coset label
     (coset_labels; a label collision is a BadPrimeError) into conjugacy
-    classes (conjugacy_classes), each representative decoded from row ids
-    back to its matrix."""
+    classes (conjugacy_classes): label -> [(representative, class size),
+    ...], each representative decoded from row ids back to its matrix."""
     group, rows = closure_mod_p(scenario, p, bound)
     m = len(scenario.cosets)
     try:
         labels = coset_labels(group, [lab for _, lab in scenario.raw_generators], m)
     except ValueError:
         raise BadPrimeError(f"label collision mod {p}") from None
-    cosets = {lab: Coset() for lab in range(m)}
+    cosets = {lab: [] for lab in range(m)}
     for lab, rep, size in conjugacy_classes(group.elements, conjugation_tables(group), labels):
-        cosets[lab].classes.append((tuple(map(rows.__getitem__, rep)), size))
-        cosets[lab].size += size
+        cosets[lab].append((tuple(map(rows.__getitem__, rep)), size))
     return cosets
 
 
@@ -229,7 +216,7 @@ def census(classes, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:
     """Classify one coset by characteristic polynomial pattern.
 
     classes yields (representative, class size) pairs covering the coset,
-    as a Coset's classes list does; the characteristic polynomial is a class
+    as enumerate_mod_p's lists do; the characteristic polynomial is a class
     function, so it is computed once per class and weighted by its size.
     An element counts as regular semisimple iff its characteristic
     polynomial mod p is q**multiplicity with q squarefree (the operational

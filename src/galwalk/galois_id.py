@@ -9,9 +9,9 @@ prime scan:
 (a) the degrees of q's irreducible factors over Q, each repeated e times,
     are the orbit lengths of Gal; if they differ from the target's, the
     verdict is rejected;
-(b) disc(q) is a square iff Gal lies in A_n, so then a target holding an
-    odd permutation is rejected (repeating a type e times keeps its parity
-    at odd e and makes it even at even e);
+(b) at every n, disc(q) is a square iff Gal lies in A_n, so then a target
+    holding an odd permutation is rejected (repeating a type e times keeps
+    its parity at odd e and makes it even at even e);
 (c) at n <= 4, q's factor degrees, discriminant and resolvent cubic name
     Gal exactly; it is certified_exact when its type distribution, every
     part repeated e times, is the target's, rejected otherwise.
@@ -211,11 +211,10 @@ def exact_verdict(
     primes, any iterable of ascending primes, feed Musser's filter in
     factor_degrees, which reads them only when q's cofactor over its
     linear factors has degree >= 5; every other q is decided with no
-    prime read.  A cycle type seen there that is odd proves the
-    discriminant is not a square, so rule (b) above degree 4 computes no
-    discriminant then.  Rule (c) reads the resolvent cubic's integer
-    roots that factor_degrees found.  The detail names the rule that
-    fired.
+    prime read.  Rule (b) reads disc(q) at every degree, and above degree
+    4 nothing else is proved.  Rule (c) reads the resolvent cubic's
+    integer roots that factor_degrees found.  The detail names the rule
+    that fired.
     """
     n = len(q) - 1
     if n * multiplicity != target.degree:
@@ -231,11 +230,8 @@ def exact_verdict(
         return Verdict(
             KIND_REJECTED, f"rule (a): factor degrees give orbits {orbits}, target {want}"
         )
-    odd_target = any(_is_odd(ct) for ct in target.type_distribution)
-    if n > 4 and (not odd_target or any(_is_odd(ct) for ct in found.types)):
-        return None
     disc = discriminant(q)
-    if odd_target and is_rational_square(disc):
+    if any(_is_odd(ct) for ct in target.type_distribution) and is_rational_square(disc):
         return Verdict(
             KIND_REJECTED, "rule (b): square discriminant, target has odd permutations"
         )

@@ -7,8 +7,9 @@ representation: over Z, over Z/m and over F_p, each operation written once.
 A walk sample's chi is exactmat.char_poly's monic integer list, and chi and
 q stay such lists from the walk to the verdict.
 
-Over Z and over F_p it proves "chi = q^e with q squarefree" (power_root),
-and over Z it computes discriminants.  Over F_p, the observable extracted
+Over Z and over F_p it proves "chi = q^e with q squarefree" (power_root).
+Over Z one subresultant sequence gives every gcd, resultant and, above
+degree 4, discriminant.  Over F_p, the observable extracted
 from a matrix at a prime p is the multiset of degrees of the irreducible
 factors of its characteristic polynomial mod p (a partition of the degree);
 for chi = q^e it is q's pattern with every part repeated e times
@@ -24,7 +25,7 @@ from itertools import compress
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exactmat import PrimeFieldPolynomial, int_char_poly, reduce_poly_mod_p
+from .exactmat import PrimeFieldPolynomial, reduce_poly_mod_p
 
 # A cycle type is a weakly decreasing tuple of positive parts.
 CycleType = tuple[int, ...]
@@ -228,46 +229,59 @@ def _primitive(c: Sequence[int]) -> list[int]:
     return [x // g for x in c]
 
 
-def prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """gcd over Z of a nonzero a and any b, primitive with positive leading
-    coefficient: the primitive polynomial remainder sequence (Knuth, TAOCP
-    vol. 2, section 4.6.1), each pseudo-remainder divided by its content."""
-    a = _primitive(a)
-    b = _primitive(b) if b else []
+def subresultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
+    """(g, r) for integer polynomials a and b: g, the sequence's last
+    nonzero entry, is a gcd of a and b over Q with integer coefficients,
+    and r = Res(a, b), which is 0 when they share a root or one is zero.
+
+    Collins's subresultant remainder sequence (Cohen, GTM 138, Algorithms
+    3.3.1 and 3.3.7): each pseudo-remainder is divided exactly by lead *
+    h^delta, so no content is computed.  Res(b, a) = (-1)^(deg a deg b)
+    Res(a, b) puts the higher degree first.
+    """
     if len(a) < len(b):
-        a, b = b, a
-    while b:
-        n, lead = len(b) - 1, b[-1]
-        r = a
+        g, r = subresultant(b, a)
+        return g, -r if (len(a) - 1) * (len(b) - 1) % 2 else r
+    a, b = list(a), list(b)
+    sign = lead = h = 1
+    while len(b) > 1:
+        n, delta = len(b) - 1, len(a) - len(b)
+        if (len(a) - 1) * n % 2:
+            sign = -sign
+        r = a  # the pseudo-remainder of a by b: a * b[-1]^(delta + 1) mod b
         for k in range(len(r) - 1, n - 1, -1):
             c = r[k]
-            r = [x * lead for x in r[:k]]
+            r = [x * b[-1] for x in r[:k]]
             for i in range(n):
                 r[k - n + i] -= c * b[i]
-        r = trim(r)
-        a, b = b, _primitive(r) if r else []
-    return a
+        a, b = b, [x // (lead * h ** delta) for x in trim(r)]
+        lead = a[-1]
+        h = lead ** delta // h ** (delta - 1) if delta else h
+    if not b:
+        return a, 0
+    n = len(a) - 1
+    return b, sign * b[0] ** n // h ** (n - 1) if n else 1
 
 
 def power_root(f: Sequence[int], e: int, m: int = 0) -> list[int] | None:
     """q with f = q^e and q squarefree, for a monic f over Z (m = 0) or a
     reduced monic f over F_m (m prime); otherwise None.
 
-    Over Z at e = 1 and degree 1 to 4, f is squarefree iff its
-    discriminant, a closed form there, is nonzero.  Otherwise q = f /
-    gcd(f, f') is squarefree over Z and over F_m alike.  Over Z the gcd is
-    primitive and divides the monic f, so by Gauss's lemma the division is
-    exact.  Then q^e = f is checked.
+    Over Z at e = 1, f is squarefree iff its discriminant is nonzero.
+    Otherwise q = f / gcd(f, f') is squarefree over Z and over F_m alike.
+    Over Z the gcd is the subresultant sequence's, made primitive; it
+    divides the monic f, so by Gauss's lemma it is monic and the division
+    is exact.  Then q^e = f is checked.
     """
     n = len(f) - 1
     if n % e:
         return None
-    if not m and e == 1 and 1 <= n <= 4:
-        return list(f) if discriminant(f) else None
     if m:
         q = divmod_poly(f, pf_gcd(f, mod(derivative(f), m), m), m)[0]
+    elif e == 1:
+        return list(f) if discriminant(f) else None
     else:
-        q = exact_quotient(f, prs_gcd(f, derivative(f)))
+        q = exact_quotient(f, _primitive(subresultant(f, derivative(f))[0]))
     if (len(q) - 1) * e != n:
         return None
     power = q
@@ -293,8 +307,7 @@ def discriminant(f: Sequence[int]) -> int:
     """Discriminant of a monic integer polynomial of degree >= 1.
 
     Closed forms to degree 3, the resolvent cubic's at degree 4, and above
-    that (-1)^(n(n-1)/2) Res(f, f'), the determinant of the integer
-    Sylvester matrix.
+    that (-1)^(n(n-1)/2) Res(f, f') from the subresultant sequence.
     """
     n = len(f) - 1
     if n < 1:
@@ -308,11 +321,7 @@ def discriminant(f: Sequence[int]) -> int:
         return a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
     if n == 4:
         return discriminant(resolvent_cubic(f))
-    rf, rg = list(reversed(f)), list(reversed(derivative(f)))
-    size = 2 * n - 1
-    rows = [[0] * i + rf + [0] * (n - 2 - i) for i in range(n - 1)]
-    rows += [[0] * i + rg + [0] * (n - 1 - i) for i in range(n)]
-    res = (-1) ** size * int_char_poly(rows)[0]
+    res = subresultant(f, derivative(f))[1]
     return -res if n * (n - 1) // 2 % 2 else res
 
 

@@ -27,39 +27,28 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-class SplitMix64:
-    """Counter-based 64-bit generator (splitmix64, standard constants)."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: int):
-        self.state = state & _MASK
-
-    def next_uint64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+def draws(state: int, n: int, k: int) -> tuple[int, ...]:
+    """k uniform draws from range(n) off the splitmix64 stream (standard
+    constants) that starts after state, by rejection (no modulo bias): an
+    output at or above the largest multiple of n below 2^64 is drawn
+    again.  That limit is computed once for all k draws."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    limit = (1 << 64) - ((1 << 64) % n)
+    out = []
+    while len(out) < k:
+        state = (state + _GAMMA) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def draws(self, n: int, k: int) -> tuple[int, ...]:
-        """k uniform draws from range(n) by rejection (no modulo bias): an
-        output at or above the largest multiple of n below 2^64 is drawn
-        again.  That limit is computed once for all k draws."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        out = []
-        while len(out) < k:
-            x = self.next_uint64()
-            if x < limit:
-                out.append(x % n)
-        return tuple(out)
+        z ^= z >> 31
+        if z < limit:
+            out.append(z % n)
+    return tuple(out)
 
 
-def stream_for(seed: int, index: int) -> SplitMix64:
-    """Independent stream for sample `index` of run `seed`."""
-    return SplitMix64((seed * _GAMMA + index) & _MASK)
+def stream_for(seed: int, index: int) -> int:
+    """The state that starts sample `index` of run `seed`'s own stream."""
+    return (seed * _GAMMA + index) & _MASK
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,7 @@ def draw_word(gens: GeneratorSet, k: int, seed: int, index: int) -> tuple[int, .
     """The k generator indices drawn by sample (seed, index)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return stream_for(seed, index).draws(gens.size, k)
+    return draws(stream_for(seed, index), gens.size, k)
 
 
 def sample_walk(gens: GeneratorSet, k: int, seed: int, index: int) -> WalkSample:

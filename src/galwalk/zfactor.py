@@ -126,13 +126,11 @@ MUSSER_PRIMES = 5
 
 @dataclass(frozen=True)
 class FactorDegrees:
-    """Degrees of f's irreducible factors over Q (a partition of deg f), the
-    Frobenius cycle types of f seen at the primes used to find them, and
+    """Degrees of f's irreducible factors over Q (a partition of deg f) and
     the integer roots, ascending, of the resolvent cubic of f's quartic
     cofactor when f has one (f over its linear factors, of degree 4)."""
 
     degrees: CycleType
-    types: frozenset
     resolvent_roots: tuple[int, ...] = ()
 
 
@@ -157,7 +155,6 @@ def factor_degrees(f: Sequence[int], primes) -> FactorDegrees | None:
     for r in roots:
         g = exact_quotient(g, [-r, 1])
     degrees = [1] * len(roots)
-    types: set[CycleType] = set()
     resolvent_roots = ()
     m = len(g) - 1
     if m == 4:
@@ -176,7 +173,6 @@ def factor_degrees(f: Sequence[int], primes) -> FactorDegrees | None:
             if sample.status != "good":
                 continue
             good += 1
-            types.add(sample.cycle_type)
             parts = list(sample.cycle_type)[: len(sample.cycle_type) - len(roots)]
             reach = {0}
             for part in parts:
@@ -194,7 +190,7 @@ def factor_degrees(f: Sequence[int], primes) -> FactorDegrees | None:
             m = 0
     if m > 0:
         degrees.append(m)
-    return FactorDegrees(make_cycle_type(degrees), frozenset(types), resolvent_roots)
+    return FactorDegrees(make_cycle_type(degrees), resolvent_roots)
 
 
 def _splits_into_quadratics(g: list[int], thetas) -> bool:

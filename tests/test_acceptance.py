@@ -312,7 +312,7 @@ def test_criterion_7_finite_field_densities():
             rs_total = 0
             total = 0
             for lab, spec in enumerate(scen.cosets):
-                c = census(cosets[lab].classes, p, lab, spec.multiplicity)
+                c = census(cosets[lab], p, lab, spec.multiplicity)
                 rs_total += c.rs_count
                 total += c.total
                 family, multiplicity = CHI_FAMILIES[(name, spec.name)]

@@ -75,19 +75,24 @@ def coset_matrices(scenario, p, bound=MAX_ORDER):
     return split
 
 
+def order(classes):
+    """Element count of a coset given as (representative, class size) pairs."""
+    return sum(size for _, size in classes)
+
+
 def test_enumerate_sl2_orders():
     scen = builtin_scenarios()["sl2"]
-    assert len(enumerate_mod_p(scen, 3)[0]) == 24
-    assert len(enumerate_mod_p(scen, 5)[0]) == 120
+    assert order(enumerate_mod_p(scen, 3)[0]) == 24
+    assert order(enumerate_mod_p(scen, 5)[0]) == 120
     cosets = enumerate_mod_p(scen, 13)
-    assert len(cosets[0]) == sl2_order(13)
+    assert order(cosets[0]) == sl2_order(13)
 
 
 def test_enumerate_sltau2_equal_cosets():
     scen = builtin_scenarios()["sltau2"]
     for p in (3, 5):
         cosets = enumerate_mod_p(scen, p)
-        assert len(cosets[0]) == len(cosets[1]) == sl2_order(p)
+        assert order(cosets[0]) == order(cosets[1]) == sl2_order(p)
 
 
 def test_enumerate_bad_and_too_large():
@@ -171,7 +176,7 @@ def test_enumerate_matches_closure_by_all_generators():
             got = {mat: lab for lab, mats in split.items() for mat in mats}
             assert sum(map(len, split.values())) == len(got)
             assert got == want, (name, p)
-            assert {lab: len(c) for lab, c in cosets.items()} == {
+            assert {lab: order(c) for lab, c in cosets.items()} == {
                 lab: len(mats) for lab, mats in split.items()
             }, (name, p)
             compared += 1
@@ -240,13 +245,13 @@ def test_closure_order_bound_below_enumerated_order():
              ("slcyc2x2", (3,)), ("res_sqrt2", (3,)), ("diag_antidiag", (5, 7, 11))]
     for name, primes in cases:
         for p in primes:
-            order = sum(len(c) for c in enumerate_mod_p(reg[name], p).values())
-            assert closure_order_bound(reg[name], p) <= order, (name, p)
+            found = sum(map(order, enumerate_mod_p(reg[name], p).values()))
+            assert closure_order_bound(reg[name], p) <= found, (name, p)
 
 
 def test_census_identity_not_rs():
     scen = builtin_scenarios()["sl2"]
-    c = census(enumerate_mod_p(scen, 5)[0].classes, 5, 0)
+    c = census(enumerate_mod_p(scen, 5)[0], 5, 0)
     ident = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
     assert ident in coset_matrices(scen, 5)[0]
     # identity char poly (T-1)^2 is not squarefree, so rs_count < total
@@ -259,7 +264,7 @@ def test_census_rs_fraction_formula_sl2():
     # non-rs elements of SL_2(F_p) are exactly those with trace +-2
     scen = builtin_scenarios()["sl2"]
     for p in (5, 13):
-        c = census(enumerate_mod_p(scen, p)[0].classes, p, 0)
+        c = census(enumerate_mod_p(scen, p)[0], p, 0)
         assert F(c.rs_count, c.total) == 1 - F(2 * p, p * p - 1)
 
 
@@ -272,12 +277,12 @@ def test_census_diagonal_example():
 def test_census_multiplicity_profile():
     scen = builtin_scenarios()["sltau2"]
     cosets = enumerate_mod_p(scen, 5)
-    c0 = census(cosets[0].classes, 5, 0, multiplicity=2)
+    c0 = census(cosets[0], 5, 0, multiplicity=2)
     # doubled patterns only
     assert set(c0.type_counts) <= {(1, 1, 1, 1), (2, 2)}
     assert c0.rs_count == 70  # same rs set as SL_2(F_5) itself
     # wrong multiplicity declaration finds nothing regular
-    c_wrong = census(cosets[0].classes, 5, 0, multiplicity=1)
+    c_wrong = census(cosets[0], 5, 0, multiplicity=1)
     assert c_wrong.rs_count == 0
 
 
@@ -352,7 +357,7 @@ def test_fp_power_root_matches_reference_on_sltau2_chis():
         chis = {
             charpoly_mod_p(rep, p).coeffs
             for coset in enumerate_mod_p(scen, p).values()
-            for rep, _ in coset.classes
+            for rep, _ in coset
         }
         found = 0
         for coeffs in chis:
@@ -398,7 +403,7 @@ def test_census_per_distinct_chi_matches_per_element():
             # multiplicity 1 on a doubled coset is a wrong input
             for mult in sorted({1, spec.multiplicity}):
                 want = census_per_element(split[lab], p, mult)
-                for classes in ([(m, 1) for m in split[lab]], cosets[lab].classes):
+                for classes in ([(m, 1) for m in split[lab]], cosets[lab]):
                     c = census(classes, p, lab, mult)
                     assert (c.total, c.rs_count, c.type_counts) == want, (name, p, mult)
                     assert list(c.type_counts) == sorted(c.type_counts, reverse=True)
@@ -425,11 +430,11 @@ def test_conjugacy_class_counts_follow_the_class_number():
     reg = builtin_scenarios()
     for p in (3, 5, 7, 11, 13):
         coset = enumerate_mod_p(reg["sl2"], p)[0]
-        sizes = sorted(s for _, s in coset.classes)
+        sizes = sorted(s for _, s in coset)
         assert len(sizes) == p + 4, p
         assert sizes == sl2_class_sizes(p), p
     for p in primes_in_window(5, 17):
-        classes = sum(len(c.classes) for c in enumerate_mod_p(reg["sltau2"], p).values())
+        classes = sum(map(len, enumerate_mod_p(reg["sltau2"], p).values()))
         assert classes == 2 * (p + 4), p
 
 
@@ -518,7 +523,7 @@ def test_charpoly_mod_p_at_small_primes():
 
 def test_density_report_rows_and_flags():
     scen = builtin_scenarios()["sl2"]
-    censuses = [census(enumerate_mod_p(scen, p)[0].classes, p, 0) for p in (5, 7)]
+    censuses = [census(enumerate_mod_p(scen, p)[0], p, 0) for p in (5, 7)]
     types = scen.coset(0).predicted.types()
     rows = density_report(censuses, {0: types})
     assert not any(r["flagged"] for r in rows)
@@ -554,10 +559,10 @@ def test_swap_coset_density_truth():
     }
     for p, want in expected_swap.items():
         cosets = enumerate_mod_p(scen, p)
-        c1 = census(cosets[1].classes, p, 1, multiplicity=1)
+        c1 = census(cosets[1], p, 1, multiplicity=1)
         assert c1.type_counts == want, (p, dict(c1.type_counts))
         assert set(c1.type_counts) == attainable_types(sltau2_swap_chi, 1, p)
-        c0 = census(cosets[0].classes, p, 0, multiplicity=2)
+        c0 = census(cosets[0], p, 0, multiplicity=2)
         assert c0.type_counts[(1, 1, 1, 1)] > 0
         assert c0.type_counts[(2, 2)] > 0
         assert set(c0.type_counts) == attainable_types(sltau2_identity_chi, 2, p)
@@ -571,7 +576,7 @@ def test_rs_fraction_fit_reported():
     scen = builtin_scenarios()["sl2"]
     fractions = {}
     for p in (5, 7, 11, 13, 17):
-        c = census(enumerate_mod_p(scen, p)[0].classes, p, 0)
+        c = census(enumerate_mod_p(scen, p)[0], p, 0)
         fractions[p] = F(c.rs_count, c.total)
     cfit = max(p * (1 - frac) for p, frac in fractions.items())
     assert cfit > 0
@@ -587,7 +592,7 @@ def test_sl2_type_densities_at_small_primes():
     # default prime (frozen from the enumeration)
     scen = builtin_scenarios()["sl2"]
     for p in (5, 7, 11, 13):
-        c = census(enumerate_mod_p(scen, p)[0].classes, p, 0)
+        c = census(enumerate_mod_p(scen, p)[0], p, 0)
         for ct in ((1, 1), (2,)):
             density = F(c.type_counts.get(ct, 0), c.total)
             assert density >= F(1, 4), (p, ct, density)

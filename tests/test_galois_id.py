@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+from sympy.polys.numberfields.galoisgroups import galois_group
 
 from galwalk import galois_id, zfactor
 from galwalk.exactmat import (
@@ -55,7 +56,7 @@ from galwalk.picatalog import (
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 from galwalk.zfactor import factor_degrees
-from test_sympy_oracles import sympy_degrees, sympy_galois_name
+from test_sympy_oracles import sympy_degrees, sympy_galois_name, sympy_poly
 
 PRIMES = primes_in_window(*PRIME_WINDOW)
 
@@ -429,6 +430,13 @@ def test_rule_b_rejects_square_discriminant_above_degree_4():
     assert v.kind == KIND_REJECTED and v.detail.startswith("rule (b)")
     a5 = enumerate_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
     assert exact_verdict(f, a5, 1, PRIMES) is None
+    # x^6 + 24x - 20 has Galois group A6 (sympy's galois_group agrees), so
+    # its discriminant, Res(f, f') from the subresultant sequence, is a
+    # square and S6 is rejected by (b)
+    f = [-20, 24, 0, 0, 0, 0, 1]
+    assert galois_group(sympy_poly(f), by_name=True)[0].name == "A6"
+    v = exact_verdict(f, pi_sl_n(6), 1, PRIMES)
+    assert v.kind == KIND_REJECTED and v.detail.startswith("rule (b)")
 
 
 def test_exact_verdict_at_multiplicity_2_by_rules_a_and_c():

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+import sympy
+from sympy import Poly, symbols
 
 from galwalk.exactmat import PrimeFieldPolynomial, RationalMatrix, char_poly
 from galwalk.modpoly import (
@@ -19,9 +22,9 @@ from galwalk.modpoly import (
     pf_monic,
     power_root,
     primes_in_window,
-    prs_gcd,
     repeat_parts,
     squarefree_over_q,
+    subresultant,
     trim,
 )
 
@@ -70,13 +73,35 @@ def test_power_root_of_integral_forms():
     assert power_root(char_poly(a), 1) is None
 
 
-def test_power_root_and_prs_gcd():
-    assert prs_gcd([1, -2, 1], [-2, 2]) == [-1, 1]
-    assert prs_gcd([6, -5, 1], [-2, 1]) == [-2, 1]
-    assert prs_gcd([2, 0, 2], [3, 3]) == [1]  # contents 2 and 3 are dropped
+X = symbols("x")
+
+
+def primitive(c):
+    """c divided by its content, leading coefficient made positive; [1] for a
+    nonzero constant."""
+    g = reduce(math.gcd, c) * (1 if c[-1] > 0 else -1)
+    return [x // g for x in c]
+
+
+def sympy_gcd(a, b):
+    """sympy's gcd over Z of two integer coefficient lists, made primitive."""
+    g = sympy.gcd(Poly(list(reversed(a)), X), Poly(list(reversed(b)), X))
+    return primitive([int(c) for c in reversed(g.all_coeffs())])
+
+
+def test_power_root_and_subresultant_gcd():
+    # the sequence's gcd is sympy's up to a constant factor
+    for a, b, want in (
+        ([1, -2, 1], [-2, 2], [-1, 1]),
+        ([6, -5, 1], [-2, 1], [-2, 1]),
+        ([2, 0, 2], [3, 3], [1]),  # contents 2 and 3 are dropped
+    ):
+        assert sympy_gcd(a, b) == want
+        assert primitive(subresultant(a, b)[0]) == want
     # (T - 1)^2 (T + 2) and its derivative share T - 1
     f = mul(mul([-1, 1], [-1, 1]), [2, 1])
-    assert prs_gcd(f, derivative(f)) == [-1, 1]
+    assert sympy_gcd(f, derivative(f)) == [-1, 1]
+    assert primitive(subresultant(f, derivative(f))[0]) == [-1, 1]
     assert power_root(f, 1) is None
     assert power_root(mul([2, 0, 1], [2, 0, 1]), 2) == [2, 0, 1]
     assert power_root(mul(f, f), 2) is None
@@ -87,6 +112,26 @@ def test_power_root_and_prs_gcd():
     assert power_root([0, 0, 1], 1, 5) is None
     assert power_root(mod(reduce(mul, [[-1, 1]] * 5), 5), 5, 5) is None
     assert power_root([1, 0, 0, 1], 1, 5) == [1, 0, 0, 1]
+
+
+def test_subresultant_examples():
+    # Res(x^2 - 1, x - 2) = (2 - 1)(2 + 1); coprime, so the gcd is a
+    # constant; the pair order costs (-1)^(deg a deg b)
+    assert subresultant([-1, 0, 1], [-2, 1]) == ([3], 3)
+    assert subresultant([-2, 1], [-1, 0, 1]) == ([3], 3)
+    assert subresultant([-2, 1], [-1, 0, 0, 1])[1] == 2 ** 3 - 1
+    assert subresultant([-1, 0, 0, 1], [-2, 1])[1] == -(2 ** 3 - 1)
+    assert subresultant([0, 1], [0, 0, 0, 1]) == ([0, 1], 0)
+    # against a constant: Res(a, c) = c^deg a; two constants: 1
+    assert subresultant([1, 2, 3], [5]) == ([5], 25)
+    assert subresultant([5], [1, 2, 3]) == ([5], 25)
+    assert subresultant([2], [3]) == ([3], 1)
+    # against zero: the other polynomial is the gcd, and Res = 0
+    assert subresultant([1, 2, 3], []) == ([1, 2, 3], 0)
+    assert subresultant([], [1, 2, 3]) == ([1, 2, 3], 0)
+    # a common factor x^2 + 1: the gcd is a multiple of it
+    g, r = subresultant(mul([1, 0, 1], [3, -1, 2]), mul([1, 0, 1], [5, 0, 0, 7]))
+    assert primitive(g) == [1, 0, 1] and r == 0
 
 
 def test_divmod_poly():

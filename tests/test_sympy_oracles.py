@@ -23,8 +23,8 @@ from galwalk.modpoly import (
     mul,
     power_root,
     primes_in_window,
-    prs_gcd,
     squarefree_over_q,
+    subresultant,
 )
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
@@ -117,7 +117,7 @@ def test_quartic_factor_degrees_need_no_prime():
     for f, degrees, root_count in NAMED_QUARTICS:
         assert sympy_degrees(f) == degrees, f
         found = factor_degrees(f, ())
-        assert found.degrees == degrees and found.types == frozenset(), f
+        assert found.degrees == degrees, f
         assert len(found.resolvent_roots) == root_count, f
     rng = random.Random(31)
 
@@ -255,9 +255,10 @@ def test_kernel_matches_sympy_sqf_list_on_walk_samples():
     assert powers >= 60
 
 
-def test_squarefree_closed_form_matches_prs_and_sympy_to_degree_4():
-    # power_root(f, 1) reads the discriminant at degree <= 4; the primitive
-    # remainder sequence's gcd(f, f') and sympy's sqf_list must agree
+def test_squarefree_closed_form_matches_gcd_and_sympy_to_degree_4():
+    # power_root(f, 1) reads the discriminant's closed forms at degree <=
+    # 4; sympy's gcd(f, f'), the subresultant sequence's and sympy's
+    # sqf_list must agree
     rng = random.Random(32)
     fixed = [
         mul(mul([-1, 1], [-1, 1]), [1, 0, 1]),  # (x - 1)^2 (x^2 + 1)
@@ -271,9 +272,10 @@ def test_squarefree_closed_form_matches_prs_and_sympy_to_degree_4():
                for d in (2, 3, 4) for _ in range(150)]
     repeated = 0
     for f in fixed + randoms:
-        prs = prs_gcd(f, derivative(f)) == [1]
-        assert (power_root(f, 1) is not None) == prs == check_kernel(f, 1), f
-        repeated += not prs
+        coprime = sympy.gcd(sympy_poly(f), sympy_poly(derivative(f))).degree() == 0
+        assert (len(subresultant(f, derivative(f))[0]) == 1) == coprime, f
+        assert (power_root(f, 1) is not None) == coprime == check_kernel(f, 1), f
+        repeated += not coprime
     assert all(power_root(f, 1) is None for f in fixed[:5]) and repeated >= 20
 
 
@@ -289,7 +291,108 @@ def test_kernel_matches_sympy_on_denominator_6():
     assert power_root(chi, 2) == [-216, -6, 1]
 
 
+def test_power_root_matches_sympy_sqf_list_at_degrees_5_to_8():
+    # at e = 1 power_root reads the subresultant sequence's discriminant
+    # at every degree; f carries a planted repeated factor half the time
+    rng = random.Random(41)
+
+    def monic(d):
+        return [rng.randint(-5, 5) for _ in range(d)] + [1]
+
+    planted = squarefree = 0
+    while planted < 100 or squarefree < 100:
+        n = rng.randint(5, 8)
+        if rng.random() < 0.5:
+            r = monic(rng.randint(1, 2))
+            f = reduce(mul, [r, r, monic(n - 2 * (len(r) - 1))])
+            planted += 1
+            assert not check_kernel(f, 1), f
+        else:
+            f = monic(n)
+            squarefree += check_kernel(f, 1)
+    # and e = 2 on squarefree q of degree 3 and 4: q^2's root is q
+    roots = 0
+    while roots < 60:
+        q = monic(rng.choice((3, 4)))
+        if sympy_power_root(q, 1) is None:
+            continue
+        assert power_root(mul(q, q), 2) == q and check_kernel(mul(q, q), 2), q
+        roots += 1
+
+
+def sylvester_resultant(a, b) -> int:
+    """Res(a, b) as the determinant of the Sylvester matrix of two nonzero
+    integer coefficient lists, by Bareiss's fraction-free elimination; an
+    independent reference for the subresultant sequence."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    if size == 0:
+        return 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        pivot = next((i for i in range(k, size) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            rows[i] = [(rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]) // prev
+                       for j in range(size)]
+        prev = rows[k][k]
+    return sign * rows[-1][-1]
+
+
+def test_subresultant_matches_sympy_and_the_sylvester_determinant():
+    rng = random.Random(53)
+    leads = (-7, -3, -2, -1, 1, 2, 3, 6)
+
+    def poly(d):
+        return [rng.randint(-9, 9) for _ in range(d)] + [rng.choice(leads)]
+
+    seen = Counter()
+    for _ in range(1000):
+        a, b = poly(rng.randint(0, 10)), poly(rng.randint(0, 10))
+        if rng.random() < 0.3:
+            c = poly(rng.randint(1, 3))
+            a, b = mul(a, c), mul(b, c)
+            seen["planted"] += 1
+        g, r = subresultant(a, b)
+        assert r == sylvester_resultant(a, b), (a, b)
+        # sympy 1.14's resultant agrees with the Sylvester determinant when
+        # its first argument has the larger degree; in the other order it
+        # returns Res(b, a), whose sign differs when both degrees are odd
+        hi, lo = (a, b) if len(a) >= len(b) else (b, a)
+        want = sympy.resultant(sympy_poly(hi).as_expr(), sympy_poly(lo).as_expr(), X)
+        assert r == want * (-1) ** ((len(a) - 1) * (len(b) - 1) * (hi is b)), (a, b)
+        want_g = sympy.gcd(sympy_poly(a), sympy_poly(b))
+        assert len(g) - 1 == want_g.degree() and (r == 0) == (len(g) > 1), (a, b)
+        if len(g) > 1:  # g is the gcd up to a constant factor
+            assert sympy_poly(g).monic() == want_g.monic(), (a, b)
+        seen["constant b"] += len(b) == 1
+        seen["gap >= 2"] += abs(len(a) - len(b)) >= 2
+        seen["negative lead"] += a[-1] < 0 or b[-1] < 0
+        seen["non-unit lead"] += abs(a[-1]) > 1 or abs(b[-1]) > 1
+        seen["degree 10"] += 10 in (len(a) - 1, len(b) - 1)
+    assert min(seen.values()) >= 40 and len(seen) == 6, seen
+
+
 def test_discriminant_matches_sympy_above_degree_4():
-    # degrees 5, 6 and 8 take the integer Sylvester determinant
+    # degrees 5 to 10 take Res(f, f') from the subresultant sequence
     for f in ([3, -1, 0, 2, 0, 1], [-7, 2, 5, 0, -3, 1, 1], [1, 0, -9, 4, 0, 0, 2, 0, 1]):
         assert discriminant(f) == sympy.discriminant(Poly(list(reversed(f)), X)), f
+    rng = random.Random(59)
+    zero = 0
+    for i in range(240):
+        n = rng.randint(5, 10)
+        f = [rng.randint(-20, 20) for _ in range(n)] + [1]
+        if i % 5 == 0:  # a planted repeated factor: discriminant 0
+            r = [rng.randint(-3, 3), 1]
+            f = mul(mul(r, r), f[2:])
+        disc = discriminant(f)
+        assert disc == sympy.discriminant(sympy_poly(f).as_expr(), X), f
+        assert disc == (-1) ** (n * (n - 1) // 2) * sylvester_resultant(f, derivative(f)), f
+        zero += disc == 0
+    assert zero >= 48

@@ -7,9 +7,9 @@ import galwalk
 from galwalk.exactmat import RationalMatrix, mat_mul, right_action
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import (
-    SplitMix64,
     batch_sample,
     draw_word,
+    draws,
     make_admissible,
     sample_walk,
     stream_for,
@@ -39,22 +39,27 @@ def test_make_admissible_labels_mod_coset_count():
 
 
 def test_splitmix_reference_stream():
-    # frozen reference values pin the generator across platforms
-    rng = SplitMix64(0)
-    assert [rng.next_uint64() for _ in range(3)] == [
+    # frozen reference values pin the generator across platforms; from
+    # range(2^64) no draw is rejected, so these are the raw outputs
+    assert draws(0, 1 << 64, 3) == (
         16294208416658607535,
         7960286522194355700,
         487617019471545679,
-    ]
-    assert stream_for(42, 7).next_uint64() == stream_for(42, 7).next_uint64()
-    assert stream_for(42, 7).next_uint64() != stream_for(42, 8).next_uint64()
+    )
+    assert draws(stream_for(42, 7), 1 << 64, 1) == draws(stream_for(42, 7), 1 << 64, 1)
+    assert draws(stream_for(42, 7), 1 << 64, 1) != draws(stream_for(42, 8), 1 << 64, 1)
 
 
 def test_draws_range():
-    rng = SplitMix64(123)
-    draws = rng.draws(7, 2000)
-    assert set(draws) <= set(range(7))
-    assert len(set(draws)) == 7
+    out = draws(123, 7, 2000)
+    assert len(out) == 2000
+    assert set(out) <= set(range(7))
+    assert len(set(out)) == 7
+    # the same stream's raw outputs, those below the largest multiple of 7
+    # under 2^64 kept, each reduced mod 7
+    limit = (1 << 64) - (1 << 64) % 7
+    raw = draws(123, 1 << 64, 2001)
+    assert out == tuple(x % 7 for x in raw if x < limit)[:2000]
 
 
 def test_make_admissible_counterexample_set():
