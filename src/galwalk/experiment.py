@@ -423,27 +423,24 @@ def run_oracle(config: ExperimentConfig):
 
 
 def catalog_rows():
-    """One row per (scenario, coset, group, cycle type) with exact frequencies."""
+    """One row per (scenario, coset, cycle type) of the coset's group, exact frequencies."""
     rows = []
     for name, scenario in builtin_scenarios().items():
         for lab, spec in enumerate(scenario.cosets):
-            groups = []
-            if spec.predicted is not None:
-                groups.append(("predicted", spec.predicted))
-            if spec.upper is not None:
-                groups.append(("upper", spec.upper))
-            for role, group in groups:
-                for ct, freq in group.type_distribution.items():
-                    rows.append(
-                        {
-                            "scenario": name,
-                            "coset": lab,
-                            "group": f"{group.name}({role})",
-                            "degree": group.degree,
-                            "order": group.order,
-                            "cycle_type": ct,
-                            "frequency": freq,
-                            "frequency_exact": f"{freq.numerator}/{freq.denominator}",
-                        }
-                    )
+            group = spec.predicted
+            if group is None:
+                continue
+            for ct, freq in group.type_distribution.items():
+                rows.append(
+                    {
+                        "scenario": name,
+                        "coset": lab,
+                        "group": group.name,
+                        "degree": group.degree,
+                        "order": group.order,
+                        "cycle_type": ct,
+                        "frequency": freq,
+                        "frequency_exact": f"{freq.numerator}/{freq.denominator}",
+                    }
+                )
     return rows, tuple(rows[0]), metadata("catalog")

@@ -8,11 +8,10 @@ labels.
 
 A scenario owns the embedding conventions (block matrices, the quadratic
 ring embedding) and declares, per coset, the generic eigenvalue
-multiplicity of its characteristic polynomials and the permutation group
-its samples are decided against (galois_id's exact rules first, Frobenius
-statistics where they leave a sample open).  Where two candidate
-predictions exist, `predicted` is the one validated by the exact oracles
-and `upper` the larger reference group that soundly bounds every sample.
+multiplicity of its characteristic polynomials and the one permutation
+group its samples are decided against (galois_id's exact rules first,
+Frobenius statistics where they leave a sample open); the group's
+picatalog constructor proves that Gal lies in it.
 get_scenario(name) builds a scenario on its first use and keeps it.
 """
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .picatalog import (
     pi_restriction_of_scalars,
     pi_sl_n,
     pi_sl_n_doubled,
-    pi_sl_n_tau,
     pi_sl_n_tau_reciprocal,
     pi_sl_power_cyclic,
     pi_sl_power_identity,
@@ -48,7 +46,6 @@ class CosetSpec:
 
     name: str
     predicted: EnumeratedGroup | None
-    upper: EnumeratedGroup | None = None
     multiplicity: int = 1
 
 
@@ -70,12 +67,12 @@ class Scenario:
             if mat.n != self.dimension:
                 raise ValueError("generator dimension mismatch")
         for c in self.cosets:
-            for group in (c.predicted, c.upper):
-                if group is not None and group.degree != self.dimension:
-                    raise ValueError(
-                        f"coset {c.name!r}: group {group.name} has degree "
-                        f"{group.degree}, not the dimension {self.dimension}"
-                    )
+            group = c.predicted
+            if group is not None and group.degree != self.dimension:
+                raise ValueError(
+                    f"coset {c.name!r}: group {group.name} has degree "
+                    f"{group.degree}, not the dimension {self.dimension}"
+                )
 
     @cached_property
     def _admissible(self) -> GeneratorSet:
@@ -196,11 +193,7 @@ def _sl_tau_scenario(n: int) -> Scenario:
                 pi_sl_n_doubled(n),
                 multiplicity=2 if n == 2 else 1,
             ),
-            CosetSpec(
-                "swap",
-                pi_sl_n_tau_reciprocal(n),
-                upper=pi_sl_n_tau(n),
-            ),
+            CosetSpec("swap", pi_sl_n_tau_reciprocal(n)),
         ),
         description=f"dimension-{n} unimodular walks extended by the "
         "transpose-inverse involution, embedded in twice the dimension; "

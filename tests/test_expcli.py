@@ -550,6 +550,12 @@ def test_catalog_rows_exact_frequencies():
         assert total == 1
     names = {r["scenario"] for r in rows}
     assert "diag_antidiag" not in names  # no predictions there
+    # one group per coset, under its bare catalog name
+    assert len(by_group) == len({(s, c) for s, c, _ in by_group}) == 13
+    assert {g for s, c, g in by_group if s.startswith("sltau") and c == 1} == {
+        "reciprocal_wreath_2",
+        "reciprocal_wreath_4",
+    }
 
 
 def run_cli(*args):

@@ -43,12 +43,11 @@ from galwalk.modpoly import (
     primes_in_window,
 )
 from galwalk.experiment import ExperimentConfig, batch_seed, identify_sample
-from galwalk.permkit import enumerate_group, symmetric_group
+from galwalk.permkit import cyclic_group, enumerate_group, symmetric_group, wreath_product
 from galwalk.picatalog import (
     pi_restriction_of_scalars,
     pi_sl_n,
     pi_sl_n_doubled,
-    pi_sl_n_tau,
     pi_sl_n_tau_reciprocal,
     pi_sl_power_cyclic,
     pi_sl_power_identity,
@@ -279,9 +278,10 @@ def test_match_verdict_v4_against_d4():
     # but half the target's types are never seen, so the verdict is
     # inconclusive, with no distance reason
     v4_stats = summary_from(4, {(2, 2): F(3, 4), (1, 1, 1, 1): F(1, 4)})
-    dihedral = pi_sl_n_tau(2).type_distribution
-    assert len(dihedral) == 2 * len(v4_stats.empirical)
-    v = match_verdict(v4_stats, pi_sl_n_tau(2))
+    d4 = wreath_product(cyclic_group(2), cyclic_group(2))
+    assert d4.order == 8
+    assert len(d4.type_distribution) == 2 * len(v4_stats.empirical)
+    v = match_verdict(v4_stats, d4)
     assert v.kind == KIND_INCONCLUSIVE and v.detail == ""
     # and against the reciprocal target it is consistent, at tv 0
     reciprocal = pi_sl_n_tau_reciprocal(2)
@@ -304,11 +304,16 @@ def test_rejection_soundness_calibration():
     # synthetic data drawn from the target's own distribution must be
     # rejected with frequency < 1% at default thresholds
     rng = random.Random(8)
+    # D4 and the order-128 sign-flip wreath C2 wr (C2 wr S_2)
+    signflip = [
+        wreath_product(cyclic_group(2), wreath_product(cyclic_group(2), symmetric_group(r)))
+        for r in (1, 2)
+    ]
+    assert [g.order for g in signflip] == [8, 128]
     targets = [
         pi_sl_n(3),
         pi_sl_n(4),
-        pi_sl_n_tau(2),
-        pi_sl_n_tau(4),
+        *signflip,
         pi_sl_n_tau_reciprocal(4),
     ]
     for target in targets:
@@ -325,7 +330,7 @@ def test_rejection_soundness_calibration():
             summary = SampleSummary(target.degree, 500, 0, emp)
             if match_verdict(summary, target).kind == KIND_REJECTED:
                 rejected += 1
-        assert rejected < trials // 100, (target.name, rejected)
+        assert rejected < trials // 100, (target.name, target.order, rejected)
 
 
 def test_thresholds_are_used():
@@ -525,13 +530,13 @@ def random_squarefree(rng, n):
 
 def test_degree_at_most_4_is_decided_before_any_scan():
     # rules (a)-(c) decide every degree <= 4 sample at e = 1 when the
-    # window holds a good odd prime, against every catalog target
-    targets = {}
+    # window holds a good odd prime, against every catalog target and D4
+    targets = {"d4": wreath_product(cyclic_group(2), cyclic_group(2))}
     for scen in builtin_scenarios().values():
         for spec in scen.cosets:
-            for group in (spec.predicted, spec.upper):
-                if group is not None and group.degree <= 4:
-                    targets[group.name] = group
+            group = spec.predicted
+            if group is not None and group.degree <= 4:
+                targets[group.name] = group
     assert {group.degree for group in targets.values()} == {2, 3, 4}
     rng = random.Random(13)
     reducible = 0

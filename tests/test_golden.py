@@ -62,10 +62,16 @@ def test_golden_output(case, tmp_path):
 
 
 def _record(directory: Path) -> None:
+    """Rewrite the hashes and print each case whose hash changed, old -> new,
+    so a declared output change can name its goldens."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     hashes = {
         case: output_sha256(CASES[case], directory / f"{case}.csv")
         for case in sorted(CASES)
     }
+    for case in sorted(hashes.keys() | old.keys()):
+        if old.get(case) != hashes.get(case):
+            print(f"{case}: {old.get(case)} -> {hashes.get(case)}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
 

@@ -1,18 +1,23 @@
 from fractions import Fraction as F
-from math import gcd
+from itertools import permutations, product
+from math import gcd, isqrt, prod
 
 import pytest
 
+from galwalk.exactmat import RationalMatrix, char_poly, det, mat_inverse
+from galwalk.experiment import batch_seed
+from galwalk.modpoly import squarefree_over_q
 from galwalk.permkit import cyclic_group, cycle_type, enumerate_group, symmetric_group
 from galwalk.picatalog import (
     pi_restriction_of_scalars,
     pi_sl_n,
     pi_sl_n_doubled,
-    pi_sl_n_tau,
     pi_sl_n_tau_reciprocal,
     pi_sl_power_cyclic,
     pi_sl_power_identity,
 )
+from galwalk.scenarios import get_scenario
+from galwalk.walker import batch_sample
 
 PARTITIONS = {2: 2, 3: 3, 4: 5, 5: 7}
 
@@ -42,17 +47,6 @@ def test_pi_sl_n_doubled():
     assert set(d.type_distribution) == {(1,) * 6, (2, 2, 1, 1), (3, 3)}
 
 
-def test_pi_sl_n_tau():
-    t2 = pi_sl_n_tau(2)
-    assert t2.degree == 4 and t2.order == 8
-    assert t2.type_distribution[(4,)] == F(1, 4)
-    t4 = pi_sl_n_tau(4)
-    assert t4.degree == 8 and t4.order == 128  # 2^(2r) * |signed pair group|
-    for n in (3, 5):
-        with pytest.raises(ValueError):
-            pi_sl_n_tau(n)
-
-
 def test_pi_sl_n_tau_reciprocal():
     r2 = pi_sl_n_tau_reciprocal(2)
     assert r2.order == 4
@@ -68,9 +62,95 @@ def test_pi_sl_n_tau_reciprocal():
         (2, 2, 1, 1, 1, 1): F(1, 8),
         (1,) * 8: F(1, 16),
     }
-    # proper containment inside the sign-flip wreath on identical points
-    assert set(r2.elements) < set(pi_sl_n_tau(2).elements)
-    assert set(r4.elements) < set(pi_sl_n_tau(4).elements)
+    for n in (1, 3, 6, 8):  # no container argument reaches these n
+        with pytest.raises(ValueError, match=f"n = {n}: the Pfaffian argument"):
+            pi_sl_n_tau_reciprocal(n)
+
+
+def conjugate_in_sym(g, h) -> bool:
+    """Whether some relabeling p of the points has p g p^-1 = h: the
+    generators' conjugates lie in h, and the orders agree."""
+    if g.order != h.order:
+        return False
+    inside = set(h.elements)
+
+    def conjugate(p, gen):  # p(x) -> p(gen(x))
+        image = [0] * len(p)
+        for x, y in enumerate(gen):
+            image[p[x]] = p[y]
+        return tuple(image)
+
+    return any(
+        all(conjugate(p, gen) in inside for gen in g.generators)
+        for p in permutations(range(g.degree))
+    )
+
+
+def swap_container(r, pfaffian):
+    """Every sigma with sigma(s_j) = eps_j * s_pi(j)^dlt_j, on the roots
+    (-1)^e * s_j^((-1)^l) at point 4j + 2l + e; with pfaffian, only those
+    fixing prod (s_j - 1/s_j), which sigma multiplies by prod eps_j * dlt_j."""
+    return [
+        tuple(
+            4 * pi[j] + 2 * (l ^ (dlt[j] < 0)) + (e ^ (eps[j] < 0))
+            for j in range(r) for l in (0, 1) for e in (0, 1)
+        )
+        for pi in permutations(range(r))
+        for eps, dlt in product(product((1, -1), repeat=r), repeat=2)
+        if not pfaffian or prod(eps + dlt) == 1
+    ]
+
+
+def cyclic_shift_container(n, d):
+    """Every sigma(zeta^i r_j) = zeta^(a*i + c_j) r_pi(j), a a unit mod d and
+    sum c_j = 0 mod d, on the point d*j + i."""
+    return [
+        tuple(d * pi[j] + (a * i + c[j]) % d for j in range(n) for i in range(d))
+        for pi in permutations(range(n))
+        for a in range(1, d) if gcd(a, d) == 1
+        for c in product(range(d), repeat=n) if sum(c) % d == 0
+    ]
+
+
+@pytest.mark.parametrize("container,catalog", [
+    (lambda: swap_container(1, pfaffian=False), lambda: pi_sl_n_tau_reciprocal(2)),
+    (lambda: swap_container(2, pfaffian=True), lambda: pi_sl_n_tau_reciprocal(4)),
+    (lambda: cyclic_shift_container(2, 3), lambda: pi_sl_power_cyclic(2, 3)),
+])
+def test_catalog_group_is_its_container_argument(container, catalog):
+    # the root relations alone list a group, conjugate to the catalog's
+    elements = container()
+    group = enumerate_group(elements, degree=len(elements[0]))
+    assert group.order == len(elements)
+    assert conjugate_in_sym(group, catalog())
+
+
+@pytest.mark.parametrize("name", ["sltau2", "sltau4"])
+def test_swap_samples_carry_the_pfaffian_square(name):
+    # each regular semisimple swap sample is [[0, B], [B^-T, 0]]; chi is
+    # h(x^2), and h(1) = det(I - B B^-T) = det(B^T - B) = Pf^2 != 0
+    scen = get_scenario(name)
+    n = scen.dimension // 2
+    checked = 0
+    for s in batch_sample(scen.admissible(), 20, 160, batch_seed(1, 20)):
+        chi = char_poly(s.element)
+        if s.label != 1 or not squarefree_over_q(chi):
+            continue
+        rows = s.element.rows
+        assert all(x == 0 for row in rows[:n] for x in row[:n])
+        assert all(x == 0 for row in rows[n:] for x in row[n:])
+        b = RationalMatrix([row[n:] for row in rows[:n]])
+        assert RationalMatrix([row[:n] for row in rows[n:]]) == mat_inverse(b.transpose())
+        assert det(b) == 1
+        assert all(c == 0 for c in chi[1::2])
+        h_at_1 = sum(chi[::2])
+        skew = RationalMatrix(
+            [[b.rows[j][i] - b.rows[i][j] for j in range(n)] for i in range(n)]
+        )
+        assert h_at_1 in (det(skew), -det(skew))
+        assert h_at_1 != 0 and isqrt(abs(h_at_1)) ** 2 == abs(h_at_1)
+        checked += 1
+    assert checked >= 40
 
 
 def test_pi_sl_power_cyclic():
@@ -94,8 +174,10 @@ def test_pi_restriction_of_scalars():
 def test_every_element_type_has_positive_frequency():
     for group in (
         pi_sl_n(4),
-        pi_sl_n_tau(2),
+        pi_sl_n_doubled(4),
+        pi_sl_n_tau_reciprocal(2),
         pi_sl_n_tau_reciprocal(4),
+        pi_sl_power_identity(2, 3),
         pi_sl_power_cyclic(2, 3),
         pi_restriction_of_scalars(2, symmetric_group(2)),
     ):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from galwalk.exactmat import (
     mat_mul,
 )
 from galwalk.modpoly import mul
-from galwalk.permkit import enumerate_group
+from galwalk.permkit import cyclic_group, enumerate_group, symmetric_group, wreath_product
 from galwalk.picatalog import pi_sl_n
 from galwalk.scenarios import (
     CosetSpec,
@@ -72,10 +73,12 @@ def test_predicted_group_bindings():
     assert sym3.name == "sym3"
     assert (sym3.degree, sym3.order) == (3, 6)  # S_3 in its natural action
     assert reg["sltau2"].coset(0).predicted.order == 2
+    # one target per coset, proved by its constructor's container argument
+    assert [f.name for f in fields(CosetSpec)] == ["name", "predicted", "multiplicity"]
     assert reg["sltau2"].coset(1).predicted.order == 4
-    assert reg["sltau2"].coset(1).upper.order == 8
+    assert reg["sltau2"].coset(1).predicted.name == "reciprocal_wreath_2"
     assert reg["sltau4"].coset(1).predicted.order == 16
-    assert reg["sltau4"].coset(1).upper.order == 128
+    assert reg["sltau4"].coset(1).predicted.name == "reciprocal_wreath_4"
     assert reg["slcyc2x3"].coset(1).predicted.order == 12
     assert reg["slcyc2x3"].coset(2).predicted.order == 12
     assert reg["res_sqrt2"].coset(0).predicted.order == 8
@@ -176,23 +179,30 @@ def test_scenario_requires_a_coset():
 def test_scenario_checks_the_degree_of_every_coset_group():
     raw = ((elementary(2, 0, 1), 0),)
 
-    def build(predicted, upper=None):
-        return Scenario("t", 2, raw, (CosetSpec("only", predicted, upper),), "one coset")
+    def build(*groups):
+        cosets = tuple(CosetSpec(f"c{i}", g) for i, g in enumerate(groups))
+        return Scenario("t", 2, raw, cosets, "cosets c0, c1, ...")
 
     assert build(pi_sl_n(2), pi_sl_n(2)).has_predictions
-    wrong = "coset 'only': group sym3 has degree 3, not the dimension 2"
-    with pytest.raises(ValueError, match=wrong):
+    with pytest.raises(ValueError, match="coset 'c0': group sym3 has degree 3, not the dimension 2"):
         build(pi_sl_n(3))
-    with pytest.raises(ValueError, match=wrong):
-        build(pi_sl_n(2), upper=pi_sl_n(3))
+    with pytest.raises(ValueError, match="coset 'c1': group sym3 has degree 3, not the dimension 2"):
+        build(pi_sl_n(2), pi_sl_n(3))
 
 
 def test_catalog_groups_close_from_their_generators():
-    # wreath and doubled constructions build on the stored generators
-    for scenario in builtin_scenarios().values():
-        for spec in scenario.cosets:
-            for group in (spec.predicted, spec.upper):
-                if group is None:
-                    continue
-                closed = enumerate_group(group.generators, degree=group.degree)
-                assert closed.elements == group.elements, group.name
+    # wreath and doubled constructions build on the stored generators; the
+    # two-level sign-flip wreaths (orders 8 and 128) close from theirs too
+    groups = [
+        spec.predicted
+        for scenario in builtin_scenarios().values()
+        for spec in scenario.cosets
+        if spec.predicted is not None
+    ]
+    groups += [
+        wreath_product(cyclic_group(2), wreath_product(cyclic_group(2), symmetric_group(r)))
+        for r in (1, 2)
+    ]
+    for group in groups:
+        closed = enumerate_group(group.generators, degree=group.degree)
+        assert closed.elements == group.elements, (group.name, group.order)
