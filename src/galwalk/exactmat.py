@@ -11,12 +11,11 @@ are immutable, and all operations are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -27,18 +26,23 @@ class SingularMatrix(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RationalMatrix:
+class _MatrixFields(NamedTuple):
+    n: int
+    den: int
+    num: tuple[tuple[int, ...], ...]
+
+
+class RationalMatrix(_MatrixFields):
     """Square matrix over Q, stored as integer rows over one denominator.
 
     The entries are num[i][j] / den, where den is the least common
     denominator of the entries: den >= 1 and gcd(den, every num entry) = 1.
-    The form is canonical, so equality and hashing compare integers.
+    The form is canonical, so equality and hashing compare integers: the
+    tuple (n, den, num) is the value.  RationalMatrix(rows) takes rows of
+    rationals; from_int takes integer rows and a denominator.
     """
 
-    n: int
-    den: int
-    num: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def __new__(cls, rows: Iterable[Iterable]):
         rows = [[e if isinstance(e, Fraction) else Fraction(e) for e in row] for row in rows]
@@ -46,18 +50,13 @@ class RationalMatrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
         den = lcm(*(e.denominator for row in rows for e in row))
-        return _from_int(
+        return from_int(
             [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
         )
 
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions; a read-only view, rebuilt on each access."""
-        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
-
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return _from_int([[int(i == j) for j in range(n)] for i in range(n)], 1)
+        return from_int([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "RationalMatrix":
@@ -67,23 +66,23 @@ class RationalMatrix:
         )
 
     def transpose(self) -> "RationalMatrix":
-        return _from_int(tuple(zip(*self.num)), self.den)
+        return from_int(tuple(zip(*self.num)), self.den)
 
 
-def _from_int(num: Sequence[Sequence[int]], den: int) -> RationalMatrix:
+_tuple_new = tuple.__new__
+
+
+def from_int(num: Sequence[Sequence[int]], den: int) -> RationalMatrix:
     """The matrix num / den (den nonzero), divided by one gcd, den made positive."""
     g = gcd(den, *chain.from_iterable(num))
     if den < 0:
         g = -g
-    m = object.__new__(RationalMatrix)
-    object.__setattr__(m, "n", len(num))
     if g == 1:  # already in lowest terms: most products and walk samples
-        object.__setattr__(m, "den", den)
-        object.__setattr__(m, "num", tuple(map(tuple, num)))
-    else:
-        object.__setattr__(m, "den", den // g)
-        object.__setattr__(m, "num", tuple(tuple(map(g.__rfloordiv__, row)) for row in num))
-    return m
+        return _tuple_new(RationalMatrix, (len(num), den, tuple(map(tuple, num))))
+    return _tuple_new(
+        RationalMatrix,
+        (len(num), den // g, tuple(tuple(map(g.__rfloordiv__, row)) for row in num)),
+    )
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -91,7 +90,7 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
     cols = tuple(zip(*b.num))
-    return _from_int(
+    return from_int(
         [[sum(map(mul, row, col)) for col in cols] for row in a.num], a.den * b.den
     )
 
@@ -126,7 +125,7 @@ def product_of(actions: Iterable[tuple], n: int) -> RationalMatrix:
         new = [(j, _combine(cols, terms)) for j, terms in changes]
         for j, col in new:
             cols[j] = col
-    return _from_int(tuple(zip(*cols)), den)
+    return from_int(tuple(zip(*cols)), den)
 
 
 def _combine(cols: list, terms: tuple) -> tuple:
@@ -212,21 +211,25 @@ def mat_inverse(a: RationalMatrix) -> RationalMatrix:
     if c[0] == 0:
         raise SingularMatrix("matrix is singular")
     adj = [[e + c[1] * (i == j) for j, e in enumerate(row)] for i, row in enumerate(m)]
-    return _from_int([[-a.den * e for e in row] for row in adj], c[0])
+    return from_int([[-a.den * e for e in row] for row in adj], c[0])
 
 
-@dataclass(frozen=True)
-class PrimeFieldPolynomial:
-    """Polynomial over F_p: reduced residues, degree-indexed, leading nonzero."""
-
+class _PolynomialFields(NamedTuple):
     p: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.coeffs and (self.coeffs[-1] % self.p == 0):
+
+class PrimeFieldPolynomial(_PolynomialFields):
+    """Polynomial over F_p: reduced residues, degree-indexed, leading nonzero."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, coeffs: tuple[int, ...]):
+        if coeffs and (coeffs[-1] % p == 0):
             raise ValueError("leading coefficient vanishes mod p")
-        if any(not (0 <= c < self.p) for c in self.coeffs):
+        if any(not (0 <= c < p) for c in coeffs):
             raise ValueError("coefficients must be reduced residues")
+        return super().__new__(cls, p, coeffs)
 
 
 def reduce_poly_mod_p(f: Sequence[int], p: int) -> PrimeFieldPolynomial:

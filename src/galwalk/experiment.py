@@ -12,7 +12,6 @@ import math
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add
@@ -42,7 +41,7 @@ from .galois_id import (
     identify,
     quadratic_galois,
 )
-from .modpoly import SIEVE_MAX, first_prime, power_root, primes_in_window
+from .modpoly import SIEVE_MAX, discriminant, first_prime, power_root, primes_in_window
 from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 from .scenarios import Scenario, builtin_scenarios, get_scenario
 from .walker import RNG_ALGORITHM, batch_sample, draws, stream_for
@@ -64,8 +63,7 @@ VERB_SETTINGS = {
 CONFIG_FIELDS = {"k": "k_values", "primes_min": "prime_min", "primes_max": "prime_max"}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ConfigFields(NamedTuple):
     scenario: str
     k_values: tuple[int, ...] = (10, 20, 30)
     samples: int = 100
@@ -75,7 +73,14 @@ class ExperimentConfig:
     seed: int = 1
     bound: int = MAX_ORDER
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ConfigFields):
+    """One run's settings, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.k_values:
             raise ValueError("need at least one k value")
         if any(k < 0 for k in self.k_values):
@@ -89,6 +94,7 @@ class ExperimentConfig:
             raise ValueError("empty prime window")
         if self.prime_max > SIEVE_MAX:
             raise ValueError(f"prime_max must be at most {SIEVE_MAX:,}")
+        return self
 
 
 def metadata(verb: str, config: ExperimentConfig | None = None) -> dict:
@@ -122,13 +128,20 @@ def batch_seed(seed: int, k: int) -> int:
 def identify_sample(sample, spec, config: ExperimentConfig) -> Verdict | None:
     """The verdict on one walk sample against its coset's predicted group,
     or None when the sample is not regular semisimple: the exact rules
-    first, the prime scan only if they leave it undecided."""
-    q = power_root(char_poly(sample.element), spec.multiplicity)
+    first, the prime scan only if they leave it undecided.  At
+    multiplicity 1, chi is q and is squarefree iff disc(chi) != 0
+    (power_root's test), and rule (b) reads that same discriminant."""
+    chi = char_poly(sample.element)
+    if spec.multiplicity == 1:
+        disc = discriminant(chi)
+        q = chi if disc else None
+    else:
+        disc, q = None, power_root(chi, spec.multiplicity)
     if q is None:
         return None
     return identify(
         q, spec.predicted, spec.multiplicity,
-        (config.prime_min, config.prime_max), config.budget,
+        (config.prime_min, config.prime_max), config.budget, disc,
     )
 
 

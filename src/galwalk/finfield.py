@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
-from .exactmat import RationalMatrix, det, int_char_poly, reduce_poly_mod_p, right_action
+from . import leading_eq, leading_hash
+from .exactmat import det, from_int, int_char_poly, reduce_poly_mod_p, right_action
 from .modpoly import CycleType, PrimeFieldPolynomial, distinct_degree_pattern
 from .permkit import MAX_ORDER, Closure, GroupTooLarge, closure, coset_labels
 
@@ -60,7 +61,7 @@ class _RowTimes(dict):
 
     def __init__(self, g: PFMatrix, p: int, rows: list, ids: dict):
         super().__init__()
-        self.changes = right_action(RationalMatrix(g))[1]
+        self.changes = right_action(from_int(g, 1))[1]
         self.p, self.rows, self.ids = p, rows, ids
 
     def __missing__(self, r):
@@ -199,17 +200,20 @@ def enumerate_mod_p(scenario, p: int, bound: int = MAX_ORDER) -> dict[int, list]
     return cosets
 
 
-@dataclass(frozen=True)
-class CosetCensus:
-    """Cycle-type counts over the regular semisimple part of one coset."""
+class CosetCensus(NamedTuple):
+    """Cycle-type counts over the regular semisimple part of one coset;
+    equality and hashing read the first four fields only."""
 
     p: int
     coset: int
     total: int
     rs_count: int
-    type_counts: dict = field(compare=False)
-    classes: int = field(compare=False)  # conjugacy classes censused
-    chi_counts: dict = field(compare=False)  # chi coefficients -> element count
+    type_counts: dict
+    classes: int  # conjugacy classes censused
+    chi_counts: dict  # chi coefficients -> element count
+
+    _compared = 4
+    __eq__, __ne__, __hash__ = leading_eq, object.__ne__, leading_hash
 
 
 def census(classes, p: int, coset: int, multiplicity: int = 1) -> CosetCensus:

@@ -30,11 +30,11 @@ inconclusive, and certified_exact comes from rule (c) alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from . import leading_eq, leading_hash
 from .exactmat import is_rational_square
 from .modpoly import (
     CycleType,
@@ -60,18 +60,20 @@ KIND_REJECTED = "rejected"
 KIND_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    """Empirical cycle-type distribution of one polynomial over many primes."""
+class SampleSummary(NamedTuple):
+    """Empirical cycle-type distribution of one polynomial over many primes;
+    equality and hashing read the three counts only."""
 
     degree: int
     good_count: int
     bad_count: int
-    empirical: dict = field(compare=False)
+    empirical: dict
+
+    _compared = 3
+    __eq__, __ne__, __hash__ = leading_eq, object.__ne__, leading_hash
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """How a sample relates to its target; the detail gives the reason."""
 
     kind: str
@@ -129,7 +131,7 @@ def expand_summary(summary: SampleSummary, multiplicity: int) -> SampleSummary:
     """
     if multiplicity == 1:
         return summary
-    return replace(summary, degree=summary.degree * multiplicity, empirical={
+    return summary._replace(degree=summary.degree * multiplicity, empirical={
         repeat_parts(ct, multiplicity): freq for ct, freq in summary.empirical.items()
     })
 
@@ -179,16 +181,17 @@ def identify(
     multiplicity: int = 1,
     prime_window: tuple[int, int] = PRIME_WINDOW,
     budget: int = BUDGET,
+    disc: int | None = None,
 ) -> Verdict:
     """Verdict on a sample whose characteristic polynomial is q**multiplicity.
 
     q is a monic squarefree integer list.  The exact rules decide first
-    (exact_verdict); only what they leave undecided scans the window's
-    primes (collect_samples, match_verdict).  The window is sieved when
-    its first prime is read, so a q the rules decide with no prime sieves
-    nothing.
+    (exact_verdict, which takes disc(q) when the caller has it); only
+    what they leave undecided scans the window's primes (collect_samples,
+    match_verdict).  The window is sieved when its first prime is read,
+    so a q the rules decide with no prime sieves nothing.
     """
-    verdict = exact_verdict(q, target, multiplicity, _sieved_on_first_use(prime_window))
+    verdict = exact_verdict(q, target, multiplicity, _sieved_on_first_use(prime_window), disc)
     if verdict is not None:
         return verdict
     summary = collect_samples(q, prime_window, budget, target, multiplicity)
@@ -203,10 +206,11 @@ def _sieved_on_first_use(prime_window: tuple[int, int]):
 
 
 def exact_verdict(
-    q: Sequence[int], target: EnumeratedGroup, multiplicity: int, primes
+    q: Sequence[int], target: EnumeratedGroup, multiplicity: int, primes,
+    disc: int | None = None,
 ) -> Verdict | None:
     """The verdict rules (a)-(c) prove for a monic squarefree integer q, or
-    None.
+    None.  disc is disc(q), computed here when None.
 
     primes, any iterable of ascending primes, feed Musser's filter in
     factor_degrees, which reads them only when q's cofactor over its
@@ -230,7 +234,8 @@ def exact_verdict(
         return Verdict(
             KIND_REJECTED, f"rule (a): factor degrees give orbits {orbits}, target {want}"
         )
-    disc = discriminant(q)
+    if disc is None:
+        disc = discriminant(q)
     if any(_is_odd(ct) for ct in target.type_distribution) and is_rational_square(disc):
         return Verdict(
             KIND_REJECTED, "rule (b): square discriminant, target has odd permutations"

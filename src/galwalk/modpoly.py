@@ -19,11 +19,10 @@ that: we never need the factors themselves, only their degree pattern.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmat import PrimeFieldPolynomial, reduce_poly_mod_p
 
@@ -45,15 +44,19 @@ def repeat_parts(ct: CycleType, e: int) -> CycleType:
     return make_cycle_type(tuple(p for p in ct for _ in range(e)))
 
 
-@dataclass(frozen=True)
-class FrobeniusSample:
+class _SampleFields(NamedTuple):
     p: int
     cycle_type: CycleType | None
     status: str  # "good" | "not_squarefree" (a monic f reduces at every p)
 
-    def __post_init__(self):
-        if (self.status == "good") != (self.cycle_type is not None):
+
+class FrobeniusSample(_SampleFields):
+    __slots__ = ()
+
+    def __new__(cls, p: int, cycle_type: CycleType | None, status: str):
+        if (status == "good") != (cycle_type is not None):
             raise ValueError("cycle_type present iff status is good")
+        return super().__new__(cls, p, cycle_type, status)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ Orbits and cycle types of permutation groups are read off the elements.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress, count, repeat
 from operator import is_, ne
 from typing import NamedTuple
 
+from . import leading_eq, leading_hash
 from .modpoly import CycleType, make_cycle_type
 
 Permutation = tuple[int, ...]
@@ -175,22 +175,25 @@ def cycle_type(g: Permutation) -> CycleType:
     return make_cycle_type(parts)
 
 
-@dataclass(frozen=True)
-class EnumeratedGroup:
+class EnumeratedGroup(NamedTuple):
     """A fully enumerated permutation group with its cycle-type distribution.
 
-    type_distribution maps each cycle type to its exact frequency
-    (#elements of that type / order), a Fraction; frequencies sum to 1.
-    generators are the permutations the elements were closed from.  name
-    is the catalog name of a scenario coset's predicted group (picatalog),
-    empty otherwise.
+    The group is its degree and sorted elements: equality and hashing read
+    those two fields only.  type_distribution maps each cycle type to its
+    exact frequency (#elements of that type / order), a Fraction;
+    frequencies sum to 1.  generators are the permutations the elements
+    were closed from.  name is the catalog name of a scenario coset's
+    predicted group (picatalog), empty otherwise.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
-    type_distribution: dict = field(compare=False)
-    generators: tuple[Permutation, ...] = field(default=(), compare=False)
-    name: str = field(default="", compare=False)
+    type_distribution: dict
+    generators: tuple[Permutation, ...] = ()
+    name: str = ""
+
+    _compared = 2
+    __eq__, __ne__, __hash__ = leading_eq, object.__ne__, leading_hash
 
     @property
     def order(self) -> int:
@@ -244,7 +247,9 @@ def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
     return EnumeratedGroup(degree, elements, _distribution(elements), tuple(gens))
 
 
+@lru_cache(maxsize=None)
 def symmetric_group(n: int) -> EnumeratedGroup:
+    """S_n on n points, enumerated once per n."""
     if n == 1:
         return enumerate_group([], degree=1)
     gens = [tuple([1, 0] + list(range(2, n)))]
@@ -272,10 +277,13 @@ def block_map(outer: Permutation, inner) -> Permutation:
     return tuple(outer[b] * n + x for b, perm in enumerate(inner) for x in perm)
 
 
+@lru_cache(maxsize=None)
 def wreath_product(base: EnumeratedGroup, top: EnumeratedGroup) -> EnumeratedGroup:
     """base wr top: one base copy per top point, top permuting blocks rigidly.
 
-    Point (block b, slot i) has index b*base.degree + i.
+    Point (block b, slot i) has index b*base.degree + i.  Enumerated once
+    per pair of groups: C2 and S2 are one group, so C2 wr S2 (sltau4's
+    swap coset) is S2 wr S2 (res_sqrt2's).
     """
     n, d = base.degree, top.degree
     expected = base.order ** d * top.order

@@ -10,7 +10,6 @@ compares type distributions, which proves Gal = H only given that.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from math import factorial, gcd
 
 from .permkit import (
@@ -32,7 +31,7 @@ def pi_sl_n(n: int) -> EnumeratedGroup:
     """Full symmetric group on the n eigenvalues: Gal permutes chi's roots."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return replace(symmetric_group(n), name=f"sym{n}")
+    return symmetric_group(n)._replace(name=f"sym{n}")
 
 def pi_sl_n_doubled(n: int) -> EnumeratedGroup:
     """S_n acting simultaneously on eigenvalues and their inverses.
@@ -45,7 +44,7 @@ def pi_sl_n_doubled(n: int) -> EnumeratedGroup:
     gens = [block_map((0, 1), [g, g]) for g in sym.generators]
     group = enumerate_group(gens, degree=2 * n)
     assert group.order == sym.order
-    return replace(group, name=f"sym{n}_doubled")
+    return group._replace(name=f"sym{n}_doubled")
 
 def pi_sl_n_tau_reciprocal(n: int) -> EnumeratedGroup:
     """The swap coset's group, order 2^(r+1) * r! with r = n/2, n = 2 or 4.
@@ -72,7 +71,7 @@ def pi_sl_n_tau_reciprocal(n: int) -> EnumeratedGroup:
     gens += [block_map(g, [(0, 1)] * (2 * r)) for g in signed_pairs.generators]
     group = enumerate_group(gens, degree=4 * r)
     assert group.order == 2 ** (r + 1) * factorial(r)
-    return replace(group, name=f"reciprocal_wreath_{n}")
+    return group._replace(name=f"reciprocal_wreath_{n}")
 
 def pi_sl_power_identity(n: int, d: int) -> EnumeratedGroup:
     """Direct product of d symmetric groups, one per factor block.
@@ -82,7 +81,7 @@ def pi_sl_power_identity(n: int, d: int) -> EnumeratedGroup:
     roots among themselves, lies in S_n^d.
     """
     group = wreath_product(symmetric_group(n), trivial_group(d))
-    return replace(group, name=f"sym{n}_power{d}")
+    return group._replace(name=f"sym{n}_power{d}")
 
 def pi_sl_power_cyclic(n: int, d: int) -> EnumeratedGroup:
     """Coset group for d cyclically permuted factors: zeta^i r_j ->
@@ -115,7 +114,7 @@ def pi_sl_power_cyclic(n: int, d: int) -> EnumeratedGroup:
     group = enumerate_group(gens, degree=n * d)
     phi = 1 + len(units)
     assert group.order == d ** (n - 1) * factorial(n) * phi
-    return replace(group, name=f"cycshift_{n}x{d}")
+    return group._replace(name=f"cycshift_{n}x{d}")
 
 def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> EnumeratedGroup:
     """S_n wr gal in its imprimitive action on n * gal.degree points.
@@ -129,4 +128,4 @@ def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> EnumeratedGroup:
     if gal.orbit_lengths() != (gal.degree,):
         raise ValueError("gal must act transitively")
     group = wreath_product(symmetric_group(n), gal)
-    return replace(group, name=f"sym{n}_wr_{gal.order}on{gal.degree}")
+    return group._replace(name=f"sym{n}_wr_{gal.order}on{gal.degree}")

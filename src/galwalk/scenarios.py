@@ -16,11 +16,11 @@ get_scenario(name) builds a scenario on its first use and keeps it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from math import lcm
+from typing import NamedTuple
 
-from .exactmat import RationalMatrix, mat_inverse
+from .exactmat import RationalMatrix, from_int, mat_inverse
 from .permkit import EnumeratedGroup, symmetric_group
 from .picatalog import (
     pi_restriction_of_scalars,
@@ -33,8 +33,7 @@ from .picatalog import (
 from .walker import GeneratorSet, make_admissible
 
 
-@dataclass(frozen=True)
-class CosetSpec:
+class CosetSpec(NamedTuple):
     """Per-coset identification data.
 
     multiplicity is the generic eigenvalue multiplicity of characteristic
@@ -49,8 +48,7 @@ class CosetSpec:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
     name: str
     dimension: int
     raw_generators: tuple
@@ -60,7 +58,15 @@ class Scenario:
     # finfield.closure_order_bound)
     sl_factors: tuple[int, ...] = ()
 
-    def __post_init__(self):
+
+class Scenario(_ScenarioFields):
+    """A walk's raw (matrix, label) generators and its cosets' specs,
+    checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.cosets:
             raise ValueError("cosets must be nonempty")
         for mat, _ in self.raw_generators:
@@ -73,14 +79,11 @@ class Scenario:
                     f"coset {c.name!r}: group {group.name} has degree "
                     f"{group.degree}, not the dimension {self.dimension}"
                 )
-
-    @cached_property
-    def _admissible(self) -> GeneratorSet:
-        return make_admissible(self.raw_generators, len(self.cosets))
+        return self
 
     def admissible(self) -> GeneratorSet:
         """The walk's admissible generator set, built on the first call."""
-        return self._admissible
+        return _admissible(self.raw_generators, len(self.cosets))
 
     def coset(self, label: int) -> CosetSpec:
         if not 0 <= label < len(self.cosets):
@@ -92,14 +95,19 @@ class Scenario:
         return any(c.predicted is not None for c in self.cosets)
 
 
+# one generator set per (raw generators, coset count): a scenario builds
+# its own on the first admissible() call
+_admissible = lru_cache(maxsize=None)(make_admissible)
+
+
 # ---------------------------------------------------------------------------
 # matrix builders
 # ---------------------------------------------------------------------------
 
-def elementary(n: int, i: int, j: int, v=1) -> RationalMatrix:
-    rows = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-    rows[i][j] = Fraction(v)
-    return RationalMatrix(rows)
+def elementary(n: int, i: int, j: int, v: int = 1) -> RationalMatrix:
+    rows = [[int(a == b) for b in range(n)] for a in range(n)]
+    rows[i][j] = v
+    return from_int(rows, 1)
 
 
 def _sl_generators(n: int) -> list[RationalMatrix]:
@@ -115,13 +123,15 @@ def _sl_generators(n: int) -> list[RationalMatrix]:
 
 def _block_diag(blocks: list[RationalMatrix]) -> RationalMatrix:
     n = sum(b.n for b in blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    den = lcm(*(b.den for b in blocks))
+    rows = []
     off = 0
     for b in blocks:
-        for i, row in enumerate(b.rows):
-            rows[off + i][off:off + b.n] = row
+        scale = den // b.den
+        for row in b.num:
+            rows.append([0] * off + [scale * e for e in row] + [0] * (n - off - b.n))
         off += b.n
-    return RationalMatrix(rows)
+    return from_int(rows, den)
 
 
 def dual_pair_embed(a: RationalMatrix) -> RationalMatrix:
@@ -140,27 +150,28 @@ def factor_embed(a: RationalMatrix, index: int, copies: int) -> RationalMatrix:
 def block_shift_matrix(n: int, copies: int) -> RationalMatrix:
     """Cyclic shift of `copies` n-blocks: block b moves to block b+1."""
     size = n * copies
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    rows = [[0] * size for _ in range(size)]
     for b in range(copies):
         for i in range(n):
-            rows[((b + 1) % copies) * n + i][b * n + i] = Fraction(1)
-    return RationalMatrix(rows)
+            rows[((b + 1) % copies) * n + i][b * n + i] = 1
+    return from_int(rows, 1)
 
 
 def sqrt2_embed(entries) -> RationalMatrix:
-    """2x2 matrix over Z[sqrt2] into GL_4(Q); each entry (a, b) means a+b*sqrt2.
+    """2x2 matrix over Z[sqrt2] into GL_4(Q); each entry (a, b), integers,
+    means a+b*sqrt2.
 
     The ring element acts by its regular representation [[a, 2b], [b, a]].
     """
-    rows = [[Fraction(0)] * 4 for _ in range(4)]
+    rows = [[0] * 4 for _ in range(4)]
     for i in range(2):
         for j in range(2):
             a, b = entries[i][j]
-            rows[2 * i][2 * j] = Fraction(a)
-            rows[2 * i][2 * j + 1] = Fraction(2 * b)
-            rows[2 * i + 1][2 * j] = Fraction(b)
-            rows[2 * i + 1][2 * j + 1] = Fraction(a)
-    return RationalMatrix(rows)
+            rows[2 * i][2 * j] = a
+            rows[2 * i][2 * j + 1] = 2 * b
+            rows[2 * i + 1][2 * j] = b
+            rows[2 * i + 1][2 * j + 1] = a
+    return from_int(rows, 1)
 
 
 # ---------------------------------------------------------------------------

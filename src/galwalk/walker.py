@@ -11,8 +11,9 @@ regardless of evaluation order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from . import leading_eq, leading_hash
 from .exactmat import (
     RationalMatrix,
     SingularMatrix,
@@ -51,19 +52,22 @@ def stream_for(seed: int, index: int) -> int:
     return (seed * _GAMMA + index) & _MASK
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Admissible generating multiset: inverse-closed and identity-padded.
 
     Uniform sampling over `generators` defines the walk step distribution,
-    and labels add mod coset_count.  actions[i] is generators[i]'s matrix
-    as an exactmat.right_action, which walk products run on.  Built by
+    and labels add mod coset_count; equality and hashing read these two
+    fields only.  actions[i] is generators[i]'s matrix as an
+    exactmat.right_action, which walk products run on.  Built by
     make_admissible only.
     """
 
     generators: tuple[tuple[RationalMatrix, int], ...]
     coset_count: int
-    actions: tuple = field(compare=False, repr=False)
+    actions: tuple
+
+    _compared = 2
+    __eq__, __ne__, __hash__ = leading_eq, object.__ne__, leading_hash
 
     @property
     def dimension(self) -> int:
@@ -109,8 +113,7 @@ def make_admissible(raw, coset_count: int) -> GeneratorSet:
     return GeneratorSet(tuple(out), coset_count, tuple(right_action(g) for g, _ in out))
 
 
-@dataclass(frozen=True)
-class WalkSample:
+class WalkSample(NamedTuple):
     """One k-step walk value with its coset label and provenance."""
 
     element: RationalMatrix

@@ -17,10 +17,9 @@ Z and F_p is modpoly's.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .modpoly import (
     CycleType,
@@ -124,8 +123,7 @@ def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:
 MUSSER_PRIMES = 5
 
 
-@dataclass(frozen=True)
-class FactorDegrees:
+class FactorDegrees(NamedTuple):
     """Degrees of f's irreducible factors over Q (a partition of deg f) and
     the integer roots, ascending, of the resolvent cubic of f's quartic
     cofactor when f has one (f over its linear factors, of degree 4)."""

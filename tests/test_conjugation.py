@@ -13,7 +13,6 @@ they carry denominators, so the general paths of the column-update walk
 products (exactmat.right_action, product_of) and of the mod-p row memo
 (finfield._RowTimes) run on them.
 """
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +22,7 @@ from galwalk.exactmat import RationalMatrix, det, mat_inverse, mat_mul
 from galwalk.experiment import ExperimentConfig, batch_seed
 from galwalk.finfield import density_row
 from galwalk.output import render_csv
-from galwalk.scenarios import get_scenario
+from galwalk.scenarios import Scenario, get_scenario
 from galwalk.walker import batch_sample
 
 ENTRY = {
@@ -67,11 +66,12 @@ def conjugator(p: RationalMatrix):
 
 
 def conjugated(scenario, p: RationalMatrix):
-    """The scenario with every raw generator conjugated by p."""
+    """The scenario with every raw generator conjugated by p, built (and
+    so checked) as any scenario is."""
     conj = conjugator(p)
-    return replace(
-        scenario, raw_generators=tuple((conj(g), lab) for g, lab in scenario.raw_generators)
-    )
+    return Scenario(*scenario._replace(
+        raw_generators=tuple((conj(g), lab) for g, lab in scenario.raw_generators)
+    ))
 
 
 def verb_output(verb: str, config: ExperimentConfig, capsys, scenario=None) -> tuple:

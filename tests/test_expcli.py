@@ -43,6 +43,7 @@ from galwalk.output import dec6, emit, render_csv, render_json
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios
 from galwalk.walker import batch_sample
 from test_galois_id import certify_sn
+from fraction_rows import fraction_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -288,10 +289,10 @@ def test_oracle_against_literal_word_enumeration():
                 m = mat_mul(m, g)
                 if g == ident and lab == 0:
                     n_i += 1
-            if m.rows[0][0] != 0:
+            if fraction_rows(m)[0][0] != 0:
                 continue
             off += 1
-            ab = m.rows[0][1] * m.rows[1][0]
+            ab = fraction_rows(m)[0][1] * fraction_rows(m)[1][0]
             # a/b in lowest terms is a square iff a * b is
             is_triv = is_rational_square(ab.numerator * ab.denominator)
             if is_triv:

@@ -1,7 +1,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
 
@@ -56,6 +55,7 @@ from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 from galwalk.zfactor import factor_degrees
 from test_sympy_oracles import sympy_degrees, sympy_galois_name, sympy_poly
+from fraction_rows import fraction_rows
 
 PRIMES = primes_in_window(*PRIME_WINDOW)
 
@@ -582,7 +582,7 @@ def conjugate_by_scaling(m: RationalMatrix) -> RationalMatrix:
 def discriminant_class(m: RationalMatrix) -> str | None:
     """quadratic_galois's answer from the rational chi of a 2x2 m itself:
     disc = tr^2 - 4 det, a square iff its numerator times denominator is."""
-    (a, b), (c, d) = m.rows
+    (a, b), (c, d) = fraction_rows(m)
     disc = (a + d) ** 2 - 4 * (a * d - b * c)
     if disc == 0:
         return None
@@ -603,7 +603,7 @@ def test_rational_conjugate_keeps_its_verdict():
             conj = conjugate_by_scaling(sample.element)
             assert sample.element.den == 1 and conj.den > 1
             want = identify_sample(sample, spec, cfg)
-            got = identify_sample(replace(sample, element=conj), spec, cfg)
+            got = identify_sample(sample._replace(element=conj), spec, cfg)
             assert got == want, (name, sample.seed_path, want, got)
             scaled[name, spec.multiplicity, None if want is None else want.kind] += 1
     assert {(name, e) for name, e, kind in scaled if kind is not None} >= {

@@ -18,6 +18,7 @@ from galwalk.picatalog import (
 )
 from galwalk.scenarios import get_scenario
 from galwalk.walker import batch_sample
+from fraction_rows import fraction_rows
 
 PARTITIONS = {2: 2, 3: 3, 4: 5, 5: 7}
 
@@ -136,7 +137,7 @@ def test_swap_samples_carry_the_pfaffian_square(name):
         chi = char_poly(s.element)
         if s.label != 1 or not squarefree_over_q(chi):
             continue
-        rows = s.element.rows
+        rows = fraction_rows(s.element)
         assert all(x == 0 for row in rows[:n] for x in row[:n])
         assert all(x == 0 for row in rows[n:] for x in row[n:])
         b = RationalMatrix([row[n:] for row in rows[:n]])
@@ -145,7 +146,7 @@ def test_swap_samples_carry_the_pfaffian_square(name):
         assert all(c == 0 for c in chi[1::2])
         h_at_1 = sum(chi[::2])
         skew = RationalMatrix(
-            [[b.rows[j][i] - b.rows[i][j] for j in range(n)] for i in range(n)]
+            [[fraction_rows(b)[j][i] - fraction_rows(b)[i][j] for j in range(n)] for i in range(n)]
         )
         assert h_at_1 in (det(skew), -det(skew))
         assert h_at_1 != 0 and isqrt(abs(h_at_1)) ** 2 == abs(h_at_1)

@@ -1,8 +1,10 @@
-"""Structural checks: how galwalk's modules depend on each other, which
-coefficient ring the walk-sample path computes in, and which functions the
-golden cases reach."""
+"""Structural checks: how galwalk's modules depend on each other, what
+importing the CLI loads, which coefficient ring the walk-sample path
+computes in, and which functions the golden cases reach."""
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +38,37 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_") and alias.name != "__version__"
                 ]
     assert private == []
+
+
+# modules `import galwalk.cli` must not load: dataclasses, which loads the
+# other three and compiles each decorated class's methods at import
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_cli_import_loads_no_slow_module():
+    # a fresh interpreter's modules before and after the import
+    code = (
+        "import sys\nbare = set(sys.modules)\nimport galwalk.cli\n"
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1"),
+    )
+    added = set(proc.stdout.split())
+    assert "galwalk.experiment" in added
+    assert not added & SLOW_IMPORTS
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names if a.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append((path.name, node.module))
+    assert found == []
 
 
 # the prime scan's frequencies and distances are rational by nature

@@ -14,6 +14,7 @@ from galwalk.walker import (
     sample_walk,
     stream_for,
 )
+from fraction_rows import fraction_rows
 
 A = RationalMatrix.diagonal([2, 3])
 J = RationalMatrix([[0, 1], [1, 0]])
@@ -116,8 +117,8 @@ def test_counterexample_off_coset_iff_antidiagonal():
     scen = builtin_scenarios()["diag_antidiag"]
     gens = scen.admissible()
     for s in batch_sample(gens, 14, 1000, 2718):
-        anti = s.element.rows[0][0] == 0 and s.element.rows[1][1] == 0
-        diag = s.element.rows[0][1] == 0 and s.element.rows[1][0] == 0
+        anti = fraction_rows(s.element)[0][0] == 0 and fraction_rows(s.element)[1][1] == 0
+        diag = fraction_rows(s.element)[0][1] == 0 and fraction_rows(s.element)[1][0] == 0
         assert anti != diag
         assert (s.label == 1) == anti
 
