@@ -3,11 +3,12 @@ determinants, inverses, and coefficientwise reduction mod p.
 
 Everything here is arbitrary-precision and exact.  A matrix is integer rows
 over one common denominator, so products, characteristic polynomials,
-determinants and inverses all run on integers.  A walk's product is
-formed by column updates instead (right_action, product_of): each letter
-rewrites only the columns where it differs from I.  A characteristic
-polynomial is a monic integer coefficient list (see char_poly).  Matrices
-are immutable, and all operations are pure functions.
+determinants and inverses all run on integers.  Walk letters multiply
+by column updates instead (right_action, product_of), in walk samples and
+the oracle's word table: each letter rewrites only the columns where it
+differs from I.  A characteristic polynomial is a monic integer
+coefficient list (see char_poly).  Matrices are immutable, and all
+operations are pure functions.
 """
 from __future__ import annotations
 
@@ -86,7 +87,9 @@ def from_int(num: Sequence[Sequence[int]], den: int) -> RationalMatrix:
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact matrix product: the integer product over a.den * b.den, in lowest terms."""
+    """Exact dense product: the integer product over a.den * b.den, in
+    lowest terms.  No pipeline path calls it (they run on product_of);
+    the tests keep it as an independent reference product."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
     cols = tuple(zip(*b.num))
@@ -110,16 +113,16 @@ def right_action(g: RationalMatrix) -> tuple:
     return g.den, tuple(changes)
 
 
-def product_of(actions: Iterable[tuple], n: int) -> RationalMatrix:
-    """The n x n product of the right_action letters, left to right.
+def product_of(start: RationalMatrix, actions: Iterable[tuple]) -> RationalMatrix:
+    """start times the right_action letters, left to right.
 
     The product is integer columns over one denominator.  A letter
     rebuilds only the columns it changes, and every other column object
     is kept, so an identity letter does nothing; the result is put in
     lowest terms once, at the end.
     """
-    cols = list(RationalMatrix.identity(n).num)
-    den = 1
+    cols = list(zip(*start.num))
+    den = start.den
     for d, changes in actions:
         den *= d
         new = [(j, _combine(cols, terms)) for j, terms in changes]

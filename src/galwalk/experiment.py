@@ -18,7 +18,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import __version__
-from .exactmat import RationalMatrix, char_poly, mat_mul
+from .exactmat import RationalMatrix, char_poly, product_of
 from .finfield import (
     BadPrimeError,
     census,
@@ -323,15 +323,16 @@ class WordTable(NamedTuple):
 
 def word_table(scenario: Scenario, depth: int) -> WordTable:
     """The table of every matrix the walk reaches in at most depth letters;
-    each element of word length below depth is multiplied by each letter once.
+    each element of word length below depth is multiplied once by each
+    letter's column action, as a walk sample is (exactmat.product_of).
     Raises ValueError unless exactly one letter is the identity, labelled 0,
     and on a matrix that two words label differently (coset_labels)."""
     gens = scenario.admissible()
     ident = RationalMatrix.identity(scenario.dimension)
     if [lab for g, lab in gens.generators if g == ident] != [0]:
         raise ValueError("the word census needs one identity letter, labelled 0")
-    letters = [(g, lab) for g, lab in gens.generators if g != ident]
-    times = [lambda block, g=g: [mat_mul(m, g) for m in block] for g, _ in letters]
+    letters = [(a, lab) for (g, lab), a in zip(gens.generators, gens.actions) if g != ident]
+    times = [lambda block, word=(a,): [product_of(m, word) for m in block] for a, _ in letters]
     found = closure(ident, times, MAX_ORDER, depth)
     labels = coset_labels(found, [lab for _, lab in letters], gens.coset_count)
     n = len(found.elements)

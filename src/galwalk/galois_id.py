@@ -229,14 +229,14 @@ def exact_verdict(
     if found is None:
         return None
     orbits = repeat_parts(found.degrees, multiplicity)
-    want = target.orbit_lengths()
+    want = target.orbit_lengths
     if orbits != want:
         return Verdict(
             KIND_REJECTED, f"rule (a): factor degrees give orbits {orbits}, target {want}"
         )
     if disc is None:
         disc = discriminant(q)
-    if any(_is_odd(ct) for ct in target.type_distribution) and is_rational_square(disc):
+    if target.has_odd_permutation and is_rational_square(disc):
         return Verdict(
             KIND_REJECTED, "rule (b): square discriminant, target has odd permutations"
         )
@@ -251,10 +251,6 @@ def exact_verdict(
     return Verdict(
         KIND_REJECTED, f"rule (c): exact group {name} on orbits {orbits} is not the target"
     )
-
-
-def _is_odd(ct: CycleType) -> bool:
-    return (sum(ct) - len(ct)) % 2 == 1
 
 
 # generators of the exact group for each (name, orbit lengths) at degree

@@ -181,14 +181,18 @@ class EnumeratedGroup(NamedTuple):
     The group is its degree and sorted elements: equality and hashing read
     those two fields only.  type_distribution maps each cycle type to its
     exact frequency (#elements of that type / order), a Fraction;
-    frequencies sum to 1.  generators are the permutations the elements
-    were closed from.  name is the catalog name of a scenario coset's
-    predicted group (picatalog), empty otherwise.
+    frequencies sum to 1.  orbit_lengths partition the degree by the
+    group's orbits, and has_odd_permutation says whether it leaves A_n.
+    generators are the permutations the elements were closed from.  name
+    is the catalog name of a scenario coset's predicted group
+    (picatalog), empty otherwise.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
     type_distribution: dict
+    orbit_lengths: CycleType
+    has_odd_permutation: bool
     generators: tuple[Permutation, ...] = ()
     name: str = ""
 
@@ -198,18 +202,6 @@ class EnumeratedGroup(NamedTuple):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def orbit_lengths(self) -> CycleType:
-        """Sizes of the group's orbits on its points, a partition of the
-        degree; the orbit of x is {g[x] for g in elements}."""
-        seen: set[int] = set()
-        sizes = []
-        for x in range(self.degree):
-            if x not in seen:  # each orbit is read off the elements once
-                orbit = {g[x] for g in self.elements}
-                seen |= orbit
-                sizes.append(len(orbit))
-        return make_cycle_type(sizes)
 
     def types(self) -> tuple[CycleType, ...]:
         return tuple(self.type_distribution.keys())
@@ -244,7 +236,15 @@ def enumerate_group(generators, degree: int | None = None) -> EnumeratedGroup:
         raise ValueError("generator is not a bijection")
     steps = [lambda block, times=partial(compose, b=g): list(map(times, block)) for g in gens]
     elements = tuple(sorted(closure(identity_perm(degree), steps, MAX_ORDER).elements))
-    return EnumeratedGroup(degree, elements, _distribution(elements), tuple(gens))
+    seen: set[int] = set()
+    orbits = []
+    for x in range(degree):
+        if x not in seen:  # each orbit, {g[x] for g in elements}, is read once
+            seen |= (orbit := {g[x] for g in elements})
+            orbits.append(len(orbit))
+    dist = _distribution(elements)
+    odd = any((sum(ct) - len(ct)) % 2 for ct in dist)
+    return EnumeratedGroup(degree, elements, dist, make_cycle_type(orbits), odd, tuple(gens))
 
 
 @lru_cache(maxsize=None)

@@ -125,7 +125,7 @@ def pi_restriction_of_scalars(n: int, gal: EnumeratedGroup) -> EnumeratedGroup:
     the roots of chi_1^t to those of chi_1^(sigma t), so it moves the blocks
     as gal does and the slots within them freely.
     """
-    if gal.orbit_lengths() != (gal.degree,):
+    if gal.orbit_lengths != (gal.degree,):
         raise ValueError("gal must act transitively")
     group = wreath_product(symmetric_group(n), gal)
     return group._replace(name=f"sym{n}_wr_{gal.order}on{gal.degree}")

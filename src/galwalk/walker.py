@@ -132,7 +132,7 @@ def draw_word(gens: GeneratorSet, k: int, seed: int, index: int) -> tuple[int, .
 def sample_walk(gens: GeneratorSet, k: int, seed: int, index: int) -> WalkSample:
     """Ordered product of k uniform generator draws; deterministic in (seed, index)."""
     word = draw_word(gens, k, seed, index)
-    element = product_of([gens.actions[i] for i in word], gens.dimension)
+    element = product_of(RationalMatrix.identity(gens.dimension), [gens.actions[i] for i in word])
     label = sum(gens.generators[i][1] for i in word) % gens.coset_count
     return WalkSample(element, label, k, (seed, index))
 

@@ -175,20 +175,24 @@ def test_mat_mul_matches_fraction_reference():
 
 def test_column_action_products_match_mat_mul_on_dense_matrices():
     # dense rational letters, zero entries and zero columns included, so
-    # every column changes and sums of several scaled columns are formed
+    # every column changes and sums of several scaled columns are formed;
+    # from the identity, as a walk sample starts, and from a dense rational
+    # matrix, as the oracle's word table extends an element
     rng = random.Random(11)
     for n in range(1, 6):
-        assert product_of([], n) == RationalMatrix.identity(n)
+        ident = RationalMatrix.identity(n)
+        assert product_of(ident, []) == ident
         for _ in range(10):
             letters = [rand_rational_matrix(rng, n, -3, 3) for _ in range(rng.randint(1, 4))]
-            fold = RationalMatrix.identity(n)
-            for m in letters:
-                fold = mat_mul(fold, m)
-            product = product_of([right_action(m) for m in letters], n)
-            assert_canonical(product)
-            assert product == fold and hash(product) == hash(fold)
+            for start in (ident, rand_rational_matrix(rng, n, -3, 3)):
+                fold = start
+                for m in letters:
+                    fold = mat_mul(fold, m)
+                product = product_of(start, [right_action(m) for m in letters])
+                assert_canonical(product)
+                assert product == fold and hash(product) == hash(fold)
         zero_column = RationalMatrix([[int(j != 0) * (i + j) for j in range(n)] for i in range(n)])
-        assert product_of([right_action(zero_column)], n) == zero_column
+        assert product_of(ident, [right_action(zero_column)]) == zero_column
 
 
 def test_right_action_lists_only_the_columns_that_differ_from_the_identity():

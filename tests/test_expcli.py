@@ -16,6 +16,7 @@ from galwalk.exactmat import (
     char_poly,
     is_rational_square,
     mat_mul,
+    product_of,
 )
 from galwalk import experiment, modpoly, scenarios
 from galwalk.experiment import (
@@ -388,6 +389,7 @@ def test_word_table_columns_are_right_products(name, k):
     expanded = len(images[0])
     assert all(len(column) == expanded for column in images)
     assert expanded < len(elements) == len(set(elements))
+    # the table's column-update products against the dense reference
     for g, column in zip(factors, images):
         for i in range(expanded):
             assert elements[column[i]] == mat_mul(elements[i], g), (name, i)
@@ -460,9 +462,10 @@ def test_word_table_refuses_an_identity_letter_with_a_nonzero_label():
 
 
 def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
-    # one product per (expanded element, non-identity letter) over the whole
-    # run, and χ at most once per distinct off-coset element, across all k
-    counts = {"mat_mul": 0, "char_poly": 0}
+    # one column-update product per (expanded element, non-identity letter)
+    # over the whole run, and χ at most once per distinct off-coset
+    # element, across all k
+    counts = {"product_of": 0, "char_poly": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -470,7 +473,7 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(experiment, "mat_mul", counting("mat_mul", mat_mul))
+    monkeypatch.setattr(experiment, "product_of", counting("product_of", product_of))
     monkeypatch.setattr(experiment, "char_poly", counting("char_poly", char_poly))
     calls = []
 
@@ -484,7 +487,7 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
     assert all(t is table for t, _ in calls) and len(calls) == 3
     assert len(table.ends) - 1 == 22 and len(table.closure.images) == 3
     assert len(table.closure.images[0]) == 1606 and len(table.closure.elements) == 1770
-    assert counts["mat_mul"] == 3 * 1606 == 4818
+    assert counts["product_of"] == 3 * 1606 == 4818
     off_elements = {i for _, states in calls for i, _ in states if table.labels[i] != 0}
     assert counts["char_poly"] <= len(off_elements) == 925
     assert [row["off_count"] for row in rows] == [(4**k - 2**k) // 2 for k in (10, 16, 22)]

@@ -513,6 +513,66 @@ def test_identify_a_quartic_scans_no_prime(monkeypatch):
     assert verdict.detail == "rule (c): exact group S4 on orbits (4,)"
 
 
+def test_rule_a_compares_orbit_lengths_as_partitions():
+    # orbits (2, 1, 1, 1, 1) against factor degrees (2, 2, 1, 1): one set of
+    # parts, {1, 2}, in two partitions of 6, so only the partitions tell them
+    # apart; the discriminant is not a square, so rule (b) cannot reject it
+    target = enumerate_group([(1, 0, 2, 3, 4, 5)])
+    assert target.orbit_lengths == (2, 1, 1, 1, 1)
+    q = pprod([-2, 1], [-3, 1], [1, 0, 1], [2, 0, 1])
+    assert factor_degrees(q, PRIMES).degrees == (2, 2, 1, 1)
+    v = exact_verdict(q, target, 1, PRIMES)
+    assert v.kind == KIND_REJECTED and v.detail.startswith("rule (a)"), v
+
+
+def test_exact_verdict_reads_each_target_constant_once_per_target():
+    # over one walk batch, rules (a) and (b) read the target's orbit lengths
+    # and odd-permutation flag: no sample iterates the target's elements
+    # (orbits) or its type distribution (the odd-permutation scan)
+    reads = Counter()
+
+    class Elements(tuple):
+        def __iter__(self):
+            reads["elements"] += 1
+            return super().__iter__()
+
+    class Distribution(dict):
+        def __iter__(self):
+            reads["type_distribution"] += 1
+            return super().__iter__()
+
+        def keys(self):
+            reads["type_distribution"] += 1
+            return super().keys()
+
+        def values(self):
+            reads["type_distribution"] += 1
+            return super().values()
+
+        def items(self):
+            reads["type_distribution"] += 1
+            return super().items()
+
+    # sl3 at k = 10: each of rules (a), (b) and (c) decides some sample
+    target = builtin_scenarios()["sl3"].coset(0).predicted
+    counted = target._replace(
+        elements=Elements(target.elements),
+        type_distribution=Distribution(target.type_distribution),
+    )
+    assert counted == target and counted.type_distribution == target.type_distribution
+    assert reads == Counter()
+    rules = Counter()
+    gens = builtin_scenarios()["sl3"].admissible()
+    for sample in batch_sample(gens, 10, 40, batch_seed(1, 10)):
+        q = power_root(char_poly(sample.element), 1)
+        if q is not None:
+            verdict = exact_verdict(q, counted, 1, PRIMES)
+            assert verdict == exact_verdict(q, target, 1, PRIMES)
+            rules[verdict.detail[:8]] += 1
+    assert set(rules) == {"rule (a)", "rule (b)", "rule (c)"}, rules
+    assert reads == Counter()
+
+
 def random_squarefree(rng, n):
     """A random monic squarefree integer polynomial of degree n, reducible
     about as often as not: a product of random monic factors."""
@@ -624,13 +684,13 @@ def test_rational_conjugate_keeps_its_verdict():
 
 
 def test_catalog_orbit_lengths():
-    assert pi_sl_n(4).orbit_lengths() == (4,)
-    assert pi_sl_n_doubled(4).orbit_lengths() == (4, 4)
-    assert pi_sl_n_tau_reciprocal(2).orbit_lengths() == (4,)
-    assert pi_sl_power_identity(2, 2).orbit_lengths() == (2, 2)
-    assert pi_sl_power_cyclic(2, 3).orbit_lengths() == (6,)
-    assert pi_restriction_of_scalars(2, symmetric_group(2)).orbit_lengths() == (4,)
-    assert enumerate_group([], degree=3).orbit_lengths() == (1, 1, 1)
+    assert pi_sl_n(4).orbit_lengths == (4,)
+    assert pi_sl_n_doubled(4).orbit_lengths == (4, 4)
+    assert pi_sl_n_tau_reciprocal(2).orbit_lengths == (4,)
+    assert pi_sl_power_identity(2, 2).orbit_lengths == (2, 2)
+    assert pi_sl_power_cyclic(2, 3).orbit_lengths == (6,)
+    assert pi_restriction_of_scalars(2, symmetric_group(2)).orbit_lengths == (4,)
+    assert enumerate_group([], degree=3).orbit_lengths == (1, 1, 1)
 
 
 def test_quadratic_galois_antidiagonal_example():

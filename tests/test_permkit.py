@@ -1,5 +1,6 @@
 import random
 from array import array
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -387,6 +388,11 @@ def orbit_lengths_by_generators(group: EnumeratedGroup):
     return make_cycle_type(sizes)
 
 
+def is_odd_by_inversions(g) -> bool:
+    """Reference parity: the number of inversions of g, mod 2."""
+    return sum(a > b for a, b in combinations(g, 2)) % 2 == 1
+
+
 def test_orbit_lengths_match_the_generator_search():
     groups = [
         spec.predicted
@@ -400,11 +406,15 @@ def test_orbit_lengths_match_the_generator_search():
         wreath_product(cyclic_group(2), wreath_product(cyclic_group(2), symmetric_group(r)))
         for r in (1, 2)
     ]
+    # a group leaves A_n iff one of its generators does
     for group in groups:
-        assert group.orbit_lengths() == orbit_lengths_by_generators(group)
+        assert group.orbit_lengths == orbit_lengths_by_generators(group)
+        assert group.has_odd_permutation == any(map(is_odd_by_inversions, group.generators))
     for (name, orbits), gens in SMALL_GROUPS.items():
         group = enumerate_group(gens, degree=sum(orbits))
-        assert group.orbit_lengths() == orbit_lengths_by_generators(group) == orbits, name
+        assert group.orbit_lengths == orbit_lengths_by_generators(group) == orbits, name
+        assert group.has_odd_permutation == any(map(is_odd_by_inversions, gens)), name
+    assert {g.has_odd_permutation for g in groups} == {False, True}
 
 
 def relabel(group: EnumeratedGroup, perm) -> EnumeratedGroup:

@@ -2,8 +2,8 @@
 
 Equality and hashing read exactly the fields that make a record's value.
 A record's trailing annotations are skipped: a group's type distribution,
-generators and catalog name, a census's and a prime scan's tables, a
-generator set's walk actions.  Every other record compares every field.
+orbit lengths, odd-permutation flag, generators and catalog name, a
+census's and a prime scan's tables, a generator set's walk actions.  Every other record compares every field.
 """
 from fractions import Fraction as F
 
@@ -41,7 +41,8 @@ RECORDS = {
     Verdict: (lambda: Verdict("rejected", "rule (a)"), ()),
     FrobeniusSample: (lambda: FrobeniusSample(7, (1, 1), "good"), ()),
     EnumeratedGroup: (
-        lambda: pi_sl_n(3), ("type_distribution", "generators", "name"),
+        lambda: pi_sl_n(3),
+        ("type_distribution", "orbit_lengths", "has_odd_permutation", "generators", "name"),
     ),
     CosetSpec: (lambda: CosetSpec("identity", pi_sl_n(2)), ()),
     Scenario: (lambda: get_scenario("sl2"), ()),

@@ -110,6 +110,10 @@ def test_characteristic_polynomial_path_builds_no_fraction(monkeypatch):
 # functions no golden case calls, kept on purpose
 UNREACHED_ON_PURPOSE = {
     "modpoly.squarefree_over_q": "benchmark probe target",
+    "exactmat.mat_mul": (
+        "the tests' independent reference product for the walk, the word table "
+        "and the closures; and a benchmark probe target"
+    ),
 }
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import galwalk
+from galwalk.cli import main
 from galwalk.exactmat import RationalMatrix, mat_mul, right_action
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import (
@@ -153,13 +154,15 @@ def test_batch_samples_equal_the_mat_mul_fold():
                     assert (s.element, s.label) == mat_mul_fold(gens, word), (name, k, seed)
 
 
-def test_walk_products_make_no_dense_product(monkeypatch):
+def test_walk_products_make_no_dense_product(monkeypatch, tmp_path):
     gens = builtin_scenarios()["sl4"].admissible()
     want = [mat_mul_fold(gens, draw_word(gens, 30, 5, i)) for i in range(20)]
 
     def refuse(*args):
         raise AssertionError("a walk product called mat_mul")
 
+    # every galwalk module is loaded (the CLI imports them all), and each
+    # that binds mat_mul gets the refusing stub
     for module in vars(galwalk).values():
         if getattr(module, "mat_mul", None) is mat_mul:
             monkeypatch.setattr(module, "mat_mul", refuse)
@@ -167,6 +170,14 @@ def test_walk_products_make_no_dense_product(monkeypatch):
         galwalk.exactmat.mat_mul(gens.generators[0][0], gens.generators[0][0])
     samples = batch_sample(gens, 30, 20, 5)
     assert [(s.element, s.label) for s in samples] == want
+    # nor does any verb: the oracle's word table multiplies by column
+    # updates too, and the census works mod p
+    for verb, *args in (
+        ("run", "--scenario", "sl2", "--k", "3,8", "--samples", "4"),
+        ("finfield", "--scenario", "sl2", "--primes-max", "7"),
+        ("oracle", "--scenario", "diag_antidiag", "--k", "2,5"),
+    ):
+        assert main([verb, *args, "--out", str(tmp_path / f"{verb}.csv")]) == 0, verb
     # each letter rewrites only the columns where it differs from I, and
     # the identity letter none
     ident = RationalMatrix.identity(4)

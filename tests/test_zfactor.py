@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
 
+from galwalk import zfactor
 from galwalk.exactmat import RationalMatrix, char_poly
 from galwalk.experiment import batch_seed
-from galwalk.modpoly import evaluate, power_root, resolvent_cubic
+from galwalk.galois_id import PRIME_WINDOW
+from galwalk.modpoly import evaluate, power_root, primes_in_window, resolvent_cubic
 from galwalk.scenarios import builtin_scenarios
 from galwalk.walker import batch_sample
 from galwalk.zfactor import (
@@ -11,6 +13,7 @@ from galwalk.zfactor import (
     RESIDUE_PRIMES,
     _root_floors,
     _rootless_mod,
+    factor_degrees,
     integer_roots,
 )
 
@@ -118,3 +121,16 @@ def test_integer_roots_with_a_root_mod_every_prime():
             c = _int_mul(no_root, [-r, 1])
             assert not residue_proof(c)
             assert integer_roots(c) == bisection_roots(c) == [r], c
+
+
+def test_musser_filter_reads_only_the_cofactor_parts(monkeypatch):
+    # (x - 1)(x^5 - x - 1): the quintic is irreducible, and Musser's filter
+    # proves it from the Frobenius patterns once the root's part 1 is left
+    # out; counting that part too keeps proper subset sums alive, and
+    # Zassenhaus runs for nothing
+    def refuse(*args):
+        raise AssertionError("Zassenhaus ran on an irreducible cofactor")
+
+    monkeypatch.setattr(zfactor, "_zassenhaus", refuse)
+    f = _int_mul([-1, 1], [-1, -1, 0, 0, 0, 1])
+    assert factor_degrees(f, primes_in_window(*PRIME_WINDOW)).degrees == (5, 1)
