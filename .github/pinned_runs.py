@@ -41,12 +41,14 @@ PINS = {
         115,
         "# finfield p=5: 372000 elements, 30 conjugacy classes, 25 distinct chi",
     ),
-    # peak RSS (28-29 MB) stays under the cap, so the word table stays bounded
+    # peak RSS (27.9-28.1 MB) stays under the cap, so the word table's
+    # blocks stay bounded; a table of another size fails the stderr line
     "oracle_k60": Pin(
         "oracle diag_antidiag k<=60",
         ("oracle", "--scenario", "diag_antidiag", "--k", "10,16,22,40,60"),
         "bcebcfb2b1116209cbd6a90cb0f7a385d815cf1b34d6a898c1804d1da8196f04",
         36,
+        "# oracle word table: 13930 elements within 60 letters",
     ),
     # peak RSS (17.5-17.6 MB) stays under the cap, so a k's batch of
     # samples stays bounded

@@ -4,9 +4,10 @@ determinants, inverses, and coefficientwise reduction mod p.
 Everything here is arbitrary-precision and exact.  A matrix is integer rows
 over one common denominator, so products, characteristic polynomials,
 determinants and inverses all run on integers.  Walk letters multiply
-by column updates instead (right_action, product_of), in walk samples and
-the oracle's word table: each letter rewrites only the columns where it
-differs from I.  A characteristic polynomial is a monic integer
+by column updates instead (right_action): a letter rewrites only the
+columns where it differs from I, in a walk sample (product_of) and, for a
+stacked block of matrices at once, in the oracle's word table
+(block_product).  A characteristic polynomial is a monic integer
 coefficient list (see char_poly).  Matrices are immutable, and all
 operations are pure functions.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, floordiv, mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -69,6 +70,10 @@ class RationalMatrix(_MatrixFields):
     def transpose(self) -> "RationalMatrix":
         return from_int(tuple(zip(*self.num)), self.den)
 
+    def __reduce__(self):
+        # copy and pickle rebuild from integers; __new__ takes rational rows
+        return from_int, (self.num, self.den)
+
 
 _tuple_new = tuple.__new__
 
@@ -88,7 +93,7 @@ def from_int(num: Sequence[Sequence[int]], den: int) -> RationalMatrix:
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact dense product: the integer product over a.den * b.den, in
-    lowest terms.  No pipeline path calls it (they run on product_of);
+    lowest terms.  No pipeline path calls it (they use column updates);
     the tests keep it as an independent reference product."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
@@ -121,14 +126,37 @@ def product_of(start: RationalMatrix, actions: Iterable[tuple]) -> RationalMatri
     is kept, so an identity letter does nothing; the result is put in
     lowest terms once, at the end.
     """
-    cols = list(zip(*start.num))
-    den = start.den
+    cols, den = _times([start.num], actions)
+    return from_int(tuple(zip(*cols)), start.den * den)
+
+
+def block_product(block: Sequence[RationalMatrix], actions: Iterable[tuple]) -> list:
+    """Each n x n matrix of block times the right_action letters, its rows
+    stacked with the others' so a letter rebuilds each column once for the
+    whole block.  Each product is then put in from_int's lowest terms by its
+    own gcd (entry (i, j) of every matrix is cols[j][i::n])."""
+    n = block[0].n
+    cols, d = _times([m.num for m in block], actions)
+    dens = [m.den * d for m in block]
+    gs = list(map(gcd, dens, *[col[i::n] for col in cols for i in range(n)]))
+    if gs.count(1) != len(gs):
+        tall = list(chain.from_iterable(map(repeat, gs, repeat(n))))
+        cols = [tuple(map(floordiv, col, tall)) for col in cols]
+        dens = list(map(floordiv, dens, gs))
+    nums = zip(*[iter(zip(*cols))] * n)
+    return list(map(_tuple_new, repeat(RationalMatrix), zip(repeat(n), dens, nums)))
+
+
+def _times(nums: list, actions: Iterable[tuple]) -> tuple[list, int]:
+    """Columns of the stacked integer rows nums times the letters; the letters' den."""
+    cols = list(zip(*chain.from_iterable(nums)))
+    den = 1
     for d, changes in actions:
         den *= d
         new = [(j, _combine(cols, terms)) for j, terms in changes]
         for j, col in new:
             cols[j] = col
-    return from_int(tuple(zip(*cols)), den)
+    return cols, den
 
 
 def _combine(cols: list, terms: tuple) -> tuple:
@@ -138,7 +166,7 @@ def _combine(cols: list, terms: tuple) -> tuple:
     for r, v in terms:
         col = cols[r] if v == 1 else map(mul, repeat(v), cols[r])
         acc = col if acc is None else map(add, acc, col)
-    return (0,) * len(cols) if acc is None else tuple(acc)
+    return (0,) * len(cols[0]) if acc is None else tuple(acc)
 
 
 def is_rational_square(x: int) -> bool:

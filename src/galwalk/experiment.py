@@ -18,7 +18,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import __version__
-from .exactmat import RationalMatrix, char_poly, product_of
+from .exactmat import RationalMatrix, block_product, char_poly
 from .finfield import (
     BadPrimeError,
     census,
@@ -324,7 +324,7 @@ class WordTable(NamedTuple):
 def word_table(scenario: Scenario, depth: int) -> WordTable:
     """The table of every matrix the walk reaches in at most depth letters;
     each element of word length below depth is multiplied once by each
-    letter's column action, as a walk sample is (exactmat.product_of).
+    letter's column action, a closure block at a time (exactmat.block_product).
     Raises ValueError unless exactly one letter is the identity, labelled 0,
     and on a matrix that two words label differently (coset_labels)."""
     gens = scenario.admissible()
@@ -332,7 +332,7 @@ def word_table(scenario: Scenario, depth: int) -> WordTable:
     if [lab for g, lab in gens.generators if g == ident] != [0]:
         raise ValueError("the word census needs one identity letter, labelled 0")
     letters = [(a, lab) for (g, lab), a in zip(gens.generators, gens.actions) if g != ident]
-    times = [lambda block, word=(a,): [product_of(m, word) for m in block] for a, _ in letters]
+    times = [lambda block, word=(a,): block_product(block, word) for a, _ in letters]
     found = closure(ident, times, MAX_ORDER, depth)
     labels = coset_labels(found, [lab for _, lab in letters], gens.coset_count)
     n = len(found.elements)
@@ -399,6 +399,8 @@ def run_oracle(config: ExperimentConfig):
     if scenario.has_predictions:
         raise ValueError("oracle mode applies to the counterexample scenario")
     table = word_table(scenario, max(config.k_values))
+    size, depth = len(table.closure.elements), len(table.ends) - 1
+    print(f"# oracle word table: {size} elements within {depth} letters", file=sys.stderr)
     trivial_field: dict[int, bool] = {}  # element index -> its χ splits over Q
     rows = []
     last = None

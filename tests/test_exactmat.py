@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -10,6 +12,7 @@ from galwalk.exactmat import (
     PrimeFieldPolynomial,
     RationalMatrix,
     SingularMatrix,
+    block_product,
     char_poly,
     det,
     from_int,
@@ -21,6 +24,7 @@ from galwalk.exactmat import (
     right_action,
 )
 from galwalk.modpoly import add, mul, neg
+from galwalk.permkit import BLOCK
 from fraction_rows import fraction_rows
 
 I2 = RationalMatrix.identity(2)
@@ -193,6 +197,44 @@ def test_column_action_products_match_mat_mul_on_dense_matrices():
                 assert product == fold and hash(product) == hash(fold)
         zero_column = RationalMatrix([[int(j != 0) * (i + j) for j in range(n)] for i in range(n)])
         assert product_of(ident, [right_action(zero_column)]) == zero_column
+
+
+def test_block_products_match_mat_mul_element_by_element():
+    # blocks of 1, 2, BLOCK and BLOCK + 1 matrices, against the dense
+    # reference product; letters with den > 1 (diag(1/2, 1/3)), with a
+    # zero column, and scalings that leave products with a gcd > 1, so the
+    # block is divided through; every product in from_int's lowest terms
+    rng = random.Random(5)
+    reduced = 0
+    for n in (1, 2, 3, 4):
+        ident = RationalMatrix.identity(n)
+        halves = RationalMatrix.diagonal([F(1, 2 + i) for i in range(n)])
+        zero_column = RationalMatrix([[int(j != 0) * (i + j) for j in range(n)] for i in range(n)])
+        doubles = RationalMatrix.diagonal([2 * (i + 1) for i in range(n)])
+        fixed = [ident, halves, zero_column, doubles, RationalMatrix.diagonal([F(1, 2)] * n)]
+        letters = fixed[1:] + [rand_rational_matrix(rng, n, -3, 3) for _ in range(3)]
+        for size in (1, 2, BLOCK, BLOCK + 1):
+            block = (fixed + [rand_rational_matrix(rng, n, -4, 4) for _ in range(size)])[:size]
+            for word in [[g] for g in letters] + [letters[:3]]:
+                products = block_product(block, [right_action(g) for g in word])
+                assert len(products) == size
+                for m, product in zip(block, products):
+                    ref = m
+                    for g in word:
+                        ref = mat_mul(ref, g)
+                    assert_canonical(product)
+                    rows = fraction_rows(product)
+                    assert product == ref == RationalMatrix(rows)
+                    assert hash(product) == hash(ref) == hash(RationalMatrix(rows))
+                    reduced += product.den != m.den * math.prod(g.den for g in word)
+    assert reduced > 0
+
+
+def test_rational_matrices_copy_and_pickle():
+    for m in (RationalMatrix([[1, 2], [3, 4]]), RationalMatrix([[F(1, 2), 0], [F(2, 3), 1]])):
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(twin) is RationalMatrix
+            assert twin == m and twin.den == m.den and hash(twin) == hash(m)
 
 
 def test_right_action_lists_only_the_columns_that_differ_from_the_identity():

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,10 +14,10 @@ import pytest
 from galwalk.cli import main
 from galwalk.exactmat import (
     RationalMatrix,
+    block_product,
     char_poly,
     is_rational_square,
     mat_mul,
-    product_of,
 )
 from galwalk import experiment, modpoly, scenarios
 from galwalk.experiment import (
@@ -40,6 +41,7 @@ from galwalk.galois_id import (
     match_verdict,
 )
 from galwalk.modpoly import power_root
+from galwalk.permkit import BLOCK, MAX_ORDER, closure
 from galwalk.output import dec6, emit, render_csv, render_json
 from galwalk.scenarios import CosetSpec, Scenario, builtin_scenarios
 from galwalk.walker import batch_sample
@@ -434,6 +436,17 @@ def test_word_table_preimages_and_layer_ends(name, k):
     assert [distance[m] for m in table.closure.elements] == sorted(distance.values())
 
 
+def test_word_table_closure_equals_one_by_dense_products():
+    # the depth-22 table's closure (elements, images, parent, runs)
+    # against one whose steps multiply element by element by the reference
+    # product mat_mul
+    scen = builtin_scenarios()["diag_antidiag"]
+    ident = RationalMatrix.identity(2)
+    factors = [g for g, _ in scen.admissible().generators if g != ident]
+    steps = [lambda block, g=g: [mat_mul(m, g) for m in block] for g in factors]
+    assert word_table(scen, 22).closure == closure(ident, steps, MAX_ORDER, 22)
+
+
 ANTIDIAG = RationalMatrix([[0, 1], [1, 0]])
 
 
@@ -462,10 +475,18 @@ def test_word_table_refuses_an_identity_letter_with_a_nonzero_label():
 
 
 def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
-    # one column-update product per (expanded element, non-identity letter)
-    # over the whole run, and χ at most once per distinct off-coset
-    # element, across all k
-    counts = {"product_of": 0, "char_poly": 0}
+    # each (expanded element, non-identity letter) pair passes through the
+    # column-update block product exactly once over the whole run, in
+    # blocks of at most permkit.BLOCK matrices, and χ is computed at most
+    # once per distinct off-coset element, across all k
+    counts = {"char_poly": 0}
+    passed = Counter()
+    sizes = []
+
+    def counting_blocks(block, actions):
+        sizes.append(len(block))
+        passed.update((m, tuple(actions)) for m in block)
+        return block_product(block, actions)
 
     def counting(name, fn):
         def counted(*args):
@@ -473,7 +494,7 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(experiment, "product_of", counting("product_of", product_of))
+    monkeypatch.setattr(experiment, "block_product", counting_blocks)
     monkeypatch.setattr(experiment, "char_poly", counting("char_poly", char_poly))
     calls = []
 
@@ -487,7 +508,12 @@ def test_oracle_multiplies_each_element_by_each_letter_once(monkeypatch):
     assert all(t is table for t, _ in calls) and len(calls) == 3
     assert len(table.ends) - 1 == 22 and len(table.closure.images) == 3
     assert len(table.closure.images[0]) == 1606 and len(table.closure.elements) == 1770
-    assert counts["product_of"] == 3 * 1606 == 4818
+    assert sum(sizes) == 3 * 1606 == 4818 and max(sizes) <= BLOCK
+    gens = scenarios.get_scenario("diag_antidiag").admissible()
+    ident = RationalMatrix.identity(2)
+    letters = [(a,) for (g, _), a in zip(gens.generators, gens.actions) if g != ident]
+    expanded = table.closure.elements[:1606]
+    assert passed == Counter({(m, word): 1 for m in expanded for word in letters})
     off_elements = {i for _, states in calls for i, _ in states if table.labels[i] != 0}
     assert counts["char_poly"] <= len(off_elements) == 925
     assert [row["off_count"] for row in rows] == [(4**k - 2**k) // 2 for k in (10, 16, 22)]
@@ -926,6 +952,9 @@ def test_cli_oracle_and_catalog(tmp_path):
     assert r.returncode == 0
     rows = json.loads(path.read_text())[1:]
     assert [row["k"] for row in rows] == [2, 4]
+    # the word table's size on stderr, counts only, no timing
+    assert "# oracle word table: 42 elements within 4 letters" in r.stderr.splitlines()
+    assert len(word_table(builtin_scenarios()["diag_antidiag"], 4).closure.elements) == 42
     cat = tmp_path / "catalog.csv"
     assert run_cli("catalog", "--out", str(cat)).returncode == 0
     assert cat.read_text().count("\n") > 10

@@ -114,6 +114,10 @@ UNREACHED_ON_PURPOSE = {
         "the tests' independent reference product for the walk, the word table "
         "and the closures; and a benchmark probe target"
     ),
+    "exactmat.RationalMatrix.__reduce__": (
+        "copy and pickle protocol: no CLI verb copies or pickles a matrix; "
+        "test_rational_matrices_copy_and_pickle calls it"
+    ),
 }
 
 
